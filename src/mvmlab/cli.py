@@ -11,14 +11,13 @@ Config schema (all keys except "scenario" optional)::
       "scenario": "white_noise_qv",   // one of the registered names
       "seed": 7,                      // master seed for driver sampling
       "paths": 10000,                 // Monte Carlo path count
-      "threads": 1,                   // simulation worker threads
       "out": "results/",              // directory for report + artifacts
       "params": {"steps": 20}         // scenario-specific overrides
     }
 
 Command-line flags override config values, which override the scenario
 defaults.  For a fixed config and seed the CSV artifacts are byte-identical
-across runs and thread counts.
+across runs, and enlarging "paths" leaves the existing paths unchanged.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ def _build_parser() -> _Parser:
                      help="override the master seed")
     run.add_argument("--paths", type=int, default=None,
                      help="override the Monte Carlo path count")
-    run.add_argument("--threads", type=int, default=None,
-                     help="override the simulation thread count")
     run.add_argument("--out", default=None,
                      help="directory to write the report and CSV artifacts")
     sub.add_parser("list", help="list scenarios and their defaults")
@@ -77,7 +74,7 @@ def _load_config(path: str) -> dict:
         raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise _UsageError("config must be a JSON object")
-    allowed = {"scenario", "seed", "paths", "threads", "out", "params"}
+    allowed = {"scenario", "seed", "paths", "out", "params"}
     unknown = sorted(set(config) - allowed)
     if unknown:
         raise _UsageError(f"unknown config keys {unknown}; allowed keys are "
@@ -106,12 +103,9 @@ def _run(args) -> int:
     config = _load_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed")
     paths = args.paths if args.paths is not None else config.get("paths")
-    threads = args.threads if args.threads is not None \
-        else config.get("threads", 1)
     out_dir = args.out if args.out is not None else config.get("out")
     try:
         report = run_scenario(config["scenario"], seed=seed, paths=paths,
-                              threads=int(threads),
                               params=config.get("params", {}))
     except KeyError as exc:
         raise _UsageError(str(exc.args[0])) from exc

@@ -19,10 +19,17 @@ Every generator has deterministic intensities nu_x(cell) = <x, R_cell x>,
 exposed as an :class:`IntensityFamily`, except when an integral-type selector
 is declared path dependent, in which case only the empirical route exists.
 
-Randomness is counter based: path p of a run with seed s draws from a Philox
-stream keyed by (s, p), with cells consumed in a fixed order, so enlarging
-the path count or splitting work across threads never reshuffles existing
-paths.
+Randomness is counter based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11): path p of a run with seed s draws from the Philox
+stream keyed by (s, p), starting at counter 0, and each driver consumes that
+stream in a fixed draw order.  Path p therefore depends only on (s, p):
+enlarging the path count leaves the existing paths unchanged (prefix
+stability).  ``simulate`` keeps one Philox generator per call and re-keys it
+for every path; consecutive draws of one kind (normals, or Poisson counts)
+are merged into one call, which leaves each stream unchanged because
+``numpy.random.Generator`` caches nothing between draws.  The raw draws of a
+block of paths are then turned into increments by vectorized arithmetic,
+element for element the formulas a single path would use.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from __future__ import annotations
 import abc
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -75,6 +81,44 @@ def _as_vector(u, dim: int | None = None) -> np.ndarray:
     return u
 
 
+class _DrawPlan:
+    """The ordered draws one path makes: ``("normal", cols, None)`` or
+    ``("poisson", cols, mean_vector)``.
+
+    Normals and Poisson counts fill two separate rows per path; ``cols`` are
+    the columns of its row that a draw fills, which ``normal`` and
+    ``poisson`` return for the driver's ``assemble`` to read back.
+    """
+
+    def __init__(self) -> None:
+        self.draws: list[tuple[str, slice, np.ndarray | None]] = []
+        self.normals = 0
+        self.counts = 0
+
+    def normal(self, count: int) -> slice:
+        self.normals += count
+        cols = slice(self.normals - count, self.normals)
+        self.draws.append(("normal", cols, None))
+        return cols
+
+    def poisson(self, mean: np.ndarray) -> slice:
+        self.counts += mean.size
+        cols = slice(self.counts - mean.size, self.counts)
+        self.draws.append(("poisson", cols, mean))
+        return cols
+
+    def runs(self) -> list[tuple[str, slice, np.ndarray | None]]:
+        """The draws, with consecutive draws of one kind merged into one."""
+        runs: list[tuple[str, slice, np.ndarray | None]] = []
+        for kind, cols, mean in self.draws:
+            if runs and runs[-1][0] == kind:
+                _, first, means = runs.pop()
+                cols = slice(first.start, cols.stop)
+                mean = None if mean is None else np.concatenate([means, mean])
+            runs.append((kind, cols, mean))
+        return runs
+
+
 class NoiseSpecBase(abc.ABC):
     """Shared driver interface: labels, dimension, sampling, intensities."""
 
@@ -91,10 +135,15 @@ class NoiseSpecBase(abc.ABC):
         """Canonical mark-atom labels, in grid order."""
 
     @abc.abstractmethod
-    def _sampler(self, grid: GridSpec) -> Callable[[np.random.Generator], np.ndarray]:
-        """Return a closure drawing one path of increments, shape
-        (n_cells, n_atoms, dim).  All grid-dependent factors are precomputed
-        here so the per-path cost is a handful of vectorized draws."""
+    def _sampler(self, grid: GridSpec
+                 ) -> tuple["_DrawPlan", Callable[[np.ndarray, np.ndarray],
+                                                   np.ndarray]]:
+        """Return the draw plan of one path and a vectorized ``assemble``.
+
+        ``assemble(z, n)`` maps a block's raw draws -- standard normals
+        ``z`` of shape (block, plan.normals) and Poisson counts ``n`` of
+        shape (block, plan.counts), each row in the path's draw order -- to
+        increments of shape (block, n_cells, n_atoms, dim)."""
 
     @abc.abstractmethod
     def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
@@ -138,12 +187,13 @@ class WhiteNoise(NoiseSpecBase):
 
     def _sampler(self, grid: GridSpec):
         std = np.sqrt(np.outer(grid.dt, self.rate_values))
+        plan = _DrawPlan()
+        cols = plan.normal(std.size)
 
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            z = rng.standard_normal(std.shape)
-            return (std * z)[..., None]
+        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
+            return (std * z[:, cols].reshape(-1, *std.shape))[..., None]
 
-        return sample
+        return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "DenseIntensityFamily":
         mats = np.outer(grid.dt, self.rate_values)[..., None, None]
@@ -227,23 +277,33 @@ class DiscreteLevy(NoiseSpecBase):
 
     def _sampler(self, grid: GridSpec):
         dt = grid.dt
-        sqrt_dt = np.sqrt(dt)
-        roots = [None if a.brownian_cov is None else psd_sqrt(a.brownian_cov)
-                 for a in self.atoms]
+        sqrt_dt = np.sqrt(dt)[:, None]
+        shape = (grid.n_cells, len(self.atoms), self.dim)
+        plan = _DrawPlan()
+        parts = []
+        for atom in self.atoms:
+            brownian = None
+            if atom.brownian_cov is not None:
+                brownian = (plan.normal(grid.n_cells * self.dim),
+                            psd_sqrt(atom.brownian_cov))
+            jumps = []
+            for u, rate in atom.jumps:
+                mean = rate * dt
+                jumps.append((plan.poisson(mean), mean, u))
+            parts.append((brownian, jumps))
 
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            out = np.zeros((grid.n_cells, len(self.atoms), self.dim))
-            for k, atom in enumerate(self.atoms):
-                if roots[k] is not None:
-                    z = rng.standard_normal((grid.n_cells, self.dim))
-                    out[:, k] += sqrt_dt[:, None] * (z @ roots[k].T)
-                for u, rate in atom.jumps:
-                    mean = rate * dt
-                    n = rng.poisson(mean)
-                    out[:, k] += (n - mean)[:, None] * u
+        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
+            out = np.zeros((z.shape[0],) + shape)
+            for k, (brownian, jumps) in enumerate(parts):
+                if brownian is not None:
+                    cols, root = brownian
+                    zk = z[:, cols].reshape(-1, grid.n_cells, self.dim)
+                    out[:, :, k] += sqrt_dt * (zk @ root.T)
+                for cols, mean, u in jumps:
+                    out[:, :, k] += (n[:, cols] - mean)[..., None] * u
             return out
 
-        return sample
+        return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "DenseIntensityFamily":
         covs = np.stack([a.effective_cov() for a in self.atoms])
@@ -288,20 +348,25 @@ class HValuedLevy(NoiseSpecBase):
 
     def _sampler(self, grid: GridSpec):
         dt = grid.dt
-        sqrt_dt = np.sqrt(dt)
+        sqrt_dt = np.sqrt(dt)[:, None]
         root = psd_sqrt(self.wiener_cov)
+        shape = (grid.n_cells, 1 + len(self.jump_atoms), self.dim)
+        plan = _DrawPlan()
+        wiener = plan.normal(grid.n_cells * self.dim)
+        jumps = []
+        for u, rate in self.jump_atoms:
+            mean = rate * dt
+            jumps.append((plan.poisson(mean), mean, u))
 
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            out = np.zeros((grid.n_cells, 1 + len(self.jump_atoms), self.dim))
-            z = rng.standard_normal((grid.n_cells, self.dim))
-            out[:, 0] = sqrt_dt[:, None] * (z @ root.T)
-            for j, (u, rate) in enumerate(self.jump_atoms):
-                mean = rate * dt
-                n = rng.poisson(mean)
-                out[:, 1 + j] = (n - mean)[:, None] * u
+        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
+            out = np.empty((z.shape[0],) + shape)
+            z0 = z[:, wiener].reshape(-1, grid.n_cells, self.dim)
+            out[:, :, 0] = sqrt_dt * (z0 @ root.T)
+            for j, (cols, mean, u) in enumerate(jumps):
+                out[:, :, 1 + j] = (n[:, cols] - mean)[..., None] * u
             return out
 
-        return sample
+        return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "DenseIntensityFamily":
         d = self.dim
@@ -374,16 +439,21 @@ class IntegralType(NoiseSpecBase):
 
     def _sampler(self, grid: GridSpec):
         self.validate_grid(grid)
-        stds = [np.sqrt(w) for w in self.weights]
+        shape = (grid.n_cells, len(self.labels), self.dim)
+        plan = _DrawPlan()
+        cells = [(plan.normal(w.size), np.sqrt(w), eta)
+                 for w, eta in zip(self.weights, self.loadings)]
 
-        def sample(rng: np.random.Generator) -> np.ndarray:
-            out = np.zeros((grid.n_cells, len(self.labels), self.dim))
-            for i, (eta, std) in enumerate(zip(self.loadings, stds)):
-                z = rng.standard_normal(std.shape) * std
-                out[i, self.selector[i]] = z @ eta
+        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
+            out = np.zeros((z.shape[0],) + shape)
+            for i, (cols, std, eta) in enumerate(cells):
+                # A (block, 1, k) stack keeps the vector-matrix product of a
+                # single path, so the rounding matches it bit for bit.
+                out[:, i, self.selector[i]] = \
+                    ((z[:, cols] * std)[:, None, :] @ eta)[:, 0]
             return out
 
-        return sample
+        return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "LowRankIntensityFamily":
         if self.path_dependent_selector:
@@ -415,6 +485,10 @@ class IntegralType(NoiseSpecBase):
 
 
 NoiseSpec = WhiteNoise | DiscreteLevy | HValuedLevy | IntegralType
+
+
+# Paths per block: bounds the raw-draw scratch to a few MB whatever `paths`.
+_BLOCK = 1024
 
 
 def default_grid(spec: NoiseSpecBase, t_max: float, steps: int) -> GridSpec:
@@ -478,38 +552,46 @@ class MVMPathEnsemble:
         return out
 
 
-def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int, seed: int,
-             threads: int = 1) -> MVMPathEnsemble:
+def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
+             seed: int) -> MVMPathEnsemble:
     """Draw a path ensemble for a driver.
 
-    Reproducible by construction: path p depends only on (seed, p), so
-    results are identical across thread counts and stable under enlarging
-    `paths`.
+    Path p draws from the Philox stream keyed by (seed, p), starting at
+    counter 0, in the driver's fixed draw order; it depends on nothing
+    else, so enlarging `paths` leaves the existing paths unchanged.  One
+    generator is re-keyed per path, consecutive draws of one kind are made
+    in one call, and each block of at most ``_BLOCK`` paths is assembled
+    into increments at once.
     """
     if paths < 1:
         raise ValueError("need at least one path")
     if not 0 <= int(seed) < 2 ** 63:
         raise ValueError("seed must be a nonnegative 63-bit integer")
     spec.validate_grid(grid)
-    sampler = spec._sampler(grid)
+    plan, assemble = spec._sampler(grid)
+    runs = plan.runs()
     out = np.empty((paths, grid.n_cells, grid.n_atoms, spec.dim))
-
-    def fill(lo: int, hi: int) -> None:
-        for p in range(lo, hi):
-            key = np.array([seed, p], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            out[p] = sampler(rng)
-
-    threads = max(1, int(threads))
-    if threads == 1:
-        fill(0, paths)
-    else:
-        bounds = np.linspace(0, paths, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fill, lo, hi)
-                       for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-            for fut in futures:
-                fut.result()
+    block = min(paths, _BLOCK)
+    z = np.empty((block, plan.normals))
+    n = np.empty((block, plan.counts), dtype=np.int64)
+    key = np.array([seed, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+    # Setting this state is the same as building Philox(key=key) afresh,
+    # at a fraction of the cost.
+    fresh = bitgen.state
+    fresh["state"]["key"] = key
+    for lo in range(0, paths, block):
+        hi = min(lo + block, paths)
+        for row, p in enumerate(range(lo, hi)):
+            key[1] = p
+            bitgen.state = fresh
+            for kind, cols, mean in runs:
+                if kind == "normal":
+                    rng.standard_normal(out=z[row, cols])
+                else:
+                    n[row, cols] = rng.poisson(mean)
+        out[lo:hi] = assemble(z[:hi - lo], n[:hi - lo])
     meta = {"driver": spec.kind, "seed": int(seed), "paths": int(paths)}
     return MVMPathEnsemble(grid, out, meta)
 

@@ -5,8 +5,9 @@ sequence of unit vectors; on the grid this is a cellwise running maximum
 whose convergence (or divergence) in the sequence length is tracked
 explicitly.  Polarization of the intensities gives a signed bilinear measure
 field alpha, and the ratio alpha / quadratic-variation recovers a cellwise
-PSD operator density with unit operator norm wherever the variation charges
-the cell.  The Haar construction shows the supremum can genuinely diverge;
+PSD operator density, whose operator norm is one wherever the variation
+charges the cell when the supremum is exact (the finite sphere sequence
+undershoots it, which lifts the norm slightly above one).  The Haar construction shows the supremum can genuinely diverge;
 its partition sums are computed by exact dyadic quadrature.
 """
 
@@ -226,10 +227,12 @@ class InconsistentDensityError(ValueError):
 class QMField:
     """Cellwise PSD operator density of the bilinear field w.r.t. the QV.
 
-    `matrices[i, j]` is symmetric PSD with operator norm at most (and on
-    charged cells, equal to) one; `null_mask` marks cells without
-    quadratic-variation mass, where the density is identically zero by
-    convention.
+    `matrices[i, j]` is symmetric PSD.  On a charged cell its operator norm
+    is 1 / (1 - r), at least one, where r is the relative shortfall of the
+    sphere supremum below the true variation (the density divides by the
+    supremum, which undershoots it); with an exact supremum the norm is one.
+    `null_mask` marks cells without quadratic-variation mass, where the
+    density is identically zero by convention.
     """
 
     grid: GridSpec

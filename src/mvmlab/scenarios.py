@@ -84,7 +84,6 @@ class RunReport:
     scenario: str
     seed: int
     paths: int
-    threads: int
     params: dict
     wall_clock_seconds: float
     all_passed: bool
@@ -96,7 +95,6 @@ class RunReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "paths": self.paths,
-            "threads": self.threads,
             "params": self.params,
             "wall_clock_seconds": round(self.wall_clock_seconds, 3),
             "all_passed": self.all_passed,
@@ -119,8 +117,7 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 # supremum-of-measures oracle
 
 
-def _scn_sup_measures(seed: int, paths: int, threads: int,
-                      params: dict) -> ScenarioResult:
+def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rng = np.random.default_rng(seed)
     trials = int(params["trials"])
@@ -173,14 +170,13 @@ def _scn_sup_measures(seed: int, paths: int, threads: int,
 # white-noise intensities and quadratic variation
 
 
-def _scn_white_noise(seed: int, paths: int, threads: int,
-                     params: dict) -> ScenarioResult:
+def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rates = tuple((str(k), float(v)) for k, v in params["rates"])
     spec = noise.WhiteNoise(rates=rates)
     grid = noise.default_grid(spec, float(params["t_max"]),
                               int(params["steps"]))
-    ens = noise.simulate(spec, grid, paths, seed, threads)
+    ens = noise.simulate(spec, grid, paths, seed)
     lam = spec.rate_values
     one = np.array([1.0])
 
@@ -236,8 +232,7 @@ def _levy_menu(seed: int, dim: int) -> noise.DiscreteLevy:
     ))
 
 
-def _scn_discrete_levy(seed: int, paths: int, threads: int,
-                       params: dict) -> ScenarioResult:
+def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     dim = int(params["dim"])
     spec = _levy_menu(seed, dim)
@@ -300,8 +295,7 @@ def _scn_discrete_levy(seed: int, paths: int, threads: int,
 # state-space-valued driver: Wiener atom plus jump atoms
 
 
-def _scn_hvalued(seed: int, paths: int, threads: int,
-                 params: dict) -> ScenarioResult:
+def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     dim = int(params["dim"])
     rng = np.random.default_rng(seed)
@@ -340,7 +334,7 @@ def _scn_hvalued(seed: int, paths: int, threads: int,
                   1e-9, "closed_form")
 
     # Empirical intensity of a random direction, three-sigma band.
-    ens = noise.simulate(spec, grid, paths, seed, threads)
+    ens = noise.simulate(spec, grid, paths, seed)
     x = _unit(rng, dim)
     emp = noise.empirical_intensity(ens, x)
     z = np.abs(emp.measure.cell_mass - family.measure(x).cell_mass) \
@@ -358,8 +352,7 @@ def _scn_hvalued(seed: int, paths: int, threads: int,
 # divergence construction: no quadratic variation exists
 
 
-def _scn_haar(seed: int, paths: int, threads: int,
-              params: dict) -> ScenarioResult:
+def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     k_max = int(params["k_max"])
     rows = ["k,partition_sum,lower_bound,trace_ratio"]
@@ -386,7 +379,7 @@ def _scn_haar(seed: int, paths: int, threads: int,
     k_sim = int(params["k_sim"])
     spec = noise.IntegralType.from_haar(k_sim)
     grid = noise.default_grid(spec, 1.0, 2 ** k_sim)
-    ens = noise.simulate(spec, grid, paths, seed, threads)
+    ens = noise.simulate(spec, grid, paths, seed)
     family = noise.intensity_family(spec, grid)
     table = haar.haar_cell_integrals(k_sim)
     dim = haar.haar_dimension(k_sim)
@@ -495,13 +488,12 @@ def _qm_qv_for(spec, grid, sphere_seed: int = 11):
     return qm, est
 
 
-def _scn_ito_isometry(seed: int, paths: int, threads: int,
-                      params: dict) -> ScenarioResult:
+def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rows = ["pair,mc_second_moment,lambda2_sq,z_isometry,max_z_mean"]
     for idx, (name, spec, grid, build) in enumerate(_isometry_pairs(
             int(params["pair_seed"]))):
-        ens = noise.simulate(spec, grid, paths, seed + idx, threads)
+        ens = noise.simulate(spec, grid, paths, seed + idx)
         phi = build(ens)
         qm, qv = _qm_qv_for(spec, grid)
         integral = integrate.integrate_grid(phi, ens)
@@ -534,14 +526,13 @@ def _scn_ito_isometry(seed: int, paths: int, threads: int,
 # pathwise identities: averaged parameters
 
 
-def _scn_fubini(seed: int, paths: int, threads: int,
-                params: dict) -> ScenarioResult:
+def _scn_fubini(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rng = np.random.default_rng(seed)
     hv = noise.HValuedLevy(wiener_cov=_random_psd(rng, 3),
                            jump_atoms=((rng.standard_normal(3), 1.5),))
     grid = noise.default_grid(hv, 1.0, 16)
-    ens = noise.simulate(hv, grid, paths, seed, threads)
+    ens = noise.simulate(hv, grid, paths, seed)
     n_members = int(params["family_size"])
     members = []
     for _ in range(n_members):
@@ -562,13 +553,12 @@ def _scn_fubini(seed: int, paths: int, threads: int,
 # pathwise identities: stopping, restriction, pushforward, localization
 
 
-def _scn_stopped(seed: int, paths: int, threads: int,
-                 params: dict) -> ScenarioResult:
+def _scn_stopped(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     tol = float(params["tol"])
     spec = _levy_menu(seed + 3, 4)
     grid = noise.default_grid(spec, 1.0, 20)
-    ens = noise.simulate(spec, grid, paths, seed, threads)
+    ens = noise.simulate(spec, grid, paths, seed)
     rng = np.random.default_rng(seed)
     # Sized so the localization thresholds fire at scattered grid times.
     base = 0.2 * rng.standard_normal((3, 4))
@@ -645,8 +635,7 @@ def _heat_instance(seed: int, modes: int, channels: int):
                                    jumps=((jump, 2.0),))
 
 
-def _scn_heat(seed: int, paths: int, threads: int,
-              params: dict) -> ScenarioResult:
+def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     modes = int(params["modes"])
     steps = int(params["steps"])
@@ -668,7 +657,7 @@ def _scn_heat(seed: int, paths: int, threads: int,
 
     # (b) stochastic convolution second moment against the modewise sum.
     grid = noise.default_grid(ex.noise_spec, 1.0, steps)
-    ens = noise.simulate(ex.noise_spec, grid, paths, seed + 1, threads)
+    ens = noise.simulate(ex.noise_spec, grid, paths, seed + 1)
     phi = integrate.GridIntegrand(grid, np.broadcast_to(
         ex.f_matrix, (steps, 1) + ex.f_matrix.shape).copy())
     conv = spde.stochastic_convolution(ex.semigroup, phi, ens)
@@ -693,7 +682,7 @@ def _scn_heat(seed: int, paths: int, threads: int,
     metrics = []
     for n_steps in sizes:
         g = noise.default_grid(ex.noise_spec, 1.0, n_steps)
-        e = noise.simulate(ex.noise_spec, g, res_paths, seed + 2, threads)
+        e = noise.simulate(ex.noise_spec, g, res_paths, seed + 2)
         s = spde.picard_solve(ex.semigroup, ex.coefficients, e, x0, tol=1e-10)
         worst = max(spde.weak_residual(s, ex.semigroup, ex.coefficients, e,
                                        k).max_abs().mean()
@@ -709,8 +698,7 @@ def _scn_heat(seed: int, paths: int, threads: int,
     return res
 
 
-def _scn_picard(seed: int, paths: int, threads: int,
-                params: dict) -> ScenarioResult:
+def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     modes = int(params["modes"])
     steps = int(params["steps"])
@@ -721,7 +709,7 @@ def _scn_picard(seed: int, paths: int, threads: int,
                                   drift_bound=abs(gain),
                                   noise_matrices=ex.f_matrix[None])
     grid = noise.default_grid(ex.noise_spec, 1.0, steps)
-    ens = noise.simulate(ex.noise_spec, grid, paths, seed, threads)
+    ens = noise.simulate(ex.noise_spec, grid, paths, seed)
     x0 = 1.0 / np.arange(1, modes + 1)
     beta = spde.default_beta(ex.semigroup, coeffs, grid.t_max)
     fb, ff = spde.contraction_factors(ex.semigroup, coeffs, grid.t_max, beta)
@@ -839,7 +827,7 @@ def list_scenarios() -> str:
 
 
 def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
-                 threads: int = 1, params: dict | None = None) -> RunReport:
+                 params: dict | None = None) -> RunReport:
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choices: "
                        f"{', '.join(sorted(SCENARIOS))}")
@@ -853,11 +841,11 @@ def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
     seed = item.seed if seed is None else int(seed)
     paths = item.paths if paths is None else int(paths)
     start = time.perf_counter()
-    result = item.fn(seed, paths, max(1, int(threads)), merged)
+    result = item.fn(seed, paths, merged)
     elapsed = time.perf_counter() - start
     return RunReport(
-        scenario=name, seed=seed, paths=paths, threads=max(1, int(threads)),
-        params=merged, wall_clock_seconds=elapsed,
+        scenario=name, seed=seed, paths=paths, params=merged,
+        wall_clock_seconds=elapsed,
         all_passed=all(c.passed for c in result.checks),
         checks=tuple(result.checks), artifacts=dict(result.artifacts),
     )

@@ -47,6 +47,7 @@ def test_failed_check_exits_two(tmp_path, capsys):
     ("not json {", "not valid JSON"),
     (json.dumps([1, 2]), "must be a JSON object"),
     (json.dumps({"scenario": "fubini", "bogus": 1}), "unknown config keys"),
+    (json.dumps({"scenario": "fubini", "threads": 2}), "unknown config keys"),
     (json.dumps({"seed": 3}), "missing the required"),
     (json.dumps({"scenario": "nope"}), "unknown scenario"),
     (json.dumps({"scenario": "fubini", "params": [1]}), "must be a JSON object"),
@@ -110,20 +111,6 @@ def test_flag_overrides_config_overrides_default(tmp_path, capsys):
     report2 = json.loads((tmp_path / "c" / "haar_counterexample_report.json")
                          .read_text(encoding="utf-8"))
     assert report2["seed"] == 3
-
-
-def test_artifacts_are_byte_identical_across_threads(tmp_path, capsys):
-    base = {"scenario": "hvalued_levy_qm", "paths": 600}
-    config = write_config(tmp_path, base)
-    for threads, sub in ((1, "t1"), (3, "t3")):
-        code = main(["run", config, "--threads", str(threads),
-                     "--out", str(tmp_path / sub)])
-        assert code == EXIT_PASS
-        capsys.readouterr()
-    for name in ("hvalued_qv.csv", "hvalued_qm.csv"):
-        a = (tmp_path / "t1" / name).read_bytes()
-        b = (tmp_path / "t3" / name).read_bytes()
-        assert a == b and len(a) > 0
 
 
 def test_seed_changes_artifacts(tmp_path, capsys):

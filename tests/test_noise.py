@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mvmlab.haar import haar_cell_integrals, haar_dimension
-from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, HValuedLevy,
+from mvmlab.hilbert import psd_sqrt
+from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom, HValuedLevy,
                           IntegralType, NoClosedFormError, WhiteNoise,
                           default_grid, empirical_intensity,
                           ensemble_summary_csv, intensity_closed_form,
@@ -254,11 +255,81 @@ def test_hvalued_driver_martingale_second_moment():
 # reproducibility and persistence
 
 
-def test_simulation_is_thread_count_invariant(levy_spec):
-    grid = default_grid(levy_spec, 1.0, 5)
-    one = simulate(levy_spec, grid, 64, 5, threads=1)
-    four = simulate(levy_spec, grid, 64, 5, threads=4)
-    np.testing.assert_array_equal(one.increments, four.increments)
+def _loop_oracle_path(spec, grid, rng):
+    """One path drawn the per-path way: a fresh generator, the driver's draw
+    order, and the single-path formulas."""
+    dt = grid.dt
+    if isinstance(spec, WhiteNoise):
+        std = np.sqrt(np.outer(dt, spec.rate_values))
+        return (std * rng.standard_normal(std.shape))[..., None]
+    out = np.zeros((grid.n_cells, grid.n_atoms, spec.dim))
+    if isinstance(spec, DiscreteLevy):
+        for k, atom in enumerate(spec.atoms):
+            if atom.brownian_cov is not None:
+                z = rng.standard_normal((grid.n_cells, spec.dim))
+                out[:, k] += np.sqrt(dt)[:, None] \
+                    * (z @ psd_sqrt(atom.brownian_cov).T)
+            for u, rate in atom.jumps:
+                mean = rate * dt
+                out[:, k] += (rng.poisson(mean) - mean)[:, None] * u
+    elif isinstance(spec, HValuedLevy):
+        z = rng.standard_normal((grid.n_cells, spec.dim))
+        out[:, 0] = np.sqrt(dt)[:, None] * (z @ psd_sqrt(spec.wiener_cov).T)
+        for j, (u, rate) in enumerate(spec.jump_atoms):
+            mean = rate * dt
+            out[:, 1 + j] = (rng.poisson(mean) - mean)[:, None] * u
+    else:
+        for i, (eta, w) in enumerate(zip(spec.loadings, spec.weights)):
+            z = rng.standard_normal(w.shape) * np.sqrt(w)
+            out[i, spec.selector[i]] = z @ eta
+    return out
+
+
+def _loop_oracle(spec, grid, paths, seed):
+    return np.stack([
+        _loop_oracle_path(spec, grid, np.random.Generator(np.random.Philox(
+            key=np.array([seed, p], dtype=np.uint64))))
+        for p in range(paths)])
+
+
+def _oracle_specs():
+    rng = np.random.default_rng(31)
+    u = rng.standard_normal((4, 3))
+    levy = DiscreteLevy((
+        DiscreteLevyAtom("zero", brownian_cov=np.zeros((3, 3))),
+        DiscreteLevyAtom("jump", jumps=((u[0], 1.5),)),
+        DiscreteLevyAtom("two_jumps", jumps=((u[1], 0.5), (u[2], 3.0))),
+        DiscreteLevyAtom("mixed", brownian_cov=wishart(rng, 3),
+                         jumps=((u[3], 2.0),)),
+    ))
+    several = IntegralType(
+        loadings=(rng.standard_normal((3, 4)), rng.standard_normal((1, 4)),
+                  rng.standard_normal((2, 4))),
+        weights=(np.array([0.1, 0.2, 0.05]), np.array([0.3]),
+                 np.array([0.25, 0.125])),
+        selector=(1, 0, 1), labels=("A", "B"))
+    return {
+        "white_noise": (WhiteNoise(rates=(("a", 0.5), ("b", 2.0))), 5),
+        "discrete_levy": (levy, 5),
+        "hvalued_no_jumps": (HValuedLevy(wiener_cov=wishart(rng, 3)), 4),
+        "hvalued_two_jumps": (HValuedLevy(
+            wiener_cov=wishart(rng, 2),
+            jump_atoms=((rng.standard_normal(2), 1.0),
+                        (rng.standard_normal(2), 0.25))), 4),
+        "haar": (IntegralType.from_haar(3), 8),
+        "integral_type_several": (several, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_specs()))
+def test_simulate_matches_per_path_loop_oracle_bitwise(name):
+    spec, steps = _oracle_specs()[name]
+    grid = default_grid(spec, 1.0, steps)
+    counts = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+    oracle = _loop_oracle(spec, grid, max(counts), 9)
+    for paths in counts:
+        ens = simulate(spec, grid, paths, 9)
+        assert np.array_equal(ens.increments, oracle[:paths]), paths
 
 
 def test_enlarging_the_ensemble_preserves_existing_paths(levy_spec):
@@ -268,6 +339,11 @@ def test_enlarging_the_ensemble_preserves_existing_paths(levy_spec):
     np.testing.assert_array_equal(large.increments[:16], small.increments)
     other = simulate(levy_spec, grid, 16, 6)
     assert np.any(other.increments != small.increments)
+    # The prefix survives a block boundary too.
+    across = simulate(levy_spec, grid, _BLOCK + 5, 5)
+    many = simulate(levy_spec, grid, 3 * _BLOCK, 5)
+    np.testing.assert_array_equal(many.increments[:_BLOCK + 5],
+                                  across.increments)
 
 
 def test_seed_validation():
