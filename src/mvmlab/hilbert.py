@@ -33,34 +33,46 @@ SYM_TOL = 1e-12
 PSD_CLIP = 1e-10
 
 
-def _scale(q: np.ndarray) -> float:
-    return max(1.0, float(np.abs(q).max(initial=0.0)))
+def _scale(q: np.ndarray) -> np.ndarray:
+    return np.maximum(1.0, np.abs(q).max(axis=(-2, -1), initial=0.0))
+
+
+def _one_matrix(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {q.shape}")
+    return q
 
 
 def check_symmetric(q: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+    """Symmetrize a matrix or a stack, each checked at its own scale."""
     q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    if q.ndim < 2 or q.shape[-2] != q.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    gap = float(np.abs(q - q.T).max(initial=0.0))
-    if gap > tol * _scale(q):
-        raise ValueError(f"matrix is not symmetric (asymmetry {gap:.3e})")
-    return 0.5 * (q + q.T)
+    qt = np.swapaxes(q, -2, -1)
+    gap = np.abs(q - qt).max(axis=(-2, -1), initial=0.0)
+    bad = gap > tol * _scale(q)
+    if np.any(bad):
+        raise ValueError(
+            f"matrix is not symmetric (asymmetry {gap[bad].max():.3e})")
+    return 0.5 * (q + qt)
 
 
 def _clipped_eigh(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = check_symmetric(q)
     w, v = np.linalg.eigh(q)
-    floor = -PSD_CLIP * _scale(q)
-    if w.min(initial=0.0) < floor:
-        raise ValueError(
-            f"matrix is not positive semidefinite (eigenvalue {w.min():.3e})")
+    low = w.min(axis=-1, initial=0.0)
+    bad = low < -PSD_CLIP * _scale(q)
+    if np.any(bad):
+        raise ValueError(f"matrix is not positive semidefinite "
+                         f"(eigenvalue {low[bad].min():.3e})")
     return np.clip(w, 0.0, None), v
 
 
 def psd_part(q: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip the tiny-negative eigenvalue band to zero."""
+    """Symmetrize and clip tiny negative eigenvalues to zero (stacks too)."""
     w, v = _clipped_eigh(q)
-    return (v * w) @ v.T
+    return (v * w[..., None, :]) @ np.swapaxes(v, -2, -1)
 
 
 def psd_sqrt(q: np.ndarray) -> np.ndarray:
@@ -69,7 +81,7 @@ def psd_sqrt(q: np.ndarray) -> np.ndarray:
     Eigenvalues in ``[-PSD_CLIP * scale, 0)`` are treated as zero; anything
     more negative is rejected, as is a visibly non-symmetric input.
     """
-    w, v = _clipped_eigh(q)
+    w, v = _clipped_eigh(_one_matrix(q))
     return (v * np.sqrt(w)) @ v.T
 
 
@@ -80,7 +92,7 @@ def pseudo_inverse_sqrt(q: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     zeros (the orthogonal complement of the range).  The zero matrix maps
     to the zero matrix.
     """
-    w, v = _clipped_eigh(q)
+    w, v = _clipped_eigh(_one_matrix(q))
     top = w.max(initial=0.0)
     inv = np.zeros_like(w)
     keep = w > rank_tol * top
@@ -90,7 +102,7 @@ def pseudo_inverse_sqrt(q: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
 
 def operator_norm_psd(q: np.ndarray) -> float:
     """Operator norm (= largest eigenvalue) of a PSD matrix."""
-    w, _ = _clipped_eigh(q)
+    w, _ = _clipped_eigh(_one_matrix(q))
     return float(w.max(initial=0.0))
 
 

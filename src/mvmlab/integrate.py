@@ -201,23 +201,25 @@ class IntegralPathEnsemble:
         return buf.getvalue()
 
 
+def _contract_cells(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Cellwise actions ``sum_atoms Phi dM`` (paths, cells, G) of a shared
+    (4-d) or per-path (5-d) field.  The two einsum specs may round
+    differently in the last bits, so an exact identity contracts one layout."""
+    spec = "pcagh,pcah->pcg" if values.ndim == 5 else "cagh,pcah->pcg"
+    return np.einsum(spec, values, increments, optimize=True)
+
+
 def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble
                    ) -> IntegralPathEnsemble:
-    """Integrate a grid integrand: cumulative sums of cellwise actions.
-
-    Shared and per-path fields are contracted by different einsum specs,
-    which may round differently in the last bits; an identity that must hold
-    exactly should integrate the fields it compares in one layout.
-    """
+    """Integrate a grid integrand: cumulative sums of cellwise actions, the
+    zero-rate case of :meth:`mvmlab.spde.DiagonalSemigroup.scan`."""
     _check_grid(phi.grid, ens)
     if phi.dim_h != ens.dim:
         raise ValueError(f"integrand expects dim {phi.dim_h}, driver has {ens.dim}")
     if phi.per_path and phi.values.shape[0] != ens.paths:
         raise ValueError("per-path integrand does not match the path count")
-    spec = "pcagh,pcah->pcg" if phi.per_path else "cagh,pcah->pcg"
-    contrib = np.einsum(spec, phi.values, ens.increments, optimize=True)
     out = np.zeros((ens.paths, len(ens.times), phi.dim_g))
-    out[:, 1:] = np.cumsum(contrib, axis=1)
+    out[:, 1:] = np.cumsum(_contract_cells(phi.values, ens.increments), axis=1)
     return IntegralPathEnsemble(ens.times, out)
 
 

@@ -7,8 +7,9 @@ explicitly.  Polarization of the intensities gives a signed bilinear measure
 field alpha, and the ratio alpha / quadratic-variation recovers a cellwise
 PSD operator density, whose operator norm is one wherever the variation
 charges the cell when the supremum is exact (the finite sphere sequence
-undershoots it, which lifts the norm slightly above one).  The Haar construction shows the supremum can genuinely diverge;
-its partition sums are computed by exact dyadic quadrature.
+undershoots it, which lifts the norm slightly above one).  The Haar
+construction shows the supremum can genuinely diverge; its partition sums
+are computed by exact dyadic quadrature.
 """
 
 from __future__ import annotations
@@ -246,12 +247,12 @@ class QMField:
 
 def qm_density(alpha: BilinearMeasureField, qv: QVEstimate,
                tol: float = 1e-9) -> QMField:
-    """Divide the bilinear field by the quadratic variation, cell by cell.
+    """Divide the bilinear field by the quadratic variation on charged cells.
 
     Zero-variation cells must carry (numerically) zero bilinear mass and get
-    the zero matrix; anything else is reported as an inconsistency.  Each
-    quotient matrix is symmetrized and its tiny negative eigenvalue band is
-    clipped to zero.
+    the zero matrix; anything else is reported as an inconsistency.  The
+    quotient matrices are symmetrized and their tiny negative eigenvalue
+    bands clipped to zero in one stacked :func:`psd_part` call.
     """
     if alpha.grid != qv.grid:
         raise ValueError("bilinear field and variation live on different grids")
@@ -264,19 +265,17 @@ def qm_density(alpha: BilinearMeasureField, qv: QVEstimate,
         raise InconsistentDensityError(
             f"cell {cell} has zero quadratic variation but nonzero bilinear mass")
     out = np.zeros_like(alpha.matrices)
-    for i, j in np.argwhere(~null):
-        out[i, j] = psd_part(alpha.matrices[i, j] / qv_mass[i, j])
+    out[~null] = psd_part(alpha.matrices[~null] / qv_mass[~null, None, None])
     return QMField(alpha.grid, out, null)
 
 
 def qm_sqrt_field(qm: QMField) -> np.ndarray:
-    """Cellwise symmetric square roots of the density matrices."""
+    """Cellwise symmetric square roots of the density, by one stacked eigh."""
     out = np.zeros_like(qm.matrices)
-    for i in range(qm.matrices.shape[0]):
-        for j in range(qm.matrices.shape[1]):
-            if not qm.null_mask[i, j]:
-                w, v = np.linalg.eigh(qm.matrices[i, j])
-                out[i, j] = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    live = ~qm.null_mask
+    w, v = np.linalg.eigh(qm.matrices[live])
+    root = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    out[live] = (v * root) @ np.swapaxes(v, -2, -1)
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import GridIntegrand, IntegralPathEnsemble, integrate_grid
+from .integrate import GridIntegrand, IntegralPathEnsemble, _contract_cells
 from .measures import DiscreteMeasure, GridMismatchError
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
@@ -76,16 +76,15 @@ class DiagonalSemigroup:
     def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
         return np.asarray(vec) * self.decay(t)
 
-    def kernel(self, times: np.ndarray) -> np.ndarray:
-        """Lower-triangular evaluation table K[m, i, k] = exp(-l_k (t_m - t_i))
-        for cells i < m, zero otherwise."""
-        times = np.asarray(times, dtype=np.float64)
-        n = times.shape[0] - 1
-        gaps = times[:, None] - times[None, :n]
-        K = np.exp(-np.clip(gaps[:, :, None] * self.rates[None, None, :],
-                            0.0, None))
-        K[gaps <= 0.0] = 0.0
-        return K
+    def scan(self, times: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+        """``X_m = sum_{i<m} exp(-l (t_m - t_i)) c_i`` along the cell axis of
+        `contrib` ``(..., n_cells, dim)``, by the exponential-Euler recursion
+        ``X_0 = 0``, ``X_{m+1} = exp(-l dt_m) (X_m + c_m)``."""
+        decay = np.exp(-np.outer(np.diff(times), self.rates))
+        out = np.zeros(contrib.shape[:-2] + (len(times), self.dim))
+        for m in range(len(times) - 1):
+            out[..., m + 1, :] = decay[m] * (out[..., m, :] + contrib[..., m, :])
+        return out
 
 
 def heat_semigroup(n_modes: int) -> DiagonalSemigroup:
@@ -160,16 +159,21 @@ def nemytskii_coefficients(base: np.ndarray, gain: float,
     return CoefficientSpec(noise=noise, noise_bound=noise_bound)
 
 
+def _at_left_endpoints(fn: Callable, times: np.ndarray,
+                       states: np.ndarray) -> np.ndarray:
+    """Stack ``fn(t_i, X_{t_i})`` over the cells i along axis 1."""
+    return np.stack([np.asarray(fn(times[i], states[:, i]), dtype=np.float64)
+                     for i in range(len(times) - 1)], axis=1)
+
+
 def _noise_field(coeffs: CoefficientSpec, times: np.ndarray,
-                 states: np.ndarray, n_atoms: int) -> np.ndarray:
+                 states: np.ndarray) -> np.ndarray:
     """Evaluate F at left endpoints: (paths, n_cells, atoms, G, H)."""
-    n = times.shape[0] - 1
     if coeffs.additive:
         mats = coeffs.noise_matrices
-        return np.broadcast_to(mats, (states.shape[0], n) + mats.shape)
-    slabs = [np.asarray(coeffs.noise(times[i], states[:, i]), dtype=np.float64)
-             for i in range(n)]
-    return np.stack(slabs, axis=1)
+        return np.broadcast_to(mats, (states.shape[0], len(times) - 1)
+                               + mats.shape)
+    return _at_left_endpoints(coeffs.noise, times, states)
 
 
 def coefficient_spot_check(coeffs: CoefficientSpec, grid, qm: QMField,
@@ -222,22 +226,17 @@ def coefficient_spot_check(coeffs: CoefficientSpec, grid, qm: QMField,
 
 def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
                            ens: MVMPathEnsemble) -> IntegralPathEnsemble:
-    """Convolution ``t -> sum_{cells before t} S(t - s_cell) Phi(cell) dM``.
-
-    Unlike the plain integral this is not a cumulative sum: the decay factor
-    depends on the output time, so each grid time gets its own weighted sum
-    over earlier cells (left endpoints throughout).
+    """Convolution ``t -> sum_{cells before t} S(t - s_cell) Phi(cell) dM``,
+    by the recursion ``X_{m+1} = S(dt_m) (X_m + Phi_m dM_m)``, ``X_0 = 0``
+    (:meth:`DiagonalSemigroup.scan`; the plain integral is the S = 1 case).
     """
     if phi.grid != ens.grid:
         raise GridMismatchError("integrand and ensemble live on different grids")
     if phi.dim_g != sg.dim:
         raise ValueError(f"semigroup acts on dim {sg.dim}, integrand maps to "
                          f"{phi.dim_g}")
-    spec = "pcagh,pcah->pcg" if phi.per_path else "cagh,pcah->pcg"
-    contrib = np.einsum(spec, phi.values, ens.increments, optimize=True)
-    K = sg.kernel(ens.times)
-    values = np.einsum("mik,pik->pmk", K, contrib, optimize=True)
-    return IntegralPathEnsemble(ens.times, values)
+    contrib = _contract_cells(phi.values, ens.increments)
+    return IntegralPathEnsemble(ens.times, sg.scan(ens.times, contrib))
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
@@ -255,8 +254,8 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     weighted = measure.cell_mass[:, :, None, None] * qm.matrices
     per_mode = np.einsum("iagh,iahl,iagl->ig", phi.values, weighted,
                          phi.values, optimize=True)
-    K = sg.kernel(np.asarray(phi.grid.time_points))
-    return np.einsum("mik,ik->m", K ** 2, per_mode, optimize=True)
+    doubled = DiagonalSemigroup(2 * sg.rates)
+    return doubled.scan(phi.grid.time_points, per_mode).sum(axis=1)
 
 
 def v_beta_distance(a: np.ndarray, b: np.ndarray, times: np.ndarray,
@@ -357,35 +356,27 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape[-1] != sg.dim:
         raise ValueError("initial state does not match the mode count")
-    n = ens.grid.n_cells
-    K = sg.kernel(times)
     decay = np.exp(-np.outer(times, sg.rates))
-    sem_term = np.einsum("mk,...k->...mk", decay, x0)
-    if sem_term.ndim == 2:
-        sem_term = np.broadcast_to(sem_term, (ens.paths,) + sem_term.shape)
+    sem_term = np.broadcast_to(decay * x0[..., None, :],
+                               (ens.paths, len(times), sg.dim))
 
     fixed_noise = None
     if coeffs.additive and coeffs.noise_matrices is not None:
         phi = GridIntegrand(ens.grid, np.broadcast_to(
             coeffs.noise_matrices,
-            (n,) + coeffs.noise_matrices.shape).copy())
+            (len(dt),) + coeffs.noise_matrices.shape).copy())
         fixed_noise = stochastic_convolution(sg, phi, ens).values
 
     def apply_map(x: np.ndarray) -> np.ndarray:
         out = sem_term.copy()
         if coeffs.drift is not None:
-            b = np.stack([np.asarray(coeffs.drift(times[i], x[:, i]),
-                                     dtype=np.float64) for i in range(n)],
-                         axis=1)
-            out = out + np.einsum("mik,pik->pmk", K * dt[None, :, None], b,
-                                  optimize=True)
+            b = _at_left_endpoints(coeffs.drift, times, x)
+            out = out + sg.scan(times, dt[:, None] * b)
         if fixed_noise is not None:
             out = out + fixed_noise
         elif coeffs.noise is not None:
-            field = _noise_field(coeffs, times, x, ens.grid.n_atoms)
-            contrib = np.einsum("pcagh,pcah->pcg", field, ens.increments,
-                                optimize=True)
-            out = out + np.einsum("mik,pik->pmk", K, contrib, optimize=True)
+            field = _at_left_endpoints(coeffs.noise, times, x)
+            out = out + sg.scan(times, _contract_cells(field, ens.increments))
         return out
 
     if initial == "semigroup":
@@ -450,17 +441,13 @@ def weak_residual(sol: MildSolutionPath, sg: DiagonalSemigroup,
     dt = np.diff(times)
     x = sol.values
     xk = x[:, :, k]
-    drift_k = np.zeros((ens.paths, len(dt)))
-    if coeffs.drift is not None:
-        for i in range(len(dt)):
-            drift_k[:, i] = np.asarray(
-                coeffs.drift(times[i], x[:, i]))[..., k]
-    if coeffs.additive and coeffs.noise_matrices is None:
-        noise_k = np.zeros((ens.paths, len(dt)))
-    else:
-        field = _noise_field(coeffs, times, x, ens.grid.n_atoms)
-        noise_k = np.einsum("pcah,pcah->pc", field[:, :, :, k, :],
-                            ens.increments, optimize=True)
+    drift_k = 0.0 if coeffs.drift is None else \
+        _at_left_endpoints(coeffs.drift, times, x)[..., k]
+    noise_k = 0.0
+    if not coeffs.additive or coeffs.noise_matrices is not None:
+        field = _noise_field(coeffs, times, x)
+        noise_k = _contract_cells(field[:, :, :, k:k + 1, :],
+                                  ens.increments)[..., 0]
     lam = sg.rates[k]
     inner = (lam * xk[:, :-1] - drift_k) * dt[None, :] - noise_k
     residuals = np.zeros_like(xk)

@@ -69,6 +69,40 @@ def test_operator_norm_matches_eigh():
     assert operator_norm_psd(q) == pytest.approx(np.linalg.eigvalsh(q)[-1])
 
 
+def test_psd_part_on_a_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_psd(rng, 4) for _ in range(6)])
+    a = rng.standard_normal((4, 2))
+    stack[2] = a @ a.T  # rank deficient
+    stack[4] *= 1e6
+    stack = stack.reshape(2, 3, 4, 4)
+    got = psd_part(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], psd_part(stack[idx]))
+    assert psd_part(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+def test_stack_checks_each_matrix_at_its_own_scale():
+    # Against the large matrix's scale both defects would be roundoff.
+    large = 1e6 * np.eye(2)
+    skew = np.array([[1.0, 1e-8], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        check_symmetric(np.stack([large, skew]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        psd_part(np.stack([large, skew]))
+    negative = np.diag([1.0, -1e-7])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        psd_part(np.stack([large, negative]))
+
+
+def test_single_matrix_helpers_reject_stacks():
+    stack = np.stack([np.eye(3), 2 * np.eye(3)])
+    for fn in (psd_sqrt, pseudo_inverse_sqrt, operator_norm_psd):
+        with pytest.raises(ValueError, match="square matrix"):
+            fn(stack)
+
+
 def test_weighted_norm_routes_agree():
     # Two evaluation routes: ||phi q^{1/2}||_F and sqrt(trace(phi q phi^T)).
     rng = np.random.default_rng(3)

@@ -47,17 +47,42 @@ def test_heat_semigroup_rates_and_actions():
         DiagonalSemigroup(np.array([1.0, -2.0]))
 
 
-def test_kernel_table_matches_loop_oracle():
-    sg = DiagonalSemigroup(np.array([0.5, 3.0]))
-    times = np.array([0.0, 0.2, 0.5, 0.6, 1.0])
-    K = sg.kernel(times)
-    assert K.shape == (5, 4, 2)
-    for m in range(5):
-        for i in range(4):
-            for k in range(2):
-                expect = (np.exp(-sg.rates[k] * (times[m] - times[i]))
-                          if times[m] > times[i] else 0.0)
-                assert K[m, i, k] == pytest.approx(expect, rel=1e-15)
+def decayed_sum_oracle(rates, times, contrib):
+    # [DERIVED] oracle: X_m = sum_{i<m} exp(-l_k (t_m - t_i)) c_i, summed
+    # term by term with one exp per (m, i) pair.
+    out = np.zeros(contrib.shape[:-2] + (len(times), len(rates)))
+    for m in range(len(times)):
+        for i in range(m):
+            out[..., m, :] += np.exp(-rates * (times[m] - times[i])) \
+                * contrib[..., i, :]
+    return out
+
+
+def test_scan_matches_loop_oracle(heat):
+    rng = np.random.default_rng(51)
+    sg = DiagonalSemigroup(np.array([0.5, 3.0, 40.0]))
+    times = np.array([0.0, 0.2, 0.5, 0.6, 1.0, 1.05])
+    shared = rng.standard_normal((5, 3))
+    per_path = rng.standard_normal((4, 5, 3))
+    for contrib in (shared, per_path):
+        got = sg.scan(times, contrib)
+        assert got.shape == contrib.shape[:-2] + (6, 3)
+        assert np.all(got[..., 0, :] == 0.0)
+        np.testing.assert_allclose(
+            got, decayed_sum_oracle(sg.rates, times, contrib), rtol=1e-13)
+    # The doubled-rate scan behind the closed-form convolution moment.
+    grid = default_grid(heat.noise_spec, 1.0, 8)
+    qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
+    phi = GridIntegrand.constant(grid, heat.f_matrix)
+    weighted = qv.measure.cell_mass[:, :, None, None] * qm.matrices
+    per_mode = np.einsum("iagh,iahl,iagl->ig", phi.values, weighted,
+                         phi.values)
+    times = np.asarray(grid.time_points)
+    expect = decayed_sum_oracle(2 * heat.semigroup.rates, times,
+                                per_mode).sum(axis=1)
+    np.testing.assert_allclose(
+        convolution_second_moment(heat.semigroup, phi, qm, qv), expect,
+        rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +208,12 @@ def test_zero_noise_linear_drift_solves_discrete_mild_equation():
     sol = picard_solve(sg, coeffs, ens, x0, tol=1e-12, max_iter=60)
     assert sol.converged
     times = np.asarray(grid.time_points)
-    K = sg.kernel(times)
     dt = np.diff(times)
+    gaps = times[:, None] - times[None, :-1]
     for k in range(3):
+        decay = np.where(gaps > 0, np.exp(-sg.rates[k] * gaps), 0.0)
         a = np.eye(len(times))
-        a[:, :-1] -= gain * K[:, :, k] * dt[None, :]
+        a[:, :-1] -= gain * decay * dt[None, :]
         rhs = np.exp(-sg.rates[k] * times) * x0[k]
         expect = np.linalg.solve(a, rhs)
         np.testing.assert_allclose(sol.values[0, :, k], expect, atol=1e-9)
@@ -212,6 +238,42 @@ def test_picard_contraction_diagnostics(heat):
                            sol.beta) <= 10 * 1e-9
     with pytest.raises(ValueError, match="unknown initial"):
         picard_solve(heat.semigroup, coeffs, ens, x0, initial="warm")
+
+
+def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
+    grid = default_grid(heat.noise_spec, 1.0, 16)
+    ens = simulate(heat.noise_spec, grid, 300, 63)
+    coeffs = nemytskii_coefficients(heat.f_matrix[None], 0.5, noise_bound=1.0)
+    x0 = np.full(heat.semigroup.dim, 0.5)
+    sol = picard_solve(heat.semigroup, coeffs, ens, x0, tol=1e-12)
+    assert sol.converged
+    # [DERIVED] oracle: one application of the mild map, written as a dense
+    # loop over paths, output times and earlier cells; the fixed point is
+    # left unchanged by it.
+    times = np.asarray(grid.time_points)
+    dt = np.diff(times)
+    x = sol.values
+    mapped = np.empty_like(x)
+    for p in range(ens.paths):
+        for m in range(len(times)):
+            acc = heat.semigroup.decay(times[m]) * x0
+            for i in range(m):
+                field = coeffs.noise(times[i], x[p, i])
+                acc = acc + heat.semigroup.decay(times[m] - times[i]) \
+                    * (field[0] @ ens.increments[p, i, 0])
+            mapped[p, m] = acc
+    np.testing.assert_allclose(x, mapped, rtol=0, atol=1e-9)
+    # [DERIVED] oracle: the weak-form defect along mode k, accumulated cell
+    # by cell with the noise evaluated at left endpoints.
+    k, lam = 1, heat.semigroup.rates[1]
+    expect = np.zeros((ens.paths, len(times)))
+    for i in range(grid.n_cells):
+        row_k = coeffs.noise(times[i], x[:, i])[:, 0, k]
+        noise_k = np.einsum("ph,ph->p", row_k, ens.increments[:, i, 0])
+        expect[:, i + 1] = expect[:, i] + lam * x[:, i, k] * dt[i] - noise_k
+    expect += x[:, :, k] - x[:, :1, k]
+    report = weak_residual(sol, heat.semigroup, coeffs, ens, k)
+    np.testing.assert_allclose(report.residuals, expect, rtol=0, atol=1e-12)
 
 
 def test_picard_rejects_weak_contraction(heat):
