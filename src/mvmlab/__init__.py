@@ -32,9 +32,8 @@ from .noise import (DiscreteLevy, DiscreteLevyAtom, EmpiricalIntensity,
                     HValuedLevy, IntegralType, IntensityFamily,
                     MVMPathEnsemble, NoClosedFormError, OrthogonalityReport,
                     WhiteNoise, default_grid, empirical_intensity,
-                    ensemble_summary_csv, intensity_closed_form,
-                    intensity_family, load_ensemble, orthogonality_check,
-                    save_ensemble, simulate)
+                    intensity_closed_form, intensity_family, load_ensemble,
+                    orthogonality_check, save_ensemble, simulate)
 from .quadvar import (BilinearMeasureField, BoundednessReport,
                       InconsistentDensityError, QMField, QVEstimate,
                       alpha_polarization, bilinear_field,
@@ -71,8 +70,8 @@ __all__ = [
     "DiscreteLevy", "DiscreteLevyAtom", "EmpiricalIntensity", "HValuedLevy",
     "IntegralType", "IntensityFamily", "MVMPathEnsemble", "NoClosedFormError",
     "OrthogonalityReport", "WhiteNoise", "default_grid", "empirical_intensity",
-    "ensemble_summary_csv", "intensity_closed_form", "intensity_family",
-    "load_ensemble", "orthogonality_check", "save_ensemble", "simulate",
+    "intensity_closed_form", "intensity_family", "load_ensemble",
+    "orthogonality_check", "save_ensemble", "simulate",
     "BilinearMeasureField", "BoundednessReport", "InconsistentDensityError",
     "QMField", "QVEstimate", "alpha_polarization", "bilinear_field",
     "counterexample_partition_sum", "counterexample_trace", "qm_density",

@@ -16,13 +16,12 @@ construction and any out-of-range access is surfaced as an error.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GridMismatchError, GridSpec
+from .measures import DiscreteMeasure, GridMismatchError, GridSpec, _csv_text
 from .noise import MVMPathEnsemble
 from .quadvar import QMField, QVEstimate, qm_sqrt_field
 
@@ -192,13 +191,10 @@ class IntegralPathEnsemble:
 
     def summary_csv(self, isometry_target: np.ndarray | None = None) -> str:
         mean, se = self.second_moment()
-        buf = io.StringIO()
-        buf.write("t,mean_norm2,se,isometry_target\n")
         target = (np.full_like(mean, np.nan) if isometry_target is None
                   else np.asarray(isometry_target, dtype=np.float64))
-        for t, m, s, g in zip(self.times, mean, se, target):
-            buf.write(f"{float(t)!r},{float(m)!r},{float(s)!r},{float(g)!r}\n")
-        return buf.getvalue()
+        return _csv_text("t,mean_norm2,se,isometry_target",
+                         [self.times, mean, se, target])
 
 
 def _contract_cells(values: np.ndarray, increments: np.ndarray) -> np.ndarray:

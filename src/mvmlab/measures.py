@@ -10,8 +10,8 @@ keeps the partition-enumeration definition alive as an independent oracle.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -118,6 +118,33 @@ def make_grid(t_max: float, steps: int, mark_atoms: Sequence[str],
     return GridSpec(time_points=tp, mark_atoms=tuple(mark_atoms), rings=tuple(rings))
 
 
+def _csv_text(header: str, columns: Sequence) -> str:
+    """CSV text of equal-length columns: lists of strings, written as they
+    are, or float arrays, whose C-ordered entries are written as the ``repr``
+    of Python floats (the shortest text that reads back to the same double)."""
+    text = [col if isinstance(col, list) else
+            list(map(repr, np.asarray(col, dtype=np.float64).ravel().tolist()))
+            for col in columns]
+    return "\n".join([header, *map(",".join, zip(*text))]) + "\n"
+
+
+def _cell_csv(grid: GridSpec, names: Sequence[str], values: np.ndarray) -> str:
+    """Rows ``t_lo,t_hi,atom_id,<names>`` of `values`, shaped ``(n_cells,
+    n_atoms, *rest)``, in C order; `names` holds one index name per trailing
+    axis, then the value's name."""
+    rest = values.shape[2:]
+    per_atom = math.prod(rest)
+    per_cell = grid.n_atoms * per_atom
+    times = list(map(repr, grid.time_points))
+    index = [list(map(str, axis.ravel().tolist())) * (grid.n_cells * grid.n_atoms)
+             for axis in np.indices(rest)]
+    columns = [[t for t in times[:-1] for _ in range(per_cell)],
+               [t for t in times[1:] for _ in range(per_cell)],
+               [a for a in grid.mark_atoms for _ in range(per_atom)] * grid.n_cells,
+               *index, values]
+    return _csv_text(",".join(["t_lo", "t_hi", "atom_id", *names]), columns)
+
+
 def _as_mass(grid: GridSpec, cell_mass, *, signed: bool) -> np.ndarray:
     m = np.asarray(cell_mass, dtype=np.float64)
     if m.shape != (grid.n_cells, grid.n_atoms):
@@ -158,14 +185,7 @@ class SignedDiscreteMeasure:
         return float(self.cell_mass[s_index:t_index, idx].sum())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t_lo,t_hi,atom_id,mass\n")
-        tp = self.grid.time_points
-        for i in range(self.grid.n_cells):
-            for j, atom in enumerate(self.grid.mark_atoms):
-                buf.write(f"{tp[i]!r},{tp[i + 1]!r},{atom},"
-                          f"{float(self.cell_mass[i, j])!r}\n")
-        return buf.getvalue()
+        return _cell_csv(self.grid, ("mass",), self.cell_mass)
 
     def to_json(self) -> str:
         tp = self.grid.time_points

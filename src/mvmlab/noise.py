@@ -35,7 +35,6 @@ element for element the formulas a single path would use.
 from __future__ import annotations
 
 import abc
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -66,7 +65,6 @@ __all__ = [
     "orthogonality_check",
     "save_ensemble",
     "load_ensemble",
-    "ensemble_summary_csv",
 ]
 
 
@@ -768,19 +766,3 @@ def load_ensemble(path) -> MVMPathEnsemble:
     data = np.frombuffer(body, dtype=np.float64).reshape(shape).copy()
     return MVMPathEnsemble(grid, data, dict(header.get("driver_meta", {})))
 
-
-def ensemble_summary_csv(ens: MVMPathEnsemble) -> str:
-    """Per-cell summary: empirical mean and second moment of the increments."""
-    buf = io.StringIO()
-    buf.write("t_lo,t_hi,atom_id,mean_norm2,se_norm2,max_abs_mean_coord\n")
-    norm2 = (ens.increments ** 2).sum(axis=3)
-    mean2 = norm2.mean(axis=0)
-    se2 = norm2.std(axis=0, ddof=1) / np.sqrt(ens.paths)
-    mean_coord = np.abs(ens.increments.mean(axis=0)).max(axis=2)
-    tp = ens.grid.time_points
-    for i in range(ens.grid.n_cells):
-        for j, atom in enumerate(ens.grid.mark_atoms):
-            buf.write(f"{tp[i]!r},{tp[i + 1]!r},{atom},"
-                      f"{float(mean2[i, j])!r},{float(se2[i, j])!r},"
-                      f"{float(mean_coord[i, j])!r}\n")
-    return buf.getvalue()

@@ -1,15 +1,16 @@
 """Quadratic variation of martingale-valued noise, and its operator density.
 
 The quadratic variation is the supremum of the intensity family over a dense
-sequence of unit vectors; on the grid this is a cellwise running maximum
-whose convergence (or divergence) in the sequence length is tracked
-explicitly.  Polarization of the intensities gives a signed bilinear measure
-field alpha, and the ratio alpha / quadratic-variation recovers a cellwise
-PSD operator density, whose operator norm is one wherever the variation
-charges the cell when the supremum is exact (the finite sphere sequence
-undershoots it, which lifts the norm slightly above one).  The Haar
-construction shows the supremum can genuinely diverge; its partition sums
-are computed by exact dyadic quadrature.
+sequence of unit vectors; on the grid this is a cellwise running maximum,
+folded from block maxima between the trace counts 1, 2, 4, ..., whose
+convergence (or divergence) in the sequence length is tracked explicitly.
+Polarization of the intensities gives a signed bilinear measure field alpha,
+and the ratio alpha / quadratic-variation recovers a cellwise PSD operator
+density, whose operator norm is one wherever the variation charges the cell
+when the supremum is exact (the finite sphere sequence undershoots it, which
+lifts the norm slightly above one).  The Haar construction shows the
+supremum can genuinely diverge; its partition sums are computed by exact
+dyadic quadrature.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import haar
 from .hilbert import psd_part
-from .measures import DiscreteMeasure, GridSpec, SignedDiscreteMeasure
+from .measures import (DiscreteMeasure, GridSpec, SignedDiscreteMeasure,
+                       _cell_csv)
 from .noise import IntensityFamily
 
 __all__ = [
@@ -48,7 +50,8 @@ class QVEstimate:
 
     `convergence_trace` records the total mass after growing prefixes of the
     sequence (powers of two plus the full count); a trace that keeps climbing
-    signals a driver without a quadratic variation.
+    signals a driver without a quadratic variation.  A maximum rounds
+    nothing, so the maxima behind it are exact however they are computed.
     """
 
     measure: DiscreteMeasure
@@ -75,16 +78,30 @@ def _trace_counts(n: int) -> list[int]:
     return counts
 
 
+def _running_max(stack: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Final running maximum of `stack` along axis 0 and its total at each
+    trace count, folded from contiguous block maxima between the counts.
+    It keeps the memory layout of `stack[0]`, so each total is summed in the
+    order of a slice's own ``sum()``."""
+    running = stack[0].copy(order="K")
+    trace = []
+    start = 0
+    for count in _trace_counts(len(stack)):
+        np.maximum(running, stack[start:count].max(axis=0), out=running)
+        trace.append((count, float(running.sum())))
+        start = count
+    return running, tuple(trace)
+
+
 def qv_supremum(family: IntensityFamily, vectors: np.ndarray) -> QVEstimate:
-    """Supremum of the intensity family along a sequence of unit vectors."""
+    """Supremum of the intensity family along a sequence of unit vectors;
+    the running maximum comes from block maxima between the trace counts."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vectors.shape[0] < 1:
         raise ValueError("need at least one unit vector")
-    masses = family.batch(vectors)
-    running = np.maximum.accumulate(masses, axis=0)
-    trace = tuple((c, float(running[c - 1].sum())) for c in _trace_counts(len(vectors)))
+    running, trace = _running_max(family.batch(vectors))
     return QVEstimate(
-        measure=DiscreteMeasure(family.grid, running[-1]),
+        measure=DiscreteMeasure(family.grid, running),
         sphere_count=len(vectors),
         convergence_trace=trace,
     )
@@ -175,10 +192,7 @@ def counterexample_partition_sum(k: int) -> float:
 
 def counterexample_trace(k: int) -> tuple[tuple[int, float], ...]:
     """Partition sums over growing prefixes of the Haar basis."""
-    table = haar.haar_cell_integrals(k)
-    running = np.maximum.accumulate(table, axis=0)
-    return tuple((c, float(running[c - 1].sum()))
-                 for c in _trace_counts(table.shape[0]))
+    return _running_max(haar.haar_cell_integrals(k))[1]
 
 
 def alpha_polarization(family: IntensityFamily, x: np.ndarray,
@@ -281,13 +295,4 @@ def qm_sqrt_field(qm: QMField) -> np.ndarray:
 
 def qm_to_csv(qm: QMField) -> str:
     """Flatten the density field to rows (t_lo, t_hi, atom_id, row, col, value)."""
-    grid = qm.grid
-    lines = ["t_lo,t_hi,atom_id,row,col,value"]
-    for i in range(grid.n_cells):
-        lo, hi = grid.time_points[i], grid.time_points[i + 1]
-        for j, label in enumerate(grid.mark_atoms):
-            for r in range(qm.dim):
-                for c in range(qm.dim):
-                    lines.append(f"{lo!r},{hi!r},{label},{r},{c},"
-                                 f"{float(qm.matrices[i, j, r, c])!r}")
-    return "\n".join(lines) + "\n"
+    return _cell_csv(qm.grid, ("row", "col", "value"), qm.matrices)

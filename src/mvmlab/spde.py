@@ -15,14 +15,13 @@ against spectral test vectors, which vanishes at first order in the step.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .integrate import GridIntegrand, IntegralPathEnsemble, _contract_cells
-from .measures import DiscreteMeasure, GridMismatchError
+from .measures import DiscreteMeasure, GridMismatchError, _csv_text
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
 
@@ -314,11 +313,7 @@ class MildSolutionPath:
         sq = (self.values ** 2).sum(axis=2)
         mean = sq.mean(axis=0)
         se = sq.std(axis=0, ddof=1) / np.sqrt(self.paths)
-        buf = io.StringIO()
-        buf.write("t,mean_norm2,se\n")
-        for t, m, s in zip(self.times, mean, se):
-            buf.write(f"{float(t)!r},{float(m)!r},{float(s)!r}\n")
-        return buf.getvalue()
+        return _csv_text("t,mean_norm2,se", [self.times, mean, se])
 
 
 def _check_finite(x: np.ndarray, iteration: int) -> None:

@@ -1,15 +1,19 @@
 """Measure algebra on the grid: supremum vs partition oracle, serialization."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
+from mvmlab.integrate import IntegralPathEnsemble
 from mvmlab.measures import (MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
                              GridMismatchError, GridSpec, brute_force_sup,
                              compare_signed, iter_partitions, make_grid,
                              monotone_sup, SignedDiscreteMeasure, sum_measures,
                              sup_measures)
+from mvmlab.quadvar import QMField, qm_to_csv
+from mvmlab.spde import MildSolutionPath
 
 
 def random_family(rng, grid, max_measures=5):
@@ -231,3 +235,99 @@ def test_csv_layout_and_repr_precision():
     assert len(lines) == 3
     # repr round-trips doubles exactly.
     assert float(lines[1].split(",")[-1]) == 1 / 3
+
+
+# ---------------------------------------------------------------------------
+# CSV writers against the row-at-a-time loops they replaced
+
+SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1 / 3,
+           0.1, -2.5, 1e-300, 123456789.0]
+FINITE = [x for x in SPECIAL if math.isfinite(x)]
+CSV_GRID = GridSpec((0.0, 5e-324, 0.1, 1 / 3, 1.0, 1e16), ("a", "b2", "jump"))
+
+
+def mixed(values, shape, seed):
+    """The given values, each at least once, then random draws, shuffled."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    pool = np.concatenate([values, rng.standard_normal(size)])[:size]
+    return rng.permutation(pool).reshape(shape)
+
+
+def loop_to_csv(mu):
+    buf = io.StringIO()
+    buf.write("t_lo,t_hi,atom_id,mass\n")
+    tp = mu.grid.time_points
+    for i in range(mu.grid.n_cells):
+        for j, atom in enumerate(mu.grid.mark_atoms):
+            buf.write(f"{tp[i]!r},{tp[i + 1]!r},{atom},"
+                      f"{float(mu.cell_mass[i, j])!r}\n")
+    return buf.getvalue()
+
+
+def loop_qm_to_csv(qm):
+    grid = qm.grid
+    lines = ["t_lo,t_hi,atom_id,row,col,value"]
+    for i in range(grid.n_cells):
+        lo, hi = grid.time_points[i], grid.time_points[i + 1]
+        for j, label in enumerate(grid.mark_atoms):
+            for r in range(qm.dim):
+                for c in range(qm.dim):
+                    lines.append(f"{lo!r},{hi!r},{label},{r},{c},"
+                                 f"{float(qm.matrices[i, j, r, c])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def loop_integral_summary(integral, isometry_target=None):
+    mean, se = integral.second_moment()
+    buf = io.StringIO()
+    buf.write("t,mean_norm2,se,isometry_target\n")
+    target = (np.full_like(mean, np.nan) if isometry_target is None
+              else np.asarray(isometry_target, dtype=np.float64))
+    for t, m, s, g in zip(integral.times, mean, se, target):
+        buf.write(f"{float(t)!r},{float(m)!r},{float(s)!r},{float(g)!r}\n")
+    return buf.getvalue()
+
+
+def loop_solution_summary(sol):
+    sq = (sol.values ** 2).sum(axis=2)
+    mean = sq.mean(axis=0)
+    se = sq.std(axis=0, ddof=1) / np.sqrt(sol.paths)
+    buf = io.StringIO()
+    buf.write("t,mean_norm2,se\n")
+    for t, m, s in zip(sol.times, mean, se):
+        buf.write(f"{float(t)!r},{float(m)!r},{float(s)!r}\n")
+    return buf.getvalue()
+
+
+def test_measure_csv_matches_row_loop():
+    shape = (CSV_GRID.n_cells, CSV_GRID.n_atoms)
+    mass = np.abs(mixed(FINITE, shape, 1))
+    mass[0, 1] = -0.0  # not negative, yet written as "-0.0"
+    nonneg = DiscreteMeasure(CSV_GRID, mass)
+    signed = SignedDiscreteMeasure(CSV_GRID, mixed(FINITE, shape, 2))
+    for mu in (nonneg, signed):
+        assert mu.to_csv() == loop_to_csv(mu)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_qm_csv_matches_row_loop(dim):
+    shape = (CSV_GRID.n_cells, CSV_GRID.n_atoms, dim, dim)
+    qm = QMField(CSV_GRID, mixed(SPECIAL, shape, dim),
+                 np.zeros(shape[:2], dtype=bool))
+    assert qm_to_csv(qm) == loop_qm_to_csv(qm)
+
+
+def test_summary_csvs_match_row_loops():
+    times = np.array(SPECIAL)
+    values = mixed(SPECIAL, (3, len(times), 2), 4)
+    integral = IntegralPathEnsemble(times, values)
+    sol = MildSolutionPath(times, values, (), True, 1.0, 1e-8)
+    target = mixed(SPECIAL, (len(times),), 5)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert integral.summary_csv() == loop_integral_summary(integral)
+        assert (integral.summary_csv(isometry_target=target)
+                == loop_integral_summary(integral, target))
+        assert (integral.summary_csv(isometry_target=list(target))
+                == loop_integral_summary(integral, target))
+        assert sol.summary_csv() == loop_solution_summary(sol)

@@ -8,9 +8,9 @@ from mvmlab.hilbert import psd_sqrt
 from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom, HValuedLevy,
                           IntegralType, NoClosedFormError, WhiteNoise,
                           default_grid, empirical_intensity,
-                          ensemble_summary_csv, intensity_closed_form,
-                          intensity_family, load_ensemble, orthogonality_check,
-                          save_ensemble, simulate)
+                          intensity_closed_form, intensity_family,
+                          load_ensemble, orthogonality_check, save_ensemble,
+                          simulate)
 
 
 def wishart(rng, dim):
@@ -364,16 +364,6 @@ def test_ensemble_save_load_round_trip(tmp_path, levy_spec):
     assert back.grid == ens.grid
     assert back.driver_meta == ens.driver_meta
     np.testing.assert_array_equal(back.increments, ens.increments)
-
-
-def test_summary_csv_is_parseable(levy_spec):
-    grid = default_grid(levy_spec, 1.0, 3)
-    ens = simulate(levy_spec, grid, 200, 23)
-    lines = ensemble_summary_csv(ens).strip().split("\n")
-    assert lines[0] == "t_lo,t_hi,atom_id,mean_norm2,se_norm2,max_abs_mean_coord"
-    assert len(lines) == 1 + grid.n_cells * grid.n_atoms
-    cells = [line.split(",") for line in lines[1:]]
-    assert all(float(row[3]) >= 0.0 for row in cells)
 
 
 def test_cumulative_handles_empty_atom_sets(levy_spec):

@@ -81,6 +81,29 @@ def test_trace_is_monotone_and_counts_are_doubling(family):
         qv_supremum(family, np.empty((0, 3)))
 
 
+def accumulated(table):
+    """Element-wise running maximum over the first axis, with its totals
+    after 1, 2, 4, ... rows and after the last row."""
+    running = np.maximum.accumulate(table, axis=0)
+    n = len(table)
+    counts = [2 ** e for e in range(n.bit_length()) if 2 ** e < n] + [n]
+    return running[-1], tuple((c, float(running[c - 1].sum())) for c in counts)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 64, 100])
+def test_qv_supremum_matches_accumulated_maximum(family, count):
+    vectors = np.random.default_rng(count).standard_normal((count, 3))
+    est = qv_supremum(family, vectors)
+    final, trace = accumulated(family.batch(vectors))
+    assert est.measure.cell_mass.tobytes() == final.tobytes()
+    assert est.convergence_trace == trace
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_counterexample_trace_matches_accumulated_maximum(k):
+    assert counterexample_trace(k) == accumulated(haar_cell_integrals(k))[1]
+
+
 # ---------------------------------------------------------------------------
 # polarization and the bilinear field
 
