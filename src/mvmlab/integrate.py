@@ -9,9 +9,10 @@ is the point, since the isometry
 is checked between independently computed sides.
 
 Adaptedness is structural: events, history-dependent operator fields and
-stopping rules are hooks that receive only the increments of cells strictly
-before the current time, so referencing the future is impossible by
-construction and any out-of-range access is surfaced as an error.
+stopping rules are hooks that receive only a read-only view of the increments
+of cells strictly before the current time, so referencing the future or
+editing the ensemble is impossible by construction and any out-of-range
+access is surfaced as an error.
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ def _check_grid(grid: GridSpec, ens: MVMPathEnsemble) -> None:
         raise GridMismatchError("integrand and ensemble live on different grids")
 
 
+def _past(ens: MVMPathEnsemble, i: int) -> np.ndarray:
+    """Read-only view of the increments of cells ``< i``, handed to hooks."""
+    past = ens.increments[:, :i]
+    past.flags.writeable = False
+    return past
+
+
+def _contraction_order(v: np.ndarray) -> np.ndarray:
+    """`v` with the same shape and values, stored so that ``swapaxes(-1, -2)``
+    is C-contiguous; no copy when it already is."""
+    return np.ascontiguousarray(v.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _zeros_contraction_order(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros of `shape` in contraction order (see :class:`GridIntegrand`)."""
+    return np.zeros(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
+
+
 @dataclass(frozen=True, eq=False)
 class GridIntegrand:
     """Operator-valued field: one (G x H) matrix per (time cell, mark atom).
@@ -73,6 +92,15 @@ class GridIntegrand:
     fields or ``(paths, n_cells, n_atoms, dim_g, dim_h)`` for history-built
     ones.  Only the left endpoint of a cell ever sees the field, which is how
     predictability is encoded on the grid.
+
+    A per-path field is stored in contraction order: ``values.swapaxes(-1,
+    -2)`` is C-contiguous, i.e. the memory holds ``(paths, cells, atoms,
+    dim_h, dim_g)`` in C order.  That is the stack of ``(atoms * dim_h,
+    dim_g)`` matrices the cell contraction multiplies, so integrating reads
+    the field in place instead of copying it on every call, and every
+    per-path field reaches the kernel in one layout, whatever layout the
+    caller passed.  The constructor copies a per-path array only when it is
+    not already in that order.
     """
 
     grid: GridSpec
@@ -86,6 +114,8 @@ class GridIntegrand:
         if v.shape[cells_axis] != self.grid.n_cells \
                 or v.shape[cells_axis + 1] != self.grid.n_atoms:
             raise ValueError(f"integrand shape {v.shape} does not match grid")
+        if v.ndim == 5:
+            v = _contraction_order(v)
         object.__setattr__(self, "values", v)
 
     @property
@@ -131,27 +161,32 @@ class GridIntegrand:
         cell i, broadcastable to ``(paths, n_atoms, dim_g, dim_h)``.
         """
         grid = ens.grid
-        slabs = []
+        values = None
         for i in range(grid.n_cells):
-            past = ens.increments[:, :i]
-            past.setflags(write=False) if past.base is None else None
             try:
-                vals = np.asarray(hook(past, i), dtype=np.float64)
+                vals = np.asarray(hook(_past(ens, i), i), dtype=np.float64)
             except IndexError as exc:
                 raise AdaptednessError(
                     f"history hook for cell {i} reached outside the past "
                     f"({exc})") from exc
-            slabs.append(np.broadcast_to(
-                vals, (ens.paths, grid.n_atoms) + vals.shape[-2:]))
-        return cls(grid, np.stack(slabs, axis=1))
+            if values is None and vals.ndim >= 2:
+                values = _zeros_contraction_order(
+                    (ens.paths, grid.n_cells, grid.n_atoms) + vals.shape[-2:])
+            if values is None or vals.shape[-2:] != values.shape[-2:]:
+                raise ValueError(f"history hook for cell {i} returned shape "
+                                 f"{vals.shape}: every cell needs (G x H) "
+                                 f"operators of one shape")
+            values[:, i] = np.broadcast_to(
+                vals, (ens.paths, grid.n_atoms) + vals.shape[-2:])
+        return cls(grid, values)
 
     def compose(self, op: np.ndarray) -> "GridIntegrand":
         """Push the field forward by a fixed operator: cellwise op @ value."""
         op = np.asarray(op, dtype=np.float64)
         if op.ndim != 2 or op.shape[1] != self.dim_g:
             raise ValueError(f"cannot compose {op.shape} with dim_g={self.dim_g}")
-        return GridIntegrand(self.grid,
-                             np.einsum("eg,...gh->...eh", op, self.values))
+        return GridIntegrand(self.grid, np.einsum(
+            "eg,...gh->...eh", op, self.values, optimize=True))
 
     def scaled_add(self, other: "GridIntegrand", w_self: float = 1.0,
                    w_other: float = 1.0) -> "GridIntegrand":
@@ -199,10 +234,22 @@ class IntegralPathEnsemble:
 
 def _contract_cells(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Cellwise actions ``sum_atoms Phi dM`` (paths, cells, G) of a shared
-    (4-d) or per-path (5-d) field.  The two einsum specs may round
-    differently in the last bits, so an exact identity contracts one layout."""
-    spec = "pcagh,pcah->pcg" if values.ndim == 5 else "cagh,pcah->pcg"
-    return np.einsum(spec, values, increments, optimize=True)
+    (4-d) or per-path (5-d) field.
+
+    A per-path field is contracted by one ``np.matmul`` of the
+    ``(paths * cells, 1, atoms * H)`` increments with the ``(paths * cells,
+    atoms * H, G)`` stack ``values.swapaxes(-1, -2).reshape(...)``.  For a
+    field in contraction order (every :class:`GridIntegrand`'s) that reshape
+    is a view, so no copy is made; any other layout is copied into that one
+    first, so the sum does not depend on the layout.  A shared field uses the
+    einsum ``"cagh,pcah->pcg"``, which may round differently in the last
+    bits, so an exact identity contracts one kind of field on both sides."""
+    if values.ndim == 4:
+        return np.einsum("cagh,pcah->pcg", values, increments, optimize=True)
+    p, c, a, g, h = values.shape
+    out = np.matmul(increments.reshape(p * c, 1, a * h),
+                    values.swapaxes(-1, -2).reshape(p * c, a * h, g))
+    return out.reshape(p, c, g)
 
 
 def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble
@@ -268,7 +315,7 @@ class SimpleIntegrand:
             dims.add(matrix.shape[0])
             if callable(term.event):
                 try:
-                    ev = np.asarray(term.event(ens.increments[:, :s]), dtype=bool)
+                    ev = np.asarray(term.event(_past(ens, s)), dtype=bool)
                 except IndexError as exc:
                     raise AdaptednessError(
                         f"event hook for interval starting at cell {s} reached "
@@ -337,15 +384,14 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     g = phi.dim_g
     dim_h = phi.terms[0][3].shape[1] if phi.terms else 0
     shape = (phi.grid.n_cells, phi.grid.n_atoms, g, dim_h)
-    if not deterministic:
-        shape = (phi.paths,) + shape
-    values = np.zeros(shape)
+    values = np.zeros(shape) if deterministic \
+        else _zeros_contraction_order((phi.paths,) + shape)
     for s, t, atoms, matrix, ev in phi.terms:
         for j in atoms:
             if deterministic:
                 values[s:t, j] += matrix
-            else:
-                values[np.nonzero(ev)[0], s:t, j] += matrix
+            else:  # index the stored (H x G) order: contiguous per path
+                values.swapaxes(-1, -2)[np.nonzero(ev)[0], s:t, j] += matrix.T
     return GridIntegrand(phi.grid, values)
 
 
@@ -362,7 +408,7 @@ def cell_costs(phi: GridIntegrand, qm: QMField,
     roots = qm_sqrt_field(qm)
     weighted = np.einsum("...cagh,cahk->...cagk", phi.values, roots,
                          optimize=True)
-    return (weighted ** 2).sum(axis=(-2, -1)) * _qv_mass(qv)
+    return np.square(weighted, out=weighted).sum(axis=(-2, -1)) * _qv_mass(qv)
 
 
 def lambda2_profile(phi: GridIntegrand, qm: QMField,
@@ -396,7 +442,7 @@ def grid_stopping_time(ens: MVMPathEnsemble,
     open_mask = np.ones(ens.paths, dtype=bool)
     for i in range(n + 1):
         try:
-            fired = np.asarray(hook(ens.increments[:, :i], i), dtype=bool)
+            fired = np.asarray(hook(_past(ens, i), i), dtype=bool)
         except IndexError as exc:
             raise AdaptednessError(
                 f"stopping rule at index {i} reached outside the past "
@@ -416,10 +462,10 @@ def truncate_integrand(phi: GridIntegrand, stop_index: np.ndarray,
     stop_index = np.asarray(stop_index, dtype=np.int64)
     if stop_index.shape != (paths,):
         raise ValueError("need one stopping index per path")
-    mask = np.arange(phi.grid.n_cells)[None, :] < stop_index[:, None]
+    mask = (np.arange(phi.grid.n_cells)[None, :]
+            < stop_index[:, None]).astype(np.float64)
     values = phi.values if phi.per_path else phi.values[None]
-    values = values * mask[:, :, None, None, None]
-    return GridIntegrand(phi.grid, values)
+    return GridIntegrand(phi.grid, values * mask[:, :, None, None, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,16 +483,16 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
 
     The left side integrates the truncated integrand; the right side clamps
     the integral paths at the stopping time.  A shared field is materialized
-    per path and a per-path one made C-contiguous (no copy if it already is);
-    both sides integrate that one array, so cells before the stopping time
+    per path (in the contraction order of :class:`GridIntegrand`); both sides
+    integrate that one array, so cells before the stopping time
     give bitwise-equal contributions, later cells add exact zeros, and the
     two sides agree exactly whichever layout the caller passes.  `check`
     turns a nonzero gap into an error (regression guard).
     """
     stop_index = np.asarray(stop_index, dtype=np.int64)
-    values = phi.values if phi.per_path else np.broadcast_to(
-        phi.values, (ens.paths,) + phi.values.shape)
-    phi = GridIntegrand(phi.grid, np.ascontiguousarray(values))
+    if not phi.per_path:
+        phi = GridIntegrand(phi.grid, np.broadcast_to(
+            phi.values, (ens.paths,) + phi.values.shape))
     lhs = integrate_grid(truncate_integrand(phi, stop_index, ens.paths), ens)
     full = integrate_grid(phi, ens)
     idx = np.minimum(np.arange(len(ens.times))[None, :], stop_index[:, None])
@@ -464,18 +510,14 @@ def restrict_integrand(phi: GridIntegrand, s_index: int, t_index: int,
     """Restrict the field to ``(t_s, t_t] x F``: ``1_{(s, t]} 1_F Phi``."""
     if not 0 <= s_index <= t_index <= phi.grid.n_cells:
         raise ValueError(f"bad restriction window ({s_index}, {t_index}]")
-    window = np.zeros(phi.grid.n_cells, dtype=bool)
-    window[s_index:t_index] = True
-    if phi.per_path:
-        values = phi.values * window[None, :, None, None, None]
-    else:
-        values = phi.values * window[:, None, None, None]
+    mask = np.zeros(phi.grid.n_cells)
+    mask[s_index:t_index] = 1.0
+    values = phi.values
     if event is not True:
-        ev = np.asarray(event, dtype=bool)
-        if values.ndim == 4:
-            values = np.broadcast_to(values, (ev.shape[0],) + values.shape).copy()
-        values = values * ev[:, None, None, None, None]
-    return GridIntegrand(phi.grid, values)
+        mask = np.asarray(event, dtype=bool)[:, None] * mask
+        if not phi.per_path:
+            values = values[None]
+    return GridIntegrand(phi.grid, values * mask[..., None, None, None])
 
 
 @dataclass(frozen=True, eq=False)

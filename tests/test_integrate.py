@@ -156,6 +156,27 @@ def test_adaptedness_guards(ens):
         grid_stopping_time(ens, lambda past, i: past[:, i, 0, 0] > 0.0)
 
 
+def test_hooks_cannot_write_the_increments(driver):
+    # A hook receives a read-only view of the past: writing through it
+    # raises and leaves the ensemble as it was.
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 16, 7)
+    before = ens.increments.copy()
+
+    def overwrite(past):
+        past[:] = 99.0
+        return np.zeros(past.shape[0], dtype=bool)
+
+    with pytest.raises(ValueError, match="read-only"):
+        GridIntegrand.from_history(
+            ens, lambda past, i: overwrite(past) * np.ones((1, 1, 1, 2)))
+    with pytest.raises(ValueError, match="read-only"):
+        grid_stopping_time(ens, lambda past, i: overwrite(past))
+    with pytest.raises(ValueError, match="read-only"):
+        SimpleIntegrand.build(ens, [SimpleTerm(2, 4, (0,), np.ones((1, 2)),
+                                               event=overwrite)])
+    assert np.array_equal(ens.increments, before)
+
+
 def test_history_integrand_only_sees_the_past(ens):
     # A hook of the allowed form runs, and editing future increments does
     # not change earlier operators.
@@ -286,6 +307,79 @@ def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
         assert np.array_equal(report.clamped.values, reports[0].clamped.values)
 
 
+def _contraction_ordered(values):
+    """A copy of `values` whose ``swapaxes(-1, -2)`` is C-contiguous."""
+    return np.ascontiguousarray(values.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_per_path_results_do_not_depend_on_the_integrand_layout(dim):
+    # One per-path field given C-ordered, Fortran-ordered and in contraction
+    # order is one integrand: every result must be bitwise equal across them.
+    rng = np.random.default_rng(17)
+    driver = DiscreteLevy((
+        DiscreteLevyAtom("g", brownian_cov=wishart(rng, dim)),
+        DiscreteLevyAtom("j", brownian_cov=0.3 * wishart(rng, dim),
+                         jumps=((rng.standard_normal(dim), 1.0),)),
+    ))
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 128, 5)
+    family = intensity_family(driver, ens.grid)
+    qv = qv_supremum(family, sphere_sequence(dim, 64))
+    qm = qm_density(bilinear_field(family), qv)
+    field = rng.standard_normal((ens.paths, 8, 2, 3, dim))
+    op = rng.standard_normal((2, 3))
+    stop = rng.integers(0, 9, size=ens.paths)
+    event = rng.random(ens.paths) < 0.5
+
+    def results(values):
+        phi = GridIntegrand(ens.grid, values)
+        return (integrate_grid(phi, ens).values,
+                cell_costs(phi, qm, qv),
+                phi.compose(op).values,
+                integrate_grid(truncate_integrand(phi, stop, ens.paths),
+                               ens).values,
+                integrate_grid(restrict_integrand(phi, 2, 6, event),
+                               ens).values)
+
+    reference = results(np.ascontiguousarray(field))
+    for values in (np.asfortranarray(field), _contraction_ordered(field)):
+        for got, want in zip(results(values), reference):
+            assert np.array_equal(got, want)
+
+
+def test_per_path_integrands_are_stored_in_contraction_order(ens):
+    rng = np.random.default_rng(19)
+
+    def in_contraction_order(phi):
+        return phi.per_path and phi.values.swapaxes(-1, -2).flags.c_contiguous
+
+    field = _contraction_ordered(rng.standard_normal((ens.paths, 8, 2, 3, 2)))
+    phi = GridIntegrand(ens.grid, field)
+    assert np.shares_memory(phi.values, field)
+    assert in_contraction_order(GridIntegrand(ens.grid, field.copy(order="C")))
+
+    outputs = []
+
+    def hook(past, i):
+        level = past[:, :, 0, 0].sum(axis=1) if i else np.zeros(ens.paths)
+        out = np.cos(level + i)[:, None, None, None] \
+            * rng.standard_normal((2, 3, 2))
+        outputs.append(out)
+        return out
+
+    history = GridIntegrand.from_history(ens, hook)
+    assert np.array_equal(history.values, np.stack(outputs, axis=1))
+    event = rng.random(ens.paths) < 0.5
+    simple = simple_to_grid(SimpleIntegrand.build(ens, [
+        SimpleTerm(1, 5, (0, 1), rng.standard_normal((3, 2)), event=event)]))
+    stop = rng.integers(0, 9, size=ens.paths)
+    for result in (history, simple, truncate_integrand(phi, stop, ens.paths),
+                   restrict_integrand(phi, 2, 6, event),
+                   restrict_integrand(phi, 2, 6),
+                   phi.compose(rng.standard_normal((4, 3)))):
+        assert in_contraction_order(result)
+
+
 def test_restriction_matches_increment_of_the_integral(ens):
     rng = np.random.default_rng(12)
     phi = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 2, 2)))
@@ -364,6 +458,10 @@ def test_integrand_validation(ens):
         GridIntegrand.constant(ens.grid, np.ones(3))
     with pytest.raises(ValueError, match="per time cell"):
         GridIntegrand.from_time_profile(ens.grid, np.ones((3, 2, 2)))
+    with pytest.raises(ValueError, match="operators of one shape"):
+        GridIntegrand.from_history(ens, lambda past, i: 1.0)
+    with pytest.raises(ValueError, match="operators of one shape"):
+        GridIntegrand.from_history(ens, lambda past, i: np.ones((1 + i, 2)))
     with pytest.raises(ValueError, match="expects dim"):
         integrate_grid(GridIntegrand.constant(ens.grid, np.ones((2, 5))), ens)
     with pytest.raises(ValueError, match="path count"):

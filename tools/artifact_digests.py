@@ -1,0 +1,58 @@
+"""Print digests of every scenario's artifacts and check values as JSON.
+
+Usage::
+
+    python3 tools/artifact_digests.py [SCENARIO ...] [--seed S] [--paths P]
+
+Runs each named scenario (all of them by default) through
+``mvmlab.scenarios.run_scenario``, at its default seed and path count unless
+overridden, and prints, per scenario, the SHA-256 of each CSV artifact's text
+and ``repr`` of each check's measured value.  Two trees behave the same on a
+run when their outputs are equal, so comparing the output of this script on
+a parent and a change shows byte-identical artifacts and bit-identical checks.
+The package is imported from the ``src`` directory next to this script.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
+
+
+def digests(name: str, seed: int | None, paths: int | None) -> dict:
+    report = run_scenario(name, seed=seed, paths=paths)
+    return {
+        "seed": report.seed,
+        "paths": report.paths,
+        "all_passed": report.all_passed,
+        "artifacts": {
+            file: hashlib.sha256(text.encode()).hexdigest()
+            for file, text in sorted(report.artifacts.items())
+            if file.endswith(".csv")},
+        "checks": {c.name: repr(c.measured) for c in report.checks},
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("scenarios", nargs="*", metavar="SCENARIO",
+                        help="scenarios to run (default: all)")
+    parser.add_argument("--seed", type=int, help="seed for every scenario")
+    parser.add_argument("--paths", type=int, help="path count for every scenario")
+    args = parser.parse_args(argv)
+    unknown = sorted(set(args.scenarios) - set(SCENARIOS))
+    if unknown:
+        parser.error(f"unknown scenarios: {', '.join(unknown)}")
+    names = args.scenarios or list(SCENARIOS)
+    out = {name: digests(name, args.seed, args.paths) for name in names}
+    print(json.dumps(out, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
