@@ -9,8 +9,8 @@ Config schema (all keys except "scenario" optional)::
 
     {
       "scenario": "white_noise_qv",   // one of the registered names
-      "seed": 7,                      // master seed for driver sampling
-      "paths": 10000,                 // Monte Carlo path count
+      "seed": 7,                      // master seed, an integer >= 0
+      "paths": 10000,                 // Monte Carlo path count, >= 1
       "out": "results/",              // directory for report + artifacts
       "params": {"steps": 20}         // scenario-specific overrides
     }
@@ -63,6 +63,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _count(name: str, value, low: int):
+    """`value` if it is an integer >= `low`; JSON bools and floats are not."""
+    if value is not None and (type(value) is not int or value < low):
+        raise _UsageError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -87,6 +94,8 @@ def _load_config(path: str) -> dict:
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise _UsageError('"params" must be a JSON object')
+    _count('"seed"', config.get("seed"), 0)
+    _count('"paths"', config.get("paths"), 1)
     return config
 
 
@@ -101,8 +110,10 @@ def _write_outputs(report: RunReport, out_dir: str) -> None:
 
 def _run(args) -> int:
     config = _load_config(args.config)
-    seed = args.seed if args.seed is not None else config.get("seed")
-    paths = args.paths if args.paths is not None else config.get("paths")
+    seed = (config.get("seed") if args.seed is None
+            else _count("--seed", args.seed, 0))
+    paths = (config.get("paths") if args.paths is None
+             else _count("--paths", args.paths, 1))
     out_dir = args.out if args.out is not None else config.get("out")
     try:
         report = run_scenario(config["scenario"], seed=seed, paths=paths,

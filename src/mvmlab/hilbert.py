@@ -2,9 +2,8 @@
 
 Vectors are plain float64 arrays; operators are dense matrices.  The module
 owns the numerically delicate pieces used everywhere else: symmetric PSD
-square roots with eigenvalue clipping, spectral pseudo-inverses, weighted
-Hilbert-Schmidt norms, and the deterministic quasi-uniform unit-sphere
-sequences over which suprema of quadratic forms are taken.
+square roots with eigenvalue clipping, and the deterministic quasi-uniform
+unit-sphere sequences over which suprema of quadratic forms are taken.
 """
 
 from __future__ import annotations
@@ -19,11 +18,7 @@ __all__ = [
     "check_symmetric",
     "psd_part",
     "psd_sqrt",
-    "pseudo_inverse_sqrt",
     "operator_norm_psd",
-    "hs_norm",
-    "hq_norm",
-    "hq_norm_trace",
     "sphere_sequence",
 ]
 
@@ -85,51 +80,10 @@ def psd_sqrt(q: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def pseudo_inverse_sqrt(q: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Spectral pseudo-inverse square root ``q^{-1/2}`` on the range of q.
-
-    Eigenvalues below ``rank_tol`` times the largest are treated as exact
-    zeros (the orthogonal complement of the range).  The zero matrix maps
-    to the zero matrix.
-    """
-    w, v = _clipped_eigh(_one_matrix(q))
-    top = w.max(initial=0.0)
-    inv = np.zeros_like(w)
-    keep = w > rank_tol * top
-    inv[keep] = 1.0 / np.sqrt(w[keep])
-    return (v * inv) @ v.T
-
-
 def operator_norm_psd(q: np.ndarray) -> float:
     """Operator norm (= largest eigenvalue) of a PSD matrix."""
     w, _ = _clipped_eigh(_one_matrix(q))
     return float(w.max(initial=0.0))
-
-
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
-def hq_norm(phi: np.ndarray, q: np.ndarray) -> float:
-    """Hilbert-Schmidt norm of ``phi`` weighted by the PSD matrix ``q``.
-
-    Returns ``||phi @ q^{1/2}||_HS``, the natural norm for operators acting
-    on the range of ``q^{1/2}``; agrees with ``sqrt(trace(phi q phi^T))``
-    up to roundoff (see :func:`hq_norm_trace`).
-    """
-    phi = np.asarray(phi, dtype=np.float64)
-    if phi.ndim != 2 or phi.shape[1] != np.asarray(q).shape[0]:
-        raise ValueError(
-            f"shape mismatch: phi {phi.shape} against weight {np.asarray(q).shape}")
-    return hs_norm(phi @ psd_sqrt(q))
-
-
-def hq_norm_trace(phi: np.ndarray, q: np.ndarray) -> float:
-    """Trace-form evaluation ``sqrt(trace(phi q phi^T))`` of :func:`hq_norm`."""
-    phi = np.asarray(phi, dtype=np.float64)
-    q = check_symmetric(q)
-    return float(np.sqrt(max(0.0, np.trace(phi @ q @ phi.T))))
 
 
 def _farthest_point_fill(axes: np.ndarray, extra: int, pool: np.ndarray) -> np.ndarray:

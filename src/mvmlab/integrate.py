@@ -38,7 +38,6 @@ __all__ = [
     "simple_to_grid",
     "cell_costs",
     "lambda2_profile",
-    "lambda2_norm",
     "grid_stopping_time",
     "truncate_integrand",
     "stopped_integral",
@@ -187,13 +186,6 @@ class GridIntegrand:
             raise ValueError(f"cannot compose {op.shape} with dim_g={self.dim_g}")
         return GridIntegrand(self.grid, np.einsum(
             "eg,...gh->...eh", op, self.values, optimize=True))
-
-    def scaled_add(self, other: "GridIntegrand", w_self: float = 1.0,
-                   w_other: float = 1.0) -> "GridIntegrand":
-        if other.grid != self.grid:
-            raise GridMismatchError("cannot combine integrands across grids")
-        return GridIntegrand(self.grid,
-                             w_self * self.values + w_other * other.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,12 +412,6 @@ def lambda2_profile(phi: GridIntegrand, qm: QMField,
     out = np.zeros(phi.grid.n_cells + 1)
     out[1:] = np.cumsum(costs.sum(axis=1))
     return out
-
-
-def lambda2_norm(phi: GridIntegrand, qm: QMField,
-                 qv: QVEstimate | DiscreteMeasure) -> float:
-    """Integration norm: sqrt of the expected total cell cost."""
-    return float(np.sqrt(lambda2_profile(phi, qm, qv)[-1]))
 
 
 def grid_stopping_time(ens: MVMPathEnsemble,

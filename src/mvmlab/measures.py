@@ -10,7 +10,6 @@ keeps the partition-enumeration definition alive as an independent oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -23,13 +22,10 @@ __all__ = [
     "GridSpec",
     "DiscreteMeasure",
     "SignedDiscreteMeasure",
-    "ComparisonReport",
     "make_grid",
     "sup_measures",
     "brute_force_sup",
     "monotone_sup",
-    "sum_measures",
-    "compare_signed",
     "iter_partitions",
 ]
 
@@ -176,30 +172,8 @@ class SignedDiscreteMeasure:
             return float(self.cell_mass.sum())
         return float(sum(self.cell_mass[i, j] for i, j in cells))
 
-    def total_variation(self) -> float:
-        return float(np.abs(self.cell_mass).sum())
-
-    def interval_mass(self, s_index: int, t_index: int, atoms: Iterable[int]) -> float:
-        """Mass of ``(t_s, t_t] x atoms``."""
-        idx = sorted(atoms)
-        return float(self.cell_mass[s_index:t_index, idx].sum())
-
     def to_csv(self) -> str:
         return _cell_csv(self.grid, ("mass",), self.cell_mass)
-
-    def to_json(self) -> str:
-        tp = self.grid.time_points
-        cells = [
-            {"t_lo": tp[i], "t_hi": tp[i + 1], "atom_id": atom,
-             "mass": float(self.cell_mass[i, j])}
-            for i in range(self.grid.n_cells)
-            for j, atom in enumerate(self.grid.mark_atoms)
-        ]
-        return json.dumps({
-            "time_points": list(tp),
-            "mark_atoms": list(self.grid.mark_atoms),
-            "cells": cells,
-        }, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,17 +183,6 @@ class DiscreteMeasure(SignedDiscreteMeasure):
     def __post_init__(self) -> None:
         object.__setattr__(self, "cell_mass",
                            _as_mass(self.grid, self.cell_mass, signed=False))
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteMeasure":
-        data = json.loads(text)
-        grid = GridSpec(tuple(data["time_points"]), tuple(data["mark_atoms"]))
-        atom_index = {a: j for j, a in enumerate(grid.mark_atoms)}
-        t_index = {t: i for i, t in enumerate(grid.time_points)}
-        mass = np.zeros((grid.n_cells, grid.n_atoms))
-        for cell in data["cells"]:
-            mass[t_index[cell["t_lo"]], atom_index[cell["atom_id"]]] = cell["mass"]
-        return cls(grid, mass)
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
         if factor < 0:
@@ -305,39 +268,3 @@ def monotone_sup(sequence: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
             raise ValueError(f"sequence not monotone at index {k + 1}")
     last = sequence[-1]
     return DiscreteMeasure(last.grid, last.cell_mass.copy())
-
-
-def sum_measures(family: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
-    """Setwise sum of finitely many measures."""
-    grid = _check_family(family)
-    return DiscreteMeasure(grid, np.sum([mu.cell_mass for mu in family], axis=0))
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Cellwise comparison of a signed measure against a reference."""
-
-    leq: bool
-    eq: bool
-    abs_leq: bool
-    tol: float
-    failing_leq: tuple[Cell, ...]
-    failing_abs: tuple[Cell, ...]
-
-
-def compare_signed(alpha: SignedDiscreteMeasure, beta: SignedDiscreteMeasure,
-                   tol: float = 0.0) -> ComparisonReport:
-    """Report whether alpha <= beta, alpha == beta and |alpha| <= beta cellwise."""
-    if alpha.grid != beta.grid:
-        raise GridMismatchError("comparison across different grids")
-    a, b = alpha.cell_mass, beta.cell_mass
-    bad_leq = np.argwhere(a > b + tol)
-    bad_abs = np.argwhere(np.abs(a) > b + tol)
-    return ComparisonReport(
-        leq=bad_leq.size == 0,
-        eq=bool(np.all(np.abs(a - b) <= tol)),
-        abs_leq=bad_abs.size == 0,
-        tol=tol,
-        failing_leq=tuple(map(tuple, bad_leq[:16])),
-        failing_abs=tuple(map(tuple, bad_abs[:16])),
-    )

@@ -35,7 +35,6 @@ element for element the formulas a single path would use.
 from __future__ import annotations
 
 import abc
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -58,13 +57,10 @@ __all__ = [
     "DenseIntensityFamily",
     "LowRankIntensityFamily",
     "intensity_family",
-    "intensity_closed_form",
     "EmpiricalIntensity",
     "empirical_intensity",
     "OrthogonalityReport",
     "orthogonality_check",
-    "save_ensemble",
-    "load_ensemble",
 ]
 
 
@@ -683,12 +679,6 @@ def intensity_family(spec: NoiseSpecBase, grid: GridSpec) -> IntensityFamily:
     return spec._intensity_family(grid)
 
 
-def intensity_closed_form(spec: NoiseSpecBase, grid: GridSpec,
-                          x: np.ndarray) -> DiscreteMeasure:
-    """Closed-form intensity measure nu_x of a driver, as a grid measure."""
-    return intensity_family(spec, grid).measure(x)
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalIntensity:
     """Monte Carlo estimate of nu_x with per-cell standard errors."""
@@ -740,29 +730,3 @@ def orthogonality_check(ens: MVMPathEnsemble, x: np.ndarray,
     se = prod.std(axis=0, ddof=1) / np.sqrt(ens.paths)
     passed = bool(np.all(np.abs(mean) <= z_threshold * se + 1e-300))
     return OrthogonalityReport(ens.times, mean, se, passed)
-
-
-def save_ensemble(ens: MVMPathEnsemble, path) -> None:
-    """Dump an ensemble as a one-line JSON header plus raw float64 bytes."""
-    header = {
-        "paths": ens.paths,
-        "dim": ens.dim,
-        "time_points": list(ens.grid.time_points),
-        "mark_atoms": list(ens.grid.mark_atoms),
-        "driver_meta": ens.driver_meta,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(np.ascontiguousarray(ens.increments).tobytes())
-
-
-def load_ensemble(path) -> MVMPathEnsemble:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        body = fh.read()
-    grid = GridSpec(tuple(header["time_points"]), tuple(header["mark_atoms"]))
-    shape = (header["paths"], grid.n_cells, grid.n_atoms, header["dim"])
-    data = np.frombuffer(body, dtype=np.float64).reshape(shape).copy()
-    return MVMPathEnsemble(grid, data, dict(header.get("driver_meta", {})))
-

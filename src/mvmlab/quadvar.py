@@ -29,8 +29,6 @@ from .noise import IntensityFamily
 __all__ = [
     "QVEstimate",
     "qv_supremum",
-    "BoundednessReport",
-    "sequential_boundedness_probe",
     "counterexample_partition_sum",
     "counterexample_trace",
     "alpha_polarization",
@@ -61,12 +59,6 @@ class QVEstimate:
     @property
     def grid(self) -> GridSpec:
         return self.measure.grid
-
-    def divergence_ratio(self) -> float:
-        """Final over initial trace total; large values flag divergence."""
-        first = self.convergence_trace[0][1]
-        last = self.convergence_trace[-1][1]
-        return float("inf") if first == 0.0 else last / first
 
 
 def _trace_counts(n: int) -> list[int]:
@@ -107,21 +99,6 @@ def qv_supremum(family: IntensityFamily, vectors: np.ndarray) -> QVEstimate:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BoundednessReport:
-    """Spot check that sampled intensities stay below the running supremum.
-
-    `violations` lists (trial index, cell, excess) triples; `modulus` holds,
-    per trial, the uniform deviations sup over (s, A) of
-    ``|nu_{x_n} - nu_x|((s, T] x A)`` along a sequence x_n -> x.
-    """
-
-    violations: tuple[tuple[int, tuple[int, int], float], ...]
-    modulus: tuple[tuple[float, ...], ...]
-    trial_norms: tuple[float, ...]
-    passed: bool
-
-
 def _uniform_deviation(family: IntensityFamily, x_a: np.ndarray,
                        x_b: np.ndarray) -> float:
     """sup over grid times s and ring sets A of |nu_a - nu_b|((s, T] x A)."""
@@ -136,45 +113,6 @@ def _uniform_deviation(family: IntensityFamily, x_a: np.ndarray,
         vals = tails[:, sorted(ring)].sum(axis=1)
         best = max(best, float(np.abs(vals).max()))
     return best
-
-
-def sequential_boundedness_probe(family: IntensityFamily,
-                                 vectors: np.ndarray,
-                                 trials: np.ndarray,
-                                 approach_steps: int = 6,
-                                 tol: float = 1e-9) -> BoundednessReport:
-    """Probe the two ingredients behind the supremum construction.
-
-    For each trial unit vector x the cellwise bound
-    ``nu_x <= sup over the sequence`` is checked (dense-sequence surrogate),
-    and the uniform deviation of nu along ``x_n -> x`` is reported as a
-    convergence modulus, with ``x_n`` walking toward x on the sphere.
-    """
-    estimate = qv_supremum(family, vectors)
-    sup_mass = estimate.measure.cell_mass
-    scale = max(1.0, float(sup_mass.max(initial=0.0)))
-    trials = np.atleast_2d(np.asarray(trials, dtype=np.float64))
-    violations = []
-    modulus = []
-    for t, x in enumerate(trials):
-        excess = family.masses(x) - sup_mass
-        for i, j in np.argwhere(excess > tol * scale):
-            violations.append((t, (int(i), int(j)), float(excess[i, j])))
-        # March toward x from a fixed off-axis starting point.
-        probe = np.roll(x, 1) + 0.5
-        probe /= np.linalg.norm(probe)
-        steps = []
-        for n in range(1, approach_steps + 1):
-            x_n = x + 2.0 ** (-n) * probe
-            x_n /= np.linalg.norm(x_n)
-            steps.append(_uniform_deviation(family, x_n, x))
-        modulus.append(tuple(steps))
-    return BoundednessReport(
-        violations=tuple(violations),
-        modulus=tuple(modulus),
-        trial_norms=tuple(float(np.linalg.norm(x)) for x in trials),
-        passed=not violations,
-    )
 
 
 def counterexample_partition_sum(k: int) -> float:

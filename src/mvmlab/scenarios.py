@@ -705,9 +705,7 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
     ex = _heat_instance(int(params["instance_seed"]), modes,
                         int(params["channels"]))
     gain = float(params["drift_gain"])
-    coeffs = spde.CoefficientSpec(drift=lambda t, x: gain * x,
-                                  drift_bound=abs(gain),
-                                  noise_matrices=ex.f_matrix[None])
+    coeffs = spde.linear_drift_coefficients(gain, ex.f_matrix[None])
     grid = noise.default_grid(ex.noise_spec, 1.0, steps)
     ens = noise.simulate(ex.noise_spec, grid, paths, seed)
     x0 = 1.0 / np.arange(1, modes + 1)
@@ -750,7 +748,7 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 @dataclass(frozen=True)
 class ScenarioDef:
-    fn: Callable[[int, int, int, dict], ScenarioResult]
+    fn: Callable[[int, int, dict], ScenarioResult]
     description: str
     seed: int
     paths: int

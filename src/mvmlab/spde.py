@@ -69,12 +69,6 @@ class DiagonalSemigroup:
     def dim(self) -> int:
         return self.rates.shape[0]
 
-    def decay(self, t: float) -> np.ndarray:
-        return np.exp(-self.rates * t)
-
-    def apply(self, t: float, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(vec) * self.decay(t)
-
     def scan(self, times: np.ndarray, contrib: np.ndarray) -> np.ndarray:
         """``X_m = sum_{i<m} exp(-l (t_m - t_i)) c_i`` along the cell axis of
         `contrib` ``(..., n_cells, dim)``, by the exponential-Euler recursion

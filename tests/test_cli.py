@@ -43,6 +43,10 @@ def test_failed_check_exits_two(tmp_path, capsys):
     assert "discrete_levy_qv: FAIL" in out.strip().split("\n")[-1]
 
 
+SEED_RULE = '"seed" must be an integer >= 0'
+PATHS_RULE = '"paths" must be an integer >= 1'
+
+
 @pytest.mark.parametrize("payload,fragment", [
     ("not json {", "not valid JSON"),
     (json.dumps([1, 2]), "must be a JSON object"),
@@ -51,6 +55,14 @@ def test_failed_check_exits_two(tmp_path, capsys):
     (json.dumps({"seed": 3}), "missing the required"),
     (json.dumps({"scenario": "nope"}), "unknown scenario"),
     (json.dumps({"scenario": "fubini", "params": [1]}), "must be a JSON object"),
+    (json.dumps({"scenario": "fubini", "seed": "abc"}), SEED_RULE),
+    (json.dumps({"scenario": "fubini", "seed": 1.7}), SEED_RULE),
+    (json.dumps({"scenario": "fubini", "seed": -1}), SEED_RULE),
+    (json.dumps({"scenario": "fubini", "seed": True}), SEED_RULE),
+    (json.dumps({"scenario": "fubini", "paths": -3}), PATHS_RULE),
+    (json.dumps({"scenario": "fubini", "paths": 0}), PATHS_RULE),
+    (json.dumps({"scenario": "fubini", "paths": 2.0}), PATHS_RULE),
+    (json.dumps({"scenario": "fubini", "paths": False}), PATHS_RULE),
 ])
 def test_bad_configs_exit_one(tmp_path, capsys, payload, fragment):
     path = tmp_path / "bad.json"
@@ -111,6 +123,10 @@ def test_flag_overrides_config_overrides_default(tmp_path, capsys):
     report2 = json.loads((tmp_path / "c" / "haar_counterexample_report.json")
                          .read_text(encoding="utf-8"))
     assert report2["seed"] == 3
+    # Flag values are validated like config values, before anything runs.
+    for flag, value in (("--seed", "-1"), ("--paths", "0"), ("--paths", "-3")):
+        assert main(["run", config2, flag, value]) == EXIT_USAGE
+        assert f"{flag} must be an integer" in capsys.readouterr().err
 
 
 def test_seed_changes_artifacts(tmp_path, capsys):

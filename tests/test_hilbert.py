@@ -5,9 +5,8 @@ import pytest
 
 from mvmlab.haar import (MAX_LEVEL, haar_cell_integrals, haar_dimension,
                          haar_squared_values, haar_values)
-from mvmlab.hilbert import (check_symmetric, hq_norm, hq_norm_trace, hs_norm,
-                            operator_norm_psd, psd_part, psd_sqrt,
-                            pseudo_inverse_sqrt, sphere_sequence)
+from mvmlab.hilbert import (check_symmetric, operator_norm_psd, psd_part,
+                            psd_sqrt, sphere_sequence)
 
 
 def random_psd(rng, dim):
@@ -46,23 +45,6 @@ def test_psd_guard_clips_tiny_negatives_and_rejects_real_ones():
         psd_sqrt(np.diag([1.0, -1e-3]))
 
 
-def test_pseudo_inverse_sqrt_is_moore_penrose_on_the_range():
-    # [DERIVED] oracle: numpy's pinv of the exact square root.
-    rng = np.random.default_rng(1)
-    for dim, rank in ((3, 2), (5, 3), (4, 4)):
-        a = rng.standard_normal((dim, rank))
-        q = a @ a.T
-        half_inv = pseudo_inverse_sqrt(q)
-        expected = np.linalg.pinv(psd_sqrt(q), rcond=1e-8)
-        np.testing.assert_allclose(half_inv, expected, atol=1e-8)
-        # On the range, q^{-1/2} q q^{-1/2} is the orthogonal projector.
-        proj = half_inv @ q @ half_inv
-        np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
-        np.testing.assert_allclose(np.trace(proj), rank, atol=1e-8)
-    np.testing.assert_array_equal(pseudo_inverse_sqrt(np.zeros((3, 3))),
-                                  np.zeros((3, 3)))
-
-
 def test_operator_norm_matches_eigh():
     rng = np.random.default_rng(2)
     q = random_psd(rng, 6)
@@ -98,24 +80,9 @@ def test_stack_checks_each_matrix_at_its_own_scale():
 
 def test_single_matrix_helpers_reject_stacks():
     stack = np.stack([np.eye(3), 2 * np.eye(3)])
-    for fn in (psd_sqrt, pseudo_inverse_sqrt, operator_norm_psd):
+    for fn in (psd_sqrt, operator_norm_psd):
         with pytest.raises(ValueError, match="square matrix"):
             fn(stack)
-
-
-def test_weighted_norm_routes_agree():
-    # Two evaluation routes: ||phi q^{1/2}||_F and sqrt(trace(phi q phi^T)).
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        phi = rng.standard_normal((3, 5))
-        q = random_psd(rng, 5)
-        a = hq_norm(phi, q)
-        b = hq_norm_trace(phi, q)
-        assert a == pytest.approx(b, rel=1e-10)
-    assert hq_norm(np.eye(4), np.eye(4)) == pytest.approx(2.0)
-    assert hs_norm(np.full((2, 2), 3.0)) == pytest.approx(6.0)
-    with pytest.raises(ValueError):
-        hq_norm(np.ones((2, 3)), np.eye(4))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from mvmlab.integrate import (AdaptednessError, GridIntegrand,
                               SimpleIntegrand, SimpleTerm, cell_costs,
                               fubini_check, grid_stopping_time,
                               integrate_grid, integrate_simple,
-                              lambda2_norm, lambda2_profile, localize,
+                              lambda2_profile, localize,
                               pushforward_commute, restrict_integrand,
                               simple_to_grid, stopped_integral,
                               truncate_integrand)
@@ -100,7 +100,8 @@ def test_integration_is_linear(ens):
     rng = np.random.default_rng(9)
     a = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 3, 2)))
     b = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 3, 2)))
-    lhs = integrate_grid(a.scaled_add(b, 2.0, -0.5), ens)
+    lhs = integrate_grid(
+        GridIntegrand(ens.grid, 2.0 * a.values - 0.5 * b.values), ens)
     rhs = 2.0 * integrate_grid(a, ens).values \
         - 0.5 * integrate_grid(b, ens).values
     np.testing.assert_allclose(lhs.values, rhs, atol=1e-12)
@@ -204,9 +205,8 @@ def test_lambda2_white_noise_closed_form():
     s = np.array([[1.0], [-2.0], [0.5]])
     phi = GridIntegrand.constant(grid, s)
     target = float((s ** 2).sum() * (0.5 + 2.0))
-    assert lambda2_norm(phi, qm, qv) == pytest.approx(np.sqrt(target),
-                                                      rel=1e-12)
     profile = lambda2_profile(phi, qm, qv)
+    assert np.sqrt(profile[-1]) == pytest.approx(np.sqrt(target), rel=1e-12)
     np.testing.assert_allclose(profile,
                                np.asarray(grid.time_points) * target,
                                rtol=1e-12)

@@ -7,10 +7,8 @@ from mvmlab.haar import haar_cell_integrals, haar_dimension
 from mvmlab.hilbert import psd_sqrt
 from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom, HValuedLevy,
                           IntegralType, NoClosedFormError, WhiteNoise,
-                          default_grid, empirical_intensity,
-                          intensity_closed_form, intensity_family,
-                          load_ensemble, orthogonality_check, save_ensemble,
-                          simulate)
+                          default_grid, empirical_intensity, intensity_family,
+                          orthogonality_check, simulate)
 
 
 def wishart(rng, dim):
@@ -109,10 +107,10 @@ def test_grid_driver_atom_mismatch_is_rejected():
 def test_white_noise_intensity_is_dt_times_rate():
     spec = WhiteNoise(rates=(("a", 0.5), ("b", 2.0)))
     grid = default_grid(spec, 1.0, 4)
-    nu = intensity_closed_form(spec, grid, np.array([1.0]))
+    nu = intensity_family(spec, grid).measure(np.array([1.0]))
     np.testing.assert_allclose(nu.cell_mass, np.outer(grid.dt, [0.5, 2.0]))
     # nu_x scales with x^2 (dim 1).
-    nu3 = intensity_closed_form(spec, grid, np.array([3.0]))
+    nu3 = intensity_family(spec, grid).measure(np.array([3.0]))
     np.testing.assert_allclose(nu3.cell_mass, 9.0 * nu.cell_mass)
 
 
@@ -196,7 +194,7 @@ def test_empirical_intensity_within_three_sigma(levy_spec):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(3)
     emp = empirical_intensity(ens, x)
-    target = intensity_closed_form(levy_spec, grid, x)
+    target = intensity_family(levy_spec, grid).measure(x)
     z = np.abs(emp.measure.cell_mass - target.cell_mass) / emp.standard_error
     assert z.max() < 3.5
     with pytest.raises(ValueError, match="at least"):
@@ -221,7 +219,7 @@ def test_zero_covariance_atom_yields_exact_zero_increments():
     ens = simulate(spec, grid, 50, 0)
     np.testing.assert_array_equal(ens.increments[:, :, 0], 0.0)
     assert np.any(ens.increments[:, :, 1] != 0.0)
-    nu = intensity_closed_form(spec, grid, np.ones(2))
+    nu = intensity_family(spec, grid).measure(np.ones(2))
     np.testing.assert_array_equal(nu.cell_mass[:, 0], 0.0)
 
 
@@ -353,17 +351,6 @@ def test_seed_validation():
         simulate(spec, grid, 0, 0)
     with pytest.raises(ValueError):
         simulate(spec, grid, 1, -3)
-
-
-def test_ensemble_save_load_round_trip(tmp_path, levy_spec):
-    grid = default_grid(levy_spec, 1.0, 5)
-    ens = simulate(levy_spec, grid, 10, 21)
-    target = tmp_path / "ensemble.mvm"
-    save_ensemble(ens, target)
-    back = load_ensemble(target)
-    assert back.grid == ens.grid
-    assert back.driver_meta == ens.driver_meta
-    np.testing.assert_array_equal(back.increments, ens.increments)
 
 
 def test_cumulative_handles_empty_atom_sets(levy_spec):

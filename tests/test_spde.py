@@ -39,8 +39,9 @@ def test_heat_semigroup_rates_and_actions():
     np.testing.assert_allclose(sg.rates,
                                (np.arange(1, 6) * np.pi) ** 2, rtol=1e-15)
     v = np.arange(5.0)
-    np.testing.assert_allclose(sg.apply(0.3, v), v * np.exp(-sg.rates * 0.3))
-    np.testing.assert_array_equal(sg.apply(0.0, v), v)
+    # One cell of the scan applies S(0.3) to its contribution.
+    np.testing.assert_allclose(sg.scan(np.array([0.0, 0.3]), v[None])[1],
+                               v * np.exp(-sg.rates * 0.3))
     with pytest.raises(ValueError, match="nonempty"):
         DiagonalSemigroup(np.empty(0))
     with pytest.raises(ValueError, match="negative decay"):
@@ -103,7 +104,7 @@ def test_convolution_matches_loop_oracle(heat):
                 if times[i] >= times[m]:
                     break
                 inc = ens.increments[p, i, 0]
-                acc += heat.semigroup.decay(times[m] - times[i]) \
+                acc += np.exp(-heat.semigroup.rates * (times[m] - times[i])) \
                     * (heat.f_matrix @ inc)
             np.testing.assert_allclose(conv.values[p, m], acc, atol=1e-12)
 
@@ -256,10 +257,10 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
     mapped = np.empty_like(x)
     for p in range(ens.paths):
         for m in range(len(times)):
-            acc = heat.semigroup.decay(times[m]) * x0
+            acc = np.exp(-heat.semigroup.rates * times[m]) * x0
             for i in range(m):
                 field = coeffs.noise(times[i], x[p, i])
-                acc = acc + heat.semigroup.decay(times[m] - times[i]) \
+                acc = acc + np.exp(-heat.semigroup.rates * (times[m] - times[i])) \
                     * (field[0] @ ens.increments[p, i, 0])
             mapped[p, m] = acc
     np.testing.assert_allclose(x, mapped, rtol=0, atol=1e-9)
