@@ -15,6 +15,11 @@ Config schema (all keys except "scenario" optional)::
       "params": {"steps": 20}         // scenario-specific overrides
     }
 
+Each "params" value must have the JSON type of its default: an integer for
+an integer default, any number for a float default (stored as a float), an
+array for a list default; booleans are never numbers.  An unknown scenario,
+an unknown parameter or a wrong type exits 1 before the scenario runs.
+
 Command-line flags override config values, which override the scenario
 defaults.  For a fixed config and seed the CSV artifacts are byte-identical
 across runs, and enlarging "paths" leaves the existing paths unchanged.
@@ -27,7 +32,8 @@ import json
 import sys
 from pathlib import Path
 
-from .scenarios import SCENARIOS, RunReport, list_scenarios, run_scenario
+from .scenarios import (SCENARIOS, RunReport, ScenarioInputError,
+                        list_scenarios, run_scenario)
 
 __all__ = ["main", "entry"]
 
@@ -118,8 +124,8 @@ def _run(args) -> int:
     try:
         report = run_scenario(config["scenario"], seed=seed, paths=paths,
                               params=config.get("params", {}))
-    except KeyError as exc:
-        raise _UsageError(str(exc.args[0])) from exc
+    except ScenarioInputError as exc:
+        raise _UsageError(str(exc)) from exc
     for check in report.checks:
         print(check.line())
     print(f"{report.scenario}: {'PASS' if report.all_passed else 'FAIL'} "

@@ -39,14 +39,14 @@ def _one_matrix(q: np.ndarray) -> np.ndarray:
     return q
 
 
-def check_symmetric(q: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
+def check_symmetric(q: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix or a stack, each checked at its own scale."""
     q = np.asarray(q, dtype=np.float64)
     if q.ndim < 2 or q.shape[-2] != q.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
     qt = np.swapaxes(q, -2, -1)
     gap = np.abs(q - qt).max(axis=(-2, -1), initial=0.0)
-    bad = gap > tol * _scale(q)
+    bad = gap > SYM_TOL * _scale(q)
     if np.any(bad):
         raise ValueError(
             f"matrix is not symmetric (asymmetry {gap[bad].max():.3e})")

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .measures import DiscreteMeasure, GridMismatchError, GridSpec, _csv_text
+from .measures import GridMismatchError, GridSpec, _csv_text
 from .noise import MVMPathEnsemble
 from .quadvar import QMField, QVEstimate, qm_sqrt_field
 
@@ -40,15 +40,13 @@ __all__ = [
     "lambda2_profile",
     "grid_stopping_time",
     "truncate_integrand",
+    "IdentityReport",
     "stopped_integral",
-    "StoppedIntegralReport",
     "restrict_integrand",
     "localize",
     "LocalizationReport",
     "fubini_check",
-    "FubiniReport",
     "pushforward_commute",
-    "PushforwardReport",
 ]
 
 
@@ -387,24 +385,19 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     return GridIntegrand(phi.grid, values)
 
 
-def _qv_mass(qv: QVEstimate | DiscreteMeasure) -> np.ndarray:
-    measure = qv.measure if isinstance(qv, QVEstimate) else qv
-    return measure.cell_mass
-
-
-def cell_costs(phi: GridIntegrand, qm: QMField,
-               qv: QVEstimate | DiscreteMeasure) -> np.ndarray:
+def cell_costs(phi: GridIntegrand, qm: QMField, qv: QVEstimate) -> np.ndarray:
     """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is)."""
     if qm.grid != phi.grid:
         raise GridMismatchError("density field on a different grid")
     roots = qm_sqrt_field(qm)
     weighted = np.einsum("...cagh,cahk->...cagk", phi.values, roots,
                          optimize=True)
-    return np.square(weighted, out=weighted).sum(axis=(-2, -1)) * _qv_mass(qv)
+    return np.square(weighted, out=weighted).sum(axis=(-2, -1)) \
+        * qv.measure.cell_mass
 
 
 def lambda2_profile(phi: GridIntegrand, qm: QMField,
-                    qv: QVEstimate | DiscreteMeasure) -> np.ndarray:
+                    qv: QVEstimate) -> np.ndarray:
     """Cumulative squared integration norm at every grid time."""
     costs = cell_costs(phi, qm, qv)
     if costs.ndim == 3:
@@ -455,16 +448,26 @@ def truncate_integrand(phi: GridIntegrand, stop_index: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class StoppedIntegralReport:
-    truncated: IntegralPathEnsemble
-    clamped: IntegralPathEnsemble
+class IdentityReport:
+    """Both sides of a pathwise identity, their largest entrywise gap, and
+    the scale ``max(1, max |rhs|)`` that gap is judged against."""
+
+    lhs: IntegralPathEnsemble
+    rhs: IntegralPathEnsemble
     max_abs_gap: float
     scale: float
 
 
+def _identity_report(lhs: IntegralPathEnsemble,
+                     rhs: IntegralPathEnsemble) -> IdentityReport:
+    gap = float(np.abs(lhs.values - rhs.values).max(initial=0.0))
+    scale = max(1.0, float(np.abs(rhs.values).max(initial=0.0)))
+    return IdentityReport(lhs, rhs, gap, scale)
+
+
 def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
                      stop_index: np.ndarray, check: bool = True
-                     ) -> StoppedIntegralReport:
+                     ) -> IdentityReport:
     """Both sides of the stopping identity ``I(1_{[0,sigma]} Phi) = I_{. ^ sigma}``.
 
     The left side integrates the truncated integrand; the right side clamps
@@ -483,12 +486,11 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     full = integrate_grid(phi, ens)
     idx = np.minimum(np.arange(len(ens.times))[None, :], stop_index[:, None])
     rhs_values = np.take_along_axis(full.values, idx[:, :, None], axis=1)
-    rhs = IntegralPathEnsemble(ens.times, rhs_values)
-    gap = float(np.abs(lhs.values - rhs.values).max(initial=0.0))
-    scale = max(1.0, float(np.abs(rhs.values).max(initial=0.0)))
-    if check and gap > 0.0:
-        raise RuntimeError(f"stopped-integral identity violated (gap {gap:.3e})")
-    return StoppedIntegralReport(lhs, rhs, gap, scale)
+    report = _identity_report(lhs, IntegralPathEnsemble(ens.times, rhs_values))
+    if check and report.max_abs_gap > 0.0:
+        raise RuntimeError(f"stopped-integral identity violated "
+                           f"(gap {report.max_abs_gap:.3e})")
+    return report
 
 
 def restrict_integrand(phi: GridIntegrand, s_index: int, t_index: int,
@@ -518,8 +520,7 @@ class LocalizationReport:
 
 
 def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
-             qv: QVEstimate | DiscreteMeasure,
-             thresholds: Sequence[float]) -> LocalizationReport:
+             qv: QVEstimate, thresholds: Sequence[float]) -> LocalizationReport:
     """Stop when the running integration cost first reaches each threshold.
 
     For threshold n, ``tau_n`` is the first grid time at which the pathwise
@@ -562,17 +563,8 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FubiniReport:
-    combined: IntegralPathEnsemble
-    summed: IntegralPathEnsemble
-    max_abs_gap: float
-    scale: float
-    passed: bool
-
-
 def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
-                 ens: MVMPathEnsemble, tol: float = 1e-10) -> FubiniReport:
+                 ens: MVMPathEnsemble) -> IdentityReport:
     """Integrate-the-average against average-the-integrals.
 
     The finite parameter space E carries one integrand and one weight per
@@ -585,30 +577,16 @@ def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
     combined = integrate_grid(GridIntegrand(integrands[0].grid, mixed_values), ens)
     parts = [integrate_grid(phi, ens) for phi in integrands]
     summed_values = sum(w * part.values for w, part in zip(weights, parts))
-    summed = IntegralPathEnsemble(ens.times, summed_values)
-    gap = float(np.abs(combined.values - summed.values).max(initial=0.0))
-    scale = max(1.0, float(np.abs(summed.values).max(initial=0.0)))
-    return FubiniReport(combined, summed, gap, scale, passed=gap <= tol * scale)
-
-
-@dataclass(frozen=True, eq=False)
-class PushforwardReport:
-    composed_first: IntegralPathEnsemble
-    mapped_after: IntegralPathEnsemble
-    max_abs_gap: float
-    scale: float
-    passed: bool
+    return _identity_report(combined,
+                            IntegralPathEnsemble(ens.times, summed_values))
 
 
 def pushforward_commute(op: np.ndarray, phi: GridIntegrand,
-                        ens: MVMPathEnsemble, tol: float = 1e-10
-                        ) -> PushforwardReport:
+                        ens: MVMPathEnsemble) -> IdentityReport:
     """Compare integrating ``R o Phi`` with applying R to the integral."""
     lhs = integrate_grid(phi.compose(op), ens)
     base = integrate_grid(phi, ens)
     rhs = IntegralPathEnsemble(
         ens.times, np.einsum("eg,ptg->pte", np.asarray(op, dtype=np.float64),
                              base.values))
-    gap = float(np.abs(lhs.values - rhs.values).max(initial=0.0))
-    scale = max(1.0, float(np.abs(rhs.values).max(initial=0.0)))
-    return PushforwardReport(lhs, rhs, gap, scale, passed=gap <= tol * scale)
+    return _identity_report(lhs, rhs)

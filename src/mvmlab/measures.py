@@ -49,14 +49,10 @@ class GridSpec:
         Strictly increasing, starting at 0.  Cell ``i`` is ``(t_i, t_{i+1}]``.
     mark_atoms : tuple of str
         Distinct atom labels.
-    rings : tuple of frozenset of int, optional
-        The mark sets scenarios are allowed to query.  Defaults to the empty
-        set, every singleton and the full atom menu.
     """
 
     time_points: tuple[float, ...]
     mark_atoms: tuple[str, ...]
-    rings: tuple[frozenset[int], ...] = ()
 
     def __post_init__(self) -> None:
         tp = tuple(float(t) for t in self.time_points)
@@ -72,18 +68,17 @@ class GridSpec:
             raise ValueError("need at least one mark atom")
         if len(set(self.mark_atoms)) != len(self.mark_atoms):
             raise ValueError("mark atoms must be distinct")
-        if not self.rings:
-            n = len(self.mark_atoms)
-            rings = [frozenset()]
-            rings += [frozenset({j}) for j in range(n)]
-            if n > 1:
-                rings.append(frozenset(range(n)))
-            object.__setattr__(self, "rings", tuple(rings))
-        else:
-            object.__setattr__(self, "rings", tuple(frozenset(r) for r in self.rings))
-            for ring in self.rings:
-                if any(j < 0 or j >= len(self.mark_atoms) for j in ring):
-                    raise ValueError("ring refers to an atom outside the menu")
+
+    @property
+    def rings(self) -> tuple[frozenset[int], ...]:
+        """The mark sets scenarios may query: the empty set, every singleton
+        and the full atom menu."""
+        n = self.n_atoms
+        rings = [frozenset()]
+        rings += [frozenset({j}) for j in range(n)]
+        if n > 1:
+            rings.append(frozenset(range(n)))
+        return tuple(rings)
 
     @property
     def n_cells(self) -> int:
@@ -105,13 +100,12 @@ class GridSpec:
         return [(i, j) for i in range(self.n_cells) for j in range(self.n_atoms)]
 
 
-def make_grid(t_max: float, steps: int, mark_atoms: Sequence[str],
-              rings: Sequence[frozenset[int]] = ()) -> GridSpec:
+def make_grid(t_max: float, steps: int, mark_atoms: Sequence[str]) -> GridSpec:
     """Uniform grid with `steps` cells on [0, t_max]."""
     if steps < 1 or t_max <= 0:
         raise ValueError("need steps >= 1 and t_max > 0")
     tp = tuple(np.linspace(0.0, float(t_max), steps + 1))
-    return GridSpec(time_points=tp, mark_atoms=tuple(mark_atoms), rings=tuple(rings))
+    return GridSpec(time_points=tp, mark_atoms=tuple(mark_atoms))
 
 
 def _csv_text(header: str, columns: Sequence) -> str:

@@ -1,7 +1,7 @@
 """Martingale-valued noise on a time x mark grid.
 
 A driver produces, per path, one H-valued increment for every grid cell
-(time cell x mark atom); cumulative sums over cells give a worthless-drift,
+(time cell x mark atom); cumulative sums over cells give a driftless,
 orthogonal family of square-integrable martingales indexed by mark sets.
 Four generators are provided:
 
@@ -16,8 +16,7 @@ Four generators are provided:
   variant with deterministic but non-homogeneous intensities).
 
 Every generator has deterministic intensities nu_x(cell) = <x, R_cell x>,
-exposed as an :class:`IntensityFamily`, except when an integral-type selector
-is declared path dependent, in which case only the empirical route exists.
+exposed as an :class:`IntensityFamily`.
 
 Randomness is counter based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): path p of a run with seed s draws from the Philox
@@ -35,7 +34,7 @@ element for element the formulas a single path would use.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ from .hilbert import psd_part, psd_sqrt
 from .measures import DiscreteMeasure, GridSpec, make_grid
 
 __all__ = [
-    "NoClosedFormError",
     "WhiteNoise",
     "DiscreteLevyAtom",
     "DiscreteLevy",
@@ -62,10 +60,6 @@ __all__ = [
     "OrthogonalityReport",
     "orthogonality_check",
 ]
-
-
-class NoClosedFormError(ValueError):
-    """The driver has no closed-form intensity; use empirical_intensity."""
 
 
 def _as_vector(u, dim: int | None = None) -> np.ndarray:
@@ -141,7 +135,7 @@ class NoiseSpecBase(abc.ABC):
 
     @abc.abstractmethod
     def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
-        """Closed-form intensities, or raise NoClosedFormError."""
+        """Closed-form intensities."""
 
     def validate_grid(self, grid: GridSpec) -> None:
         if grid.n_atoms != len(self.atom_labels):
@@ -158,9 +152,7 @@ class WhiteNoise(NoiseSpecBase):
     kind = "white_noise"
 
     def __post_init__(self) -> None:
-        rates = tuple((str(a), float(r)) for a, r in
-                      (self.rates.items() if isinstance(self.rates, dict)
-                       else self.rates))
+        rates = tuple((str(a), float(r)) for a, r in self.rates)
         if not rates:
             raise ValueError("white noise needs at least one atom")
         if any(r < 0 for _, r in rates):
@@ -381,16 +373,12 @@ class IntegralType(NoiseSpecBase):
     the loading vectors eta and variance weights w (which already absorb the
     cell length) are deterministic, so the intensities are the deterministic
     measures nu_x(cell) = sum_s w_{i,s} <x, eta_{i,s}>^2.
-
-    A selector marked path dependent disables the closed-form intensity
-    route; only sampling and empirical estimation remain.
     """
 
     loadings: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
     selector: tuple[int, ...]
     labels: tuple[str, ...] = ("U",)
-    path_dependent_selector: bool = False
     kind = "integral_type"
 
     def __post_init__(self) -> None:
@@ -450,14 +438,10 @@ class IntegralType(NoiseSpecBase):
         return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "LowRankIntensityFamily":
-        if self.path_dependent_selector:
-            raise NoClosedFormError(
-                "integral-type driver with a path-dependent selector has no "
-                "closed-form intensity; use empirical_intensity")
         self.validate_grid(grid)
         comps = tuple((self.selector[i], self.loadings[i], self.weights[i])
                       for i in range(grid.n_cells))
-        return LowRankIntensityFamily(grid, self.dim, len(self.labels), comps)
+        return LowRankIntensityFamily(grid, self.dim, comps)
 
     @classmethod
     def from_haar(cls, k: int) -> "IntegralType":
@@ -476,9 +460,6 @@ class IntegralType(NoiseSpecBase):
                          for i in range(n_cells))
         return cls(loadings=loadings, weights=(w,) * n_cells,
                    selector=(0,) * n_cells)
-
-
-NoiseSpec = WhiteNoise | DiscreteLevy | HValuedLevy | IntegralType
 
 
 # Paths per block: bounds the raw-draw scratch to a few MB whatever `paths`.
@@ -501,7 +482,6 @@ class MVMPathEnsemble:
 
     grid: GridSpec
     increments: np.ndarray  # (paths, n_cells, n_atoms, dim)
-    driver_meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.increments, dtype=np.float64)
@@ -586,8 +566,7 @@ def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
                 else:
                     n[row, cols] = rng.poisson(mean)
         out[lo:hi] = assemble(z[:hi - lo], n[:hi - lo])
-    meta = {"driver": spec.kind, "seed": int(seed), "paths": int(paths)}
-    return MVMPathEnsemble(grid, out, meta)
+    return MVMPathEnsemble(grid, out)
 
 
 class IntensityFamily(abc.ABC):
@@ -647,7 +626,7 @@ class LowRankIntensityFamily(IntensityFamily):
 
     _DENSE_CAP = 1 << 24
 
-    def __init__(self, grid: GridSpec, dim: int, n_atoms: int,
+    def __init__(self, grid: GridSpec, dim: int,
                  components: tuple[tuple[int, np.ndarray, np.ndarray], ...]):
         super().__init__(grid, dim)
         if len(components) != grid.n_cells:
@@ -691,11 +670,12 @@ class EmpiricalIntensity:
         return self.measure.grid
 
 
-def empirical_intensity(ens: MVMPathEnsemble, x: np.ndarray,
-                        min_paths: int = 100) -> EmpiricalIntensity:
-    """Estimate nu_x(cell) by averaging squared tested increments."""
-    if ens.paths < min_paths:
-        raise ValueError(f"need at least {min_paths} paths, have {ens.paths}")
+def empirical_intensity(ens: MVMPathEnsemble, x: np.ndarray
+                        ) -> EmpiricalIntensity:
+    """Estimate nu_x(cell) by averaging squared tested increments, from at
+    least 100 paths."""
+    if ens.paths < 100:
+        raise ValueError(f"need at least 100 paths, have {ens.paths}")
     sq = ens.paired(x) ** 2
     mean = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / np.sqrt(ens.paths)

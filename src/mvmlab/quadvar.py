@@ -197,12 +197,12 @@ class QMField:
         return self.matrices.shape[-1]
 
 
-def qm_density(alpha: BilinearMeasureField, qv: QVEstimate,
-               tol: float = 1e-9) -> QMField:
+def qm_density(alpha: BilinearMeasureField, qv: QVEstimate) -> QMField:
     """Divide the bilinear field by the quadratic variation on charged cells.
 
-    Zero-variation cells must carry (numerically) zero bilinear mass and get
-    the zero matrix; anything else is reported as an inconsistency.  The
+    Zero-variation cells must carry zero bilinear mass, up to 1e-9 times
+    ``max(1, largest |entry|)``, and get the zero matrix; anything else is
+    reported as an inconsistency.  The
     quotient matrices are symmetrized and their tiny negative eigenvalue
     bands clipped to zero in one stacked :func:`psd_part` call.
     """
@@ -211,7 +211,7 @@ def qm_density(alpha: BilinearMeasureField, qv: QVEstimate,
     qv_mass = qv.measure.cell_mass
     scale = max(1.0, float(np.abs(alpha.matrices).max(initial=0.0)))
     null = qv_mass <= 0.0
-    bad = null & (np.abs(alpha.matrices).max(axis=(2, 3)) > tol * scale)
+    bad = null & (np.abs(alpha.matrices).max(axis=(2, 3)) > 1e-9 * scale)
     if np.any(bad):
         cell = tuple(np.argwhere(bad)[0])
         raise InconsistentDensityError(

@@ -25,7 +25,12 @@ from .measures import (DiscreteMeasure, brute_force_sup, make_grid,
                        monotone_sup, sup_measures)
 
 __all__ = ["Check", "ScenarioResult", "RunReport", "SCENARIOS",
-           "run_scenario", "list_scenarios"]
+           "ScenarioInputError", "run_scenario", "list_scenarios"]
+
+
+class ScenarioInputError(ValueError):
+    """An unknown scenario, an unknown parameter, or a parameter value whose
+    JSON type differs from its default's."""
 
 
 @dataclass(frozen=True)
@@ -120,19 +125,19 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rng = np.random.default_rng(seed)
-    trials = int(params["trials"])
+    trials = params["trials"]
     mismatches = 0
     worst_gap = 0.0
     rows = ["trial,n_measures,n_cells,cellwise,partition"]
     for trial in range(trials):
         grid = make_grid(1.0, int(rng.integers(1, 4)),
                          [f"a{j}" for j in range(rng.integers(1, 3))])
-        n_meas = int(rng.integers(1, int(params["max_measures"]) + 1))
+        n_meas = int(rng.integers(1, params["max_measures"] + 1))
         family = [DiscreteMeasure(grid, rng.integers(0, 41, size=(
             grid.n_cells, grid.n_atoms)) / 8.0) for _ in range(n_meas)]
         all_cells = grid.cells()
         size = int(rng.integers(1, min(len(all_cells),
-                                       int(params["max_cells"])) + 1))
+                                       params["max_cells"]) + 1))
         pick = rng.choice(len(all_cells), size=size, replace=False)
         cells = [all_cells[i] for i in pick]
         cellwise = sup_measures(family).mass(cells)
@@ -174,8 +179,7 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rates = tuple((str(k), float(v)) for k, v in params["rates"])
     spec = noise.WhiteNoise(rates=rates)
-    grid = noise.default_grid(spec, float(params["t_max"]),
-                              int(params["steps"]))
+    grid = noise.default_grid(spec, params["t_max"], params["steps"])
     ens = noise.simulate(spec, grid, paths, seed)
     lam = spec.rate_values
     one = np.array([1.0])
@@ -234,13 +238,11 @@ def _levy_menu(seed: int, dim: int) -> noise.DiscreteLevy:
 
 def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    dim = int(params["dim"])
+    dim = params["dim"]
     spec = _levy_menu(seed, dim)
-    grid = noise.default_grid(spec, float(params["t_max"]),
-                              int(params["steps"]))
+    grid = noise.default_grid(spec, params["t_max"], params["steps"])
     family = noise.intensity_family(spec, grid)
-    vectors = sphere_sequence(dim, int(params["sphere"]),
-                              int(params["sphere_seed"]))
+    vectors = sphere_sequence(dim, params["sphere"], params["sphere_seed"])
     est = quadvar.qv_supremum(family, vectors)
     covs = [atom.effective_cov() for atom in spec.atoms]
     norms = [operator_norm_psd(c) for c in covs]
@@ -249,7 +251,7 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     # Sphere supremum against dt * ||Q_k||, relative shortfall per atom.
     rel = max((dt * norms[k] - est.measure.cell_mass[0, k]) / (dt * norms[k])
               for k in range(len(covs)))
-    res.add_upper("qv_rel_shortfall", float(rel), float(params["qv_rtol"]),
+    res.add_upper("qv_rel_shortfall", float(rel), params["qv_rtol"],
                   "closed_form",
                   f"atom norms {[round(n, 4) for n in norms]}, sphere "
                   f"{len(vectors)}")
@@ -270,7 +272,7 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     qm = quadvar.qm_density(alpha, est)
     worst = max(float(np.abs(qm.matrices[0, k] - covs[k] / norms[k]).max())
                 for k in range(len(covs)))
-    res.add_upper("qm_entrywise_gap", worst, float(params["qm_atol"]),
+    res.add_upper("qm_entrywise_gap", worst, params["qm_atol"],
                   "closed_form", "density vs normalized covariance")
 
     # Kunita-Watanabe-type bound: |alpha(x, y)| <= ||x|| ||y|| qv, cellwise.
@@ -281,7 +283,7 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
         a = quadvar.alpha_polarization(family, x, y)
         bound = est.measure.scaled(np.linalg.norm(x) * np.linalg.norm(y))
         # The sphere sup slightly undershoots; allow its relative shortfall.
-        slack = float(params["qv_rtol"]) * bound.cell_mass.max()
+        slack = params["qv_rtol"] * bound.cell_mass.max()
         excess = np.abs(a.cell_mass) - bound.cell_mass
         bound_ok = max(bound_ok, float(excess.max()) - slack)
     res.add_upper("alpha_bound_excess", bound_ok, 0.0, "analytic_bound",
@@ -297,17 +299,15 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    dim = int(params["dim"])
+    dim = params["dim"]
     rng = np.random.default_rng(seed)
     q = _random_psd(rng, dim)
     jumps = tuple((rng.standard_normal(dim) * (1.0 + j), 1.0 + 1.5 * j)
-                  for j in range(int(params["jumps"])))
+                  for j in range(params["jumps"]))
     spec = noise.HValuedLevy(wiener_cov=q, jump_atoms=jumps)
-    grid = noise.default_grid(spec, float(params["t_max"]),
-                              int(params["steps"]))
+    grid = noise.default_grid(spec, params["t_max"], params["steps"])
     family = noise.intensity_family(spec, grid)
-    vectors = sphere_sequence(dim, int(params["sphere"]),
-                              int(params["sphere_seed"]))
+    vectors = sphere_sequence(dim, params["sphere"], params["sphere_seed"])
     est = quadvar.qv_supremum(family, vectors)
     dt = grid.dt[0]
     q_norm = operator_norm_psd(q)
@@ -315,7 +315,7 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     targets = [dt * q_norm] + [dt * rate * float(u @ u) for u, rate in jumps]
     rel = max((t - est.measure.cell_mass[0, j]) / t
               for j, t in enumerate(targets))
-    res.add_upper("qv_rel_shortfall", float(rel), float(params["qv_rtol"]),
+    res.add_upper("qv_rel_shortfall", float(rel), params["qv_rtol"],
                   "closed_form", "origin atom dt ||Q||; jump atoms "
                   "dt rate ||u||^2")
 
@@ -324,7 +324,7 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     for j, (u, _) in enumerate(jumps):
         proj = np.outer(u, u) / float(u @ u)
         gaps.append(float(np.abs(qm.matrices[0, 1 + j] - proj).max()))
-    res.add_upper("qm_entrywise_gap", max(gaps), float(params["qm_atol"]),
+    res.add_upper("qm_entrywise_gap", max(gaps), params["qm_atol"],
                   "closed_form",
                   "origin density Q/||Q||; jump densities rank-1 projections")
 
@@ -354,7 +354,7 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    k_max = int(params["k_max"])
+    k_max = params["k_max"]
     rows = ["k,partition_sum,lower_bound,trace_ratio"]
     worst_exact = 0.0
     worst_lower = np.inf
@@ -376,7 +376,7 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
                   "quadratic variation exists")
 
     # Simulate the driver at a small level and match quadrature intensities.
-    k_sim = int(params["k_sim"])
+    k_sim = params["k_sim"]
     spec = noise.IntegralType.from_haar(k_sim)
     grid = noise.default_grid(spec, 1.0, 2 ** k_sim)
     ens = noise.simulate(spec, grid, paths, seed)
@@ -491,8 +491,8 @@ def _qm_qv_for(spec, grid, sphere_seed: int = 11):
 def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rows = ["pair,mc_second_moment,lambda2_sq,z_isometry,max_z_mean"]
-    for idx, (name, spec, grid, build) in enumerate(_isometry_pairs(
-            int(params["pair_seed"]))):
+    for idx, (name, spec, grid, build) in enumerate(
+            _isometry_pairs(params["pair_seed"])):
         ens = noise.simulate(spec, grid, paths, seed + idx)
         phi = build(ens)
         qm, qv = _qm_qv_for(spec, grid)
@@ -533,19 +533,18 @@ def _scn_fubini(seed: int, paths: int, params: dict) -> ScenarioResult:
                            jump_atoms=((rng.standard_normal(3), 1.5),))
     grid = noise.default_grid(hv, 1.0, 16)
     ens = noise.simulate(hv, grid, paths, seed)
-    n_members = int(params["family_size"])
+    n_members = params["family_size"]
     members = []
     for _ in range(n_members):
         profile = np.stack([np.cos(3 * t) * rng.standard_normal((2, 3))
                             for t in grid.time_points[:-1]])
         members.append(integrate.GridIntegrand.from_time_profile(grid, profile))
     weights = rng.random(n_members)
-    report = integrate.fubini_check(members, weights, ens,
-                                    tol=float(params["tol"]))
+    report = integrate.fubini_check(members, weights, ens)
     res.add_upper("fubini_gap_over_scale", report.max_abs_gap / report.scale,
-                  float(params["tol"]), "exact_identity",
+                  params["tol"], "exact_identity",
                   f"family of {n_members} integrands, weighted mix")
-    res.artifacts["fubini_mixed.csv"] = report.combined.summary_csv()
+    res.artifacts["fubini_mixed.csv"] = report.lhs.summary_csv()
     return res
 
 
@@ -555,7 +554,7 @@ def _scn_fubini(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 def _scn_stopped(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    tol = float(params["tol"])
+    tol = params["tol"]
     spec = _levy_menu(seed + 3, 4)
     grid = noise.default_grid(spec, 1.0, 20)
     ens = noise.simulate(spec, grid, paths, seed)
@@ -600,8 +599,7 @@ def _scn_stopped(seed: int, paths: int, params: dict) -> ScenarioResult:
                   float(np.abs(lhs.values - rhs).max()) / scale, tol,
                   "exact_identity")
 
-    push = integrate.pushforward_commute(rng.standard_normal((2, 3)), phi, ens,
-                                         tol=tol)
+    push = integrate.pushforward_commute(rng.standard_normal((2, 3)), phi, ens)
     res.add_upper("pushforward_gap_over_scale",
                   push.max_abs_gap / push.scale, tol, "exact_identity")
 
@@ -637,10 +635,10 @@ def _heat_instance(seed: int, modes: int, channels: int):
 
 def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    modes = int(params["modes"])
-    steps = int(params["steps"])
-    channels = int(params["channels"])
-    ex = _heat_instance(int(params["instance_seed"]), modes, channels)
+    modes = params["modes"]
+    steps = params["steps"]
+    channels = params["channels"]
+    ex = _heat_instance(params["instance_seed"], modes, channels)
     x0 = 1.0 / np.arange(1, modes + 1)
 
     # (a) zero-noise solve reproduces the modewise exponential decay.
@@ -677,20 +675,20 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     res.artifacts["heat_solution.csv"] = sol.summary_csv()
 
     # (d) weak residual decays at first order across grid refinements.
-    res_paths = int(params["residual_paths"])
+    res_paths = params["residual_paths"]
     sizes = [steps // 4, steps // 2, steps]
     metrics = []
     for n_steps in sizes:
         g = noise.default_grid(ex.noise_spec, 1.0, n_steps)
         e = noise.simulate(ex.noise_spec, g, res_paths, seed + 2)
         s = spde.picard_solve(ex.semigroup, ex.coefficients, e, x0, tol=1e-10)
-        worst = max(spde.weak_residual(s, ex.semigroup, ex.coefficients, e,
-                                       k).max_abs().mean()
-                    for k in range(modes))
+        peak = np.abs(spde.weak_residual(s, ex.semigroup, ex.coefficients,
+                                         e)).max(axis=1)
+        worst = max(peak[:, k].mean() for k in range(modes))
         metrics.append(worst)
     dts = 1.0 / np.asarray(sizes, dtype=float)
     slope = float(np.polyfit(np.log(dts), np.log(metrics), 1)[0])
-    res.add("weak_residual_order", slope, 1.0, float(params["slope_band"]),
+    res.add("weak_residual_order", slope, 1.0, params["slope_band"],
             "quadrature", f"residuals {[f'{m:.4g}' for m in metrics]}")
     rows = ["steps,dt,mean_max_residual"]
     rows += [f"{n},{1.0 / n!r},{float(m)!r}" for n, m in zip(sizes, metrics)]
@@ -700,22 +698,21 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    modes = int(params["modes"])
-    steps = int(params["steps"])
-    ex = _heat_instance(int(params["instance_seed"]), modes,
-                        int(params["channels"]))
-    gain = float(params["drift_gain"])
+    modes = params["modes"]
+    steps = params["steps"]
+    ex = _heat_instance(params["instance_seed"], modes, params["channels"])
+    gain = params["drift_gain"]
     coeffs = spde.linear_drift_coefficients(gain, ex.f_matrix[None])
     grid = noise.default_grid(ex.noise_spec, 1.0, steps)
     ens = noise.simulate(ex.noise_spec, grid, paths, seed)
     x0 = 1.0 / np.arange(1, modes + 1)
-    beta = spde.default_beta(ex.semigroup, coeffs, grid.t_max)
-    fb, ff = spde.contraction_factors(ex.semigroup, coeffs, grid.t_max, beta)
+    beta = spde.default_beta(coeffs, grid.t_max)
+    fb, ff = spde.contraction_factors(coeffs, grid.t_max, beta)
     res.add("analytic_drift_factor", fb, 0.125, 1e-12, "analytic_bound",
             f"beta = {beta}")
-    tol = float(params["tol"])
+    tol = params["tol"]
     sol = spde.picard_solve(ex.semigroup, coeffs, ens, x0, beta=beta, tol=tol,
-                            max_iter=int(params["max_iter"]))
+                            max_iter=params["max_iter"])
     ratios = sol.ratios()
     res.add("picard_converged", 0.0 if sol.converged else 1.0, 0.0, 0.0,
             "analytic_bound", f"{sol.iterations} iterations")
@@ -731,7 +728,7 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
                   "analytic_bound", f"contraction bound {analytic:.4f}")
 
     sol_zero = spde.picard_solve(ex.semigroup, coeffs, ens, x0, beta=beta,
-                                 tol=tol, max_iter=int(params["max_iter"]),
+                                 tol=tol, max_iter=params["max_iter"],
                                  initial="zero")
     dist = spde.v_beta_distance(sol.values, sol_zero.values, ens.times, beta)
     res.add_upper("fixed_point_uniqueness_gap", dist, 10 * tol,
@@ -824,18 +821,37 @@ def list_scenarios() -> str:
     return buf.getvalue()
 
 
+_PARAM_KINDS = {int: "an integer", float: "a number", list: "a list"}
+
+
+def _checked(name: str, key: str, default, value):
+    """`value` if it has the JSON type of `default`: an integer default takes
+    an integer, a float default any number (stored as a float), a list
+    default a list; a bool is none of these."""
+    kind = type(default)
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ScenarioInputError(
+            f"parameter {key!r} of scenario {name!r} must be "
+            f"{_PARAM_KINDS[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
                  params: dict | None = None) -> RunReport:
+    """Run a scenario with `params` overriding its defaults; every override
+    is checked before anything runs (see :class:`ScenarioInputError`)."""
     if name not in SCENARIOS:
-        raise KeyError(f"unknown scenario {name!r}; choices: "
-                       f"{', '.join(sorted(SCENARIOS))}")
+        raise ScenarioInputError(f"unknown scenario {name!r}; choices: "
+                                 f"{', '.join(sorted(SCENARIOS))}")
     item = SCENARIOS[name]
     merged = dict(item.params)
     for key, value in (params or {}).items():
         if key not in merged:
-            raise KeyError(f"unknown parameter {key!r} for scenario {name!r}; "
-                           f"expected keys: {', '.join(sorted(merged))}")
-        merged[key] = value
+            raise ScenarioInputError(
+                f"unknown parameter {key!r} for scenario {name!r}; "
+                f"expected keys: {', '.join(sorted(merged))}")
+        merged[key] = _checked(name, key, merged[key], value)
     seed = item.seed if seed is None else int(seed)
     paths = item.paths if paths is None else int(paths)
     start = time.perf_counter()

@@ -10,7 +10,7 @@ stochastic convolution evaluated at left endpoints.  The iteration is run in
 an exponentially weighted path norm (weight ``exp(-beta t)``) whose strength
 is chosen from the two contraction factors of the drift and noise parts; the
 weak (tested) form of the equation is available as a pathwise residual
-against spectral test vectors, which vanishes at first order in the step.
+against every eigenmode, which vanishes at first order in the step.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import GridIntegrand, IntegralPathEnsemble, _contract_cells
-from .measures import DiscreteMeasure, GridMismatchError, _csv_text
+from .measures import GridMismatchError, _csv_text
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
 
@@ -40,7 +40,6 @@ __all__ = [
     "default_beta",
     "MildSolutionPath",
     "picard_solve",
-    "WeakResidualReport",
     "weak_residual",
     "HeatExample",
     "heat_example_setup",
@@ -49,20 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DiagonalSemigroup:
-    """Semigroup ``S(t) = diag(exp(-lambda_k t))`` with growth envelope
-    ``||S(t)|| <= N exp(kappa t)`` (for nonnegative rates, N = 1, kappa = 0).
-    """
+    """Semigroup ``S(t) = diag(exp(-lambda_k t))`` with nonnegative rates, so
+    ``||S(t)|| <= 1``."""
 
     rates: np.ndarray
-    bound_n: float = 1.0
-    bound_kappa: float = 0.0
 
     def __post_init__(self) -> None:
         rates = np.asarray(self.rates, dtype=np.float64)
         if rates.ndim != 1 or rates.size == 0:
             raise ValueError("need a nonempty vector of decay rates")
         if np.any(rates < 0):
-            raise ValueError("negative decay rate; use a growth envelope instead")
+            raise ValueError("negative decay rate")
         object.__setattr__(self, "rates", rates)
 
     @property
@@ -159,18 +155,25 @@ def _at_left_endpoints(fn: Callable, times: np.ndarray,
                      for i in range(len(times) - 1)], axis=1)
 
 
-def _noise_field(coeffs: CoefficientSpec, times: np.ndarray,
-                 states: np.ndarray) -> np.ndarray:
-    """Evaluate F at left endpoints: (paths, n_cells, atoms, G, H)."""
-    if coeffs.additive:
+def _noise_term(coeffs: CoefficientSpec, ens: MVMPathEnsemble,
+                states: np.ndarray) -> np.ndarray | float:
+    """Cellwise noise actions ``F(t_i, X_i) dM_i``, (paths, n_cells, G).
+
+    A constant field is contracted as one shared (4-d) field, a
+    state-dependent one per path at the left endpoints of `states`; without
+    noise the term is 0.0."""
+    if coeffs.noise is not None:
+        field = _at_left_endpoints(coeffs.noise, ens.times, states)
+    elif coeffs.noise_matrices is not None:
         mats = coeffs.noise_matrices
-        return np.broadcast_to(mats, (states.shape[0], len(times) - 1)
-                               + mats.shape)
-    return _at_left_endpoints(coeffs.noise, times, states)
+        field = np.broadcast_to(mats, (ens.grid.n_cells,) + mats.shape).copy()
+    else:
+        return 0.0
+    return _contract_cells(field, ens.increments)
 
 
 def coefficient_spot_check(coeffs: CoefficientSpec, grid, qm: QMField,
-                           qv: QVEstimate | DiscreteMeasure, dim_g: int,
+                           qv: QVEstimate, dim_g: int,
                            samples: int = 32, seed: int = 0,
                            slack: float = 1.001) -> dict:
     """Empirically test the declared growth and Lipschitz constants.
@@ -233,8 +236,7 @@ def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
-                              qm: QMField, qv: QVEstimate | DiscreteMeasure
-                              ) -> np.ndarray:
+                              qm: QMField, qv: QVEstimate) -> np.ndarray:
     """Modewise closed form for ``E ||conv_t||^2`` (deterministic Phi).
 
     Per cell and mode the convolution picks up variance
@@ -243,8 +245,7 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     """
     if phi.per_path:
         raise ValueError("closed form requires a deterministic integrand")
-    measure = qv.measure if isinstance(qv, QVEstimate) else qv
-    weighted = measure.cell_mass[:, :, None, None] * qm.matrices
+    weighted = qv.measure.cell_mass[:, :, None, None] * qm.matrices
     per_mode = np.einsum("iagh,iahl,iagl->ig", phi.values, weighted,
                          phi.values, optimize=True)
     doubled = DiagonalSemigroup(2 * sg.rates)
@@ -264,19 +265,16 @@ def v_beta_distance(a: np.ndarray, b: np.ndarray, times: np.ndarray,
     return float(np.sqrt((diff * w).sum(axis=1).mean()))
 
 
-def contraction_factors(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
-                        t_max: float, beta: float) -> tuple[float, float]:
-    """The two fixed-point contraction factors (drift, noise) at weight beta."""
-    env = sg.bound_n ** 2 * np.exp(2 * sg.bound_kappa * t_max)
-    return (env * coeffs.drift_bound ** 2 * t_max / beta,
-            env * coeffs.noise_bound / beta)
+def contraction_factors(coeffs: CoefficientSpec, t_max: float,
+                        beta: float) -> tuple[float, float]:
+    """The two fixed-point contraction factors (drift, noise) at weight beta,
+    for a semigroup with ``||S(t)|| <= 1``."""
+    return (coeffs.drift_bound ** 2 * t_max / beta, coeffs.noise_bound / beta)
 
 
-def default_beta(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
-                 t_max: float) -> float:
+def default_beta(coeffs: CoefficientSpec, t_max: float) -> float:
     """Weight making both contraction factors at most 1/8."""
-    env = sg.bound_n ** 2 * np.exp(2 * sg.bound_kappa * t_max)
-    base = max(env * coeffs.drift_bound ** 2 * t_max, env * coeffs.noise_bound)
+    base = max(coeffs.drift_bound ** 2 * t_max, coeffs.noise_bound)
     return 8.0 * base if base > 0 else 1.0
 
 
@@ -289,7 +287,6 @@ class MildSolutionPath:
     picard_trace: tuple[float, ...]
     converged: bool
     beta: float
-    tolerance: float
 
     @property
     def paths(self) -> int:
@@ -334,10 +331,10 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
     t_max = float(times[-1])
     dt = np.diff(times)
     if beta is None:
-        beta = default_beta(sg, coeffs, t_max)
+        beta = default_beta(coeffs, t_max)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    fb, ff = contraction_factors(sg, coeffs, t_max, beta)
+    fb, ff = contraction_factors(coeffs, t_max, beta)
     if fb >= 0.25 or ff >= 0.25:
         raise ValueError(
             f"weight beta={beta} leaves contraction factors ({fb:.3f}, "
@@ -351,10 +348,10 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
 
     fixed_noise = None
     if coeffs.additive and coeffs.noise_matrices is not None:
-        phi = GridIntegrand(ens.grid, np.broadcast_to(
-            coeffs.noise_matrices,
-            (len(dt),) + coeffs.noise_matrices.shape).copy())
-        fixed_noise = stochastic_convolution(sg, phi, ens).values
+        if coeffs.noise_matrices.shape[1] != sg.dim:
+            raise ValueError(f"semigroup acts on dim {sg.dim}, noise maps to "
+                             f"{coeffs.noise_matrices.shape[1]}")
+        fixed_noise = sg.scan(times, _noise_term(coeffs, ens, sem_term))
 
     def apply_map(x: np.ndarray) -> np.ndarray:
         out = sem_term.copy()
@@ -364,8 +361,7 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
         if fixed_noise is not None:
             out = out + fixed_noise
         elif coeffs.noise is not None:
-            field = _at_left_endpoints(coeffs.noise, times, x)
-            out = out + sg.scan(times, _contract_cells(field, ens.increments))
+            out = out + sg.scan(times, _noise_term(coeffs, ens, x))
         return out
 
     if initial == "semigroup":
@@ -388,61 +384,31 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
             break
     return MildSolutionPath(times=times, values=x,
                             picard_trace=tuple(trace), converged=converged,
-                            beta=float(beta), tolerance=float(tol))
-
-
-@dataclass(frozen=True, eq=False)
-class WeakResidualReport:
-    """Pathwise defect of the tested (weak) form against one spectral mode."""
-
-    mode: int
-    residuals: np.ndarray  # (paths, n_times)
-
-    def max_abs(self) -> np.ndarray:
-        return np.abs(self.residuals).max(axis=1)
-
-
-def _mode_index(sg: DiagonalSemigroup, g) -> int:
-    if isinstance(g, (int, np.integer)):
-        k = int(g)
-        if not 0 <= k < sg.dim:
-            raise ValueError(f"mode index {k} outside range 0..{sg.dim - 1}")
-        return k
-    g = np.asarray(g, dtype=np.float64)
-    nz = np.nonzero(g)[0]
-    if g.shape != (sg.dim,) or len(nz) != 1:
-        raise ValueError("test vector must be a single spectral mode")
-    return int(nz[0])
+                            beta=float(beta))
 
 
 def weak_residual(sol: MildSolutionPath, sg: DiagonalSemigroup,
-                  coeffs: CoefficientSpec, ens: MVMPathEnsemble,
-                  mode) -> WeakResidualReport:
-    """Residual of the weak form along one eigenmode, per path and time.
+                  coeffs: CoefficientSpec, ens: MVMPathEnsemble
+                  ) -> np.ndarray:
+    """Residual of the weak form along every eigenmode: (paths, n_times,
+    modes).
 
-    Tests X against a spectral vector g: the defect is
-    ``<X_t - X_0, g> + l_k int <X_s, g> ds - int <B, g> ds - noise term``
+    Along mode k the defect is
+    ``X^k_t - X^k_0 + l_k int X^k_s ds - int B^k ds - noise term``
     with left-endpoint quadrature; for solutions produced by the mild
     iteration it vanishes at first order in the step size.
     """
-    k = _mode_index(sg, mode)
     times = ens.times
     dt = np.diff(times)
     x = sol.values
-    xk = x[:, :, k]
-    drift_k = 0.0 if coeffs.drift is None else \
-        _at_left_endpoints(coeffs.drift, times, x)[..., k]
-    noise_k = 0.0
-    if not coeffs.additive or coeffs.noise_matrices is not None:
-        field = _noise_field(coeffs, times, x)
-        noise_k = _contract_cells(field[:, :, :, k:k + 1, :],
-                                  ens.increments)[..., 0]
-    lam = sg.rates[k]
-    inner = (lam * xk[:, :-1] - drift_k) * dt[None, :] - noise_k
-    residuals = np.zeros_like(xk)
+    drift = 0.0 if coeffs.drift is None else \
+        _at_left_endpoints(coeffs.drift, times, x)
+    inner = (sg.rates * x[:, :-1] - drift) * dt[None, :, None] \
+        - _noise_term(coeffs, ens, x)
+    residuals = np.zeros_like(x)
     residuals[:, 1:] = np.cumsum(inner, axis=1)
-    residuals += xk - xk[:, [0]]
-    return WeakResidualReport(mode=k, residuals=residuals)
+    residuals += x - x[:, [0]]
+    return residuals
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,14 +428,14 @@ class HeatExample:
 
 
 def heat_example_setup(sigma_modes: np.ndarray, alphas: np.ndarray,
-                       wiener_cov: np.ndarray | None = None,
                        jumps: Sequence[tuple[np.ndarray, float]] = ()
                        ) -> HeatExample:
     """Assemble the heat scenario: semigroup, additive F, and its driver.
 
     `sigma_modes` holds one row of sine-mode coefficients per noise channel;
     `alphas` the channel gains.  The driver is a single-mark noise on
-    R^{n_sigma} with the given Wiener covariance and compensated jumps.
+    R^{n_sigma} with identity Wiener covariance and the given compensated
+    jumps.
     """
     sigma_modes = np.atleast_2d(np.asarray(sigma_modes, dtype=np.float64))
     alphas = np.asarray(alphas, dtype=np.float64)
@@ -481,9 +447,7 @@ def heat_example_setup(sigma_modes: np.ndarray, alphas: np.ndarray,
     target = float((alphas ** 2 * (sigma_modes ** 2).sum(axis=1)).sum())
     if abs(hs_sq - target) > 1e-12 * max(1.0, target):
         raise AssertionError("Hilbert-Schmidt bookkeeping mismatch")
-    cov = np.eye(n_sigma) if wiener_cov is None else np.asarray(wiener_cov,
-                                                                float)
-    atom = DiscreteLevyAtom("U", brownian_cov=cov,
+    atom = DiscreteLevyAtom("U", brownian_cov=np.eye(n_sigma),
                             jumps=tuple((np.asarray(u, float), float(r))
                                         for u, r in jumps))
     spec = DiscreteLevy((atom,))

@@ -63,6 +63,16 @@ PATHS_RULE = '"paths" must be an integer >= 1'
     (json.dumps({"scenario": "fubini", "paths": 0}), PATHS_RULE),
     (json.dumps({"scenario": "fubini", "paths": 2.0}), PATHS_RULE),
     (json.dumps({"scenario": "fubini", "paths": False}), PATHS_RULE),
+    (json.dumps({"scenario": "sup_measures_oracle",
+                 "params": {"trials": "many"}}), "'trials' of scenario"),
+    (json.dumps({"scenario": "sup_measures_oracle",
+                 "params": {"trials": 2.5}}), "must be an integer, got 2.5"),
+    (json.dumps({"scenario": "sup_measures_oracle",
+                 "params": {"trials": True}}), "must be an integer, got True"),
+    (json.dumps({"scenario": "fubini", "params": {"tol": "tiny"}}),
+     "'tol' of scenario 'fubini' must be a number, got 'tiny'"),
+    (json.dumps({"scenario": "stopped_integral",
+                 "params": {"thresholds": 2.0}}), "must be a list, got 2.0"),
 ])
 def test_bad_configs_exit_one(tmp_path, capsys, payload, fragment):
     path = tmp_path / "bad.json"

@@ -276,7 +276,7 @@ def test_stopped_integral_identity_is_exact(ens):
     assert report.scale >= 1.0
     # Clamped paths are constant from the stopping time onward.
     for p in (0, 1, 2):
-        tail = report.clamped.values[p, stop[p]:]
+        tail = report.rhs.values[p, stop[p]:]
         assert np.all(tail == tail[0])
     with pytest.raises(ValueError, match="one stopping index"):
         truncate_integrand(phi, stop[:5], ens.paths)
@@ -302,9 +302,8 @@ def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
     for report in reports:
         assert report.max_abs_gap == 0.0
     for report in reports[1:]:
-        assert np.array_equal(report.truncated.values,
-                              reports[0].truncated.values)
-        assert np.array_equal(report.clamped.values, reports[0].clamped.values)
+        assert np.array_equal(report.lhs.values, reports[0].lhs.values)
+        assert np.array_equal(report.rhs.values, reports[0].rhs.values)
 
 
 def _contraction_ordered(values):
@@ -427,7 +426,7 @@ def test_fubini_identity_and_validation(ens):
                for _ in range(4)]
     weights = [0.1, 0.4, 0.2, 0.3]
     report = fubini_check(members, weights, ens)
-    assert report.passed and report.max_abs_gap <= 1e-10 * report.scale
+    assert report.max_abs_gap <= 1e-10 * report.scale
     with pytest.raises(ValueError, match="matching"):
         fubini_check(members, weights[:2], ens)
     with pytest.raises(ValueError, match="matching"):
@@ -439,7 +438,6 @@ def test_pushforward_commutes(ens):
     phi = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 3, 2)))
     op = rng.standard_normal((4, 3))
     report = pushforward_commute(op, phi, ens)
-    assert report.passed
     assert report.max_abs_gap <= 1e-10 * report.scale
     with pytest.raises(ValueError, match="compose"):
         phi.compose(rng.standard_normal((4, 5)))

@@ -6,7 +6,7 @@ import pytest
 from mvmlab.haar import haar_cell_integrals, haar_dimension
 from mvmlab.hilbert import psd_sqrt
 from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom, HValuedLevy,
-                          IntegralType, NoClosedFormError, WhiteNoise,
+                          IntegralType, WhiteNoise,
                           default_grid, empirical_intensity, intensity_family,
                           orthogonality_check, simulate)
 
@@ -35,7 +35,7 @@ def test_white_noise_validation():
         WhiteNoise(rates=())
     with pytest.raises(ValueError):
         WhiteNoise(rates=(("a", -1.0),))
-    spec = WhiteNoise(rates={"a": 0.5, "b": 2.0})
+    spec = WhiteNoise(rates=(("a", 0.5), ("b", 2.0)))
     assert spec.atom_labels == ("a", "b")
     np.testing.assert_array_equal(spec.rate_values, [0.5, 2.0])
     assert spec.dim == 1
@@ -173,17 +173,6 @@ def test_haar_integral_type_intensities_match_exact_tables():
                                family.masses(x), rtol=1e-12)
 
 
-def test_path_dependent_selector_has_no_closed_form():
-    spec = IntegralType(loadings=(np.ones((1, 2)),), weights=(np.ones(1),),
-                        selector=(0,), path_dependent_selector=True)
-    grid = default_grid(spec, 1.0, 1)
-    with pytest.raises(NoClosedFormError):
-        intensity_family(spec, grid)
-    # Sampling still works.
-    ens = simulate(spec, grid, 3, 0)
-    assert ens.increments.shape == (3, 1, 1, 2)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo: empirical intensities, moments, orthogonality
 
@@ -197,8 +186,8 @@ def test_empirical_intensity_within_three_sigma(levy_spec):
     target = intensity_family(levy_spec, grid).measure(x)
     z = np.abs(emp.measure.cell_mass - target.cell_mass) / emp.standard_error
     assert z.max() < 3.5
-    with pytest.raises(ValueError, match="at least"):
-        empirical_intensity(ens, x, min_paths=10 ** 6)
+    with pytest.raises(ValueError, match="at least 100 paths, have 99"):
+        empirical_intensity(simulate(levy_spec, grid, 99, 7), x)
 
 
 def test_increment_means_are_compensated(levy_spec):

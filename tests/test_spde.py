@@ -156,14 +156,13 @@ def test_v_beta_distance_matches_loop_oracle():
 
 
 def test_default_beta_pins_factors_at_an_eighth():
-    sg = heat_semigroup(4)
     coeffs = linear_drift_coefficients(1.7)
-    beta = default_beta(sg, coeffs, 1.0)
-    fb, ff = contraction_factors(sg, coeffs, 1.0, beta)
+    beta = default_beta(coeffs, 1.0)
+    fb, ff = contraction_factors(coeffs, 1.0, beta)
     assert fb == pytest.approx(0.125, abs=1e-15)
     assert ff == 0.0
     # No constants at all: the weight defaults to one.
-    assert default_beta(sg, CoefficientSpec(), 1.0) == 1.0
+    assert default_beta(CoefficientSpec(), 1.0) == 1.0
 
 
 def test_coefficient_spec_validation():
@@ -228,7 +227,7 @@ def test_picard_contraction_diagnostics(heat):
     x0 = np.full(heat.semigroup.dim, 0.5)
     sol = picard_solve(heat.semigroup, coeffs, ens, x0, tol=1e-9)
     assert sol.converged and sol.iterations <= 12
-    fb, ff = contraction_factors(heat.semigroup, coeffs, 1.0, sol.beta)
+    fb, ff = contraction_factors(coeffs, 1.0, sol.beta)
     limit = np.sqrt(2 * (fb + ff))
     assert all(r <= limit + 0.05 for r in sol.ratios())
     assert sol.picard_trace[-1] <= 1e-9
@@ -273,8 +272,8 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
         noise_k = np.einsum("ph,ph->p", row_k, ens.increments[:, i, 0])
         expect[:, i + 1] = expect[:, i] + lam * x[:, i, k] * dt[i] - noise_k
     expect += x[:, :, k] - x[:, :1, k]
-    report = weak_residual(sol, heat.semigroup, coeffs, ens, k)
-    np.testing.assert_allclose(report.residuals, expect, rtol=0, atol=1e-12)
+    residuals = weak_residual(sol, heat.semigroup, coeffs, ens)
+    np.testing.assert_allclose(residuals[:, :, k], expect, rtol=0, atol=1e-12)
 
 
 def test_picard_rejects_weak_contraction(heat):
@@ -307,35 +306,17 @@ def test_weak_residual_zero_noise_closed_form():
         grid = default_grid(silent, 1.0, steps)
         ens = simulate(silent, grid, 2, 71)
         sol = picard_solve(sg, CoefficientSpec(), ens, x0)
-        report = weak_residual(sol, sg, CoefficientSpec(), ens, 0)
+        residuals = weak_residual(sol, sg, CoefficientSpec(), ens)[:, :, 0]
         times = np.asarray(grid.time_points)
         lam, dt = sg.rates[0], 1.0 / steps
         decay = np.exp(-lam * times)
         expect = x0[0] * (decay - 1.0
                           + lam * dt * (1.0 - decay) / (1.0 - np.exp(-lam * dt)))
-        np.testing.assert_allclose(report.residuals[0], expect, atol=1e-12)
-        return float(report.max_abs().max())
+        np.testing.assert_allclose(residuals[0], expect, atol=1e-12)
+        return float(np.abs(residuals).max())
 
     coarse, fine = max_residual(16), max_residual(32)
     assert 1.8 <= coarse / fine <= 2.2  # first order in the step size
-
-
-def test_weak_residual_mode_selection(heat):
-    grid = default_grid(heat.noise_spec, 1.0, 8)
-    ens = simulate(heat.noise_spec, grid, 16, 73)
-    sol = picard_solve(heat.semigroup, heat.coefficients, ens,
-                       np.zeros(heat.semigroup.dim))
-    by_index = weak_residual(sol, heat.semigroup, heat.coefficients, ens, 1)
-    vec = np.zeros(heat.semigroup.dim)
-    vec[1] = 3.0  # scale does not matter for mode selection
-    by_vector = weak_residual(sol, heat.semigroup, heat.coefficients, ens, vec)
-    assert by_index.mode == by_vector.mode == 1
-    np.testing.assert_array_equal(by_index.residuals, by_vector.residuals)
-    with pytest.raises(ValueError, match="single spectral mode"):
-        weak_residual(sol, heat.semigroup, heat.coefficients, ens,
-                      np.ones(heat.semigroup.dim))
-    with pytest.raises(ValueError, match="outside range"):
-        weak_residual(sol, heat.semigroup, heat.coefficients, ens, 99)
 
 
 # ---------------------------------------------------------------------------
