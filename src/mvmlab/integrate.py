@@ -8,6 +8,12 @@ is the point, since the isometry
 ``E ||I_T||^2 = E sum_cells ||Phi o Q_M^{1/2}||_HS^2 qv(cell)``
 is checked between independently computed sides.
 
+On the grid the integral is the cumulative sum of the cellwise actions
+``sum_atoms Phi dM``, and the integral of ``1_A Phi`` is that of the actions
+masked by A.  So stopping, window/event restriction and localization
+contract the field once and mask its actions; no masked copy of the field
+is made.
+
 Adaptedness is structural: events, history-dependent operator fields and
 stopping rules are hooks that receive only a read-only view of the increments
 of cells strictly before the current time, so referencing the future or
@@ -18,7 +24,7 @@ access is surfaced as an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,10 +45,9 @@ __all__ = [
     "cell_costs",
     "lambda2_profile",
     "grid_stopping_time",
-    "truncate_integrand",
     "IdentityReport",
     "stopped_integral",
-    "restrict_integrand",
+    "restricted_integral",
     "localize",
     "LocalizationReport",
     "fubini_check",
@@ -242,18 +247,29 @@ def _contract_cells(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return out.reshape(p, c, g)
 
 
-def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble
-                   ) -> IntegralPathEnsemble:
-    """Integrate a grid integrand: cumulative sums of cellwise actions, the
-    zero-rate case of :meth:`mvmlab.spde.DiagonalSemigroup.scan`."""
+def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
+    """The cellwise actions of `phi` on `ens` (paths, cells, G), after
+    checking that the two fit together."""
     _check_grid(phi.grid, ens)
     if phi.dim_h != ens.dim:
         raise ValueError(f"integrand expects dim {phi.dim_h}, driver has {ens.dim}")
     if phi.per_path and phi.values.shape[0] != ens.paths:
         raise ValueError("per-path integrand does not match the path count")
-    out = np.zeros((ens.paths, len(ens.times), phi.dim_g))
-    out[:, 1:] = np.cumsum(_contract_cells(phi.values, ens.increments), axis=1)
-    return IntegralPathEnsemble(ens.times, out)
+    return _contract_cells(phi.values, ens.increments)
+
+
+def _integral(times: np.ndarray, actions: np.ndarray) -> IntegralPathEnsemble:
+    """Integral paths from cellwise actions: their cumulative sums."""
+    out = np.zeros((actions.shape[0], len(times), actions.shape[2]))
+    out[:, 1:] = np.cumsum(actions, axis=1)
+    return IntegralPathEnsemble(times, out)
+
+
+def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble
+                   ) -> IntegralPathEnsemble:
+    """Integrate a grid integrand: cumulative sums of cellwise actions, the
+    zero-rate case of :meth:`mvmlab.spde.DiagonalSemigroup.scan`."""
+    return _integral(ens.times, _cell_actions(phi, ens))
 
 
 @dataclass(frozen=True)
@@ -434,19 +450,6 @@ def grid_stopping_time(ens: MVMPathEnsemble,
     return stop
 
 
-def truncate_integrand(phi: GridIntegrand, stop_index: np.ndarray,
-                       paths: int) -> GridIntegrand:
-    """Multiply the field by ``1_{[0, t_stop]}`` pathwise (zero at and after
-    the stopping cell)."""
-    stop_index = np.asarray(stop_index, dtype=np.int64)
-    if stop_index.shape != (paths,):
-        raise ValueError("need one stopping index per path")
-    mask = (np.arange(phi.grid.n_cells)[None, :]
-            < stop_index[:, None]).astype(np.float64)
-    values = phi.values if phi.per_path else phi.values[None]
-    return GridIntegrand(phi.grid, values * mask[:, :, None, None, None])
-
-
 @dataclass(frozen=True, eq=False)
 class IdentityReport:
     """Both sides of a pathwise identity, their largest entrywise gap, and
@@ -470,20 +473,24 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
                      ) -> IdentityReport:
     """Both sides of the stopping identity ``I(1_{[0,sigma]} Phi) = I_{. ^ sigma}``.
 
-    The left side integrates the truncated integrand; the right side clamps
-    the integral paths at the stopping time.  A shared field is materialized
-    per path (in the contraction order of :class:`GridIntegrand`); both sides
-    integrate that one array, so cells before the stopping time
-    give bitwise-equal contributions, later cells add exact zeros, and the
-    two sides agree exactly whichever layout the caller passes.  `check`
+    The field is contracted once.  The left side integrates the actions of
+    the cells before the stopping time (later cells add exact zeros); the
+    right side clamps the integral of all the actions at the stopping time,
+    so the two sides agree exactly.  A shared field is first materialized
+    per path (in the contraction order of :class:`GridIntegrand`), so both
+    sides come out the same whichever layout the caller passes.  `check`
     turns a nonzero gap into an error (regression guard).
     """
     stop_index = np.asarray(stop_index, dtype=np.int64)
+    if stop_index.shape != (ens.paths,):
+        raise ValueError("need one stopping index per path")
     if not phi.per_path:
         phi = GridIntegrand(phi.grid, np.broadcast_to(
             phi.values, (ens.paths,) + phi.values.shape))
-    lhs = integrate_grid(truncate_integrand(phi, stop_index, ens.paths), ens)
-    full = integrate_grid(phi, ens)
+    actions = _cell_actions(phi, ens)
+    before = np.arange(phi.grid.n_cells)[None, :] < stop_index[:, None]
+    lhs = _integral(ens.times, np.where(before[:, :, None], actions, 0.0))
+    full = _integral(ens.times, actions)
     idx = np.minimum(np.arange(len(ens.times))[None, :], stop_index[:, None])
     rhs_values = np.take_along_axis(full.values, idx[:, :, None], axis=1)
     report = _identity_report(lhs, IntegralPathEnsemble(ens.times, rhs_values))
@@ -493,19 +500,29 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     return report
 
 
-def restrict_integrand(phi: GridIntegrand, s_index: int, t_index: int,
-                       event: np.ndarray | bool = True) -> GridIntegrand:
-    """Restrict the field to ``(t_s, t_t] x F``: ``1_{(s, t]} 1_F Phi``."""
+def restricted_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
+                        s_index: int, t_index: int,
+                        event: np.ndarray | bool = True) -> IdentityReport:
+    """Both sides of the restriction identity: the integral of
+    ``1_{(t_s, t_t]} 1_F Phi`` against ``1_F (I_{. ^ t_t} - I_{. ^ t_s})``.
+
+    The field is contracted once; the left side integrates the actions of
+    the cells in the window on the paths in F, the right side takes the
+    increment of the full integral over the window.  The two sums round
+    differently, so the gap is of rounding size, not zero.
+    """
     if not 0 <= s_index <= t_index <= phi.grid.n_cells:
         raise ValueError(f"bad restriction window ({s_index}, {t_index}]")
-    mask = np.zeros(phi.grid.n_cells)
-    mask[s_index:t_index] = 1.0
-    values = phi.values
-    if event is not True:
-        mask = np.asarray(event, dtype=bool)[:, None] * mask
-        if not phi.per_path:
-            values = values[None]
-    return GridIntegrand(phi.grid, values * mask[..., None, None, None])
+    actions = _cell_actions(phi, ens)
+    window = np.zeros(phi.grid.n_cells, dtype=bool)
+    window[s_index:t_index] = True
+    on_event = np.asarray(event, dtype=bool)[..., None]
+    lhs = _integral(ens.times,
+                    np.where((on_event & window)[..., None], actions, 0.0))
+    full = _integral(ens.times, actions).values
+    clock = np.clip(np.arange(len(ens.times)), s_index, t_index)
+    rhs_values = (full[:, clock] - full[:, [s_index]]) * on_event[..., None]
+    return _identity_report(lhs, IntegralPathEnsemble(ens.times, rhs_values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,10 +541,13 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
     """Stop when the running integration cost first reaches each threshold.
 
     For threshold n, ``tau_n`` is the first grid time at which the pathwise
-    cumulative cost reaches n (horizon if never).  Returns the truncations'
-    norms and verifies the tower consistency: two truncations agree exactly
-    up to the smaller stopping time on every path.
+    cumulative cost reaches n (horizon if never).  The field is contracted
+    once and each truncation integrates the actions of the cells before its
+    stopping time.  Returns the truncations' norms and verifies the tower
+    consistency: two truncations agree exactly up to the smaller stopping
+    time on every path.
     """
+    actions = _cell_actions(phi, ens)
     costs = cell_costs(phi, qm, qv)
     if costs.ndim == 2:
         costs = np.broadcast_to(costs, (ens.paths,) + costs.shape)
@@ -542,10 +562,10 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
         idx = np.where(reached.any(axis=1), reached.argmax(axis=1),
                        phi.grid.n_cells)
         stop_indices[n] = idx
-        truncated = truncate_integrand(phi, idx, ens.paths)
-        integrals[n] = integrate_grid(truncated, ens)
-        mask = np.arange(phi.grid.n_cells)[None, :] < idx[:, None]
-        norms[n] = float(np.sqrt((per_cell * mask).sum(axis=1).mean()))
+        before = np.arange(phi.grid.n_cells)[None, :] < idx[:, None]
+        integrals[n] = _integral(
+            ens.times, np.where(before[:, :, None], actions, 0.0))
+        norms[n] = float(np.sqrt((per_cell * before).sum(axis=1).mean()))
     gap = 0.0
     ordered = sorted(thresholds)
     for lo, hi in zip(ordered, ordered[1:]):

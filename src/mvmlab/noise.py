@@ -9,8 +9,9 @@ Four generators are provided:
 * ``DiscreteLevy`` -- a finite menu of marks, each carrying an independent
   H-valued increment with covariance ``dt * Q_k`` split into a Brownian part
   and compensated Poisson jumps;
-* ``HValuedLevy`` -- the mark space is the state space itself: a Wiener part
-  sitting on the origin atom plus one atom per jump vector;
+* ``h_valued_levy`` -- a ``DiscreteLevy`` whose mark space is the state
+  space itself: a Wiener part sitting on the origin atom plus one atom per
+  jump vector;
 * ``IntegralType`` -- a time-changed scalar Brownian driver routed to marks
   by a deterministic selector, with per-cell loading vectors (this is the
   variant with deterministic but non-homogeneous intensities).
@@ -46,7 +47,7 @@ __all__ = [
     "WhiteNoise",
     "DiscreteLevyAtom",
     "DiscreteLevy",
-    "HValuedLevy",
+    "h_valued_levy",
     "IntegralType",
     "MVMPathEnsemble",
     "simulate",
@@ -297,71 +298,24 @@ class DiscreteLevy(NoiseSpecBase):
         return DenseIntensityFamily(grid, self.dim, mats)
 
 
-@dataclass(frozen=True)
-class HValuedLevy(NoiseSpecBase):
+def h_valued_levy(wiener_cov: np.ndarray,
+                  jump_atoms: Sequence[tuple[np.ndarray, float]] = ()
+                  ) -> DiscreteLevy:
     """Driver whose marks live in the state space itself.
 
-    Atom 0 is the origin and carries the Wiener part with covariance Q; each
-    further atom is one jump vector u with Poisson rate lam({u}), carrying
-    the compensated jump increments.  Intensities:
+    Atom ``"0"`` is the origin and carries the Wiener part with covariance
+    Q; atom ``"jump<j>"`` is the j-th jump vector u with Poisson rate
+    lam({u}), carrying the compensated jump increments.  Intensities:
     nu_h(cell, origin) = dt <h, Q h> and nu_h(cell, u) = dt rate <u, h>^2.
     """
-
-    wiener_cov: np.ndarray
-    jump_atoms: tuple[tuple[np.ndarray, float], ...] = ()
-    kind = "hvalued_levy"
-
-    def __post_init__(self) -> None:
-        cov = psd_part(self.wiener_cov)
-        jumps = []
-        for u, rate in self.jump_atoms:
-            u = _as_vector(u, cov.shape[0])
-            if rate < 0:
-                raise ValueError("negative jump rate")
-            if not np.any(u):
-                raise ValueError("jump atoms must be nonzero vectors")
-            jumps.append((u, float(rate)))
-        object.__setattr__(self, "wiener_cov", cov)
-        object.__setattr__(self, "jump_atoms", tuple(jumps))
-
-    @property
-    def dim(self) -> int:
-        return self.wiener_cov.shape[0]
-
-    @property
-    def atom_labels(self) -> tuple[str, ...]:
-        return ("0",) + tuple(f"jump{j + 1}" for j in range(len(self.jump_atoms)))
-
-    def _sampler(self, grid: GridSpec):
-        dt = grid.dt
-        sqrt_dt = np.sqrt(dt)[:, None]
-        root = psd_sqrt(self.wiener_cov)
-        shape = (grid.n_cells, 1 + len(self.jump_atoms), self.dim)
-        plan = _DrawPlan()
-        wiener = plan.normal(grid.n_cells * self.dim)
-        jumps = []
-        for u, rate in self.jump_atoms:
-            mean = rate * dt
-            jumps.append((plan.poisson(mean), mean, u))
-
-        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
-            out = np.empty((z.shape[0],) + shape)
-            z0 = z[:, wiener].reshape(-1, grid.n_cells, self.dim)
-            out[:, :, 0] = sqrt_dt * (z0 @ root.T)
-            for j, (cols, mean, u) in enumerate(jumps):
-                out[:, :, 1 + j] = (n[:, cols] - mean)[..., None] * u
-            return out
-
-        return plan, assemble
-
-    def _intensity_family(self, grid: GridSpec) -> "DenseIntensityFamily":
-        d = self.dim
-        covs = np.zeros((1 + len(self.jump_atoms), d, d))
-        covs[0] = self.wiener_cov
-        for j, (u, rate) in enumerate(self.jump_atoms):
-            covs[1 + j] = rate * np.outer(u, u)
-        mats = grid.dt[:, None, None, None] * covs[None]
-        return DenseIntensityFamily(grid, d, mats)
+    origin = DiscreteLevyAtom("0", brownian_cov=wiener_cov)
+    atoms = [origin]
+    for j, (u, rate) in enumerate(jump_atoms, start=1):
+        u = _as_vector(u, origin.dim)
+        if not np.any(u):
+            raise ValueError("jump atoms must be nonzero vectors")
+        atoms.append(DiscreteLevyAtom(f"jump{j}", jumps=((u, rate),)))
+    return DiscreteLevy(tuple(atoms))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ dyadic quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 

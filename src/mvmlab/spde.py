@@ -301,9 +301,7 @@ class MildSolutionPath:
                                            self.picard_trace[1:]) if a > 0)
 
     def summary_csv(self) -> str:
-        sq = (self.values ** 2).sum(axis=2)
-        mean = sq.mean(axis=0)
-        se = sq.std(axis=0, ddof=1) / np.sqrt(self.paths)
+        mean, se = IntegralPathEnsemble(self.times, self.values).second_moment()
         return _csv_text("t,mean_norm2,se", [self.times, mean, se])
 
 

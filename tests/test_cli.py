@@ -73,6 +73,17 @@ PATHS_RULE = '"paths" must be an integer >= 1'
      "'tol' of scenario 'fubini' must be a number, got 'tiny'"),
     (json.dumps({"scenario": "stopped_integral",
                  "params": {"thresholds": 2.0}}), "must be a list, got 2.0"),
+    (json.dumps({"scenario": "stopped_integral",
+                 "params": {"thresholds": ["big"]}}),
+     "'thresholds[0]' of scenario 'stopped_integral' must be a number, "
+     "got 'big'"),
+    (json.dumps({"scenario": "stopped_integral",
+                 "params": {"thresholds": [True]}}),
+     "'thresholds[0]' of scenario 'stopped_integral' must be a number, "
+     "got True"),
+    (json.dumps({"scenario": "white_noise_qv",
+                 "params": {"rates": [["a", "x"]]}}),
+     "'rates[0][1]' of scenario 'white_noise_qv' must be a number, got 'x'"),
 ])
 def test_bad_configs_exit_one(tmp_path, capsys, payload, fragment):
     path = tmp_path / "bad.json"

@@ -9,14 +9,12 @@ from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, WhiteNoise,
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.hilbert import sphere_sequence
 from mvmlab.integrate import (AdaptednessError, GridIntegrand,
-                              IntegralPathEnsemble, NormalFormError,
-                              SimpleIntegrand, SimpleTerm, cell_costs,
-                              fubini_check, grid_stopping_time,
+                              NormalFormError, SimpleIntegrand, SimpleTerm,
+                              cell_costs, fubini_check, grid_stopping_time,
                               integrate_grid, integrate_simple,
                               lambda2_profile, localize,
-                              pushforward_commute, restrict_integrand,
-                              simple_to_grid, stopped_integral,
-                              truncate_integrand)
+                              pushforward_commute, restricted_integral,
+                              simple_to_grid, stopped_integral)
 
 
 def wishart(rng, dim):
@@ -279,7 +277,7 @@ def test_stopped_integral_identity_is_exact(ens):
         tail = report.rhs.values[p, stop[p]:]
         assert np.all(tail == tail[0])
     with pytest.raises(ValueError, match="one stopping index"):
-        truncate_integrand(phi, stop[:5], ens.paths)
+        stopped_integral(phi, ens, stop[:5])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -335,15 +333,52 @@ def test_per_path_results_do_not_depend_on_the_integrand_layout(dim):
         return (integrate_grid(phi, ens).values,
                 cell_costs(phi, qm, qv),
                 phi.compose(op).values,
-                integrate_grid(truncate_integrand(phi, stop, ens.paths),
-                               ens).values,
-                integrate_grid(restrict_integrand(phi, 2, 6, event),
-                               ens).values)
+                stopped_integral(phi, ens, stop).lhs.values,
+                restricted_integral(phi, ens, 2, 6, event).lhs.values)
 
     reference = results(np.ascontiguousarray(field))
     for values in (np.asfortranarray(field), _contraction_ordered(field)):
         for got, want in zip(results(values), reference):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_masked_actions_match_integrating_a_masked_field(dim):
+    # [DERIVED] oracle: the field masked by hand, materialized and integrated.
+    # Stopping and restriction mask the cellwise actions of one contraction
+    # instead; on a per-path field the two routes must agree bitwise.
+    rng = np.random.default_rng(23)
+    driver = DiscreteLevy((
+        DiscreteLevyAtom("g", brownian_cov=wishart(rng, dim)),
+        DiscreteLevyAtom("j", brownian_cov=0.3 * wishart(rng, dim),
+                         jumps=((rng.standard_normal(dim), 1.0),)),
+    ))
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 128, 7)
+    field = rng.standard_normal((ens.paths, 8, 2, 3, dim))
+    shared = rng.standard_normal((8, 2, 3, dim))
+    stop = rng.integers(0, 9, size=ens.paths)
+    event = rng.random(ens.paths) < 0.5
+    cells = np.arange(8)
+    window = (cells >= 2) & (cells < 6)
+
+    def masked(values, mask):
+        return integrate_grid(GridIntegrand(ens.grid, np.where(
+            mask[..., None, None, None], values, 0.0)), ens).values
+
+    phi = GridIntegrand(ens.grid, field)
+    assert np.array_equal(stopped_integral(phi, ens, stop).lhs.values,
+                          masked(field, cells[None, :] < stop[:, None]))
+    assert np.array_equal(restricted_integral(phi, ens, 2, 6).lhs.values,
+                          masked(field, window))
+    assert np.array_equal(
+        restricted_integral(phi, ens, 2, 6, event).lhs.values,
+        masked(field, event[:, None] & window))
+    # A shared field's actions come from the einsum, the masked per-path
+    # copy's from the matmul: equal up to rounding.
+    np.testing.assert_allclose(
+        restricted_integral(GridIntegrand(ens.grid, shared), ens, 2, 6,
+                            event).lhs.values,
+        masked(shared[None], event[:, None] & window), rtol=0, atol=1e-12)
 
 
 def test_per_path_integrands_are_stored_in_contraction_order(ens):
@@ -371,11 +406,7 @@ def test_per_path_integrands_are_stored_in_contraction_order(ens):
     event = rng.random(ens.paths) < 0.5
     simple = simple_to_grid(SimpleIntegrand.build(ens, [
         SimpleTerm(1, 5, (0, 1), rng.standard_normal((3, 2)), event=event)]))
-    stop = rng.integers(0, 9, size=ens.paths)
-    for result in (history, simple, truncate_integrand(phi, stop, ens.paths),
-                   restrict_integrand(phi, 2, 6, event),
-                   restrict_integrand(phi, 2, 6),
-                   phi.compose(rng.standard_normal((4, 3)))):
+    for result in (history, simple, phi.compose(rng.standard_normal((4, 3)))):
         assert in_contraction_order(result)
 
 
@@ -384,8 +415,7 @@ def test_restriction_matches_increment_of_the_integral(ens):
     phi = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 2, 2)))
     event = rng.random(ens.paths) < 0.5
     s_idx, t_idx = 2, 6
-    restricted = integrate_grid(restrict_integrand(phi, s_idx, t_idx, event),
-                                ens)
+    report = restricted_integral(phi, ens, s_idx, t_idx, event)
     full = integrate_grid(phi, ens)
     clock = np.clip(np.arange(9), s_idx, t_idx)
     moved = np.take_along_axis(full.values,
@@ -394,9 +424,11 @@ def test_restriction_matches_increment_of_the_integral(ens):
                                axis=1)
     expected = (moved - full.values[:, s_idx][:, None]) \
         * event[:, None, None]
-    np.testing.assert_allclose(restricted.values, expected, atol=1e-12)
+    np.testing.assert_allclose(report.lhs.values, expected, atol=1e-12)
+    np.testing.assert_array_equal(report.rhs.values, expected)
+    assert report.max_abs_gap <= 1e-12 * report.scale
     with pytest.raises(ValueError, match="restriction window"):
-        restrict_integrand(phi, 5, 2)
+        restricted_integral(phi, ens, 5, 2)
 
 
 def test_localization_tower(ens, qm_and_qv):

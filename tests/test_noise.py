@@ -5,10 +5,10 @@ import pytest
 
 from mvmlab.haar import haar_cell_integrals, haar_dimension
 from mvmlab.hilbert import psd_sqrt
-from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom, HValuedLevy,
+from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom,
                           IntegralType, WhiteNoise,
-                          default_grid, empirical_intensity, intensity_family,
-                          orthogonality_check, simulate)
+                          default_grid, empirical_intensity, h_valued_levy,
+                          intensity_family, orthogonality_check, simulate)
 
 
 def wishart(rng, dim):
@@ -68,10 +68,10 @@ def test_levy_menu_validation():
 
 def test_hvalued_validation():
     with pytest.raises(ValueError, match="nonzero"):
-        HValuedLevy(wiener_cov=np.eye(2), jump_atoms=((np.zeros(2), 1.0),))
+        h_valued_levy(np.eye(2), ((np.zeros(2), 1.0),))
     with pytest.raises(ValueError, match="negative"):
-        HValuedLevy(wiener_cov=np.eye(2), jump_atoms=((np.ones(2), -0.5),))
-    spec = HValuedLevy(wiener_cov=np.eye(2), jump_atoms=((np.ones(2), 0.5),))
+        h_valued_levy(np.eye(2), ((np.ones(2), -0.5),))
+    spec = h_valued_levy(np.eye(2), ((np.ones(2), 0.5),))
     assert spec.atom_labels == ("0", "jump1")
 
 
@@ -225,7 +225,7 @@ def test_hvalued_driver_martingale_second_moment():
     rng = np.random.default_rng(4)
     q = wishart(rng, 3)
     u = rng.standard_normal(3)
-    spec = HValuedLevy(wiener_cov=q, jump_atoms=((u, 1.5),))
+    spec = h_valued_levy(q, ((u, 1.5),))
     grid = default_grid(spec, 1.0, 8)
     ens = simulate(spec, grid, 6000, 17)
     x = rng.standard_normal(3)
@@ -259,12 +259,6 @@ def _loop_oracle_path(spec, grid, rng):
             for u, rate in atom.jumps:
                 mean = rate * dt
                 out[:, k] += (rng.poisson(mean) - mean)[:, None] * u
-    elif isinstance(spec, HValuedLevy):
-        z = rng.standard_normal((grid.n_cells, spec.dim))
-        out[:, 0] = np.sqrt(dt)[:, None] * (z @ psd_sqrt(spec.wiener_cov).T)
-        for j, (u, rate) in enumerate(spec.jump_atoms):
-            mean = rate * dt
-            out[:, 1 + j] = (rng.poisson(mean) - mean)[:, None] * u
     else:
         for i, (eta, w) in enumerate(zip(spec.loadings, spec.weights)):
             z = rng.standard_normal(w.shape) * np.sqrt(w)
@@ -298,11 +292,10 @@ def _oracle_specs():
     return {
         "white_noise": (WhiteNoise(rates=(("a", 0.5), ("b", 2.0))), 5),
         "discrete_levy": (levy, 5),
-        "hvalued_no_jumps": (HValuedLevy(wiener_cov=wishart(rng, 3)), 4),
-        "hvalued_two_jumps": (HValuedLevy(
-            wiener_cov=wishart(rng, 2),
-            jump_atoms=((rng.standard_normal(2), 1.0),
-                        (rng.standard_normal(2), 0.25))), 4),
+        "hvalued_no_jumps": (h_valued_levy(wishart(rng, 3)), 4),
+        "hvalued_two_jumps": (h_valued_levy(
+            wishart(rng, 2), ((rng.standard_normal(2), 1.0),
+                              (rng.standard_normal(2), 0.25))), 4),
         "haar": (IntegralType.from_haar(3), 8),
         "integral_type_several": (several, 3),
     }

@@ -9,9 +9,9 @@ from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
                           intensity_family, simulate)
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.spde import (CoefficientSpec, DiagonalSemigroup,
-                         additive_coefficients, coefficient_spot_check,
-                         contraction_factors, convolution_second_moment,
-                         default_beta, heat_example_setup, heat_semigroup,
+                         coefficient_spot_check, contraction_factors,
+                         convolution_second_moment, default_beta,
+                         heat_example_setup, heat_semigroup,
                          linear_drift_coefficients, nemytskii_coefficients,
                          picard_solve, stochastic_convolution, v_beta_distance,
                          weak_residual)
