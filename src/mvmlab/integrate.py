@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import GridMismatchError, GridSpec, _csv_text
-from .noise import MVMPathEnsemble
+from .noise import MVMPathEnsemble, mean_se
 from .quadvar import QMField, QVEstimate, qm_sqrt_field
 
 __all__ = [
@@ -216,8 +216,7 @@ class IntegralPathEnsemble:
 
     def second_moment(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean of ||I_t||^2 over paths with its standard error, per time."""
-        sq = (self.values ** 2).sum(axis=2)
-        return sq.mean(axis=0), sq.std(axis=0, ddof=1) / np.sqrt(self.paths)
+        return mean_se((self.values ** 2).sum(axis=2))
 
     def summary_csv(self, isometry_target: np.ndarray | None = None) -> str:
         mean, se = self.second_moment()

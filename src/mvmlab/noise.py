@@ -56,6 +56,7 @@ __all__ = [
     "DenseIntensityFamily",
     "LowRankIntensityFamily",
     "intensity_family",
+    "mean_se",
     "EmpiricalIntensity",
     "empirical_intensity",
     "OrthogonalityReport",
@@ -374,7 +375,6 @@ class IntegralType(NoiseSpecBase):
                 f"grid has {grid.n_cells}")
 
     def _sampler(self, grid: GridSpec):
-        self.validate_grid(grid)
         shape = (grid.n_cells, len(self.labels), self.dim)
         plan = _DrawPlan()
         cells = [(plan.normal(w.size), np.sqrt(w), eta)
@@ -392,7 +392,6 @@ class IntegralType(NoiseSpecBase):
         return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "LowRankIntensityFamily":
-        self.validate_grid(grid)
         comps = tuple((self.selector[i], self.loadings[i], self.weights[i])
                       for i in range(grid.n_cells))
         return LowRankIntensityFamily(grid, self.dim, comps)
@@ -612,6 +611,13 @@ def intensity_family(spec: NoiseSpecBase, grid: GridSpec) -> IntensityFamily:
     return spec._intensity_family(grid)
 
 
+def mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo mean over paths (axis 0) and its standard error
+    ``std(ddof=1) / sqrt(paths)``: the one estimator every gate judges."""
+    se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
+    return samples.mean(axis=0), se
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalIntensity:
     """Monte Carlo estimate of nu_x with per-cell standard errors."""
@@ -630,9 +636,7 @@ def empirical_intensity(ens: MVMPathEnsemble, x: np.ndarray
     least 100 paths."""
     if ens.paths < 100:
         raise ValueError(f"need at least 100 paths, have {ens.paths}")
-    sq = ens.paired(x) ** 2
-    mean = sq.mean(axis=0)
-    se = sq.std(axis=0, ddof=1) / np.sqrt(ens.paths)
+    mean, se = mean_se(ens.paired(x) ** 2)
     return EmpiricalIntensity(DiscreteMeasure(ens.grid, mean), se)
 
 
@@ -643,24 +647,20 @@ class OrthogonalityReport:
     times: np.ndarray
     covariance: np.ndarray
     standard_error: np.ndarray
-    passed: bool
 
 
 def orthogonality_check(ens: MVMPathEnsemble, x: np.ndarray,
-                        atoms_a: Iterable[int], atoms_b: Iterable[int],
-                        z_threshold: float = 3.0) -> OrthogonalityReport:
+                        atoms_a: Iterable[int], atoms_b: Iterable[int]
+                        ) -> OrthogonalityReport:
     """Empirical orthogonality of the martingales over two disjoint mark sets.
 
     For each grid time the product of the two martingales is averaged over
-    paths; the check passes when every mean product is within `z_threshold`
-    standard errors of zero.
+    paths by :func:`mean_se`; orthogonality makes every mean zero, and the
+    caller judges the z-scores ``|covariance| / standard_error``.
     """
     a = set(ens._atom_list(atoms_a))
     b = set(ens._atom_list(atoms_b))
     if a & b:
         raise ValueError(f"mark sets are not disjoint: share {sorted(a & b)}")
-    prod = ens.cumulative(x, a) * ens.cumulative(x, b)
-    mean = prod.mean(axis=0)
-    se = prod.std(axis=0, ddof=1) / np.sqrt(ens.paths)
-    passed = bool(np.all(np.abs(mean) <= z_threshold * se + 1e-300))
-    return OrthogonalityReport(ens.times, mean, se, passed)
+    mean, se = mean_se(ens.cumulative(x, a) * ens.cumulative(x, b))
+    return OrthogonalityReport(ens.times, mean, se)

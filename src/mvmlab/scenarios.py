@@ -4,9 +4,10 @@ Each scenario builds a concrete instance (driver, grid, integrands),
 computes the quantities the theory pins down, and returns a list of checks
 with target, measured value, tolerance and a provenance tag saying where
 the target comes from: an independent enumeration, a closed form, an exact
-pathwise identity, a Monte Carlo three-standard-error band, or an analytic
-bound.  Artifacts are plain CSV/JSON strings keyed by file name; outputs
-are byte-identical for identical configuration and seed.
+pathwise identity, a Monte Carlo gate (:meth:`ScenarioResult.add_max_z`:
+the largest z-score of :func:`mvmlab.noise.mean_se` estimates, against 3 or
+3.5), or an analytic bound.  Artifacts are plain CSV/JSON strings keyed by
+file name; outputs are byte-identical for identical configuration and seed.
 """
 
 from __future__ import annotations
@@ -75,6 +76,18 @@ class ScenarioResult:
         self.checks.append(Check(name, bool(measured <= bound),
                                  float(measured), float(bound),
                                  float(bound), provenance, detail))
+
+    def add_max_z(self, name: str, mean, se, target, bound: float,
+                  detail: str = "") -> float:
+        """Monte Carlo gate: the largest z = |mean - target| / se over all
+        entries must not exceed `bound`; where se is 0, z is 0 if the mean
+        equals the target and inf if not.  Returns that largest z."""
+        gap, se = np.broadcast_arrays(np.abs(np.asarray(mean) - target), se)
+        z = np.divide(gap, se, out=np.where(gap == 0, 0.0, np.inf), where=se != 0)
+        count = f"largest of {z.size} z-scores"
+        self.add_upper(name, float(z.max()), bound, "monte_carlo_3se",
+                       f"{detail}; {count}" if detail else count)
+        return float(z.max())
 
     def add_lower(self, name: str, measured: float, bound: float,
                   provenance: str, detail: str = "") -> None:
@@ -178,31 +191,29 @@ def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
 def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rates = tuple((str(k), float(v)) for k, v in params["rates"])
+    if len(rates) < 2:
+        raise ScenarioInputError("parameter 'rates' of scenario 'white_noise_qv' "
+                                 "needs two atoms for the orthogonality gate")
     spec = noise.WhiteNoise(rates=rates)
     grid = noise.default_grid(spec, params["t_max"], params["steps"])
     ens = noise.simulate(spec, grid, paths, seed)
     lam = spec.rate_values
     one = np.array([1.0])
 
-    # Second moments of M(t, A) against t * lam(A), three-sigma bands.
-    z_worst = 0.0
+    # Second moments of M(t, A) against t * lam(A).
     sets = [(j,) for j in range(grid.n_atoms)] + [tuple(range(grid.n_atoms))]
-    for atoms in sets:
-        m = ens.cumulative(one, atoms)
-        sq = m[:, 1:] ** 2
-        target = np.asarray(grid.time_points)[1:] * lam[list(atoms)].sum()
-        se = sq.std(axis=0, ddof=1) / np.sqrt(paths)
-        z_worst = max(z_worst,
-                      float((np.abs(sq.mean(axis=0) - target) / se).max()))
-    res.add_upper("second_moment_max_z", z_worst, 3.0, "monte_carlo_3se",
+    mean, se = noise.mean_se(np.hstack([ens.cumulative(one, atoms)[:, 1:] ** 2
+                                        for atoms in sets]))
+    target = np.concatenate([np.asarray(grid.time_points)[1:]
+                             * lam[list(atoms)].sum() for atoms in sets])
+    res.add_max_z("second_moment_max_z", mean, se, target, 3.0,
                   "E M(t,A)^2 = t lam(A) over all grid times and mark sets")
 
     # Closed-form intensity against the empirical one, cellwise.
     family = noise.intensity_family(spec, grid)
     emp = noise.empirical_intensity(ens, one)
-    z = np.abs(emp.measure.cell_mass - family.measure(one).cell_mass) \
-        / emp.standard_error
-    res.add_upper("intensity_max_z", float(z.max()), 3.0, "monte_carlo_3se")
+    res.add_max_z("intensity_max_z", emp.measure.cell_mass, emp.standard_error,
+                  family.measure(one).cell_mass, 3.0)
 
     # Quadratic variation: the dim-1 sphere is exact.
     est = quadvar.qv_supremum(family, sphere_sequence(1, 2))
@@ -212,8 +223,8 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
                   1e-12, "closed_form", "qv cell mass = dt * lam(atom)")
 
     rep = noise.orthogonality_check(ens, one, (0,), (1,))
-    res.add("orthogonality_3se", 0.0 if rep.passed else 1.0, 0.0, 0.0,
-            "monte_carlo_3se", "covariance of disjoint-mark martingales")
+    res.add_max_z("orthogonality_3se", rep.covariance, rep.standard_error,
+                  0.0, 3.0, "covariance of disjoint-mark martingales")
     res.artifacts["white_noise_qv.csv"] = est.measure.to_csv()
     res.artifacts["white_noise_intensity.csv"] = emp.measure.to_csv()
     return res
@@ -299,6 +310,9 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
+    if params["jumps"] < 1:
+        raise ScenarioInputError("parameter 'jumps' of scenario 'hvalued_levy_qm' "
+                                 f"must be at least 1, got {params['jumps']}")
     dim = params["dim"]
     rng = np.random.default_rng(seed)
     q = _random_psd(rng, dim)
@@ -333,16 +347,15 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     res.add_upper("jump_density_rank1_defect", float(np.abs(eig[:-1]).max()),
                   1e-9, "closed_form")
 
-    # Empirical intensity of a random direction, three-sigma band.
+    # Empirical intensity of a random direction; Wiener against jump atoms.
     ens = noise.simulate(spec, grid, paths, seed)
     x = _unit(rng, dim)
     emp = noise.empirical_intensity(ens, x)
-    z = np.abs(emp.measure.cell_mass - family.measure(x).cell_mass) \
-        / emp.standard_error
-    res.add_upper("intensity_max_z", float(z.max()), 3.5, "monte_carlo_3se")
+    res.add_max_z("intensity_max_z", emp.measure.cell_mass, emp.standard_error,
+                  family.measure(x).cell_mass, 3.5)
     rep = noise.orthogonality_check(ens, x, (0,), tuple(range(1, 1 + len(jumps))))
-    res.add("orthogonality_3se", 0.0 if rep.passed else 1.0, 0.0, 0.0,
-            "monte_carlo_3se")
+    res.add_max_z("orthogonality_3se", rep.covariance, rep.standard_error,
+                  0.0, 3.0)
     res.artifacts["hvalued_qv.csv"] = est.measure.to_csv()
     res.artifacts["hvalued_qm.csv"] = quadvar.qm_to_csv(qm)
     return res
@@ -383,19 +396,13 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
     family = noise.intensity_family(spec, grid)
     table = haar.haar_cell_integrals(k_sim)
     dim = haar.haar_dimension(k_sim)
-    z_worst = 0.0
-    for n in (0, 1, dim - 1):
-        x = np.zeros(dim)
-        x[n] = 1.0
-        emp = noise.empirical_intensity(ens, x)
-        diff = np.abs(emp.measure.cell_mass[:, 0] - table[n])
-        se = emp.standard_error[:, 0]
-        # Cells off the wavelet's support carry exact zeros on both sides.
-        z = np.where(se > 0, diff / np.where(se > 0, se, 1.0),
-                     np.where(diff > 0, np.inf, 0.0))
-        z_worst = max(z_worst, float(z.max()))
-    res.add_upper("intensity_max_z", z_worst, 3.5, "monte_carlo_3se",
-                  "basis intensities are deterministic, from quadrature")
+    # Cells off a wavelet's support carry exact zeros on both sides (z = 0).
+    basis = (0, 1, dim - 1)
+    emps = [noise.empirical_intensity(ens, np.eye(dim)[n]) for n in basis]
+    res.add_max_z("intensity_max_z",
+                  [e.measure.cell_mass[:, 0] for e in emps],
+                  [e.standard_error[:, 0] for e in emps], table[list(basis)],
+                  3.5, "basis intensities are deterministic, from quadrature")
 
     # Boundedness probe: the uniform deviation obeys the quadrature bound
     # integral of |x_n^2 - x^2| over [0, t].
@@ -500,20 +507,15 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
         costs = integrate.cell_costs(phi, qm, qv)
         per_path_cost = costs.sum(axis=(1, 2)) if costs.ndim == 3 \
             else np.full(paths, costs.sum())
-        terminal_sq = (integral.terminal() ** 2).sum(axis=1)
-        diff = terminal_sq - per_path_cost
-        se = diff.std(ddof=1) / np.sqrt(paths)
-        z_iso = abs(diff.mean()) / se
-        res.add_upper(f"isometry_z[{name}]", float(z_iso), 3.0,
-                      "monte_carlo_3se",
-                      "paired difference of ||I_T||^2 and the cell cost")
         term = integral.terminal()
-        se_mean = term.std(axis=0, ddof=1) / np.sqrt(paths)
-        z_mean = float((np.abs(term.mean(axis=0)) / se_mean).max())
-        res.add_upper(f"zero_mean_z[{name}]", z_mean, 3.0, "monte_carlo_3se")
+        terminal_sq = (term ** 2).sum(axis=1)
+        z_iso = res.add_max_z(
+            f"isometry_z[{name}]", *noise.mean_se(terminal_sq - per_path_cost),
+            0.0, 3.0, "paired difference of ||I_T||^2 and the cell cost")
+        z_mean = res.add_max_z(f"zero_mean_z[{name}]", *noise.mean_se(term),
+                               0.0, 3.0)
         rows.append(f"{name},{float(terminal_sq.mean())!r},"
-                    f"{float(per_path_cost.mean())!r},{float(z_iso)!r},"
-                    f"{z_mean!r}")
+                    f"{float(per_path_cost.mean())!r},{z_iso!r},{z_mean!r}")
         if idx == 0:
             target = integrate.lambda2_profile(phi, qm, qv)
             res.artifacts["ito_isometry_profile.csv"] = \
@@ -647,15 +649,13 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     # (b) stochastic convolution second moment against the modewise sum.
     grid = noise.default_grid(ex.noise_spec, 1.0, steps)
     ens = noise.simulate(ex.noise_spec, grid, paths, seed + 1)
-    phi = integrate.GridIntegrand(grid, np.broadcast_to(
-        ex.f_matrix, (steps, 1) + ex.f_matrix.shape).copy())
+    phi = integrate.GridIntegrand.constant(grid, ex.f_matrix)
     conv = spde.stochastic_convolution(ex.semigroup, phi, ens)
     qm, qv = _qm_qv_for(ex.noise_spec, grid)
     target = spde.convolution_second_moment(ex.semigroup, phi, qm, qv)
     mean, se = conv.second_moment()
-    z = float((np.abs(mean[1:] - target[1:]) / se[1:]).max())
-    res.add_upper("convolution_moment_max_z", z, 3.0, "monte_carlo_3se",
-                  "modewise closed sum at every grid time")
+    res.add_max_z("convolution_moment_max_z", mean[1:], se[1:], target[1:],
+                  3.0, "modewise closed sum at every grid time")
     res.artifacts["heat_convolution.csv"] = conv.summary_csv(target)
 
     # Full additive solve, recorded for the artifact trail.

@@ -20,8 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import GridIntegrand, IntegralPathEnsemble, _contract_cells
-from .measures import GridMismatchError, _csv_text
+from .integrate import (GridIntegrand, IntegralPathEnsemble, _cell_actions,
+                        _contract_cells)
+from .measures import _csv_text
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
 
@@ -226,12 +227,10 @@ def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
     by the recursion ``X_{m+1} = S(dt_m) (X_m + Phi_m dM_m)``, ``X_0 = 0``
     (:meth:`DiagonalSemigroup.scan`; the plain integral is the S = 1 case).
     """
-    if phi.grid != ens.grid:
-        raise GridMismatchError("integrand and ensemble live on different grids")
     if phi.dim_g != sg.dim:
         raise ValueError(f"semigroup acts on dim {sg.dim}, integrand maps to "
                          f"{phi.dim_g}")
-    contrib = _contract_cells(phi.values, ens.increments)
+    contrib = _cell_actions(phi, ens)
     return IntegralPathEnsemble(ens.times, sg.scan(ens.times, contrib))
 
 

@@ -7,6 +7,7 @@ runtime budget.  Nothing here loosens a tolerance: the numbers asserted
 against the reports are the published ones.
 """
 
+import re
 import time
 
 from mvmlab.scenarios import run_scenario
@@ -33,6 +34,11 @@ def execute(label, budget_seconds, *runs):
             if not check.passed:
                 print("    " + check.line(), flush=True)
     assert elapsed < budget_seconds, f"{label}: over budget at {elapsed:.1f}s"
+    for report in reports:
+        for check in report.checks:
+            if check.provenance == "monte_carlo_3se":
+                assert re.search(r"largest of [1-9]\d* z-scores$",
+                                 check.detail), check.as_dict()
     for report in reports:
         failing = [c.line() for c in report.checks if not c.passed]
         assert report.all_passed, \

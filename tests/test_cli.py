@@ -84,6 +84,11 @@ PATHS_RULE = '"paths" must be an integer >= 1'
     (json.dumps({"scenario": "white_noise_qv",
                  "params": {"rates": [["a", "x"]]}}),
      "'rates[0][1]' of scenario 'white_noise_qv' must be a number, got 'x'"),
+    (json.dumps({"scenario": "white_noise_qv",
+                 "params": {"rates": [["a", 1.0]]}}),
+     "'rates' of scenario 'white_noise_qv' needs two atoms"),
+    (json.dumps({"scenario": "hvalued_levy_qm", "params": {"jumps": 0}}),
+     "'jumps' of scenario 'hvalued_levy_qm' must be at least 1, got 0"),
 ])
 def test_bad_configs_exit_one(tmp_path, capsys, payload, fragment):
     path = tmp_path / "bad.json"

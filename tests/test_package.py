@@ -1,5 +1,6 @@
-"""Package surface: each module's ``__all__`` names what it defines, and
-every source file uses what it imports."""
+"""Package surface: each module's ``__all__`` names what it defines, every
+source file uses what it imports, and one function computes standard
+errors."""
 
 import ast
 import importlib
@@ -35,3 +36,23 @@ def test_every_import_is_used(path):
         for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{path.name} imports unused {imported - used}"
+
+
+def test_standard_errors_come_only_from_mean_se():
+    # Every Monte Carlo gate judges one estimator: `.std(` is called only
+    # inside noise.mean_se.
+    calls = []
+    for path in sorted(ROOT.glob("src/mvmlab/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if path.name == "noise.py"
+                   and isinstance(fn, ast.FunctionDef) and fn.name == "mean_se"
+                   for node in ast.walk(fn)}
+        calls += [(path.name, node.lineno, id(node) in allowed)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "std"]
+    stray = [(name, line) for name, line, ok in calls if not ok]
+    assert not stray, f".std( outside noise.mean_se at {stray}"
+    assert any(ok for _, _, ok in calls), "noise.mean_se calls no .std("

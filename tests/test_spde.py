@@ -133,6 +133,20 @@ def test_convolution_validation(heat):
     qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
     with pytest.raises(ValueError, match="deterministic"):
         convolution_second_moment(heat.semigroup, per_path, qm, qv)
+    spec = DiscreteLevy((DiscreteLevyAtom("a", brownian_cov=np.eye(4)),))
+    grid = default_grid(spec, 1.0, 5)
+    ens = simulate(spec, grid, 1, 0)
+    sg = DiagonalSemigroup(np.ones(3))
+    # 2 paths x 5 cells x 1 atom x dim 2 is as many increments as the
+    # ensemble holds, so only the fit checks catch the mismatch.
+    wrong_dim = GridIntegrand(grid, np.ones((2, 5, 1, 3, 2)))
+    with pytest.raises(ValueError, match="integrand expects dim 2, driver has 4"):
+        stochastic_convolution(sg, wrong_dim, ens)
+    wrong_paths = GridIntegrand(grid, np.ones((2, 5, 1, 3, 4)))
+    with pytest.raises(ValueError, match="does not match the path count"):
+        stochastic_convolution(sg, wrong_paths, ens)
+    fits = GridIntegrand(grid, np.ones((1, 5, 1, 3, 4)))
+    assert stochastic_convolution(sg, fits, ens).values.shape == (1, 6, 3)
 
 
 # ---------------------------------------------------------------------------
