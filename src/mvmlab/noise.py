@@ -35,7 +35,9 @@ element for element the formulas a single path would use.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -57,6 +59,8 @@ __all__ = [
     "LowRankIntensityFamily",
     "intensity_family",
     "mean_se",
+    "GATE_ALPHA",
+    "max_z_level",
     "EmpiricalIntensity",
     "empirical_intensity",
     "OrthogonalityReport",
@@ -616,6 +620,20 @@ def mean_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``std(ddof=1) / sqrt(paths)``: the one estimator every gate judges."""
     se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
     return samples.mean(axis=0), se
+
+
+# False-alarm rate of one Monte Carlo gate on a fault-free run.
+GATE_ALPHA = 1e-3
+
+
+def max_z_level(m: int) -> float:
+    """Sidak level of the largest of `m` independent |z|-scores: the value a
+    fault-free run exceeds with probability ``GATE_ALPHA``,
+    ``Phi^-1(1 - (1 - (1 - alpha)^(1/m)) / 2)``."""
+    if m < 1:
+        raise ValueError(f"need at least one z-score, got {m}")
+    per_score = -math.expm1(math.log1p(-GATE_ALPHA) / m)
+    return -NormalDist().inv_cdf(per_score / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

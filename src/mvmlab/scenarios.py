@@ -5,8 +5,9 @@ computes the quantities the theory pins down, and returns a list of checks
 with target, measured value, tolerance and a provenance tag saying where
 the target comes from: an independent enumeration, a closed form, an exact
 pathwise identity, a Monte Carlo gate (:meth:`ScenarioResult.add_max_z`:
-the largest z-score of :func:`mvmlab.noise.mean_se` estimates, against 3 or
-3.5), or an analytic bound.  Artifacts are plain CSV/JSON strings keyed by
+the largest of m z-scores of :func:`mvmlab.noise.mean_se` estimates, against
+the Sidak level :func:`mvmlab.noise.max_z_level` of m at alpha = 1e-3), or an
+analytic bound.  Artifacts are plain CSV/JSON strings keyed by
 file name; outputs are byte-identical for identical configuration and seed.
 """
 
@@ -77,15 +78,19 @@ class ScenarioResult:
                                  float(measured), float(bound),
                                  float(bound), provenance, detail))
 
-    def add_max_z(self, name: str, mean, se, target, bound: float,
+    def add_max_z(self, name: str, mean, se, target,
                   detail: str = "") -> float:
-        """Monte Carlo gate: the largest z = |mean - target| / se over all
-        entries must not exceed `bound`; where se is 0, z is 0 if the mean
-        equals the target and inf if not.  Returns that largest z."""
+        """Monte Carlo gate: the largest z = |mean - target| / se over all m
+        entries must not exceed the level :func:`mvmlab.noise.max_z_level`
+        of m, which a fault-free run exceeds with probability
+        ``noise.GATE_ALPHA``; where se is 0, z is 0 if the mean equals the
+        target and inf if not.  Returns that largest z."""
         gap, se = np.broadcast_arrays(np.abs(np.asarray(mean) - target), se)
         z = np.divide(gap, se, out=np.where(gap == 0, 0.0, np.inf), where=se != 0)
-        count = f"largest of {z.size} z-scores"
-        self.add_upper(name, float(z.max()), bound, "monte_carlo_3se",
+        level = noise.max_z_level(z.size)
+        count = (f"alpha {noise.GATE_ALPHA:g}, level {level:.4f}; "
+                 f"largest of {z.size} z-scores")
+        self.add_upper(name, float(z.max()), level, "monte_carlo_3se",
                        f"{detail}; {count}" if detail else count)
         return float(z.max())
 
@@ -206,14 +211,14 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
                                         for atoms in sets]))
     target = np.concatenate([np.asarray(grid.time_points)[1:]
                              * lam[list(atoms)].sum() for atoms in sets])
-    res.add_max_z("second_moment_max_z", mean, se, target, 3.0,
+    res.add_max_z("second_moment_max_z", mean, se, target,
                   "E M(t,A)^2 = t lam(A) over all grid times and mark sets")
 
     # Closed-form intensity against the empirical one, cellwise.
     family = noise.intensity_family(spec, grid)
     emp = noise.empirical_intensity(ens, one)
     res.add_max_z("intensity_max_z", emp.measure.cell_mass, emp.standard_error,
-                  family.measure(one).cell_mass, 3.0)
+                  family.measure(one).cell_mass)
 
     # Quadratic variation: the dim-1 sphere is exact.
     est = quadvar.qv_supremum(family, sphere_sequence(1, 2))
@@ -224,7 +229,7 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
 
     rep = noise.orthogonality_check(ens, one, (0,), (1,))
     res.add_max_z("orthogonality_3se", rep.covariance, rep.standard_error,
-                  0.0, 3.0, "covariance of disjoint-mark martingales")
+                  0.0, "covariance of disjoint-mark martingales")
     res.artifacts["white_noise_qv.csv"] = est.measure.to_csv()
     res.artifacts["white_noise_intensity.csv"] = emp.measure.to_csv()
     return res
@@ -352,10 +357,9 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     x = _unit(rng, dim)
     emp = noise.empirical_intensity(ens, x)
     res.add_max_z("intensity_max_z", emp.measure.cell_mass, emp.standard_error,
-                  family.measure(x).cell_mass, 3.5)
+                  family.measure(x).cell_mass)
     rep = noise.orthogonality_check(ens, x, (0,), tuple(range(1, 1 + len(jumps))))
-    res.add_max_z("orthogonality_3se", rep.covariance, rep.standard_error,
-                  0.0, 3.0)
+    res.add_max_z("orthogonality_3se", rep.covariance, rep.standard_error, 0.0)
     res.artifacts["hvalued_qv.csv"] = est.measure.to_csv()
     res.artifacts["hvalued_qm.csv"] = quadvar.qm_to_csv(qm)
     return res
@@ -402,7 +406,7 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
     res.add_max_z("intensity_max_z",
                   [e.measure.cell_mass[:, 0] for e in emps],
                   [e.standard_error[:, 0] for e in emps], table[list(basis)],
-                  3.5, "basis intensities are deterministic, from quadrature")
+                  "basis intensities are deterministic, from quadrature")
 
     # Boundedness probe: the uniform deviation obeys the quadrature bound
     # integral of |x_n^2 - x^2| over [0, t].
@@ -511,9 +515,9 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
         terminal_sq = (term ** 2).sum(axis=1)
         z_iso = res.add_max_z(
             f"isometry_z[{name}]", *noise.mean_se(terminal_sq - per_path_cost),
-            0.0, 3.0, "paired difference of ||I_T||^2 and the cell cost")
+            0.0, "paired difference of ||I_T||^2 and the cell cost")
         z_mean = res.add_max_z(f"zero_mean_z[{name}]", *noise.mean_se(term),
-                               0.0, 3.0)
+                               0.0)
         rows.append(f"{name},{float(terminal_sq.mean())!r},"
                     f"{float(per_path_cost.mean())!r},{z_iso!r},{z_mean!r}")
         if idx == 0:
@@ -655,7 +659,7 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     target = spde.convolution_second_moment(ex.semigroup, phi, qm, qv)
     mean, se = conv.second_moment()
     res.add_max_z("convolution_moment_max_z", mean[1:], se[1:], target[1:],
-                  3.0, "modewise closed sum at every grid time")
+                  "modewise closed sum at every grid time")
     res.artifacts["heat_convolution.csv"] = conv.summary_csv(target)
 
     # Full additive solve, recorded for the artifact trail.

@@ -10,6 +10,7 @@ against the reports are the published ones.
 import re
 import time
 
+from mvmlab.noise import max_z_level
 from mvmlab.scenarios import run_scenario
 
 SEPARATOR = "-" * 72
@@ -17,6 +18,11 @@ SEPARATOR = "-" * 72
 
 def named(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+def z_count(check):
+    """The number m of z-scores a Monte Carlo gate took the largest of."""
+    return int(re.search(r"largest of (\d+) z-scores$", check.detail).group(1))
 
 
 def execute(label, budget_seconds, *runs):
@@ -57,13 +63,16 @@ def test_supremum_equals_partition_enumeration():
 
 def test_white_noise_intensities_and_exact_variation():
     (report,) = execute(
-        "white-noise intensities within 3 SE and exact cell variation", 10.0,
+        "white-noise intensities within the calibrated z level and exact "
+        "cell variation", 10.0,
         ("white_noise_qv", {}))
     assert report.params["rates"] == [["a", 0.5], ["b", 1.0], ["c", 2.0]]
     assert report.paths == 10_000 and report.params["steps"] == 20
     exact = named(report, "qv_exactness_gap")
     assert exact.tolerance == 1e-12 and exact.measured <= 1e-12
-    assert named(report, "second_moment_max_z").measured <= 3.0
+    moment = named(report, "second_moment_max_z")
+    assert z_count(moment) == 80
+    assert moment.measured <= max_z_level(80)
 
 
 def test_finite_mark_driver_variation_and_density():
@@ -103,7 +112,7 @@ def test_divergent_variation_counterexample():
 def test_integration_isometry_five_pairs():
     reports = execute(
         "integration isometry and zero mean, five integrand/driver pairs "
-        "(paired differences, 3 SE)", 60.0,
+        "(paired differences, calibrated z level)", 60.0,
         ("ito_isometry", {}))
     report = reports[0]
     assert report.paths == 20_000
@@ -113,7 +122,8 @@ def test_integration_isometry_five_pairs():
     assert len(z_checks) == 5 and len(mean_checks) == 5
     for check in z_checks + mean_checks:
         assert check.provenance == "monte_carlo_3se"
-        assert check.tolerance == 3.0
+        assert check.tolerance == max_z_level(z_count(check))
+    assert all(z_count(c) == 1 for c in z_checks)
 
 
 def test_pathwise_identities_at_float_tolerance():
@@ -131,7 +141,8 @@ def test_pathwise_identities_at_float_tolerance():
 
 def test_heat_equation_full_stack():
     heat, picard = execute(
-        "heat equation: exact decay, convolution moments within 3 SE, "
+        "heat equation: exact decay, convolution moments within the "
+        "calibrated z level, "
         "Picard contraction at factor 1/8, first-order weak residual", 180.0,
         ("heat_spde", {}), ("picard_contraction", {}))
     zero = named(heat, "zero_noise_gap")

@@ -8,7 +8,8 @@ from mvmlab.hilbert import psd_sqrt
 from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom,
                           IntegralType, WhiteNoise,
                           default_grid, empirical_intensity, h_valued_levy,
-                          intensity_family, orthogonality_check, simulate)
+                          intensity_family, max_z_level, orthogonality_check,
+                          simulate)
 
 
 def wishart(rng, dim):
@@ -185,7 +186,7 @@ def test_empirical_intensity_within_three_sigma(levy_spec):
     emp = empirical_intensity(ens, x)
     target = intensity_family(levy_spec, grid).measure(x)
     z = np.abs(emp.measure.cell_mass - target.cell_mass) / emp.standard_error
-    assert z.max() < 3.5
+    assert z.max() <= max_z_level(z.size)
     with pytest.raises(ValueError, match="at least 100 paths, have 99"):
         empirical_intensity(simulate(levy_spec, grid, 99, 7), x)
 
@@ -196,7 +197,7 @@ def test_increment_means_are_compensated(levy_spec):
     ens = simulate(levy_spec, grid, 4000, 11)
     mean = ens.increments.mean(axis=0)
     se = ens.increments.std(axis=0, ddof=1) / np.sqrt(ens.paths)
-    assert np.all(np.abs(mean) <= 3.5 * se + 1e-12)
+    assert np.all(np.abs(mean) <= max_z_level(mean.size) * se + 1e-12)
 
 
 def test_zero_covariance_atom_yields_exact_zero_increments():
@@ -217,7 +218,8 @@ def test_orthogonality_across_disjoint_mark_sets(levy_spec):
     ens = simulate(levy_spec, grid, 4000, 13)
     report = orthogonality_check(ens, np.array([1.0, -0.5, 0.25]), (0,), (1,))
     assert report.covariance.shape == report.times.shape
-    assert np.all(np.abs(report.covariance) <= 3.0 * report.standard_error)
+    level = max_z_level(report.covariance.size)
+    assert np.all(np.abs(report.covariance) <= level * report.standard_error)
     with pytest.raises(ValueError, match="disjoint"):
         orthogonality_check(ens, np.ones(3), (0, 1), (1,))
 
@@ -236,7 +238,8 @@ def test_hvalued_driver_martingale_second_moment():
     rate = float(x @ q @ x + 1.5 * (u @ x) ** 2)
     target = np.asarray(grid.time_points)[1:] * rate
     se = sq.std(axis=0, ddof=1) / np.sqrt(ens.paths)
-    assert np.abs(sq.mean(axis=0) - target).max() < 3.5 * se.max()
+    assert np.abs(sq.mean(axis=0) - target).max() \
+        <= max_z_level(target.size) * se.max()
 
 
 # ---------------------------------------------------------------------------

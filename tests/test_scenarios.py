@@ -3,28 +3,49 @@
 import math
 
 import numpy as np
+import pytest
 
+from mvmlab.noise import GATE_ALPHA, max_z_level
 from mvmlab.scenarios import ScenarioResult
+
+
+@pytest.mark.parametrize("m, level", [(1, 3.2905), (64, 4.3196),
+                                      (1024, 4.8962)])
+def test_max_z_level_is_the_sidak_level(m, level):
+    assert GATE_ALPHA == 1e-3
+    assert round(max_z_level(m), 4) == level
+    # A fault-free run of m independent z-scores trips with probability alpha.
+    per_score = math.erfc(max_z_level(m) / math.sqrt(2.0))
+    assert math.isclose(1.0 - (1.0 - per_score) ** m, GATE_ALPHA, rel_tol=1e-9)
+    with pytest.raises(ValueError, match="at least one z-score"):
+        max_z_level(0)
 
 
 def test_add_max_z_judges_the_largest_z_score():
     res = ScenarioResult()
-    # z-scores 1, 3 and (se = 0, mean = target) 0: a pass at exactly 3.
-    z = res.add_max_z("at_bound", [1.0, 4.0, 2.0], [1.0, 1.0, 0.0],
-                      [0.0, 1.0, 2.0], 3.0, "three entries")
-    assert z == 3.0
-    # z-scores 0.5 and 3.5: a fail above the bound, over a 2 x 1 array.
-    assert res.add_max_z("above_bound", np.array([[0.5], [-3.5]]), 1.0,
-                         0.0, 3.0) == 3.5
+    one, two = max_z_level(1), max_z_level(2)
+    # z-scores 1, just below z*(3) and (se = 0, mean = target) 0: a pass.
+    below = max_z_level(3) * (1.0 - 1e-12)
+    z = res.add_max_z("below", [1.0, 1.0 + below, 2.0], [1.0, 1.0, 0.0],
+                      [0.0, 1.0, 2.0], "three entries")
+    assert z == below
+    # z-scores 0.5 and just above z*(2): a fail, over a 2 x 1 array.
+    above = two * (1.0 + 1e-12)
+    assert res.add_max_z("above", np.array([[0.5], [-above]]), 1.0,
+                         0.0) == above
     # se = 0 with the mean off its target scores inf.
-    assert res.add_max_z("zero_se_gap", [1.0, 2.0], [1.0, 0.0], 0.0,
-                         3.0) == math.inf
+    assert res.add_max_z("zero_se_gap", [1.0, 2.0], [1.0, 0.0], 0.0) \
+        == math.inf
     # A NaN estimate never passes.
-    assert math.isnan(res.add_max_z("nan_se", [1.0], [np.nan], 1.0, 3.0))
-    at, above, gap, nan = res.checks
-    assert at.passed and not (above.passed or gap.passed or nan.passed)
-    assert (at.measured, at.target, at.tolerance) == (3.0, 3.0, 3.0)
-    assert at.detail == "three entries; largest of 3 z-scores"
-    assert above.detail == "largest of 2 z-scores"
-    assert gap.detail == "largest of 2 z-scores"
+    assert math.isnan(res.add_max_z("nan_se", [1.0], [np.nan], 1.0))
+    passed, failed, gap, nan = res.checks
+    assert passed.passed and not (failed.passed or gap.passed or nan.passed)
+    assert passed.target == passed.tolerance == max_z_level(3)
+    assert failed.target == failed.tolerance == two
+    assert nan.tolerance == one
+    level = f"{max_z_level(3):.4f}"
+    assert passed.detail == \
+        f"three entries; alpha 0.001, level {level}; largest of 3 z-scores"
+    assert failed.detail == f"alpha 0.001, level {two:.4f}; largest of 2 z-scores"
+    assert gap.detail.endswith("largest of 2 z-scores")
     assert {c.provenance for c in res.checks} == {"monte_carlo_3se"}
