@@ -405,8 +405,7 @@ def cell_costs(phi: GridIntegrand, qm: QMField, qv: QVEstimate) -> np.ndarray:
     if qm.grid != phi.grid:
         raise GridMismatchError("density field on a different grid")
     roots = qm_sqrt_field(qm)
-    weighted = np.einsum("...cagh,cahk->...cagk", phi.values, roots,
-                         optimize=True)
+    weighted = np.matmul(phi.values, roots)
     return np.square(weighted, out=weighted).sum(axis=(-2, -1)) \
         * qv.measure.cell_mass
 
