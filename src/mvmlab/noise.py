@@ -20,16 +20,14 @@ Every generator has deterministic intensities nu_x(cell) = <x, R_cell x>,
 exposed as an :class:`IntensityFamily`.
 
 Randomness is counter based (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11): path p of a run with seed s draws from the Philox
-stream keyed by (s, p), starting at counter 0, and each driver consumes that
-stream in a fixed draw order.  Path p therefore depends only on (s, p):
-enlarging the path count leaves the existing paths unchanged (prefix
-stability).  ``simulate`` keeps one Philox generator per call and re-keys it
-for every path; consecutive draws of one kind (normals, or Poisson counts)
-are merged into one call, which leaves each stream unchanged because
-``numpy.random.Generator`` caches nothing between draws.  The raw draws of a
-block of paths are then turned into increments by vectorized arithmetic,
-element for element the formulas a single path would use.
+easy as 1, 2, 3", SC'11): the paths of a run with seed s come in blocks of
+1024, and block b draws from the Philox stream keyed by (s, b), starting at
+counter 0 -- first the standard normals of all its paths, then their Poisson
+counts, each in two vectorized calls.  Every block is drawn whole, the last
+one truncated, so path p depends only on (s, p // 1024): enlarging the path
+count leaves the existing paths unchanged (prefix stability).  Each driver
+turns a block's raw draws into increments by vectorized arithmetic, element
+for element the formulas a single path would use.
 """
 
 from __future__ import annotations
@@ -76,41 +74,25 @@ def _as_vector(u, dim: int | None = None) -> np.ndarray:
 
 
 class _DrawPlan:
-    """The ordered draws one path makes: ``("normal", cols, None)`` or
-    ``("poisson", cols, mean_vector)``.
+    """Column layout of one path's raw draws.
 
-    Normals and Poisson counts fill two separate rows per path; ``cols`` are
-    the columns of its row that a draw fills, which ``normal`` and
-    ``poisson`` return for the driver's ``assemble`` to read back.
+    Standard normals and Poisson counts fill two separate rows per path;
+    ``normal`` and ``poisson`` return the columns of its row that a draw
+    fills, for the driver's ``assemble`` to read back, and ``means`` collects
+    the Poisson mean of every count column.
     """
 
     def __init__(self) -> None:
-        self.draws: list[tuple[str, slice, np.ndarray | None]] = []
         self.normals = 0
-        self.counts = 0
+        self.means = np.empty(0)
 
     def normal(self, count: int) -> slice:
         self.normals += count
-        cols = slice(self.normals - count, self.normals)
-        self.draws.append(("normal", cols, None))
-        return cols
+        return slice(self.normals - count, self.normals)
 
     def poisson(self, mean: np.ndarray) -> slice:
-        self.counts += mean.size
-        cols = slice(self.counts - mean.size, self.counts)
-        self.draws.append(("poisson", cols, mean))
-        return cols
-
-    def runs(self) -> list[tuple[str, slice, np.ndarray | None]]:
-        """The draws, with consecutive draws of one kind merged into one."""
-        runs: list[tuple[str, slice, np.ndarray | None]] = []
-        for kind, cols, mean in self.draws:
-            if runs and runs[-1][0] == kind:
-                _, first, means = runs.pop()
-                cols = slice(first.start, cols.stop)
-                mean = None if mean is None else np.concatenate([means, mean])
-            runs.append((kind, cols, mean))
-        return runs
+        self.means = np.concatenate([self.means, mean])
+        return slice(self.means.size - mean.size, self.means.size)
 
 
 class NoiseSpecBase(abc.ABC):
@@ -136,8 +118,8 @@ class NoiseSpecBase(abc.ABC):
 
         ``assemble(z, n)`` maps a block's raw draws -- standard normals
         ``z`` of shape (block, plan.normals) and Poisson counts ``n`` of
-        shape (block, plan.counts), each row in the path's draw order -- to
-        increments of shape (block, n_cells, n_atoms, dim)."""
+        shape (block, plan.means.size), one row per path -- to increments
+        of shape (block, n_cells, n_atoms, dim)."""
 
     @abc.abstractmethod
     def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
@@ -419,7 +401,7 @@ class IntegralType(NoiseSpecBase):
                    selector=(0,) * n_cells)
 
 
-# Paths per block: bounds the raw-draw scratch to a few MB whatever `paths`.
+# Paths per random stream: part of the stream definition (see ``simulate``).
 _BLOCK = 1024
 
 
@@ -487,12 +469,12 @@ def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
              seed: int) -> MVMPathEnsemble:
     """Draw a path ensemble for a driver.
 
-    Path p draws from the Philox stream keyed by (seed, p), starting at
-    counter 0, in the driver's fixed draw order; it depends on nothing
-    else, so enlarging `paths` leaves the existing paths unchanged.  One
-    generator is re-keyed per path, consecutive draws of one kind are made
-    in one call, and each block of at most ``_BLOCK`` paths is assembled
-    into increments at once.
+    Paths come in blocks of ``_BLOCK``: block b draws from the Philox stream
+    keyed by (seed, b), starting at counter 0, first the standard normals of
+    all its paths, then their Poisson counts, each path-major and each row in
+    the driver's column order.  Every block is drawn whole and the last one
+    truncated, so path p depends only on (seed, p // _BLOCK) and enlarging
+    `paths` leaves the existing paths unchanged.
     """
     if paths < 1:
         raise ValueError("need at least one path")
@@ -500,28 +482,12 @@ def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
         raise ValueError("seed must be a nonnegative 63-bit integer")
     spec.validate_grid(grid)
     plan, assemble = spec._sampler(grid)
-    runs = plan.runs()
     out = np.empty((paths, grid.n_cells, grid.n_atoms, spec.dim))
-    block = min(paths, _BLOCK)
-    z = np.empty((block, plan.normals))
-    n = np.empty((block, plan.counts), dtype=np.int64)
-    key = np.array([seed, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
-    # Setting this state is the same as building Philox(key=key) afresh,
-    # at a fraction of the cost.
-    fresh = bitgen.state
-    fresh["state"]["key"] = key
-    for lo in range(0, paths, block):
-        hi = min(lo + block, paths)
-        for row, p in enumerate(range(lo, hi)):
-            key[1] = p
-            bitgen.state = fresh
-            for kind, cols, mean in runs:
-                if kind == "normal":
-                    rng.standard_normal(out=z[row, cols])
-                else:
-                    n[row, cols] = rng.poisson(mean)
+    for b, lo in enumerate(range(0, paths, _BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=[int(seed), b]))
+        z = rng.standard_normal((_BLOCK, plan.normals))
+        n = rng.poisson(plan.means, size=(_BLOCK, plan.means.size))
+        hi = min(lo + _BLOCK, paths)
         out[lo:hi] = assemble(z[:hi - lo], n[:hi - lo])
     return MVMPathEnsemble(grid, out)
 

@@ -247,8 +247,8 @@ def test_hvalued_driver_martingale_second_moment():
 
 
 def _loop_oracle_path(spec, grid, rng):
-    """One path drawn the per-path way: a fresh generator, the driver's draw
-    order, and the single-path formulas."""
+    """One path by the single-path formulas, taking its raw draws from `rng`
+    in the driver's order."""
     dt = grid.dt
     if isinstance(spec, WhiteNoise):
         std = np.sqrt(np.outer(dt, spec.rate_values))
@@ -270,11 +270,46 @@ def _loop_oracle_path(spec, grid, rng):
     return out
 
 
-def _loop_oracle(spec, grid, paths, seed):
-    return np.stack([
-        _loop_oracle_path(spec, grid, np.random.Generator(np.random.Philox(
-            key=np.array([seed, p], dtype=np.uint64))))
-        for p in range(paths)])
+class _RawRow:
+    """Stands in for a generator in `_loop_oracle_path`: hands out one path's
+    normals `z` and counts `n` in the order the path asks for them (zeros
+    when none are given) and records how many normals and which Poisson
+    means it asked for."""
+
+    def __init__(self, z=None, n=None):
+        self.z, self.n = z, n
+        self.normals, self.means = 0, np.empty(0)
+
+    def standard_normal(self, shape):
+        size = int(np.prod(shape))
+        self.normals += size
+        z = np.zeros(size) if self.z is None \
+            else self.z[self.normals - size:self.normals]
+        return z.reshape(shape)
+
+    def poisson(self, mean):
+        self.means = np.concatenate([self.means, mean])
+        stop = self.means.size
+        return np.zeros(mean.size, dtype=np.int64) if self.n is None \
+            else self.n[stop - mean.size:stop]
+
+
+def _block_oracle(spec, grid, paths, seed):
+    """Paths drawn the documented way, one draw call per path: block b's
+    stream Philox(seed, b) gives the normals of its _BLOCK paths row by row,
+    then their counts row by row; each row then goes through the single-path
+    formulas."""
+    layout = _RawRow()
+    _loop_oracle_path(spec, grid, layout)
+    rows = []
+    for b in range(-(-paths // _BLOCK)):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, b], dtype=np.uint64)))
+        z = [rng.standard_normal(layout.normals) for _ in range(_BLOCK)]
+        n = [rng.poisson(layout.means) for _ in range(_BLOCK)]
+        rows += [_loop_oracle_path(spec, grid, _RawRow(zr, nr))
+                 for zr, nr in zip(z, n)]
+    return np.stack(rows[:paths])
 
 
 def _oracle_specs():
@@ -310,7 +345,7 @@ def test_simulate_matches_per_path_loop_oracle_bitwise(name):
     spec, steps = _oracle_specs()[name]
     grid = default_grid(spec, 1.0, steps)
     counts = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
-    oracle = _loop_oracle(spec, grid, max(counts), 9)
+    oracle = _block_oracle(spec, grid, max(counts), 9)
     for paths in counts:
         ens = simulate(spec, grid, paths, 9)
         assert np.array_equal(ens.increments, oracle[:paths]), paths
@@ -328,6 +363,9 @@ def test_enlarging_the_ensemble_preserves_existing_paths(levy_spec):
     many = simulate(levy_spec, grid, 3 * _BLOCK, 5)
     np.testing.assert_array_equal(many.increments[:_BLOCK + 5],
                                   across.increments)
+    # Each block has a stream of its own: block 1 does not repeat block 0.
+    first, second = many.increments[:_BLOCK], many.increments[_BLOCK:2 * _BLOCK]
+    assert not np.any(first == second)
 
 
 def test_seed_validation():
