@@ -199,6 +199,12 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
     if len(rates) < 2:
         raise ScenarioInputError("parameter 'rates' of scenario 'white_noise_qv' "
                                  "needs two atoms for the orthogonality gate")
+    if len({k for k, _ in rates}) < len(rates):
+        raise ScenarioInputError("parameter 'rates' of scenario 'white_noise_qv' "
+                                 "repeats an atom label")
+    if any(v < 0 for _, v in rates):
+        raise ScenarioInputError("parameter 'rates' of scenario 'white_noise_qv' "
+                                 "has a negative rate")
     spec = noise.WhiteNoise(rates=rates)
     grid = noise.default_grid(spec, params["t_max"], params["steps"])
     ens = noise.simulate(spec, grid, paths, seed)
@@ -315,9 +321,6 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    if params["jumps"] < 1:
-        raise ScenarioInputError("parameter 'jumps' of scenario 'hvalued_levy_qm' "
-                                 f"must be at least 1, got {params['jumps']}")
     dim = params["dim"]
     rng = np.random.default_rng(seed)
     q = _random_psd(rng, dim)
@@ -745,6 +748,8 @@ class ScenarioDef:
     seed: int
     paths: int
     params: dict
+    # The smallest value an integer parameter may take, where it has one.
+    least: dict = field(default_factory=dict)
 
 
 SCENARIOS: dict[str, ScenarioDef] = {
@@ -758,20 +763,24 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "white-noise intensities, second moments and exact quadratic variation",
         seed=7, paths=10_000,
         params={"rates": [["a", 0.5], ["b", 1.0], ["c", 2.0]],
-                "t_max": 1.0, "steps": 20}),
+                "t_max": 1.0, "steps": 20},
+        least={"steps": 1}),
     "discrete_levy_qv": ScenarioDef(
         _scn_discrete_levy,
         "finite-mark driver: sphere supremum vs operator norms, density field",
         seed=27, paths=1,
         params={"dim": 4, "t_max": 1.0, "steps": 10, "sphere": 512,
-                "sphere_seed": 11, "qv_rtol": 0.02, "qm_atol": 0.02}),
+                "sphere_seed": 11, "qv_rtol": 0.02, "qm_atol": 0.02},
+        least={"dim": 1, "steps": 1}),
     "hvalued_levy_qm": ScenarioDef(
         _scn_hvalued,
         "state-space-valued driver: Wiener and jump atoms, rank-1 densities",
         seed=5, paths=4_000,
         params={"dim": 3, "jumps": 2, "t_max": 1.0, "steps": 10,
                 "sphere": 512, "sphere_seed": 11, "qv_rtol": 0.02,
-                "qm_atol": 0.02}),
+                "qm_atol": 0.02},
+        # A jump density's rank-1 defect is read off its other eigenvalues.
+        least={"dim": 2, "jumps": 1, "steps": 1}),
     "haar_counterexample": ScenarioDef(
         _scn_haar,
         "dyadic partition sums grow like 2^k: the supremum diverges",
@@ -797,13 +806,16 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "heat equation: decay exactness, convolution moments, weak residual",
         seed=9, paths=10_000,
         params={"modes": 16, "steps": 64, "channels": 4, "instance_seed": 2,
-                "residual_paths": 400, "slope_band": 0.3}),
+                "residual_paths": 400, "slope_band": 0.3},
+        # The weak residual is fitted on grids of steps // 4, // 2 and // 1.
+        least={"steps": 4}),
     "picard_contraction": ScenarioDef(
         _scn_picard,
         "fixed-point iteration under the weighted norm: measured contraction",
         seed=19, paths=500,
         params={"modes": 16, "steps": 32, "channels": 4, "instance_seed": 2,
-                "drift_gain": 1.0, "tol": 1e-6, "max_iter": 12}),
+                "drift_gain": 1.0, "tol": 1e-6, "max_iter": 12},
+        least={"steps": 1}),
 }
 
 
@@ -868,6 +880,11 @@ def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
                 f"unknown parameter {key!r} for scenario {name!r}; "
                 f"expected keys: {', '.join(sorted(merged))}")
         merged[key] = _checked(name, key, merged[key], value)
+    for key, low in item.least.items():
+        if merged[key] < low:
+            raise ScenarioInputError(
+                f"parameter {key!r} of scenario {name!r} must be at least "
+                f"{low}, got {merged[key]}")
     seed = item.seed if seed is None else int(seed)
     paths = item.paths if paths is None else int(paths)
     start = time.perf_counter()

@@ -89,6 +89,26 @@ PATHS_RULE = '"paths" must be an integer >= 1'
      "'rates' of scenario 'white_noise_qv' needs two atoms"),
     (json.dumps({"scenario": "hvalued_levy_qm", "params": {"jumps": 0}}),
      "'jumps' of scenario 'hvalued_levy_qm' must be at least 1, got 0"),
+    (json.dumps({"scenario": "white_noise_qv",
+                 "params": {"rates": [["a", -1.0], ["b", 1.0]]}}),
+     "'rates' of scenario 'white_noise_qv' has a negative rate"),
+    (json.dumps({"scenario": "white_noise_qv",
+                 "params": {"rates": [["a", 1.0], ["a", 2.0]]}}),
+     "'rates' of scenario 'white_noise_qv' repeats an atom label"),
+    (json.dumps({"scenario": "hvalued_levy_qm", "params": {"dim": 0}}),
+     "'dim' of scenario 'hvalued_levy_qm' must be at least 2, got 0"),
+    (json.dumps({"scenario": "discrete_levy_qv", "params": {"dim": 0}}),
+     "'dim' of scenario 'discrete_levy_qv' must be at least 1, got 0"),
+    (json.dumps({"scenario": "white_noise_qv", "params": {"steps": 0}}),
+     "'steps' of scenario 'white_noise_qv' must be at least 1, got 0"),
+    (json.dumps({"scenario": "discrete_levy_qv", "params": {"steps": 0}}),
+     "'steps' of scenario 'discrete_levy_qv' must be at least 1, got 0"),
+    (json.dumps({"scenario": "hvalued_levy_qm", "params": {"steps": 0}}),
+     "'steps' of scenario 'hvalued_levy_qm' must be at least 1, got 0"),
+    (json.dumps({"scenario": "heat_spde", "params": {"steps": 0}}),
+     "'steps' of scenario 'heat_spde' must be at least 4, got 0"),
+    (json.dumps({"scenario": "picard_contraction", "params": {"steps": 0}}),
+     "'steps' of scenario 'picard_contraction' must be at least 1, got 0"),
 ])
 def test_bad_configs_exit_one(tmp_path, capsys, payload, fragment):
     path = tmp_path / "bad.json"
