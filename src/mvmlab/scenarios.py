@@ -31,8 +31,8 @@ __all__ = ["Check", "ScenarioResult", "RunReport", "SCENARIOS",
 
 
 class ScenarioInputError(ValueError):
-    """An unknown scenario, an unknown parameter, or a parameter value whose
-    JSON type differs from its default's."""
+    """An unknown scenario, an unknown parameter, a parameter value whose
+    JSON type differs from its default's, or one out of its range."""
 
 
 @dataclass(frozen=True)
