@@ -341,7 +341,7 @@ def _oracle_specs():
 
 
 @pytest.mark.parametrize("name", sorted(_oracle_specs()))
-def test_simulate_matches_per_path_loop_oracle_bitwise(name):
+def test_simulate_matches_block_oracle_bitwise(name):
     spec, steps = _oracle_specs()[name]
     grid = default_grid(spec, 1.0, steps)
     counts = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)

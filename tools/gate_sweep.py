@@ -2,31 +2,28 @@
 
 Usage::
 
-    python3 tools/gate_sweep.py --label NAME [--out FILE] [--runs N]
-                                [SCENARIO ...]
+    python3 tools/gate_sweep.py --label NAME [--out FILE]
 
 Runs each swept scenario through ``mvmlab.scenarios.run_scenario`` at seeds
-``default + 1000 + s`` for s = 0 .. runs - 1 (200 runs of ``white_noise_qv``,
+``default + 1000 + s`` for s = 0 .. runs - 1: 200 runs of ``white_noise_qv``,
 ``hvalued_levy_qm`` and ``haar_counterexample``, 40 of ``heat_spde`` and 25
-of ``ito_isometry``; ``--runs`` caps them for a quick look).  Every check of
-provenance ``monte_carlo_3se`` reports the largest of its m z-scores, with m
-in its detail; the sweep counts, per gate, the runs whose largest z exceeds
-the gate's former fixed level (3 or 3.5) and the runs whose largest z
-exceeds the Sidak level z*(m) at alpha = 1e-3.  Both levels are computed
-here, so the same script measures a tree whose gates use either.  A fault-free
-gate at z*(m) trips in about alpha of its runs.  Failed checks of any other
-provenance are counted too.
+of ``ito_isometry``, always all of them.  Every check of provenance
+``monte_carlo_3se`` reports the largest of its m z-scores, with m in its
+detail; the sweep counts, per gate, the runs whose largest z exceeds the
+gate's former fixed level (3 or 3.5) and the runs whose largest z exceeds
+``noise.max_z_level(m)``, the Sidak level z*(m) at ``noise.GATE_ALPHA``.  A
+fault-free gate at z*(m) trips in about alpha of its runs.  Failed checks of
+any other provenance are counted too.
 
 The result, with the Python, numpy and core count of the run, is stored
 under ``--label`` in ``--out`` (default ``BENCH_gates.json`` at the root of
-this checkout); other labels already in the file are kept, so one file can
-hold the sweeps of two trees.  The package is imported from the ``src``
-directory next to this script.
+this checkout).  A sweep replaces the entry of its own label and keeps the
+others, so one file can hold the sweeps of two trees.  The package is
+imported from the ``src`` directory next to this script.
 """
 
 import argparse
 import json
-import math
 import os
 import platform
 import re
@@ -34,31 +31,24 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from statistics import NormalDist
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from mvmlab.noise import GATE_ALPHA, max_z_level  # noqa: E402
 from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
 RUNS = {"white_noise_qv": 200, "hvalued_levy_qm": 200,
         "haar_counterexample": 200, "heat_spde": 40, "ito_isometry": 25}
 SEED_OFFSET = 1000
-ALPHA = 1e-3
 MONTE_CARLO = "monte_carlo_3se"
 # The fixed level each gate used before the Sidak calibration.
 FORMER_LEVELS = {("hvalued_levy_qm", "intensity_max_z"): 3.5,
                  ("haar_counterexample", "intensity_max_z"): 3.5}
 FORMER_DEFAULT = 3.0
 COUNT = re.compile(r"largest of (\d+) z-scores$")
-
-
-def sidak_level(m: int) -> float:
-    """Level of the largest of m independent |z| that a fault-free run
-    exceeds with probability ALPHA."""
-    return -NormalDist().inv_cdf(-math.expm1(math.log1p(-ALPHA) / m) / 2.0)
 
 
 def sweep(name: str, runs: int) -> dict:
@@ -77,7 +67,7 @@ def sweep(name: str, runs: int) -> dict:
                                        FORMER_DEFAULT)
             g = gates.setdefault(c.name, {
                 "m": m, "former_level": former,
-                "calibrated_level": round(sidak_level(m), 6),
+                "calibrated_level": round(max_z_level(m), 6),
                 "runs": 0, "trips_former": 0, "trips_calibrated": 0,
                 "worst_z": 0.0, "worst_seed": None, "seeds_tripped": []})
             if g["m"] != m:
@@ -86,7 +76,7 @@ def sweep(name: str, runs: int) -> dict:
             z = c.measured
             g["runs"] += 1
             g["trips_former"] += int(not z <= former)
-            if not z <= sidak_level(m):
+            if not z <= max_z_level(m):
                 g["trips_calibrated"] += 1
                 g["seeds_tripped"].append(seed)
             if not z <= g["worst_z"]:
@@ -111,21 +101,13 @@ def environment() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("scenarios", nargs="*", metavar="SCENARIO",
-                        help=f"scenarios to sweep (default: {', '.join(RUNS)})")
     parser.add_argument("--label", required=True,
                         help="key of this sweep in the output file")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_gates.json")
-    parser.add_argument("--runs", type=int,
-                        help="cap on the runs per scenario")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.scenarios) - set(RUNS))
-    if unknown:
-        parser.error(f"not swept: {', '.join(unknown)}")
     start = time.perf_counter()
     result = {}
-    for name in args.scenarios or list(RUNS):
-        runs = RUNS[name] if args.runs is None else min(args.runs, RUNS[name])
+    for name, runs in RUNS.items():
         result[name] = sweep(name, runs)
         for gate, g in result[name]["gates"].items():
             print(f"{name} {gate}: m {g['m']}, trips {g['trips_former']} at "
@@ -136,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name} {check}: failed at seeds {seeds}", flush=True)
     stored = json.loads(args.out.read_text(encoding="utf-8")) \
         if args.out.is_file() else {}
-    stored.setdefault("alpha", ALPHA)
+    stored.setdefault("alpha", GATE_ALPHA)
     stored.setdefault("seed_rule", f"default + {SEED_OFFSET} + s")
     stored.setdefault("sweeps", {})[args.label] = {
         "env": environment(),
