@@ -95,14 +95,13 @@ class GridIntegrand:
     ones.  Only the left endpoint of a cell ever sees the field, which is how
     predictability is encoded on the grid.
 
-    A per-path field is stored in contraction order: ``values.swapaxes(-1,
-    -2)`` is C-contiguous, i.e. the memory holds ``(paths, cells, atoms,
-    dim_h, dim_g)`` in C order.  That is the stack of ``(atoms * dim_h,
-    dim_g)`` matrices the cell contraction multiplies, so integrating reads
-    the field in place instead of copying it on every call, and every
-    per-path field reaches the kernel in one layout, whatever layout the
-    caller passed.  The constructor copies a per-path array only when it is
-    not already in that order.
+    Every field, shared or per-path, is stored in contraction order:
+    ``values.swapaxes(-1, -2)`` is C-contiguous, i.e. the memory holds
+    ``([paths,] cells, atoms, dim_h, dim_g)`` in C order.  That is the stack
+    of ``(atoms * dim_h, dim_g)`` matrices the cell contraction multiplies,
+    so integrating reads the field in place, and every field reaches the
+    kernel in one layout, whatever layout the caller passed.  The
+    constructor copies an array only when it is not already in that order.
     """
 
     grid: GridSpec
@@ -116,9 +115,7 @@ class GridIntegrand:
         if v.shape[cells_axis] != self.grid.n_cells \
                 or v.shape[cells_axis + 1] != self.grid.n_atoms:
             raise ValueError(f"integrand shape {v.shape} does not match grid")
-        if v.ndim == 5:
-            v = _contraction_order(v)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _contraction_order(v))
 
     @property
     def per_path(self) -> bool:
@@ -138,9 +135,8 @@ class GridIntegrand:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("expected a single (G x H) matrix")
-        values = np.broadcast_to(
-            matrix, (grid.n_cells, grid.n_atoms) + matrix.shape).copy()
-        return cls(grid, values)
+        return cls(grid, np.broadcast_to(
+            matrix, (grid.n_cells, grid.n_atoms) + matrix.shape))
 
     @classmethod
     def from_time_profile(cls, grid: GridSpec, matrices: np.ndarray
@@ -226,35 +222,27 @@ class IntegralPathEnsemble:
                          [self.times, mean, se, target])
 
 
-def _contract_cells(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """Cellwise actions ``sum_atoms Phi dM`` (paths, cells, G) of a shared
-    (4-d) or per-path (5-d) field.
-
-    A per-path field is contracted by one ``np.matmul`` of the
-    ``(paths * cells, 1, atoms * H)`` increments with the ``(paths * cells,
-    atoms * H, G)`` stack ``values.swapaxes(-1, -2).reshape(...)``.  For a
-    field in contraction order (every :class:`GridIntegrand`'s) that reshape
-    is a view, so no copy is made; any other layout is copied into that one
-    first, so the sum does not depend on the layout.  A shared field uses the
-    einsum ``"cagh,pcah->pcg"``, which may round differently in the last
-    bits, so an exact identity contracts one kind of field on both sides."""
-    if values.ndim == 4:
-        return np.einsum("cagh,pcah->pcg", values, increments, optimize=True)
-    p, c, a, g, h = values.shape
-    out = np.matmul(increments.reshape(p * c, 1, a * h),
-                    values.swapaxes(-1, -2).reshape(p * c, a * h, g))
-    return out.reshape(p, c, g)
-
-
 def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
-    """The cellwise actions of `phi` on `ens` (paths, cells, G), after
-    checking that the two fit together."""
+    """The cellwise actions ``sum_atoms Phi dM`` of `phi` on `ens` (paths,
+    cells, G), after checking that the two fit together.
+
+    This is the one cell contraction: one ``np.matmul`` of the ``(paths,
+    cells, 1, atoms * H)`` increments with the stack
+    ``values.swapaxes(-1, -2).reshape(..., atoms * H, G)``, a C-contiguous
+    view of the field's storage (see :class:`GridIntegrand`).  A shared
+    stack broadcasts over the paths, so every (path, cell) product is the
+    same vector-matrix call on the same C-ordered matrix, and a shared field
+    and its per-path copy give bitwise-equal actions."""
     _check_grid(phi.grid, ens)
     if phi.dim_h != ens.dim:
         raise ValueError(f"integrand expects dim {phi.dim_h}, driver has {ens.dim}")
     if phi.per_path and phi.values.shape[0] != ens.paths:
         raise ValueError("per-path integrand does not match the path count")
-    return _contract_cells(phi.values, ens.increments)
+    p, c, a, h = ens.increments.shape
+    stack = phi.values.swapaxes(-1, -2).reshape(
+        phi.values.shape[:-3] + (a * h, phi.dim_g))
+    out = np.matmul(ens.increments.reshape(p, c, 1, a * h), stack)
+    return out.reshape(p, c, phi.dim_g)
 
 
 def _integral(times: np.ndarray, actions: np.ndarray) -> IntegralPathEnsemble:
@@ -474,17 +462,12 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     The field is contracted once.  The left side integrates the actions of
     the cells before the stopping time (later cells add exact zeros); the
     right side clamps the integral of all the actions at the stopping time,
-    so the two sides agree exactly.  A shared field is first materialized
-    per path (in the contraction order of :class:`GridIntegrand`), so both
-    sides come out the same whichever layout the caller passes.  `check`
-    turns a nonzero gap into an error (regression guard).
+    so the two sides agree exactly.  `check` turns a nonzero gap into an
+    error (regression guard).
     """
     stop_index = np.asarray(stop_index, dtype=np.int64)
     if stop_index.shape != (ens.paths,):
         raise ValueError("need one stopping index per path")
-    if not phi.per_path:
-        phi = GridIntegrand(phi.grid, np.broadcast_to(
-            phi.values, (ens.paths,) + phi.values.shape))
     actions = _cell_actions(phi, ens)
     before = np.arange(phi.grid.n_cells)[None, :] < stop_index[:, None]
     lhs = _integral(ens.times, np.where(before[:, :, None], actions, 0.0))

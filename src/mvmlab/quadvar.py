@@ -72,9 +72,9 @@ def _trace_counts(n: int) -> list[int]:
 def _running_max(stack: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Final running maximum of `stack` along axis 0 and its total at each
     trace count, folded from contiguous block maxima between the counts.
-    It keeps the memory layout of `stack[0]`, so each total is summed in the
-    order of a slice's own ``sum()``."""
-    running = stack[0].copy(order="K")
+    The running maximum is C-ordered, so each total is a function of the
+    masses alone."""
+    running = stack[0].copy()
     trace = []
     start = 0
     for count in _trace_counts(len(stack)):

@@ -32,7 +32,8 @@ __all__ = ["Check", "ScenarioResult", "RunReport", "SCENARIOS",
 
 class ScenarioInputError(ValueError):
     """An unknown scenario, an unknown parameter, a parameter value whose
-    JSON type differs from its default's, or one out of its range."""
+    JSON type differs from its default's, or one out of its range (the path
+    count included)."""
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,12 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _require(ok: bool, name: str, key: str, rule: str) -> None:
+    """Reject parameter `key` of scenario `name` before it runs unless `ok`."""
+    if not ok:
+        raise ScenarioInputError(f"parameter {key!r} of scenario {name!r} {rule}")
+
+
 # ---------------------------------------------------------------------------
 # supremum-of-measures oracle
 
@@ -196,15 +203,13 @@ def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
 def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     rates = tuple((str(k), float(v)) for k, v in params["rates"])
-    if len(rates) < 2:
-        raise ScenarioInputError("parameter 'rates' of scenario 'white_noise_qv' "
-                                 "needs two atoms for the orthogonality gate")
-    if len({k for k, _ in rates}) < len(rates):
-        raise ScenarioInputError("parameter 'rates' of scenario 'white_noise_qv' "
-                                 "repeats an atom label")
-    if any(v < 0 for _, v in rates):
-        raise ScenarioInputError("parameter 'rates' of scenario 'white_noise_qv' "
-                                 "has a negative rate")
+    _require(len(rates) >= 2, "white_noise_qv", "rates",
+             "needs two atoms for the orthogonality gate")
+    _require(len({k for k, _ in rates}) == len(rates), "white_noise_qv",
+             "rates", "repeats an atom label")
+    _require(all(v >= 0 for _, v in rates), "white_noise_qv", "rates",
+             "has a negative rate")
+    _require(params["t_max"] > 0, "white_noise_qv", "t_max", "must be > 0")
     spec = noise.WhiteNoise(rates=rates)
     grid = noise.default_grid(spec, params["t_max"], params["steps"])
     ens = noise.simulate(spec, grid, paths, seed)
@@ -261,6 +266,9 @@ def _levy_menu(seed: int, dim: int) -> noise.DiscreteLevy:
 def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     dim = params["dim"]
+    _require(params["t_max"] > 0, "discrete_levy_qv", "t_max", "must be > 0")
+    _require(params["sphere"] >= dim, "discrete_levy_qv", "sphere",
+             f"must be at least 'dim' = {dim}")
     spec = _levy_menu(seed, dim)
     grid = noise.default_grid(spec, params["t_max"], params["steps"])
     family = noise.intensity_family(spec, grid)
@@ -322,6 +330,9 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
 def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     dim = params["dim"]
+    _require(params["t_max"] > 0, "hvalued_levy_qm", "t_max", "must be > 0")
+    _require(params["sphere"] >= dim, "hvalued_levy_qm", "sphere",
+             f"must be at least 'dim' = {dim}")
     rng = np.random.default_rng(seed)
     q = _random_psd(rng, dim)
     jumps = tuple((rng.standard_normal(dim) * (1.0 + j), 1.0 + 1.5 * j)
@@ -562,6 +573,8 @@ def _scn_fubini(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 
 def _scn_stopped(seed: int, paths: int, params: dict) -> ScenarioResult:
+    _require(len(params["thresholds"]) > 0, "stopped_integral", "thresholds",
+             "must not be empty")
     res = ScenarioResult()
     tol = params["tol"]
     spec = _levy_menu(seed + 3, 4)
@@ -748,7 +761,8 @@ class ScenarioDef:
     seed: int
     paths: int
     params: dict
-    # The smallest value an integer parameter may take, where it has one.
+    # The smallest value an integer parameter, or the path count (key
+    # "paths"), may take, where it has one.
     least: dict = field(default_factory=dict)
 
 
@@ -757,21 +771,23 @@ SCENARIOS: dict[str, ScenarioDef] = {
         _scn_sup_measures,
         "cellwise supremum of measures against partition enumeration",
         seed=2024, paths=1,
-        params={"trials": 120, "max_measures": 5, "max_cells": 6}),
+        params={"trials": 120, "max_measures": 5, "max_cells": 6},
+        least={"max_measures": 1, "max_cells": 1}),
     "white_noise_qv": ScenarioDef(
         _scn_white_noise,
         "white-noise intensities, second moments and exact quadratic variation",
         seed=7, paths=10_000,
         params={"rates": [["a", 0.5], ["b", 1.0], ["c", 2.0]],
                 "t_max": 1.0, "steps": 20},
-        least={"steps": 1}),
+        # Empirical intensities need 100 paths.
+        least={"steps": 1, "paths": 100}),
     "discrete_levy_qv": ScenarioDef(
         _scn_discrete_levy,
         "finite-mark driver: sphere supremum vs operator norms, density field",
         seed=27, paths=1,
         params={"dim": 4, "t_max": 1.0, "steps": 10, "sphere": 512,
                 "sphere_seed": 11, "qv_rtol": 0.02, "qm_atol": 0.02},
-        least={"dim": 1, "steps": 1}),
+        least={"dim": 1, "steps": 1, "sphere_seed": 0}),
     "hvalued_levy_qm": ScenarioDef(
         _scn_hvalued,
         "state-space-valued driver: Wiener and jump atoms, rank-1 densities",
@@ -780,22 +796,26 @@ SCENARIOS: dict[str, ScenarioDef] = {
                 "sphere": 512, "sphere_seed": 11, "qv_rtol": 0.02,
                 "qm_atol": 0.02},
         # A jump density's rank-1 defect is read off its other eigenvalues.
-        least={"dim": 2, "jumps": 1, "steps": 1}),
+        least={"dim": 2, "jumps": 1, "steps": 1, "sphere_seed": 0,
+               "paths": 100}),
     "haar_counterexample": ScenarioDef(
         _scn_haar,
         "dyadic partition sums grow like 2^k: the supremum diverges",
         seed=1, paths=2_000,
-        params={"k_max": 8, "k_sim": 3}),
+        params={"k_max": 8, "k_sim": 3},
+        least={"paths": 100}),
     "ito_isometry": ScenarioDef(
         _scn_ito_isometry,
         "integration isometry and zero mean over five integrand/driver pairs",
         seed=11, paths=20_000,
-        params={"pair_seed": 23}),
+        params={"pair_seed": 23},
+        least={"pair_seed": 0}),
     "fubini": ScenarioDef(
         _scn_fubini,
         "integrate-the-mix equals mix-the-integrals, pathwise",
         seed=13, paths=4_000,
-        params={"family_size": 5, "tol": 1e-10}),
+        params={"family_size": 5, "tol": 1e-10},
+        least={"family_size": 1}),
     "stopped_integral": ScenarioDef(
         _scn_stopped,
         "stopping, restriction, pushforward and localization identities",
@@ -808,14 +828,16 @@ SCENARIOS: dict[str, ScenarioDef] = {
         params={"modes": 16, "steps": 64, "channels": 4, "instance_seed": 2,
                 "residual_paths": 400, "slope_band": 0.3},
         # The weak residual is fitted on grids of steps // 4, // 2 and // 1.
-        least={"steps": 4}),
+        least={"modes": 1, "steps": 4, "channels": 1, "instance_seed": 0,
+               "residual_paths": 1}),
     "picard_contraction": ScenarioDef(
         _scn_picard,
         "fixed-point iteration under the weighted norm: measured contraction",
         seed=19, paths=500,
         params={"modes": 16, "steps": 32, "channels": 4, "instance_seed": 2,
                 "drift_gain": 1.0, "tol": 1e-6, "max_iter": 12},
-        least={"steps": 1}),
+        least={"modes": 1, "steps": 1, "channels": 1, "instance_seed": 0,
+               "max_iter": 1}),
 }
 
 
@@ -880,13 +902,11 @@ def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
                 f"unknown parameter {key!r} for scenario {name!r}; "
                 f"expected keys: {', '.join(sorted(merged))}")
         merged[key] = _checked(name, key, merged[key], value)
-    for key, low in item.least.items():
-        if merged[key] < low:
-            raise ScenarioInputError(
-                f"parameter {key!r} of scenario {name!r} must be at least "
-                f"{low}, got {merged[key]}")
     seed = item.seed if seed is None else int(seed)
     paths = item.paths if paths is None else int(paths)
+    for key, low in item.least.items():
+        value = paths if key == "paths" else merged[key]
+        _require(value >= low, name, key, f"must be at least {low}, got {value}")
     start = time.perf_counter()
     result = item.fn(seed, paths, merged)
     elapsed = time.perf_counter() - start

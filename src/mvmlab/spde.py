@@ -20,8 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import (GridIntegrand, IntegralPathEnsemble, _cell_actions,
-                        _contract_cells)
+from .integrate import GridIntegrand, IntegralPathEnsemble, _cell_actions
 from .measures import _csv_text
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
@@ -160,17 +159,19 @@ def _noise_term(coeffs: CoefficientSpec, ens: MVMPathEnsemble,
                 states: np.ndarray) -> np.ndarray | float:
     """Cellwise noise actions ``F(t_i, X_i) dM_i``, (paths, n_cells, G).
 
-    A constant field is contracted as one shared (4-d) field, a
-    state-dependent one per path at the left endpoints of `states`; without
-    noise the term is 0.0."""
+    A constant field is a shared (4-d) integrand, a state-dependent one a
+    per-path integrand at the left endpoints of `states`; both go through
+    :func:`~mvmlab.integrate._cell_actions`, so a noise map that returns
+    the constant field gives the same bits.  Without noise the term is
+    0.0."""
     if coeffs.noise is not None:
         field = _at_left_endpoints(coeffs.noise, ens.times, states)
     elif coeffs.noise_matrices is not None:
         mats = coeffs.noise_matrices
-        field = np.broadcast_to(mats, (ens.grid.n_cells,) + mats.shape).copy()
+        field = np.broadcast_to(mats, (ens.grid.n_cells,) + mats.shape)
     else:
         return 0.0
-    return _contract_cells(field, ens.increments)
+    return _cell_actions(GridIntegrand(ens.grid, field), ens)
 
 
 def coefficient_spot_check(coeffs: CoefficientSpec, grid, qm: QMField,

@@ -109,6 +109,62 @@ PATHS_RULE = '"paths" must be an integer >= 1'
      "'steps' of scenario 'heat_spde' must be at least 4, got 0"),
     (json.dumps({"scenario": "picard_contraction", "params": {"steps": 0}}),
      "'steps' of scenario 'picard_contraction' must be at least 1, got 0"),
+    (json.dumps({"scenario": "white_noise_qv", "params": {"t_max": 0.0}}),
+     "'t_max' of scenario 'white_noise_qv' must be > 0"),
+    (json.dumps({"scenario": "discrete_levy_qv", "params": {"t_max": 0.0}}),
+     "'t_max' of scenario 'discrete_levy_qv' must be > 0"),
+    (json.dumps({"scenario": "hvalued_levy_qm", "params": {"t_max": 0.0}}),
+     "'t_max' of scenario 'hvalued_levy_qm' must be > 0"),
+    (json.dumps({"scenario": "heat_spde", "params": {"modes": 0}}),
+     "'modes' of scenario 'heat_spde' must be at least 1, got 0"),
+    (json.dumps({"scenario": "heat_spde", "params": {"channels": 0}}),
+     "'channels' of scenario 'heat_spde' must be at least 1, got 0"),
+    (json.dumps({"scenario": "heat_spde", "params": {"instance_seed": -1}}),
+     "'instance_seed' of scenario 'heat_spde' must be at least 0, got -1"),
+    (json.dumps({"scenario": "picard_contraction", "params": {"modes": 0}}),
+     "'modes' of scenario 'picard_contraction' must be at least 1, got 0"),
+    (json.dumps({"scenario": "picard_contraction", "params": {"channels": 0}}),
+     "'channels' of scenario 'picard_contraction' must be at least 1, got 0"),
+    (json.dumps({"scenario": "picard_contraction",
+                 "params": {"instance_seed": -1}}),
+     "'instance_seed' of scenario 'picard_contraction' must be at least 0, "
+     "got -1"),
+    (json.dumps({"scenario": "picard_contraction", "params": {"max_iter": 0}}),
+     "'max_iter' of scenario 'picard_contraction' must be at least 1, got 0"),
+    (json.dumps({"scenario": "discrete_levy_qv", "params": {"sphere": 3}}),
+     "'sphere' of scenario 'discrete_levy_qv' must be at least 'dim' = 4"),
+    (json.dumps({"scenario": "hvalued_levy_qm", "params": {"sphere": 2}}),
+     "'sphere' of scenario 'hvalued_levy_qm' must be at least 'dim' = 3"),
+    (json.dumps({"scenario": "discrete_levy_qv",
+                 "params": {"sphere_seed": -1}}),
+     "'sphere_seed' of scenario 'discrete_levy_qv' must be at least 0, "
+     "got -1"),
+    (json.dumps({"scenario": "hvalued_levy_qm",
+                 "params": {"sphere_seed": -1}}),
+     "'sphere_seed' of scenario 'hvalued_levy_qm' must be at least 0, got -1"),
+    (json.dumps({"scenario": "sup_measures_oracle",
+                 "params": {"max_cells": 0}}),
+     "'max_cells' of scenario 'sup_measures_oracle' must be at least 1, "
+     "got 0"),
+    (json.dumps({"scenario": "sup_measures_oracle",
+                 "params": {"max_measures": 0}}),
+     "'max_measures' of scenario 'sup_measures_oracle' must be at least 1, "
+     "got 0"),
+    (json.dumps({"scenario": "fubini", "params": {"family_size": 0}}),
+     "'family_size' of scenario 'fubini' must be at least 1, got 0"),
+    (json.dumps({"scenario": "heat_spde", "params": {"residual_paths": 0}}),
+     "'residual_paths' of scenario 'heat_spde' must be at least 1, got 0"),
+    (json.dumps({"scenario": "ito_isometry", "params": {"pair_seed": -1}}),
+     "'pair_seed' of scenario 'ito_isometry' must be at least 0, got -1"),
+    (json.dumps({"scenario": "stopped_integral",
+                 "params": {"thresholds": []}}),
+     "'thresholds' of scenario 'stopped_integral' must not be empty"),
+    (json.dumps({"scenario": "white_noise_qv", "paths": 99}),
+     "'paths' of scenario 'white_noise_qv' must be at least 100, got 99"),
+    (json.dumps({"scenario": "hvalued_levy_qm", "paths": 99}),
+     "'paths' of scenario 'hvalued_levy_qm' must be at least 100, got 99"),
+    (json.dumps({"scenario": "haar_counterexample", "paths": 99}),
+     "'paths' of scenario 'haar_counterexample' must be at least 100, got 99"),
 ])
 def test_bad_configs_exit_one(tmp_path, capsys, payload, fragment):
     path = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ from mvmlab.integrate import (AdaptednessError, GridIntegrand,
                               lambda2_profile, localize,
                               pushforward_commute, restricted_integral,
                               simple_to_grid, stopped_integral)
+from mvmlab.spde import DiagonalSemigroup, stochastic_convolution
 
 
 def wishart(rng, dim):
@@ -283,8 +284,9 @@ def test_stopped_integral_identity_is_exact(ens):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
     # A shared field, its per-path copy and a Fortran-ordered per-path copy
-    # are one integrand: both sides of the identity must come out bitwise
-    # equal across the three, each with a zero gap.
+    # are one integrand: the integral, both sides of the stopping and the
+    # restriction identities and the stochastic convolution must come out
+    # bitwise equal across the three, each stopping gap zero.
     rng = np.random.default_rng(13)
     driver = DiscreteLevy((
         DiscreteLevyAtom("g", brownian_cov=wishart(rng, dim)),
@@ -295,13 +297,23 @@ def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
     shared = rng.standard_normal((8, 2, 3, dim))
     per_path = np.broadcast_to(shared, (ens.paths,) + shared.shape).copy()
     stop = rng.integers(0, 9, size=ens.paths)
-    reports = [stopped_integral(GridIntegrand(ens.grid, values), ens, stop)
-               for values in (shared, per_path, np.asfortranarray(per_path))]
-    for report in reports:
-        assert report.max_abs_gap == 0.0
-    for report in reports[1:]:
-        assert np.array_equal(report.lhs.values, reports[0].lhs.values)
-        assert np.array_equal(report.rhs.values, reports[0].rhs.values)
+    event = rng.random(ens.paths) < 0.5
+    sg = DiagonalSemigroup(np.array([0.5, 3.0, 40.0]))
+
+    def results(values):
+        phi = GridIntegrand(ens.grid, values)
+        stopped = stopped_integral(phi, ens, stop)
+        assert stopped.max_abs_gap == 0.0
+        restricted = restricted_integral(phi, ens, 2, 6, event)
+        return (integrate_grid(phi, ens).values,
+                stopped.lhs.values, stopped.rhs.values,
+                restricted.lhs.values, restricted.rhs.values,
+                stochastic_convolution(sg, phi, ens).values)
+
+    reference = results(shared)
+    for values in (per_path, np.asfortranarray(per_path)):
+        for got, want in zip(results(values), reference):
+            assert np.array_equal(got, want)
 
 
 def _contraction_ordered(values):
@@ -373,24 +385,32 @@ def test_masked_actions_match_integrating_a_masked_field(dim):
     assert np.array_equal(
         restricted_integral(phi, ens, 2, 6, event).lhs.values,
         masked(field, event[:, None] & window))
-    # A shared field's actions come from the einsum, the masked per-path
-    # copy's from the matmul: equal up to rounding.
-    np.testing.assert_allclose(
+    assert np.array_equal(
         restricted_integral(GridIntegrand(ens.grid, shared), ens, 2, 6,
                             event).lhs.values,
-        masked(shared[None], event[:, None] & window), rtol=0, atol=1e-12)
+        masked(shared[None], event[:, None] & window))
 
 
-def test_per_path_integrands_are_stored_in_contraction_order(ens):
+def test_integrands_are_stored_in_contraction_order(ens):
     rng = np.random.default_rng(19)
 
     def in_contraction_order(phi):
-        return phi.per_path and phi.values.swapaxes(-1, -2).flags.c_contiguous
+        return phi.values.swapaxes(-1, -2).flags.c_contiguous
 
     field = _contraction_ordered(rng.standard_normal((ens.paths, 8, 2, 3, 2)))
     phi = GridIntegrand(ens.grid, field)
     assert np.shares_memory(phi.values, field)
     assert in_contraction_order(GridIntegrand(ens.grid, field.copy(order="C")))
+    shared = rng.standard_normal((8, 2, 3, 2))
+    assert in_contraction_order(GridIntegrand(ens.grid, shared))
+    matrix = rng.standard_normal((3, 2))
+    constant = GridIntegrand.constant(ens.grid, matrix)
+    profile = rng.standard_normal((8, 3, 2))
+    time_profile = GridIntegrand.from_time_profile(ens.grid, profile)
+    for result, want in ((constant, matrix), (time_profile, profile[:, None])):
+        assert not result.per_path and in_contraction_order(result)
+        assert np.array_equal(result.values, np.broadcast_to(
+            want, result.values.shape))
 
     outputs = []
 
@@ -407,7 +427,7 @@ def test_per_path_integrands_are_stored_in_contraction_order(ens):
     simple = simple_to_grid(SimpleIntegrand.build(ens, [
         SimpleTerm(1, 5, (0, 1), rng.standard_normal((3, 2)), event=event)]))
     for result in (history, simple, phi.compose(rng.standard_normal((4, 3)))):
-        assert in_contraction_order(result)
+        assert result.per_path and in_contraction_order(result)
 
 
 def test_restriction_matches_increment_of_the_integral(ens):

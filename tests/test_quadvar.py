@@ -7,10 +7,11 @@ from mvmlab.haar import haar_cell_integrals
 from mvmlab.hilbert import operator_norm_psd, sphere_sequence
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, IntegralType,
                           default_grid, intensity_family)
-from mvmlab.quadvar import (InconsistentDensityError, _uniform_deviation,
-                            alpha_polarization, bilinear_field,
-                            counterexample_partition_sum, counterexample_trace,
-                            qm_density, qm_sqrt_field, qm_to_csv, qv_supremum)
+from mvmlab.quadvar import (InconsistentDensityError, _running_max,
+                            _uniform_deviation, alpha_polarization,
+                            bilinear_field, counterexample_partition_sum,
+                            counterexample_trace, qm_density, qm_sqrt_field,
+                            qm_to_csv, qv_supremum)
 
 
 def wishart(rng, dim):
@@ -81,8 +82,9 @@ def test_trace_is_monotone_and_counts_are_doubling(family):
 
 def accumulated(table):
     """Element-wise running maximum over the first axis, with its totals
-    after 1, 2, 4, ... rows and after the last row."""
-    running = np.maximum.accumulate(table, axis=0)
+    after 1, 2, 4, ... rows and after the last row, each summed in C
+    order."""
+    running = np.ascontiguousarray(np.maximum.accumulate(table, axis=0))
     n = len(table)
     counts = [2 ** e for e in range(n.bit_length()) if 2 ** e < n] + [n]
     return running[-1], tuple((c, float(running[c - 1].sum())) for c in counts)
@@ -95,6 +97,17 @@ def test_qv_supremum_matches_accumulated_maximum(family, count):
     final, trace = accumulated(family.batch(vectors))
     assert est.measure.cell_mass.tobytes() == final.tobytes()
     assert est.convergence_trace == trace
+
+
+def test_running_max_does_not_depend_on_the_stack_layout(family):
+    # The trace totals are a function of the masses alone: the batch as
+    # returned, its C-ordered and its Fortran-ordered copy give the same bits.
+    masses = family.batch(np.random.default_rng(2).standard_normal((2, 3)))
+    final, trace = _running_max(np.ascontiguousarray(masses))
+    for stack in (masses, np.asfortranarray(masses)):
+        got_final, got_trace = _running_max(stack)
+        assert got_trace == trace
+        assert np.array_equal(got_final, final)
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -290,6 +290,44 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
     np.testing.assert_allclose(residuals[:, :, k], expect, rtol=0, atol=1e-12)
 
 
+def test_constant_noise_map_gives_the_additive_solution_bitwise():
+    # A noise map that returns the constant field is the additive noise:
+    # both reach the one cell contraction, so the Picard iterates and the
+    # weak residuals must come out bitwise equal.
+    rng = np.random.default_rng(64)
+    ex = heat_example_setup(rng.standard_normal((2, 8)) / np.arange(1, 9),
+                            np.array([1.0, 0.5]))
+    grid = default_grid(ex.noise_spec, 1.0, 16)
+    ens = simulate(ex.noise_spec, grid, 300, 65)
+    mats = ex.f_matrix[None]
+    additive = linear_drift_coefficients(0.5, mats)
+    mapped = CoefficientSpec(
+        drift=additive.drift, drift_bound=additive.drift_bound,
+        noise=lambda t, x: np.broadcast_to(mats, x.shape[:-1] + mats.shape))
+    x0 = np.full(ex.semigroup.dim, 0.5)
+    beta = default_beta(additive, 1.0)
+    sols = [picard_solve(ex.semigroup, c, ens, x0, beta=beta)
+            for c in (additive, mapped)]
+    assert sols[0].converged
+    assert sols[0].picard_trace == sols[1].picard_trace
+    assert np.array_equal(sols[0].values, sols[1].values)
+    assert np.array_equal(
+        weak_residual(sols[0], ex.semigroup, additive, ens),
+        weak_residual(sols[0], ex.semigroup, mapped, ens))
+
+
+def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
+    grid = default_grid(heat.noise_spec, 1.0, 8)
+    ens = simulate(heat.noise_spec, grid, 8, 66)
+    wide = np.ones((1, heat.semigroup.dim, ens.dim + 1))
+    coeffs = CoefficientSpec(
+        noise=lambda t, x: np.broadcast_to(wide, x.shape[:-1] + wide.shape),
+        noise_bound=1.0)
+    x0 = np.zeros(heat.semigroup.dim)
+    with pytest.raises(ValueError, match="integrand expects dim 3, driver has 2"):
+        picard_solve(heat.semigroup, coeffs, ens, x0)
+
+
 def test_picard_rejects_weak_contraction(heat):
     grid = default_grid(heat.noise_spec, 1.0, 8)
     ens = simulate(heat.noise_spec, grid, 8, 67)

@@ -10,18 +10,30 @@ overridden, and prints, per scenario, the SHA-256 of each CSV artifact's text
 and ``repr`` of each check's measured value.  Two trees behave the same on a
 run when their outputs are equal, so comparing the output of this script on
 a parent and a change shows byte-identical artifacts and bit-identical checks.
+The output also records the Python and numpy versions and the BLAS numpy was
+built against: the last bits of a contraction depend on that build, so only
+outputs with equal ``environment`` entries are comparable.
 The package is imported from the ``src`` directory next to this script.
 """
 
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np  # noqa: E402
+
 from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
+
+
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
 
 
 def digests(name: str, seed: int | None, paths: int | None) -> dict:
@@ -49,7 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown scenarios: {', '.join(unknown)}")
     names = args.scenarios or list(SCENARIOS)
-    out = {name: digests(name, args.seed, args.paths) for name in names}
+    out = {"environment": environment(),
+           "scenarios": {name: digests(name, args.seed, args.paths)
+                         for name in names}}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
