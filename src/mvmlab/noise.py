@@ -3,12 +3,13 @@
 A driver produces, per path, one H-valued increment for every grid cell
 (time cell x mark atom); cumulative sums over cells give a driftless,
 orthogonal family of square-integrable martingales indexed by mark sets.
-Four generators are provided:
+Two driver classes are provided; the first has three constructors:
 
-* ``WhiteNoise`` -- scalar Gaussian white noise with intensity ``dt x rate``;
-* ``DiscreteLevy`` -- a finite menu of marks, each carrying an independent
-  H-valued increment with covariance ``dt * Q_k`` split into a Brownian part
-  and compensated Poisson jumps;
+* ``DiscreteLevy`` -- a finite menu of marks, given atom by atom, each
+  carrying an independent H-valued increment with covariance ``dt * Q_k``
+  split into a Brownian part and compensated Poisson jumps;
+* ``white_noise`` -- a ``DiscreteLevy`` of scalar Gaussian white noise: one
+  Brownian atom with intensity ``dt x rate`` per mark;
 * ``h_valued_levy`` -- a ``DiscreteLevy`` whose mark space is the state
   space itself: a Wiener part sitting on the origin atom plus one atom per
   jump vector;
@@ -16,7 +17,7 @@ Four generators are provided:
   by a deterministic selector, with per-cell loading vectors (this is the
   variant with deterministic but non-homogeneous intensities).
 
-Every generator has deterministic intensities nu_x(cell) = <x, R_cell x>,
+Every driver has deterministic intensities nu_x(cell) = <x, R_cell x>,
 exposed as an :class:`IntensityFamily`.
 
 Randomness is counter based (Salmon et al., "Parallel random numbers: as
@@ -44,9 +45,9 @@ from .hilbert import psd_part, psd_sqrt
 from .measures import DiscreteMeasure, GridSpec, make_grid
 
 __all__ = [
-    "WhiteNoise",
     "DiscreteLevyAtom",
     "DiscreteLevy",
+    "white_noise",
     "h_valued_levy",
     "IntegralType",
     "MVMPathEnsemble",
@@ -98,8 +99,6 @@ class _DrawPlan:
 class NoiseSpecBase(abc.ABC):
     """Shared driver interface: labels, dimension, sampling, intensities."""
 
-    kind: str
-
     @property
     @abc.abstractmethod
     def dim(self) -> int:
@@ -128,50 +127,8 @@ class NoiseSpecBase(abc.ABC):
     def validate_grid(self, grid: GridSpec) -> None:
         if grid.n_atoms != len(self.atom_labels):
             raise ValueError(
-                f"grid has {grid.n_atoms} mark atoms but the {self.kind} driver "
-                f"defines {len(self.atom_labels)}")
-
-
-@dataclass(frozen=True)
-class WhiteNoise(NoiseSpecBase):
-    """Gaussian space-time white noise: nu(dt, atom) = rate(atom) dt."""
-
-    rates: tuple[tuple[str, float], ...]
-    kind = "white_noise"
-
-    def __post_init__(self) -> None:
-        rates = tuple((str(a), float(r)) for a, r in self.rates)
-        if not rates:
-            raise ValueError("white noise needs at least one atom")
-        if any(r < 0 for _, r in rates):
-            raise ValueError("negative intensity rate")
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def atom_labels(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.rates)
-
-    @property
-    def rate_values(self) -> np.ndarray:
-        return np.array([r for _, r in self.rates])
-
-    def _sampler(self, grid: GridSpec):
-        std = np.sqrt(np.outer(grid.dt, self.rate_values))
-        plan = _DrawPlan()
-        cols = plan.normal(std.size)
-
-        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
-            return (std * z[:, cols].reshape(-1, *std.shape))[..., None]
-
-        return plan, assemble
-
-    def _intensity_family(self, grid: GridSpec) -> "DenseIntensityFamily":
-        mats = np.outer(grid.dt, self.rate_values)[..., None, None]
-        return DenseIntensityFamily(grid, 1, mats)
+                f"grid has {grid.n_atoms} mark atoms but the "
+                f"{type(self).__name__} driver defines {len(self.atom_labels)}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +186,6 @@ class DiscreteLevy(NoiseSpecBase):
     """Driver with a finite menu of marks and independent per-mark increments."""
 
     atoms: tuple[DiscreteLevyAtom, ...]
-    kind = "discrete_levy"
 
     def __post_init__(self) -> None:
         atoms = tuple(self.atoms)
@@ -285,6 +241,18 @@ class DiscreteLevy(NoiseSpecBase):
         return DenseIntensityFamily(grid, self.dim, mats)
 
 
+def white_noise(rates: Iterable[tuple[str, float]]) -> DiscreteLevy:
+    """Scalar Gaussian white noise: one Brownian atom per ``(label, rate)``,
+    with intensity nu(cell, atom) = dt rate."""
+    atoms = []
+    for label, rate in rates:
+        if rate < 0:
+            raise ValueError("negative intensity rate")
+        atoms.append(DiscreteLevyAtom(str(label),
+                                      brownian_cov=np.array([[float(rate)]])))
+    return DiscreteLevy(tuple(atoms))
+
+
 def h_valued_levy(wiener_cov: np.ndarray,
                   jump_atoms: Sequence[tuple[np.ndarray, float]] = ()
                   ) -> DiscreteLevy:
@@ -320,7 +288,6 @@ class IntegralType(NoiseSpecBase):
     weights: tuple[np.ndarray, ...]
     selector: tuple[int, ...]
     labels: tuple[str, ...] = ("U",)
-    kind = "integral_type"
 
     def __post_init__(self) -> None:
         loadings = tuple(np.atleast_2d(np.asarray(m, dtype=np.float64))

@@ -176,7 +176,7 @@ def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
             f"{trials} random families, dyadic masses; worst gap {worst_gap}")
 
     # Monotone limits: nested mark menus of a white-noise intensity family.
-    spec = noise.WhiteNoise(rates=(("a", 0.5), ("b", 1.0), ("c", 2.0)))
+    spec = noise.white_noise((("a", 0.5), ("b", 1.0), ("c", 2.0)))
     grid = noise.default_grid(spec, 1.0, 8)
     full = noise.intensity_family(spec, grid).measure(np.array([1.0]))
     nested = [full.restrict_atoms(range(j + 1)) for j in range(grid.n_atoms)]
@@ -210,10 +210,10 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
     _require(all(v >= 0 for _, v in rates), "white_noise_qv", "rates",
              "has a negative rate")
     _require(params["t_max"] > 0, "white_noise_qv", "t_max", "must be > 0")
-    spec = noise.WhiteNoise(rates=rates)
+    spec = noise.white_noise(rates)
     grid = noise.default_grid(spec, params["t_max"], params["steps"])
     ens = noise.simulate(spec, grid, paths, seed)
-    lam = spec.rate_values
+    lam = np.array([v for _, v in rates])
     one = np.array([1.0])
 
     # Second moments of M(t, A) against t * lam(A).
@@ -384,6 +384,9 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 
 def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
+    for key in ("k_max", "k_sim"):
+        _require(params[key] <= haar.MAX_LEVEL, "haar_counterexample", key,
+                 f"must be at most {haar.MAX_LEVEL}, got {params[key]}")
     res = ScenarioResult()
     k_max = params["k_max"]
     rows = ["k,partition_sum,lower_bound,trace_ratio"]
@@ -453,7 +456,7 @@ def _isometry_pairs(seed: int):
     rng = np.random.default_rng(seed)
     pairs = []
 
-    wn = noise.WhiteNoise(rates=(("a", 0.5), ("b", 1.0), ("c", 2.0)))
+    wn = noise.white_noise((("a", 0.5), ("b", 1.0), ("c", 2.0)))
     wn_grid = noise.default_grid(wn, 1.0, 20)
     s1 = np.array([[1.0], [-0.5], [2.0]])
     pairs.append(("white_noise/constant", wn, wn_grid,
@@ -731,11 +734,12 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
                   "analytic_bound")
     res.add_upper("picard_final_update", sol.picard_trace[-1], tol,
                   "analytic_bound", "weighted-norm distance of last iterates")
-    res.add_upper("picard_max_ratio", max(ratios) if ratios else 0.0, 0.5,
+    # A run that stops before a second update measured no contraction.
+    worst = max(ratios, default=np.inf)
+    res.add_upper("picard_max_ratio", worst, 0.5,
                   "analytic_bound", "successive update ratios")
     analytic = float(np.sqrt(max(fb, ff)))
-    res.add_upper("picard_ratio_vs_bound",
-                  max(ratios) if ratios else 0.0, analytic + 0.05,
+    res.add_upper("picard_ratio_vs_bound", worst, analytic + 0.05,
                   "analytic_bound", f"contraction bound {analytic:.4f}")
 
     sol_zero = spde.picard_solve(ex.semigroup, coeffs, ens, x0, beta=beta,
@@ -772,7 +776,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "cellwise supremum of measures against partition enumeration",
         seed=2024, paths=1,
         params={"trials": 120, "max_measures": 5, "max_cells": 6},
-        least={"max_measures": 1, "max_cells": 1}),
+        least={"trials": 1, "max_measures": 1, "max_cells": 1}),
     "white_noise_qv": ScenarioDef(
         _scn_white_noise,
         "white-noise intensities, second moments and exact quadratic variation",
@@ -803,19 +807,20 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "dyadic partition sums grow like 2^k: the supremum diverges",
         seed=1, paths=2_000,
         params={"k_max": 8, "k_sim": 3},
-        least={"paths": 100}),
+        least={"k_max": 1, "k_sim": 0, "paths": 100}),
     "ito_isometry": ScenarioDef(
         _scn_ito_isometry,
         "integration isometry and zero mean over five integrand/driver pairs",
         seed=11, paths=20_000,
         params={"pair_seed": 23},
-        least={"pair_seed": 0}),
+        # A standard error needs two paths.
+        least={"pair_seed": 0, "paths": 2}),
     "fubini": ScenarioDef(
         _scn_fubini,
         "integrate-the-mix equals mix-the-integrals, pathwise",
         seed=13, paths=4_000,
         params={"family_size": 5, "tol": 1e-10},
-        least={"family_size": 1}),
+        least={"family_size": 1, "paths": 2}),
     "stopped_integral": ScenarioDef(
         _scn_stopped,
         "stopping, restriction, pushforward and localization identities",
@@ -829,7 +834,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
                 "residual_paths": 400, "slope_band": 0.3},
         # The weak residual is fitted on grids of steps // 4, // 2 and // 1.
         least={"modes": 1, "steps": 4, "channels": 1, "instance_seed": 0,
-               "residual_paths": 1}),
+               "residual_paths": 1, "paths": 2}),
     "picard_contraction": ScenarioDef(
         _scn_picard,
         "fixed-point iteration under the weighted norm: measured contraction",

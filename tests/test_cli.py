@@ -165,6 +165,23 @@ PATHS_RULE = '"paths" must be an integer >= 1'
      "'paths' of scenario 'hvalued_levy_qm' must be at least 100, got 99"),
     (json.dumps({"scenario": "haar_counterexample", "paths": 99}),
      "'paths' of scenario 'haar_counterexample' must be at least 100, got 99"),
+    (json.dumps({"scenario": "haar_counterexample", "params": {"k_max": 0}}),
+     "'k_max' of scenario 'haar_counterexample' must be at least 1, got 0"),
+    (json.dumps({"scenario": "haar_counterexample", "params": {"k_sim": -1}}),
+     "'k_sim' of scenario 'haar_counterexample' must be at least 0, got -1"),
+    (json.dumps({"scenario": "haar_counterexample", "params": {"k_max": 13}}),
+     "'k_max' of scenario 'haar_counterexample' must be at most 12, got 13"),
+    # Rejected before the run: k_sim 12 would need about 500 GB.
+    (json.dumps({"scenario": "haar_counterexample", "params": {"k_sim": 13}}),
+     "'k_sim' of scenario 'haar_counterexample' must be at most 12, got 13"),
+    (json.dumps({"scenario": "sup_measures_oracle", "params": {"trials": 0}}),
+     "'trials' of scenario 'sup_measures_oracle' must be at least 1, got 0"),
+    (json.dumps({"scenario": "ito_isometry", "paths": 1}),
+     "'paths' of scenario 'ito_isometry' must be at least 2, got 1"),
+    (json.dumps({"scenario": "heat_spde", "paths": 1}),
+     "'paths' of scenario 'heat_spde' must be at least 2, got 1"),
+    (json.dumps({"scenario": "fubini", "paths": 1}),
+     "'paths' of scenario 'fubini' must be at least 2, got 1"),
 ])
 def test_bad_configs_exit_one(tmp_path, capsys, payload, fragment):
     path = tmp_path / "bad.json"

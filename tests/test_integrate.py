@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mvmlab.measures import GridMismatchError, make_grid
-from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, WhiteNoise,
-                          default_grid, intensity_family, simulate)
+from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
+                          intensity_family, simulate, white_noise)
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.hilbert import sphere_sequence
 from mvmlab.integrate import (AdaptednessError, GridIntegrand,
@@ -196,7 +196,7 @@ def test_history_integrand_only_sees_the_past(ens):
 def test_lambda2_white_noise_closed_form():
     # [DERIVED] closed form: Lambda^2 = T ||S||_F^2 sum of rates, since each
     # rate-lambda component contributes dt lambda per cell with unit density.
-    spec = WhiteNoise(rates=(("a", 0.5), ("b", 2.0)))
+    spec = white_noise((("a", 0.5), ("b", 2.0)))
     grid = default_grid(spec, 1.0, 10)
     family = intensity_family(spec, grid)
     qv = qv_supremum(family, sphere_sequence(1, 2))

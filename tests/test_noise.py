@@ -6,10 +6,9 @@ import pytest
 from mvmlab.haar import haar_cell_integrals, haar_dimension
 from mvmlab.hilbert import psd_sqrt
 from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom,
-                          IntegralType, WhiteNoise,
-                          default_grid, empirical_intensity, h_valued_levy,
-                          intensity_family, max_z_level, orthogonality_check,
-                          simulate)
+                          IntegralType, default_grid, empirical_intensity,
+                          h_valued_levy, intensity_family, max_z_level,
+                          orthogonality_check, simulate, white_noise)
 
 
 def wishart(rng, dim):
@@ -32,13 +31,18 @@ def levy_spec():
 
 
 def test_white_noise_validation():
-    with pytest.raises(ValueError):
-        WhiteNoise(rates=())
-    with pytest.raises(ValueError):
-        WhiteNoise(rates=(("a", -1.0),))
-    spec = WhiteNoise(rates=(("a", 0.5), ("b", 2.0)))
+    with pytest.raises(ValueError, match="at least one mark atom"):
+        white_noise(())
+    with pytest.raises(ValueError, match="negative intensity rate"):
+        white_noise((("a", -1.0),))
+    # A rate just below zero would be clipped to zero by the PSD check.
+    with pytest.raises(ValueError, match="negative intensity rate"):
+        white_noise((("a", 1.0), ("b", -1e-12)))
+    with pytest.raises(ValueError, match="duplicate"):
+        white_noise((("a", 0.5), ("a", 2.0)))
+    spec = white_noise((("a", 0.5), ("b", 2.0)))
+    assert isinstance(spec, DiscreteLevy)
     assert spec.atom_labels == ("a", "b")
-    np.testing.assert_array_equal(spec.rate_values, [0.5, 2.0])
     assert spec.dim == 1
 
 
@@ -95,9 +99,9 @@ def test_integral_type_validation():
 
 
 def test_grid_driver_atom_mismatch_is_rejected():
-    spec = WhiteNoise(rates=(("a", 1.0), ("b", 1.0)))
+    spec = white_noise((("a", 1.0), ("b", 1.0)))
     from mvmlab.measures import make_grid
-    with pytest.raises(ValueError, match="mark atoms"):
+    with pytest.raises(ValueError, match="mark atoms but the DiscreteLevy"):
         simulate(spec, make_grid(1.0, 4, ["a"]), 2, 0)
 
 
@@ -106,12 +110,18 @@ def test_grid_driver_atom_mismatch_is_rejected():
 
 
 def test_white_noise_intensity_is_dt_times_rate():
-    spec = WhiteNoise(rates=(("a", 0.5), ("b", 2.0)))
-    grid = default_grid(spec, 1.0, 4)
-    nu = intensity_family(spec, grid).measure(np.array([1.0]))
-    np.testing.assert_allclose(nu.cell_mass, np.outer(grid.dt, [0.5, 2.0]))
+    rates = [0.5, 2.0, 0.1]
+    spec = white_noise(zip("abc", rates))
+    grid = default_grid(spec, 0.7, 7)
+    family = intensity_family(spec, grid)
+    mats = family.bilinear_matrices()
+    assert mats.shape == (7, 3, 1, 1)
+    # Bitwise dt x rate: the PSD check leaves a 1 x 1 covariance unchanged.
+    assert np.array_equal(mats[..., 0, 0], np.outer(grid.dt, rates))
+    nu = family.measure(np.array([1.0]))
+    np.testing.assert_allclose(nu.cell_mass, np.outer(grid.dt, rates))
     # nu_x scales with x^2 (dim 1).
-    nu3 = intensity_family(spec, grid).measure(np.array([3.0]))
+    nu3 = family.measure(np.array([3.0]))
     np.testing.assert_allclose(nu3.cell_mass, 9.0 * nu.cell_mass)
 
 
@@ -250,9 +260,6 @@ def _loop_oracle_path(spec, grid, rng):
     """One path by the single-path formulas, taking its raw draws from `rng`
     in the driver's order."""
     dt = grid.dt
-    if isinstance(spec, WhiteNoise):
-        std = np.sqrt(np.outer(dt, spec.rate_values))
-        return (std * rng.standard_normal(std.shape))[..., None]
     out = np.zeros((grid.n_cells, grid.n_atoms, spec.dim))
     if isinstance(spec, DiscreteLevy):
         for k, atom in enumerate(spec.atoms):
@@ -329,7 +336,7 @@ def _oracle_specs():
                  np.array([0.25, 0.125])),
         selector=(1, 0, 1), labels=("A", "B"))
     return {
-        "white_noise": (WhiteNoise(rates=(("a", 0.5), ("b", 2.0))), 5),
+        "white_noise": (white_noise((("a", 0.5), ("b", 2.0))), 5),
         "discrete_levy": (levy, 5),
         "hvalued_no_jumps": (h_valued_levy(wishart(rng, 3)), 4),
         "hvalued_two_jumps": (h_valued_levy(
@@ -369,7 +376,7 @@ def test_enlarging_the_ensemble_preserves_existing_paths(levy_spec):
 
 
 def test_seed_validation():
-    spec = WhiteNoise(rates=(("a", 1.0),))
+    spec = white_noise((("a", 1.0),))
     grid = default_grid(spec, 1.0, 2)
     with pytest.raises(ValueError):
         simulate(spec, grid, 0, 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mvmlab.noise import GATE_ALPHA, max_z_level
-from mvmlab.scenarios import ScenarioResult
+from mvmlab.scenarios import ScenarioResult, run_scenario
 
 
 @pytest.mark.parametrize("m, level", [(1, 3.2905), (64, 4.3196),
@@ -49,3 +49,13 @@ def test_add_max_z_judges_the_largest_z_score():
     assert failed.detail == f"alpha 0.001, level {two:.4f}; largest of 2 z-scores"
     assert gap.detail.endswith("largest of 2 z-scores")
     assert {c.provenance for c in res.checks} == {"monte_carlo_3se"}
+
+
+def test_picard_run_without_a_ratio_fails():
+    # At drift gain 10, exp(-beta t) underflows at late grid times and the
+    # iteration stops after one update: no contraction ratio was measured.
+    report = run_scenario("picard_contraction", params={"drift_gain": 10.0})
+    assert not report.all_passed
+    for check in report.checks:
+        if check.name in ("picard_max_ratio", "picard_ratio_vs_bound"):
+            assert check.measured == math.inf and not check.passed
