@@ -5,8 +5,9 @@ so the semigroup acts by modewise exponential decay.  Solutions of
 
     dX = [A X + B(t, X)] dt + integral over marks of F(t, u, X) M(dt, du)
 
-are produced in mild form by Picard iteration on path ensembles, with the
-stochastic convolution evaluated at left endpoints.  The iteration is run in
+are produced in mild form by Picard iteration on path ensembles: each
+iterate is one exponential-Euler scan from the initial state, with the
+coefficients evaluated at left endpoints.  The iteration is run in
 an exponentially weighted path norm (weight ``exp(-beta t)``) whose strength
 is chosen from the two contraction factors of the drift and noise parts; the
 weak (tested) form of the equation is available as a pathwise residual
@@ -31,8 +32,6 @@ __all__ = [
     "CoefficientSpec",
     "additive_coefficients",
     "linear_drift_coefficients",
-    "nemytskii_coefficients",
-    "coefficient_spot_check",
     "stochastic_convolution",
     "convolution_second_moment",
     "v_beta_distance",
@@ -65,12 +64,20 @@ class DiagonalSemigroup:
     def dim(self) -> int:
         return self.rates.shape[0]
 
-    def scan(self, times: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-        """``X_m = sum_{i<m} exp(-l (t_m - t_i)) c_i`` along the cell axis of
-        `contrib` ``(..., n_cells, dim)``, by the exponential-Euler recursion
-        ``X_0 = 0``, ``X_{m+1} = exp(-l dt_m) (X_m + c_m)``."""
+    def scan(self, times: np.ndarray, contrib: np.ndarray,
+             x0: np.ndarray | float = 0.0) -> np.ndarray:
+        """Exponential-Euler recursion ``X_0 = x0``, ``X_{m+1} = exp(-l dt_m)
+        (X_m + c_m)`` along the cell axis of `contrib` ``(..., n_cells,
+        dim)``, so ``X_m = S(t_m - t_0) x0 + sum_{i<m} S(t_m - t_i) c_i``;
+        `x0` is one state or one per leading index."""
+        if contrib.shape[-1] != self.dim:
+            raise ValueError(f"semigroup acts on dim {self.dim}, "
+                             f"contributions have dim {contrib.shape[-1]}")
+        x0 = np.asarray(x0, dtype=np.float64)
         decay = np.exp(-np.outer(np.diff(times), self.rates))
-        out = np.zeros(contrib.shape[:-2] + (len(times), self.dim))
+        lead = np.broadcast_shapes(contrib.shape[:-2], x0.shape[:-1])
+        out = np.empty(lead + (len(times), self.dim))
+        out[..., 0, :] = x0
         for m in range(len(times) - 1):
             out[..., m + 1, :] = decay[m] * (out[..., m, :] + contrib[..., m, :])
         return out
@@ -89,8 +96,8 @@ class CoefficientSpec:
     `drift(t, x)` maps states (shape ``(..., G)``) to states; `noise(t, x)`
     maps states to operator fields ``(..., n_atoms, G, H)``.  For additive
     noise, `noise_matrices` holds the constant field and `noise` is None.
-    The constants enter the contraction bookkeeping only; they are validated
-    empirically by :func:`coefficient_spot_check`, not derived.
+    The constants enter the contraction bookkeeping only (they pick the
+    weight of :func:`default_beta`); nothing derives or checks them.
     """
 
     drift: Callable[[float, np.ndarray], np.ndarray] | None = None
@@ -129,25 +136,6 @@ def linear_drift_coefficients(gain: float,
                            noise_matrices=noise_matrices)
 
 
-def nemytskii_coefficients(base: np.ndarray, gain: float,
-                           noise_bound: float) -> CoefficientSpec:
-    """Diagonal state-dependent noise with a clipped nonlinearity.
-
-    Mode k of every operator row is modulated by ``1 + gain tanh(x_k)``,
-    which is bounded and 1-Lipschitz, so a finite `noise_bound` exists; pass
-    the value you intend to certify and spot check it.
-    """
-    base = np.asarray(base, dtype=np.float64)
-    if base.ndim != 3:
-        raise ValueError("base noise field must be (atoms, G, H)")
-
-    def noise(t: float, x: np.ndarray) -> np.ndarray:
-        mod = 1.0 + gain * np.tanh(x)
-        return base * mod[..., None, :, None]
-
-    return CoefficientSpec(noise=noise, noise_bound=noise_bound)
-
-
 def _at_left_endpoints(fn: Callable, times: np.ndarray,
                        states: np.ndarray) -> np.ndarray:
     """Stack ``fn(t_i, X_{t_i})`` over the cells i along axis 1."""
@@ -174,65 +162,14 @@ def _noise_term(coeffs: CoefficientSpec, ens: MVMPathEnsemble,
     return _cell_actions(GridIntegrand(ens.grid, field), ens)
 
 
-def coefficient_spot_check(coeffs: CoefficientSpec, grid, qm: QMField,
-                           qv: QVEstimate, dim_g: int,
-                           samples: int = 32, seed: int = 0,
-                           slack: float = 1.001) -> dict:
-    """Empirically test the declared growth and Lipschitz constants.
-
-    Draws random state pairs and checks the drift bounds pointwise and the
-    noise bounds in integrated form against the actual cell costs.  Returns
-    a report dict; `passed` is False when any sampled pair violates a bound
-    beyond `slack`.
-    """
-    from .integrate import cell_costs
-
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((samples, dim_g)) * 2.0
-    ys = rng.standard_normal((samples, dim_g)) * 2.0
-    t_ref = float(grid.time_points[0])
-    worst = {"drift_growth": 0.0, "drift_lipschitz": 0.0,
-             "noise_growth": 0.0, "noise_lipschitz": 0.0}
-    if coeffs.drift is not None:
-        bx = coeffs.drift(t_ref, xs)
-        by = coeffs.drift(t_ref, ys)
-        nx = np.linalg.norm(xs, axis=1)
-        growth = np.linalg.norm(bx, axis=1) / (coeffs.drift_bound * (1 + nx))
-        lip = np.linalg.norm(bx - by, axis=1) \
-            / (coeffs.drift_bound * np.linalg.norm(xs - ys, axis=1))
-        worst["drift_growth"] = float(growth.max())
-        worst["drift_lipschitz"] = float(lip.max())
-    if coeffs.noise is not None:
-        t_total = grid.t_max
-        for x, y in zip(xs, ys):
-            fx = np.asarray(coeffs.noise(t_ref, x[None]))[0]
-            fy = np.asarray(coeffs.noise(t_ref, y[None]))[0]
-            const = np.broadcast_to(fx, (grid.n_cells,) + fx.shape)
-            cost_x = float(cell_costs(GridIntegrand(grid, const), qm, qv).sum())
-            diff = np.broadcast_to(fx - fy, (grid.n_cells,) + fx.shape)
-            cost_d = float(cell_costs(GridIntegrand(grid, diff), qm, qv).sum())
-            growth = cost_x / (coeffs.noise_bound * t_total
-                               * (1 + float(x @ x)))
-            lip = cost_d / (coeffs.noise_bound * t_total
-                            * float((x - y) @ (x - y)))
-            worst["noise_growth"] = max(worst["noise_growth"], growth)
-            worst["noise_lipschitz"] = max(worst["noise_lipschitz"], lip)
-    worst["passed"] = all(v <= slack for k, v in worst.items()
-                          if isinstance(v, float))
-    return worst
-
-
 def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
                            ens: MVMPathEnsemble) -> IntegralPathEnsemble:
     """Convolution ``t -> sum_{cells before t} S(t - s_cell) Phi(cell) dM``,
     by the recursion ``X_{m+1} = S(dt_m) (X_m + Phi_m dM_m)``, ``X_0 = 0``
     (:meth:`DiagonalSemigroup.scan`; the plain integral is the S = 1 case).
     """
-    if phi.dim_g != sg.dim:
-        raise ValueError(f"semigroup acts on dim {sg.dim}, integrand maps to "
-                         f"{phi.dim_g}")
-    contrib = _cell_actions(phi, ens)
-    return IntegralPathEnsemble(ens.times, sg.scan(ens.times, contrib))
+    return IntegralPathEnsemble(ens.times,
+                                sg.scan(ens.times, _cell_actions(phi, ens)))
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
@@ -313,62 +250,43 @@ def _check_finite(x: np.ndarray, iteration: int) -> None:
 
 
 def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
-                 ens: MVMPathEnsemble, x0: np.ndarray,
-                 beta: float | None = None, tol: float = 1e-8,
+                 ens: MVMPathEnsemble, x0: np.ndarray, tol: float = 1e-8,
                  max_iter: int = 40, initial: str = "semigroup"
                  ) -> MildSolutionPath:
     """Iterate the mild-form map to its fixed point on the path ensemble.
 
-    The map sends X to ``S(t) x0 + conv(B(., X)) dt + conv(F(., X) dM)``
-    with left-endpoint evaluation; successive iterates are compared in the
-    ``exp(-beta t)`` weighted norm and iteration stops when the update falls
-    below `tol` (`converged` records whether that happened within
-    `max_iter`).  Both contraction factors must be below 1/4.
+    The map sends X to the scan from `x0` of the cell contributions
+    ``B(t_i, X_i) dt_i + F(t_i, X_i) dM_i`` (left endpoints), which is
+    ``S(t) x0 + conv(B(., X)) dt + conv(F(., X) dM)`` on the grid.
+    Iteration starts from ``S(t) x0`` (or 0) and stops when the update,
+    measured in the ``exp(-beta t)`` weighted norm at :func:`default_beta`,
+    falls below `tol`; `converged` records whether that happened within
+    `max_iter`.
     """
     times = ens.times
-    t_max = float(times[-1])
-    dt = np.diff(times)
-    if beta is None:
-        beta = default_beta(coeffs, t_max)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    fb, ff = contraction_factors(coeffs, t_max, beta)
-    if fb >= 0.25 or ff >= 0.25:
-        raise ValueError(
-            f"weight beta={beta} leaves contraction factors ({fb:.3f}, "
-            f"{ff:.3f}) >= 1/4; increase beta")
+    dt = np.diff(times)[:, None]
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape[-1] != sg.dim:
         raise ValueError("initial state does not match the mode count")
-    decay = np.exp(-np.outer(times, sg.rates))
-    sem_term = np.broadcast_to(decay * x0[..., None, :],
-                               (ens.paths, len(times), sg.dim))
-
-    fixed_noise = None
-    if coeffs.additive and coeffs.noise_matrices is not None:
-        if coeffs.noise_matrices.shape[1] != sg.dim:
-            raise ValueError(f"semigroup acts on dim {sg.dim}, noise maps to "
-                             f"{coeffs.noise_matrices.shape[1]}")
-        fixed_noise = sg.scan(times, _noise_term(coeffs, ens, sem_term))
-
-    def apply_map(x: np.ndarray) -> np.ndarray:
-        out = sem_term.copy()
-        if coeffs.drift is not None:
-            b = _at_left_endpoints(coeffs.drift, times, x)
-            out = out + sg.scan(times, dt[:, None] * b)
-        if fixed_noise is not None:
-            out = out + fixed_noise
-        elif coeffs.noise is not None:
-            out = out + sg.scan(times, _noise_term(coeffs, ens, x))
-        return out
-
+    zero = np.zeros((ens.paths, len(dt), sg.dim))
     if initial == "semigroup":
-        x = sem_term.copy()
+        x = sg.scan(times, zero, x0)
     elif initial == "zero":
-        x = np.zeros_like(sem_term)
+        x = np.zeros((ens.paths, len(times), sg.dim))
     else:
         raise ValueError(f"unknown initial guess {initial!r}")
+    # State-free noise actions are contracted once, the constant field being
+    # one shared integrand.
+    fixed = _noise_term(coeffs, ens, x) if coeffs.additive else None
 
+    def apply_map(x: np.ndarray) -> np.ndarray:
+        contrib = fixed if coeffs.additive else _noise_term(coeffs, ens, x)
+        if coeffs.drift is not None:
+            contrib = contrib + dt * _at_left_endpoints(coeffs.drift, times, x)
+        # With neither drift nor noise the map is constant: S(t) x0.
+        return sg.scan(times, zero if np.ndim(contrib) == 0 else contrib, x0)
+
+    beta = default_beta(coeffs, float(times[-1]))
     trace: list[float] = []
     converged = False
     for it in range(1, max_iter + 1):
@@ -382,7 +300,7 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
             break
     return MildSolutionPath(times=times, values=x,
                             picard_trace=tuple(trace), converged=converged,
-                            beta=float(beta))
+                            beta=beta)
 
 
 def weak_residual(sol: MildSolutionPath, sg: DiagonalSemigroup,

@@ -147,6 +147,8 @@ def test_heat_equation_full_stack():
         ("heat_spde", {}), ("picard_contraction", {}))
     zero = named(heat, "zero_noise_gap")
     assert zero.tolerance == 1e-12 and zero.measured <= 1e-12
+    additive = named(heat, "additive_solution_gap")
+    assert additive.tolerance == 1e-12 and additive.measured <= 1e-12
     assert heat.paths == 10_000
     assert heat.params["modes"] == 16 and heat.params["steps"] == 64
     slope = named(heat, "weak_residual_order")

@@ -1,10 +1,12 @@
-"""The Monte Carlo gate rule of :meth:`ScenarioResult.add_max_z`."""
+"""The Monte Carlo gate rule of :meth:`ScenarioResult.add_max_z`, and
+scenario checks that must fail on a broken run."""
 
 import math
 
 import numpy as np
 import pytest
 
+from mvmlab import spde
 from mvmlab.noise import GATE_ALPHA, max_z_level
 from mvmlab.scenarios import ScenarioResult, run_scenario
 
@@ -59,3 +61,21 @@ def test_picard_run_without_a_ratio_fails():
     for check in report.checks:
         if check.name in ("picard_max_ratio", "picard_ratio_vs_bound"):
             assert check.measured == math.inf and not check.passed
+
+
+def test_heat_additive_gap_catches_a_solver_that_drops_x0(monkeypatch):
+    # The Picard limit must be S(t) x0 plus the convolution; a solver that
+    # starts every path from 0 instead of x0 misses the first term.
+    small = {"modes": 4, "steps": 8, "residual_paths": 50}
+
+    def gap():
+        report = run_scenario("heat_spde", paths=200, params=small)
+        return next(c for c in report.checks
+                    if c.name == "additive_solution_gap")
+
+    assert gap().passed
+    solve = spde.picard_solve
+    monkeypatch.setattr(spde, "picard_solve", lambda sg, coeffs, ens, x0, **kw:
+                        solve(sg, coeffs, ens, np.zeros_like(x0), **kw))
+    dropped = gap()
+    assert not dropped.passed and dropped.measured > 0.1

@@ -9,11 +9,10 @@ from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
                           intensity_family, max_z_level, simulate)
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.spde import (CoefficientSpec, DiagonalSemigroup,
-                         coefficient_spot_check, contraction_factors,
-                         convolution_second_moment, default_beta,
-                         heat_example_setup, heat_semigroup,
-                         linear_drift_coefficients, nemytskii_coefficients,
-                         picard_solve, stochastic_convolution, v_beta_distance,
+                         contraction_factors, convolution_second_moment,
+                         default_beta, heat_example_setup, heat_semigroup,
+                         linear_drift_coefficients, picard_solve,
+                         stochastic_convolution, v_beta_distance,
                          weak_residual)
 
 
@@ -71,6 +70,15 @@ def test_scan_matches_loop_oracle(heat):
         assert np.all(got[..., 0, :] == 0.0)
         np.testing.assert_allclose(
             got, decayed_sum_oracle(sg.rates, times, contrib), rtol=1e-13)
+    # Started from x0, shared or one per path, the scan adds S(t_m) x0.
+    for contrib, x0 in ((shared, rng.standard_normal(3)),
+                        (per_path, rng.standard_normal((4, 3)))):
+        got = sg.scan(times, contrib, x0)
+        assert np.array_equal(got[..., 0, :], np.broadcast_to(
+            x0, got[..., 0, :].shape))
+        expect = np.exp(-np.outer(times, sg.rates)) * x0[..., None, :] \
+            + decayed_sum_oracle(sg.rates, times, contrib)
+        np.testing.assert_allclose(got, expect, rtol=1e-13)
     # The doubled-rate scan behind the closed-form convolution moment.
     grid = default_grid(heat.noise_spec, 1.0, 8)
     qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
@@ -257,7 +265,13 @@ def test_picard_contraction_diagnostics(heat):
 def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
     grid = default_grid(heat.noise_spec, 1.0, 16)
     ens = simulate(heat.noise_spec, grid, 300, 63)
-    coeffs = nemytskii_coefficients(heat.f_matrix[None], 0.5, noise_bound=1.0)
+    # Mode k of every operator row is modulated by 1 + 0.5 tanh(x_k): bounded
+    # and 0.5-Lipschitz.
+    base = heat.f_matrix[None]
+    coeffs = CoefficientSpec(
+        noise=lambda t, x: base * (1.0 + 0.5 * np.tanh(x))[..., None, :, None],
+        noise_bound=1.0)
+    assert not coeffs.additive
     x0 = np.full(heat.semigroup.dim, 0.5)
     sol = picard_solve(heat.semigroup, coeffs, ens, x0, tol=1e-12)
     assert sol.converged
@@ -305,8 +319,7 @@ def test_constant_noise_map_gives_the_additive_solution_bitwise():
         drift=additive.drift, drift_bound=additive.drift_bound,
         noise=lambda t, x: np.broadcast_to(mats, x.shape[:-1] + mats.shape))
     x0 = np.full(ex.semigroup.dim, 0.5)
-    beta = default_beta(additive, 1.0)
-    sols = [picard_solve(ex.semigroup, c, ens, x0, beta=beta)
+    sols = [picard_solve(ex.semigroup, c, ens, x0)
             for c in (additive, mapped)]
     assert sols[0].converged
     assert sols[0].picard_trace == sols[1].picard_trace
@@ -326,17 +339,23 @@ def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
     x0 = np.zeros(heat.semigroup.dim)
     with pytest.raises(ValueError, match="integrand expects dim 3, driver has 2"):
         picard_solve(heat.semigroup, coeffs, ens, x0)
+    # Maps into a state space of the wrong dimension G: a noise map, constant
+    # noise matrices and a drift, each one mode short.
+    short = heat.f_matrix[None, :-1]
+    short_noise = CoefficientSpec(
+        noise=lambda t, x: np.broadcast_to(short, x.shape[:-1] + short.shape),
+        noise_bound=1.0)
+    drift = CoefficientSpec(drift=lambda t, x: x[..., :-1], drift_bound=1.0)
+    for wrong in (short_noise, CoefficientSpec(noise_matrices=short), drift):
+        with pytest.raises(ValueError, match="semigroup acts on dim 4, "
+                           "contributions have dim 3"):
+            picard_solve(heat.semigroup, wrong, ens, x0)
 
 
-def test_picard_rejects_weak_contraction(heat):
+def test_picard_rejects_an_initial_state_of_the_wrong_dimension(heat):
     grid = default_grid(heat.noise_spec, 1.0, 8)
     ens = simulate(heat.noise_spec, grid, 8, 67)
     coeffs = linear_drift_coefficients(2.0)
-    x0 = np.zeros(heat.semigroup.dim)
-    with pytest.raises(ValueError, match=">= 1/4"):
-        picard_solve(heat.semigroup, coeffs, ens, x0, beta=4.0)
-    with pytest.raises(ValueError, match="positive"):
-        picard_solve(heat.semigroup, coeffs, ens, x0, beta=-1.0)
     with pytest.raises(ValueError, match="mode count"):
         picard_solve(heat.semigroup, coeffs, ens, np.zeros(3))
 
@@ -373,38 +392,6 @@ def test_weak_residual_zero_noise_closed_form():
 
 # ---------------------------------------------------------------------------
 # coefficient families and the worked example
-
-
-def test_nemytskii_noise_modulates_modes():
-    base = np.ones((1, 3, 2))
-    coeffs = nemytskii_coefficients(base, 0.5, noise_bound=1.0)
-    x = np.array([0.0, 1.0, -1.0])
-    field = coeffs.noise(0.0, x)
-    mod = 1.0 + 0.5 * np.tanh(x)
-    np.testing.assert_allclose(field, base * mod[None, :, None])
-    assert not coeffs.additive
-    with pytest.raises(ValueError, match="atoms, G, H"):
-        nemytskii_coefficients(np.ones((3, 2)), 0.5, 1.0)
-
-
-def test_coefficient_spot_check_accepts_and_rejects(heat):
-    grid = default_grid(heat.noise_spec, 1.0, 8)
-    qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
-    drift = linear_drift_coefficients(1.3)
-    report = coefficient_spot_check(drift, grid, qm, qv,
-                                    dim_g=heat.semigroup.dim)
-    assert report["passed"]
-    assert report["drift_lipschitz"] == pytest.approx(1.0, rel=1e-12)
-    assert report["drift_growth"] <= 1.0
-    # A generously certified multiplicative bound passes; understating the
-    # same bound by 100x must fail.
-    base = heat.f_matrix[None]
-    generous = nemytskii_coefficients(base, 0.5, noise_bound=50.0)
-    assert coefficient_spot_check(generous, grid, qm, qv,
-                                  dim_g=heat.semigroup.dim)["passed"]
-    stingy = nemytskii_coefficients(base, 0.5, noise_bound=0.5)
-    assert not coefficient_spot_check(stingy, grid, qm, qv,
-                                      dim_g=heat.semigroup.dim)["passed"]
 
 
 def test_heat_example_setup_bookkeeping():
