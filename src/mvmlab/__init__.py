@@ -9,13 +9,14 @@ noise and verifies their structure numerically:
   vector sequences;
 - :mod:`mvmlab.haar` — exact dyadic tables for the divergence construction;
 - :mod:`mvmlab.noise` — noise drivers (white, finite-mark, vector-valued,
-  integral-type), path simulation, and closed-form/empirical intensities;
+  integral-type), path simulation, closed-form intensities as one quadratic
+  form field per driver, and empirical intensities;
 - :mod:`mvmlab.quadvar` — quadratic variation as a supremum of intensities,
   polarization, and the cellwise operator density;
 - :mod:`mvmlab.integrate` — grid and simple-form stochastic integrals, the
   integration norm, stopping/restriction/localization identities;
 - :mod:`mvmlab.spde` — diagonal semigroups, stochastic convolution, and the
-  Picard iteration for mild solutions;
+  Picard iteration for mild solutions with one drift map and one noise map;
 - :mod:`mvmlab.scenarios` / :mod:`mvmlab.cli` — named end-to-end checks
   behind the ``mvmlab`` command-line runner.
 """

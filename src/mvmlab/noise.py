@@ -17,8 +17,9 @@ Two driver classes are provided; the first has three constructors:
   by a deterministic selector, with per-cell loading vectors (this is the
   variant with deterministic but non-homogeneous intensities).
 
-Every driver has deterministic intensities nu_x(cell) = <x, R_cell x>,
-exposed as an :class:`IntensityFamily`.
+Every driver has deterministic intensities nu_x(cell) = <x, R_cell x>; an
+:class:`IntensityFamily` holds the field R, of shape (n_cells, n_atoms, dim,
+dim), for every driver alike.
 
 Randomness is counter based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): the paths of a run with seed s come in blocks of
@@ -54,8 +55,6 @@ __all__ = [
     "simulate",
     "default_grid",
     "IntensityFamily",
-    "DenseIntensityFamily",
-    "LowRankIntensityFamily",
     "intensity_family",
     "mean_se",
     "GATE_ALPHA",
@@ -235,10 +234,9 @@ class DiscreteLevy(NoiseSpecBase):
 
         return plan, assemble
 
-    def _intensity_family(self, grid: GridSpec) -> "DenseIntensityFamily":
+    def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
         covs = np.stack([a.effective_cov() for a in self.atoms])
-        mats = grid.dt[:, None, None, None] * covs[None]
-        return DenseIntensityFamily(grid, self.dim, mats)
+        return IntensityFamily(grid, grid.dt[:, None, None, None] * covs[None])
 
 
 def white_noise(rates: Iterable[tuple[str, float]]) -> DiscreteLevy:
@@ -281,7 +279,11 @@ class IntegralType(NoiseSpecBase):
     chosen by ``selector[i]``, with independent ``Z_{i,s} ~ N(0, w_{i,s})``;
     the loading vectors eta and variance weights w (which already absorb the
     cell length) are deterministic, so the intensities are the deterministic
-    measures nu_x(cell) = sum_s w_{i,s} <x, eta_{i,s}>^2.
+    measures nu_x(cell) = sum_s w_{i,s} <x, eta_{i,s}>^2, i.e. the field
+    R[i, selector[i]] = sum_s w_{i,s} eta_{i,s} eta_{i,s}^T, zero on the other
+    atoms.  For the Haar driver of level k that dense field has
+    2^k 4^(k+1) entries (2,048 at k = 3), never more than a level-k
+    ensemble of at least 2^(k+1) paths.
     """
 
     loadings: tuple[np.ndarray, ...]
@@ -344,10 +346,11 @@ class IntegralType(NoiseSpecBase):
 
         return plan, assemble
 
-    def _intensity_family(self, grid: GridSpec) -> "LowRankIntensityFamily":
-        comps = tuple((self.selector[i], self.loadings[i], self.weights[i])
-                      for i in range(grid.n_cells))
-        return LowRankIntensityFamily(grid, self.dim, comps)
+    def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
+        mats = np.zeros((grid.n_cells, grid.n_atoms, self.dim, self.dim))
+        for i, (etas, w) in enumerate(zip(self.loadings, self.weights)):
+            mats[i, self.selector[i]] = (etas.T * w) @ etas
+        return IntensityFamily(grid, mats)
 
     @classmethod
     def from_haar(cls, k: int) -> "IntegralType":
@@ -459,87 +462,40 @@ def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
     return MVMPathEnsemble(grid, out)
 
 
-class IntensityFamily(abc.ABC):
+class IntensityFamily:
     """Deterministic intensities nu_x of a driver, one measure per vector x.
 
-    All implemented drivers have quadratic-form intensities
-    ``nu_x(cell) = <x, R_cell x>`` with PSD matrices R_cell, which makes the
-    scaling rule nu_{c x} = c^2 nu_x structural.
+    Every driver has quadratic-form intensities ``nu_x(cell) = <x, R_cell x>``
+    with PSD matrices R_cell, held as one field of shape (n_cells, n_atoms,
+    dim, dim); this makes the scaling rule nu_{c x} = c^2 nu_x structural.
     """
 
-    def __init__(self, grid: GridSpec, dim: int):
+    def __init__(self, grid: GridSpec, matrices: np.ndarray):
+        matrices = np.asarray(matrices, dtype=np.float64)
+        dim = matrices.shape[-1]
+        expected = (grid.n_cells, grid.n_atoms, dim, dim)
+        if matrices.shape != expected:
+            raise ValueError(f"matrix field shape {matrices.shape}, "
+                             f"expected {expected}")
         self.grid = grid
         self.dim = dim
+        self._matrices = matrices
 
-    @abc.abstractmethod
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Masses for a batch of vectors: (n_vectors, n_cells, n_atoms)."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+        return np.einsum("xd,cade,xe->xca", xs, self._matrices, xs,
+                         optimize=True)
 
-    @abc.abstractmethod
     def bilinear_matrices(self) -> np.ndarray:
-        """The fields R_cell, shape (n_cells, n_atoms, dim, dim)."""
+        """The field R_cell, shape (n_cells, n_atoms, dim, dim)."""
+        return self._matrices
 
     def masses(self, x: np.ndarray) -> np.ndarray:
         return self.batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def measure(self, x: np.ndarray) -> DiscreteMeasure:
         return DiscreteMeasure(self.grid, self.masses(x))
-
-
-class DenseIntensityFamily(IntensityFamily):
-
-    def __init__(self, grid: GridSpec, dim: int, matrices: np.ndarray):
-        super().__init__(grid, dim)
-        matrices = np.asarray(matrices, dtype=np.float64)
-        expected = (grid.n_cells, grid.n_atoms, dim, dim)
-        if matrices.shape != expected:
-            raise ValueError(f"matrix field shape {matrices.shape}, "
-                             f"expected {expected}")
-        self._matrices = matrices
-
-    def batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return np.einsum("xd,cade,xe->xca", xs, self._matrices, xs,
-                         optimize=True)
-
-    def bilinear_matrices(self) -> np.ndarray:
-        return self._matrices
-
-
-class LowRankIntensityFamily(IntensityFamily):
-    """Per-cell low-rank quadratic forms sum_s w_s <x, eta_s>^2.
-
-    Used by integral-type drivers whose state dimension is large (for the
-    Haar construction, 2^(k+1)); the dense matrix field is only materialized
-    on request and refused when it would be absurdly large.
-    """
-
-    _DENSE_CAP = 1 << 24
-
-    def __init__(self, grid: GridSpec, dim: int,
-                 components: tuple[tuple[int, np.ndarray, np.ndarray], ...]):
-        super().__init__(grid, dim)
-        if len(components) != grid.n_cells:
-            raise ValueError("need one component list per time cell")
-        self._components = components
-
-    def batch(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        out = np.zeros((xs.shape[0], self.grid.n_cells, self.grid.n_atoms))
-        for i, (atom, etas, w) in enumerate(self._components):
-            proj = xs @ etas.T
-            out[:, i, atom] = (w * proj ** 2).sum(axis=1)
-        return out
-
-    def bilinear_matrices(self) -> np.ndarray:
-        size = self.grid.n_cells * self.grid.n_atoms * self.dim ** 2
-        if size > self._DENSE_CAP:
-            raise ValueError("dense bilinear field would be too large; "
-                             "work with the low-rank components instead")
-        out = np.zeros((self.grid.n_cells, self.grid.n_atoms, self.dim, self.dim))
-        for i, (atom, etas, w) in enumerate(self._components):
-            out[i, atom] = (etas.T * w) @ etas
-        return out
 
 
 def intensity_family(spec: NoiseSpecBase, grid: GridSpec) -> IntensityFamily:

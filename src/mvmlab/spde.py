@@ -7,11 +7,13 @@ so the semigroup acts by modewise exponential decay.  Solutions of
 
 are produced in mild form by Picard iteration on path ensembles: each
 iterate is one exponential-Euler scan from the initial state, with the
-coefficients evaluated at left endpoints.  The iteration is run in
-an exponentially weighted path norm (weight ``exp(-beta t)``) whose strength
-is chosen from the two contraction factors of the drift and noise parts; the
-weak (tested) form of the equation is available as a pathwise residual
-against every eigenmode, which vanishes at first order in the step.
+coefficients evaluated at left endpoints.  The noise coefficient is always
+one map F(t, u, X); additive noise is the map that ignores X.  The
+iteration is run in an exponentially weighted path norm (weight
+``exp(-beta t)``) whose strength is chosen from the two contraction factors
+of the drift and noise parts; the weak (tested) form of the equation is
+available as a pathwise residual against every eigenmode, which vanishes at
+first order in the step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import GridIntegrand, IntegralPathEnsemble, _cell_actions
-from .measures import _csv_text
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
 
@@ -70,9 +71,7 @@ class DiagonalSemigroup:
         (X_m + c_m)`` along the cell axis of `contrib` ``(..., n_cells,
         dim)``, so ``X_m = S(t_m - t_0) x0 + sum_{i<m} S(t_m - t_i) c_i``;
         `x0` is one state or one per leading index."""
-        if contrib.shape[-1] != self.dim:
-            raise ValueError(f"semigroup acts on dim {self.dim}, "
-                             f"contributions have dim {contrib.shape[-1]}")
+        self._fits(contrib)
         x0 = np.asarray(x0, dtype=np.float64)
         decay = np.exp(-np.outer(np.diff(times), self.rates))
         lead = np.broadcast_shapes(contrib.shape[:-2], x0.shape[:-1])
@@ -81,6 +80,13 @@ class DiagonalSemigroup:
         for m in range(len(times) - 1):
             out[..., m + 1, :] = decay[m] * (out[..., m, :] + contrib[..., m, :])
         return out
+
+    def _fits(self, contrib: np.ndarray) -> np.ndarray:
+        """`contrib`, once its last axis is known to match the mode count."""
+        if contrib.shape[-1] != self.dim:
+            raise ValueError(f"semigroup acts on dim {self.dim}, "
+                             f"contributions have dim {contrib.shape[-1]}")
+        return contrib
 
 
 def heat_semigroup(n_modes: int) -> DiagonalSemigroup:
@@ -94,8 +100,9 @@ class CoefficientSpec:
     """Drift and noise coefficients with their growth/Lipschitz constants.
 
     `drift(t, x)` maps states (shape ``(..., G)``) to states; `noise(t, x)`
-    maps states to operator fields ``(..., n_atoms, G, H)``.  For additive
-    noise, `noise_matrices` holds the constant field and `noise` is None.
+    maps states to operator fields ``(..., n_atoms, G, H)``.  Either may be
+    None (no drift, no noise).  A map may ignore the state and return one
+    field for all paths, as additive noise does: ``(n_atoms, G, H)``.
     The constants enter the contraction bookkeeping only (they pick the
     weight of :func:`default_beta`); nothing derives or checks them.
     """
@@ -103,28 +110,25 @@ class CoefficientSpec:
     drift: Callable[[float, np.ndarray], np.ndarray] | None = None
     drift_bound: float = 0.0
     noise: Callable[[float, np.ndarray], np.ndarray] | None = None
-    noise_matrices: np.ndarray | None = None
     noise_bound: float = 0.0
 
     def __post_init__(self) -> None:
         if self.drift_bound < 0 or self.noise_bound < 0:
             raise ValueError("growth constants must be nonnegative")
-        if self.noise is not None and self.noise_matrices is not None:
-            raise ValueError("give either a noise map or constant matrices")
-        if self.noise_matrices is not None:
-            mats = np.asarray(self.noise_matrices, dtype=np.float64)
-            if mats.ndim != 3:
-                raise ValueError("constant noise field must be (atoms, G, H)")
-            object.__setattr__(self, "noise_matrices", mats)
 
-    @property
-    def additive(self) -> bool:
-        return self.noise is None
+
+def _state_free(noise_matrices: np.ndarray
+                ) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The noise map returning the constant field ``(atoms, G, H)``."""
+    mats = np.asarray(noise_matrices, dtype=np.float64)
+    if mats.ndim != 3:
+        raise ValueError("constant noise field must be (atoms, G, H)")
+    return lambda t, x: mats
 
 
 def additive_coefficients(noise_matrices: np.ndarray) -> CoefficientSpec:
     """State-independent noise, no drift."""
-    return CoefficientSpec(noise_matrices=np.asarray(noise_matrices, float))
+    return CoefficientSpec(noise=_state_free(noise_matrices))
 
 
 def linear_drift_coefficients(gain: float,
@@ -133,33 +137,37 @@ def linear_drift_coefficients(gain: float,
     """Drift ``B(t, x) = gain * x`` (Lipschitz and growth constant |gain|)."""
     return CoefficientSpec(drift=lambda t, x: gain * x,
                            drift_bound=abs(gain),
-                           noise_matrices=noise_matrices)
+                           noise=None if noise_matrices is None
+                           else _state_free(noise_matrices))
 
 
-def _at_left_endpoints(fn: Callable, times: np.ndarray,
-                       states: np.ndarray) -> np.ndarray:
-    """Stack ``fn(t_i, X_{t_i})`` over the cells i along axis 1."""
+def _at_left_endpoints(fn: Callable, times: np.ndarray, states: np.ndarray,
+                       axis: int) -> np.ndarray:
+    """Stack ``fn(t_i, X_{t_i})`` over the cells i along `axis`, counted from
+    the end, so a value that ignores the state keeps no path axis."""
     return np.stack([np.asarray(fn(times[i], states[:, i]), dtype=np.float64)
-                     for i in range(len(times) - 1)], axis=1)
+                     for i in range(len(times) - 1)], axis=axis)
 
 
-def _noise_term(coeffs: CoefficientSpec, ens: MVMPathEnsemble,
-                states: np.ndarray) -> np.ndarray | float:
-    """Cellwise noise actions ``F(t_i, X_i) dM_i``, (paths, n_cells, G).
+def _contributions(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
+                   ens: MVMPathEnsemble, states: np.ndarray
+                   ) -> np.ndarray | float:
+    """Cell contributions ``B(t_i, X_i) dt_i + F(t_i, X_i) dM_i`` at the left
+    endpoints of `states`, (paths, n_cells, G); 0.0 with neither drift nor
+    noise.
 
-    A constant field is a shared (4-d) integrand, a state-dependent one a
-    per-path integrand at the left endpoints of `states`; both go through
-    :func:`~mvmlab.integrate._cell_actions`, so a noise map that returns
-    the constant field gives the same bits.  Without noise the term is
-    0.0."""
+    The noise field is an integrand for
+    :func:`~mvmlab.integrate._cell_actions`: shared (4-d) when the map
+    ignores the state, per path (5-d) otherwise, with the same bits for the
+    same field.  Each term must land in the semigroup's G modes."""
+    out = 0.0
     if coeffs.noise is not None:
-        field = _at_left_endpoints(coeffs.noise, ens.times, states)
-    elif coeffs.noise_matrices is not None:
-        mats = coeffs.noise_matrices
-        field = np.broadcast_to(mats, (ens.grid.n_cells,) + mats.shape)
-    else:
-        return 0.0
-    return _cell_actions(GridIntegrand(ens.grid, field), ens)
+        field = _at_left_endpoints(coeffs.noise, ens.times, states, -4)
+        out = sg._fits(_cell_actions(GridIntegrand(ens.grid, field), ens))
+    if coeffs.drift is not None:
+        drift = _at_left_endpoints(coeffs.drift, ens.times, states, -2)
+        out = out + np.diff(ens.times)[:, None] * sg._fits(drift)
+    return out
 
 
 def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
@@ -237,10 +245,6 @@ class MildSolutionPath:
         return tuple(b / a for a, b in zip(self.picard_trace,
                                            self.picard_trace[1:]) if a > 0)
 
-    def summary_csv(self) -> str:
-        mean, se = IntegralPathEnsemble(self.times, self.values).second_moment()
-        return _csv_text("t,mean_norm2,se", [self.times, mean, se])
-
 
 def _check_finite(x: np.ndarray, iteration: int) -> None:
     if not np.all(np.isfinite(x)):
@@ -264,25 +268,19 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
     `max_iter`.
     """
     times = ens.times
-    dt = np.diff(times)[:, None]
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape[-1] != sg.dim:
         raise ValueError("initial state does not match the mode count")
-    zero = np.zeros((ens.paths, len(dt), sg.dim))
+    zero = np.zeros((ens.paths, len(times) - 1, sg.dim))
     if initial == "semigroup":
         x = sg.scan(times, zero, x0)
     elif initial == "zero":
         x = np.zeros((ens.paths, len(times), sg.dim))
     else:
         raise ValueError(f"unknown initial guess {initial!r}")
-    # State-free noise actions are contracted once, the constant field being
-    # one shared integrand.
-    fixed = _noise_term(coeffs, ens, x) if coeffs.additive else None
 
     def apply_map(x: np.ndarray) -> np.ndarray:
-        contrib = fixed if coeffs.additive else _noise_term(coeffs, ens, x)
-        if coeffs.drift is not None:
-            contrib = contrib + dt * _at_left_endpoints(coeffs.drift, times, x)
+        contrib = _contributions(sg, coeffs, ens, x)
         # With neither drift nor noise the map is constant: S(t) x0.
         return sg.scan(times, zero if np.ndim(contrib) == 0 else contrib, x0)
 
@@ -314,13 +312,9 @@ def weak_residual(sol: MildSolutionPath, sg: DiagonalSemigroup,
     with left-endpoint quadrature; for solutions produced by the mild
     iteration it vanishes at first order in the step size.
     """
-    times = ens.times
-    dt = np.diff(times)
     x = sol.values
-    drift = 0.0 if coeffs.drift is None else \
-        _at_left_endpoints(coeffs.drift, times, x)
-    inner = (sg.rates * x[:, :-1] - drift) * dt[None, :, None] \
-        - _noise_term(coeffs, ens, x)
+    inner = sg.rates * x[:, :-1] * np.diff(ens.times)[None, :, None] \
+        - _contributions(sg, coeffs, ens, x)
     residuals = np.zeros_like(x)
     residuals[:, 1:] = np.cumsum(inner, axis=1)
     residuals += x - x[:, [0]]

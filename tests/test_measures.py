@@ -12,7 +12,6 @@ from mvmlab.measures import (MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
                              iter_partitions, make_grid, monotone_sup,
                              SignedDiscreteMeasure, sup_measures)
 from mvmlab.quadvar import QMField, qm_to_csv
-from mvmlab.spde import MildSolutionPath
 
 
 def random_family(rng, grid, max_measures=5):
@@ -257,17 +256,6 @@ def loop_integral_summary(integral, isometry_target=None):
     return buf.getvalue()
 
 
-def loop_solution_summary(sol):
-    sq = (sol.values ** 2).sum(axis=2)
-    mean = sq.mean(axis=0)
-    se = sq.std(axis=0, ddof=1) / np.sqrt(sol.paths)
-    buf = io.StringIO()
-    buf.write("t,mean_norm2,se\n")
-    for t, m, s in zip(sol.times, mean, se):
-        buf.write(f"{float(t)!r},{float(m)!r},{float(s)!r}\n")
-    return buf.getvalue()
-
-
 def test_measure_csv_matches_row_loop():
     shape = (CSV_GRID.n_cells, CSV_GRID.n_atoms)
     mass = np.abs(mixed(FINITE, shape, 1))
@@ -290,7 +278,6 @@ def test_summary_csvs_match_row_loops():
     times = np.array(SPECIAL)
     values = mixed(SPECIAL, (3, len(times), 2), 4)
     integral = IntegralPathEnsemble(times, values)
-    sol = MildSolutionPath(times, values, (), True, 1.0)
     target = mixed(SPECIAL, (len(times),), 5)
     with np.errstate(invalid="ignore", over="ignore"):
         assert integral.summary_csv() == loop_integral_summary(integral)
@@ -298,4 +285,3 @@ def test_summary_csvs_match_row_loops():
                 == loop_integral_summary(integral, target))
         assert (integral.summary_csv(isometry_target=list(target))
                 == loop_integral_summary(integral, target))
-        assert sol.summary_csv() == loop_solution_summary(sol)

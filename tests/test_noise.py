@@ -177,11 +177,29 @@ def test_haar_integral_type_intensities_match_exact_tables():
         # it can sit one ulp off the exact squared-value table.
         np.testing.assert_allclose(family.masses(x)[:, 0], table[n],
                                    rtol=1e-15, atol=0)
-    # Dense materialization agrees with the low-rank route.
+
+
+def test_integral_type_intensity_field_is_closed_form():
+    # [DERIVED] oracle: cell i carries sum_s w_s eta_s eta_s^T on the atom
+    # selector[i] and nothing elsewhere, so nu_x = sum_s w_s (x . eta_s)^2.
+    spec, steps = _oracle_specs()["integral_type_several"]
+    assert spec.selector == (1, 0, 1)
+    grid = default_grid(spec, 1.0, steps)
+    family = intensity_family(spec, grid)
     mats = family.bilinear_matrices()
-    x = np.arange(dim, dtype=float) / dim
-    np.testing.assert_allclose(np.einsum("d,cade,e->ca", x, mats, x),
-                               family.masses(x), rtol=1e-12)
+    assert mats.shape == (3, 2, 4, 4)
+    x = np.random.default_rng(32).standard_normal(4)
+    for i, (etas, w) in enumerate(zip(spec.loadings, spec.weights)):
+        atom = spec.selector[i]
+        expect = sum(ws * np.outer(eta, eta) for ws, eta in zip(w, etas))
+        np.testing.assert_allclose(mats[i, atom], expect, rtol=1e-15,
+                                   atol=1e-16)
+        assert np.all(mats[i, 1 - atom] == 0.0)
+        masses = family.masses(x)[i]
+        assert masses[1 - atom] == 0.0
+        np.testing.assert_allclose(
+            masses[atom], sum(ws * (x @ eta) ** 2 for ws, eta in zip(w, etas)),
+            rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------

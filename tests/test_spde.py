@@ -9,7 +9,7 @@ from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
                           intensity_family, max_z_level, simulate)
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.spde import (CoefficientSpec, DiagonalSemigroup,
-                         contraction_factors, convolution_second_moment,
+                         additive_coefficients, contraction_factors, convolution_second_moment,
                          default_beta, heat_example_setup, heat_semigroup,
                          linear_drift_coefficients, picard_solve,
                          stochastic_convolution, v_beta_distance,
@@ -190,10 +190,10 @@ def test_default_beta_pins_factors_at_an_eighth():
 def test_coefficient_spec_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         CoefficientSpec(drift_bound=-1.0)
-    with pytest.raises(ValueError, match="either a noise map"):
-        CoefficientSpec(noise=lambda t, x: x, noise_matrices=np.ones((1, 2, 2)))
     with pytest.raises(ValueError, match="atoms, G, H"):
-        CoefficientSpec(noise_matrices=np.ones((2, 2)))
+        additive_coefficients(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="atoms, G, H"):
+        linear_drift_coefficients(1.0, np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,6 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
     coeffs = CoefficientSpec(
         noise=lambda t, x: base * (1.0 + 0.5 * np.tanh(x))[..., None, :, None],
         noise_bound=1.0)
-    assert not coeffs.additive
     x0 = np.full(heat.semigroup.dim, 0.5)
     sol = picard_solve(heat.semigroup, coeffs, ens, x0, tol=1e-12)
     assert sol.converged
@@ -305,28 +304,31 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
 
 
 def test_constant_noise_map_gives_the_additive_solution_bitwise():
-    # A noise map that returns the constant field is the additive noise:
-    # both reach the one cell contraction, so the Picard iterates and the
-    # weak residuals must come out bitwise equal.
+    # A state-free map returning one (atoms, G, H) field is a shared
+    # integrand, its per-path broadcast a per-path one: both reach the one
+    # cell contraction, so the Picard iterates, solutions and weak residuals
+    # must come out bitwise equal.
     rng = np.random.default_rng(64)
     ex = heat_example_setup(rng.standard_normal((2, 8)) / np.arange(1, 9),
                             np.array([1.0, 0.5]))
     grid = default_grid(ex.noise_spec, 1.0, 16)
     ens = simulate(ex.noise_spec, grid, 300, 65)
     mats = ex.f_matrix[None]
-    additive = linear_drift_coefficients(0.5, mats)
-    mapped = CoefficientSpec(
-        drift=additive.drift, drift_bound=additive.drift_bound,
+    shared = linear_drift_coefficients(0.5, mats)
+    assert shared.noise(0.0, np.ones((3, ex.semigroup.dim))).shape \
+        == mats.shape
+    per_path = CoefficientSpec(
+        drift=shared.drift, drift_bound=shared.drift_bound,
         noise=lambda t, x: np.broadcast_to(mats, x.shape[:-1] + mats.shape))
     x0 = np.full(ex.semigroup.dim, 0.5)
     sols = [picard_solve(ex.semigroup, c, ens, x0)
-            for c in (additive, mapped)]
+            for c in (shared, per_path)]
     assert sols[0].converged
     assert sols[0].picard_trace == sols[1].picard_trace
     assert np.array_equal(sols[0].values, sols[1].values)
     assert np.array_equal(
-        weak_residual(sols[0], ex.semigroup, additive, ens),
-        weak_residual(sols[0], ex.semigroup, mapped, ens))
+        weak_residual(sols[0], ex.semigroup, shared, ens),
+        weak_residual(sols[0], ex.semigroup, per_path, ens))
 
 
 def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
@@ -339,17 +341,30 @@ def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
     x0 = np.zeros(heat.semigroup.dim)
     with pytest.raises(ValueError, match="integrand expects dim 3, driver has 2"):
         picard_solve(heat.semigroup, coeffs, ens, x0)
-    # Maps into a state space of the wrong dimension G: a noise map, constant
-    # noise matrices and a drift, each one mode short.
+    # Maps into a state space of the wrong dimension G: a noise map, a
+    # state-free noise field and a drift, each one mode short.
     short = heat.f_matrix[None, :-1]
     short_noise = CoefficientSpec(
         noise=lambda t, x: np.broadcast_to(short, x.shape[:-1] + short.shape),
         noise_bound=1.0)
     drift = CoefficientSpec(drift=lambda t, x: x[..., :-1], drift_bound=1.0)
-    for wrong in (short_noise, CoefficientSpec(noise_matrices=short), drift):
+    for wrong in (short_noise, additive_coefficients(short), drift):
         with pytest.raises(ValueError, match="semigroup acts on dim 4, "
                            "contributions have dim 3"):
             picard_solve(heat.semigroup, wrong, ens, x0)
+    # Next to the heat noise a drift into 1 mode would broadcast against
+    # the 4 noise modes, and one into 3 modes would not broadcast at all:
+    # both the Picard map and the weak residual must name the mismatch.
+    sol = picard_solve(heat.semigroup, heat.coefficients, ens, x0)
+    for g in (1, 3):
+        wrong = CoefficientSpec(drift=lambda t, x, g=g: x[..., :g],
+                                drift_bound=1.0,
+                                noise=heat.coefficients.noise)
+        message = f"semigroup acts on dim 4, contributions have dim {g}"
+        with pytest.raises(ValueError, match=message):
+            picard_solve(heat.semigroup, wrong, ens, x0)
+        with pytest.raises(ValueError, match=message):
+            weak_residual(sol, heat.semigroup, wrong, ens)
 
 
 def test_picard_rejects_an_initial_state_of_the_wrong_dimension(heat):
@@ -403,7 +418,9 @@ def test_heat_example_setup_bookkeeping():
     assert ex.f_matrix.shape == (5, 3)
     np.testing.assert_allclose(ex.f_matrix, (alphas[:, None] * sigma).T)
     assert ex.semigroup.dim == 5
-    assert ex.coefficients.additive
+    # Additive noise: the map ignores the state and returns the one field.
+    assert np.array_equal(ex.coefficients.noise(0.0, np.ones((2, 5))),
+                          ex.f_matrix[None])
     atoms = ex.noise_spec.atoms
     assert len(atoms) == 1 and atoms[0].label == "U"
     np.testing.assert_allclose(atoms[0].effective_cov(),
@@ -411,13 +428,3 @@ def test_heat_example_setup_bookkeeping():
     with pytest.raises(ValueError, match="one gain per"):
         heat_example_setup(sigma, np.ones(2))
 
-
-def test_solution_summary_csv(heat):
-    grid = default_grid(heat.noise_spec, 1.0, 4)
-    ens = simulate(heat.noise_spec, grid, 32, 79)
-    sol = picard_solve(heat.semigroup, heat.coefficients, ens,
-                       np.zeros(heat.semigroup.dim))
-    lines = sol.summary_csv().strip().split("\n")
-    assert lines[0] == "t,mean_norm2,se"
-    assert len(lines) == 6
-    assert float(lines[1].split(",")[1]) == 0.0  # starts at the origin
