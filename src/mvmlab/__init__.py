@@ -10,9 +10,11 @@ noise and verifies their structure numerically:
 - :mod:`mvmlab.haar` — exact dyadic tables for the divergence construction;
 - :mod:`mvmlab.noise` — noise drivers (white, finite-mark, vector-valued,
   integral-type), path simulation, closed-form intensities as one quadratic
-  form field per driver, and empirical intensities;
+  form field per driver, and Monte Carlo estimates (empirical intensities,
+  orthogonality covariances) as ``mean_se`` (mean, standard error) pairs;
 - :mod:`mvmlab.quadvar` — quadratic variation as a supremum of intensities,
-  polarization, and the cellwise operator density;
+  polarization into a bilinear field held as a quadratic form field too, and
+  the cellwise operator density;
 - :mod:`mvmlab.integrate` — grid and simple-form stochastic integrals, the
   integration norm, stopping/restriction/localization identities;
 - :mod:`mvmlab.spde` — diagonal semigroups, stochastic convolution, and the

@@ -17,8 +17,10 @@ Config schema (all keys except "scenario" optional)::
 
 Each "params" value must have the JSON type of its default: an integer for
 an integer default, any number for a float default (stored as a float), an
-array for a list default; booleans are never numbers.  An unknown scenario,
-an unknown parameter or a wrong type exits 1 before the scenario runs.
+array for a list default; booleans are never numbers.  "seed" and "paths"
+must be integers; a seed must leave every seed the scenario derives from it
+(seed + 1, ...) within 63 bits.  An unknown scenario, an unknown parameter, a
+wrong type or a value out of range exits 1 before the scenario runs.
 
 Command-line flags override config values, which override the scenario
 defaults.  For a fixed config and seed the CSV artifacts are byte-identical
@@ -69,13 +71,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _count(name: str, value, low: int):
-    """`value` if it is an integer >= `low`; JSON bools and floats are not."""
-    if value is not None and (type(value) is not int or value < low):
-        raise _UsageError(f"{name} must be an integer >= {low}, got {value!r}")
-    return value
-
-
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -100,8 +95,6 @@ def _load_config(path: str) -> dict:
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise _UsageError('"params" must be a JSON object')
-    _count('"seed"', config.get("seed"), 0)
-    _count('"paths"', config.get("paths"), 1)
     return config
 
 
@@ -116,10 +109,8 @@ def _write_outputs(report: RunReport, out_dir: str) -> None:
 
 def _run(args) -> int:
     config = _load_config(args.config)
-    seed = (config.get("seed") if args.seed is None
-            else _count("--seed", args.seed, 0))
-    paths = (config.get("paths") if args.paths is None
-             else _count("--paths", args.paths, 1))
+    seed = config.get("seed") if args.seed is None else args.seed
+    paths = config.get("paths") if args.paths is None else args.paths
     out_dir = args.out if args.out is not None else config.get("out")
     try:
         report = run_scenario(config["scenario"], seed=seed, paths=paths,

@@ -53,15 +53,14 @@ __all__ = [
     "IntegralType",
     "MVMPathEnsemble",
     "simulate",
+    "MAX_SEED",
     "default_grid",
     "IntensityFamily",
     "intensity_family",
     "mean_se",
     "GATE_ALPHA",
     "max_z_level",
-    "EmpiricalIntensity",
     "empirical_intensity",
-    "OrthogonalityReport",
     "orthogonality_check",
 ]
 
@@ -373,6 +372,8 @@ class IntegralType(NoiseSpecBase):
 
 # Paths per random stream: part of the stream definition (see ``simulate``).
 _BLOCK = 1024
+# The largest seed: a Philox key word holds a nonnegative 63-bit integer.
+MAX_SEED = 2 ** 63 - 1
 
 
 def default_grid(spec: NoiseSpecBase, t_max: float, steps: int) -> GridSpec:
@@ -448,7 +449,7 @@ def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
     """
     if paths < 1:
         raise ValueError("need at least one path")
-    if not 0 <= int(seed) < 2 ** 63:
+    if not 0 <= int(seed) <= MAX_SEED:
         raise ValueError("seed must be a nonnegative 63-bit integer")
     spec.validate_grid(grid)
     plan, assemble = spec._sampler(grid)
@@ -468,6 +469,8 @@ class IntensityFamily:
     Every driver has quadratic-form intensities ``nu_x(cell) = <x, R_cell x>``
     with PSD matrices R_cell, held as one field of shape (n_cells, n_atoms,
     dim, dim); this makes the scaling rule nu_{c x} = c^2 nu_x structural.
+    The polarized field alpha of :func:`mvmlab.quadvar.bilinear_field` is
+    such a field as well.
     """
 
     def __init__(self, grid: GridSpec, matrices: np.ndarray):
@@ -525,49 +528,27 @@ def max_z_level(m: int) -> float:
     return -NormalDist().inv_cdf(per_score / 2.0)
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalIntensity:
-    """Monte Carlo estimate of nu_x with per-cell standard errors."""
-
-    measure: DiscreteMeasure
-    standard_error: np.ndarray
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.measure.grid
-
-
 def empirical_intensity(ens: MVMPathEnsemble, x: np.ndarray
-                        ) -> EmpiricalIntensity:
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate nu_x(cell) by averaging squared tested increments, from at
-    least 100 paths."""
+    least 100 paths: the :func:`mean_se` pair, each of shape (n_cells,
+    n_atoms)."""
     if ens.paths < 100:
         raise ValueError(f"need at least 100 paths, have {ens.paths}")
-    mean, se = mean_se(ens.paired(x) ** 2)
-    return EmpiricalIntensity(DiscreteMeasure(ens.grid, mean), se)
-
-
-@dataclass(frozen=True, eq=False)
-class OrthogonalityReport:
-    """Covariance trace of M(., A)(x) against M(., B)(x) for disjoint A, B."""
-
-    times: np.ndarray
-    covariance: np.ndarray
-    standard_error: np.ndarray
+    return mean_se(ens.paired(x) ** 2)
 
 
 def orthogonality_check(ens: MVMPathEnsemble, x: np.ndarray,
                         atoms_a: Iterable[int], atoms_b: Iterable[int]
-                        ) -> OrthogonalityReport:
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Empirical orthogonality of the martingales over two disjoint mark sets.
 
     For each grid time the product of the two martingales is averaged over
-    paths by :func:`mean_se`; orthogonality makes every mean zero, and the
-    caller judges the z-scores ``|covariance| / standard_error``.
+    paths: the :func:`mean_se` pair, each of shape (n_times,).  Orthogonality
+    makes every mean zero, and the caller judges the z-scores ``|mean| / se``.
     """
     a = set(ens._atom_list(atoms_a))
     b = set(ens._atom_list(atoms_b))
     if a & b:
         raise ValueError(f"mark sets are not disjoint: share {sorted(a & b)}")
-    mean, se = mean_se(ens.cumulative(x, a) * ens.cumulative(x, b))
-    return OrthogonalityReport(ens.times, mean, se)
+    return mean_se(ens.cumulative(x, a) * ens.cumulative(x, b))

@@ -4,9 +4,10 @@ The quadratic variation is the supremum of the intensity family over a dense
 sequence of unit vectors; on the grid this is a cellwise running maximum,
 folded from block maxima between the trace counts 1, 2, 4, ..., whose
 convergence (or divergence) in the sequence length is tracked explicitly.
-Polarization of the intensities gives a signed bilinear measure field alpha,
-and the ratio alpha / quadratic-variation recovers a cellwise PSD operator
-density, whose operator norm is one wherever the variation charges the cell
+Polarization of the intensities gives the signed bilinear measure field
+alpha, a field of quadratic forms like the one the intensities come from and
+so held as an :class:`IntensityFamily` too; the ratio alpha /
+quadratic-variation recovers a cellwise PSD operator density, whose operator norm is one wherever the variation charges the cell
 when the supremum is exact (the finite sphere sequence undershoots it, which
 lifts the norm slightly above one).  The Haar construction shows the
 supremum can genuinely diverge; its partition sums are computed by exact
@@ -31,7 +32,6 @@ __all__ = [
     "counterexample_partition_sum",
     "counterexample_trace",
     "alpha_polarization",
-    "BilinearMeasureField",
     "bilinear_field",
     "QMField",
     "qm_density",
@@ -141,20 +141,9 @@ def alpha_polarization(family: IntensityFamily, x: np.ndarray,
     return SignedDiscreteMeasure(family.grid, 0.25 * (masses[0] - masses[1]))
 
 
-@dataclass(frozen=True, eq=False)
-class BilinearMeasureField:
-    """Cellwise symmetric matrices <e_i, alpha(cell) e_j> from polarization."""
-
-    grid: GridSpec
-    matrices: np.ndarray  # (n_cells, n_atoms, dim, dim)
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[-1]
-
-
-def bilinear_field(family: IntensityFamily) -> BilinearMeasureField:
-    """Assemble the bilinear field by polarizing over coordinate pairs.
+def bilinear_field(family: IntensityFamily) -> IntensityFamily:
+    """Assemble the bilinear field alpha by polarizing over coordinate pairs,
+    as the family of quadratic forms <e_i, alpha(cell) e_j> it defines.
 
     This is the artifact route (polarization of scalar intensities); the
     quadratic-form matrices a driver was built from serve as its oracle.
@@ -168,7 +157,7 @@ def bilinear_field(family: IntensityFamily) -> BilinearMeasureField:
             a = alpha_polarization(family, eye[i], eye[j]).cell_mass
             out[:, :, i, j] = a
             out[:, :, j, i] = a
-    return BilinearMeasureField(family.grid, out)
+    return IntensityFamily(family.grid, out)
 
 
 class InconsistentDensityError(ValueError):
@@ -196,7 +185,7 @@ class QMField:
         return self.matrices.shape[-1]
 
 
-def qm_density(alpha: BilinearMeasureField, qv: QVEstimate) -> QMField:
+def qm_density(alpha: IntensityFamily, qv: QVEstimate) -> QMField:
     """Divide the bilinear field by the quadratic variation on charged cells.
 
     Zero-variation cells must carry zero bilinear mass, up to 1e-9 times
@@ -207,16 +196,17 @@ def qm_density(alpha: BilinearMeasureField, qv: QVEstimate) -> QMField:
     """
     if alpha.grid != qv.grid:
         raise ValueError("bilinear field and variation live on different grids")
+    mats = alpha.bilinear_matrices()
     qv_mass = qv.measure.cell_mass
-    scale = max(1.0, float(np.abs(alpha.matrices).max(initial=0.0)))
+    scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
     null = qv_mass <= 0.0
-    bad = null & (np.abs(alpha.matrices).max(axis=(2, 3)) > 1e-9 * scale)
+    bad = null & (np.abs(mats).max(axis=(2, 3)) > 1e-9 * scale)
     if np.any(bad):
         cell = tuple(np.argwhere(bad)[0])
         raise InconsistentDensityError(
             f"cell {cell} has zero quadratic variation but nonzero bilinear mass")
-    out = np.zeros_like(alpha.matrices)
-    out[~null] = psd_part(alpha.matrices[~null] / qv_mass[~null, None, None])
+    out = np.zeros_like(mats)
+    out[~null] = psd_part(mats[~null] / qv_mass[~null, None, None])
     return QMField(alpha.grid, out, null)
 
 

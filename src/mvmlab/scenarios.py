@@ -32,8 +32,8 @@ __all__ = ["Check", "ScenarioResult", "RunReport", "SCENARIOS",
 
 class ScenarioInputError(ValueError):
     """An unknown scenario, an unknown parameter, a parameter value whose
-    JSON type differs from its default's, or one out of its range (the path
-    count included)."""
+    JSON type differs from its default's, or one out of its range (the seed
+    and the path count included)."""
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,8 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
 
     # Closed-form intensity against the empirical one, cellwise.
     family = noise.intensity_family(spec, grid)
-    emp = noise.empirical_intensity(ens, one)
-    res.add_max_z("intensity_max_z", emp.measure.cell_mass, emp.standard_error,
+    nu_mean, nu_se = noise.empirical_intensity(ens, one)
+    res.add_max_z("intensity_max_z", nu_mean, nu_se,
                   family.measure(one).cell_mass)
 
     # Quadratic variation: the dim-1 sphere is exact.
@@ -238,11 +238,12 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
                   float(np.abs(est.measure.cell_mass - target).max()),
                   1e-12, "closed_form", "qv cell mass = dt * lam(atom)")
 
-    rep = noise.orthogonality_check(ens, one, (0,), (1,))
-    res.add_max_z("orthogonality_3se", rep.covariance, rep.standard_error,
-                  0.0, "covariance of disjoint-mark martingales")
+    res.add_max_z("orthogonality_3se",
+                  *noise.orthogonality_check(ens, one, (0,), (1,)), 0.0,
+                  "covariance of disjoint-mark martingales")
     res.artifacts["white_noise_qv.csv"] = est.measure.to_csv()
-    res.artifacts["white_noise_intensity.csv"] = emp.measure.to_csv()
+    res.artifacts["white_noise_intensity.csv"] = \
+        DiscreteMeasure(grid, nu_mean).to_csv()
     return res
 
 
@@ -295,7 +296,8 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     oracle = family.bilinear_matrices()
     scale = float(np.abs(oracle).max())
     res.add_upper("polarization_reconstruction_gap",
-                  float(np.abs(alpha.matrices - oracle).max()) / scale,
+                  float(np.abs(alpha.bilinear_matrices() - oracle).max())
+                  / scale,
                   1e-12, "closed_form")
 
     # Operator density against Q_k / ||Q_k|| entrywise.
@@ -369,11 +371,10 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
     # Empirical intensity of a random direction; Wiener against jump atoms.
     ens = noise.simulate(spec, grid, paths, seed)
     x = _unit(rng, dim)
-    emp = noise.empirical_intensity(ens, x)
-    res.add_max_z("intensity_max_z", emp.measure.cell_mass, emp.standard_error,
+    res.add_max_z("intensity_max_z", *noise.empirical_intensity(ens, x),
                   family.measure(x).cell_mass)
-    rep = noise.orthogonality_check(ens, x, (0,), tuple(range(1, 1 + len(jumps))))
-    res.add_max_z("orthogonality_3se", rep.covariance, rep.standard_error, 0.0)
+    res.add_max_z("orthogonality_3se", *noise.orthogonality_check(
+        ens, x, (0,), tuple(range(1, 1 + len(jumps)))), 0.0)
     res.artifacts["hvalued_qv.csv"] = est.measure.to_csv()
     res.artifacts["hvalued_qm.csv"] = quadvar.qm_to_csv(qm)
     return res
@@ -419,10 +420,10 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
     dim = haar.haar_dimension(k_sim)
     # Cells off a wavelet's support carry exact zeros on both sides (z = 0).
     basis = (0, 1, dim - 1)
-    emps = [noise.empirical_intensity(ens, np.eye(dim)[n]) for n in basis]
-    res.add_max_z("intensity_max_z",
-                  [e.measure.cell_mass[:, 0] for e in emps],
-                  [e.standard_error[:, 0] for e in emps], table[list(basis)],
+    # Stacked per basis vector: (mean or se, vector, cell) on the one atom.
+    mean, se = np.stack([noise.empirical_intensity(ens, np.eye(dim)[n])
+                         for n in basis], axis=1)[..., 0]
+    res.add_max_z("intensity_max_z", mean, se, table[list(basis)],
                   "basis intensities are deterministic, from quadrature")
 
     # Boundedness probe: the uniform deviation obeys the quadrature bound
@@ -653,8 +654,7 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     modes = params["modes"]
     steps = params["steps"]
-    channels = params["channels"]
-    ex = _heat_instance(params["instance_seed"], modes, channels)
+    ex = _heat_instance(params["instance_seed"], modes, params["channels"])
     x0 = 1.0 / np.arange(1, modes + 1)
 
     grid = noise.default_grid(ex.noise_spec, 1.0, steps)
@@ -662,11 +662,8 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     sem = np.exp(-np.outer(grid.time_points, ex.semigroup.rates)) * x0
 
     # (a) zero-noise solve reproduces the modewise exponential decay.
-    silent = spde.heat_example_setup(np.zeros((channels, modes)),
-                                     np.zeros(channels))
-    grid0 = noise.default_grid(silent.noise_spec, 1.0, steps)
-    ens0 = noise.simulate(silent.noise_spec, grid0, 8, seed)
-    sol0 = spde.picard_solve(silent.semigroup, silent.coefficients, ens0, x0,
+    ens0 = noise.simulate(ex.noise_spec, grid, 8, seed)
+    sol0 = spde.picard_solve(ex.semigroup, spde.CoefficientSpec(), ens0, x0,
                              tol=1e-12)
     res.add_upper("zero_noise_gap",
                   float(np.abs(sol0.values - sem[None]).max()), 1e-12,
@@ -730,26 +727,21 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
     ens = noise.simulate(ex.noise_spec, grid, paths, seed)
     x0 = 1.0 / np.arange(1, modes + 1)
     beta = spde.default_beta(coeffs, grid.t_max)
-    fb, ff = spde.contraction_factors(coeffs, grid.t_max, beta)
-    res.add("analytic_drift_factor", fb, 0.125, 1e-12, "analytic_bound",
-            f"beta = {beta}")
     tol = params["tol"]
     sol = spde.picard_solve(ex.semigroup, coeffs, ens, x0, tol=tol,
                             max_iter=params["max_iter"])
-    ratios = sol.ratios()
-    res.add("picard_converged", 0.0 if sol.converged else 1.0, 0.0, 0.0,
-            "analytic_bound", f"{sol.iterations} iterations")
     res.add_upper("picard_iterations", float(sol.iterations), 10.0,
                   "analytic_bound")
+    # The solve converged exactly when its last update is within tol.
     res.add_upper("picard_final_update", sol.picard_trace[-1], tol,
                   "analytic_bound", "weighted-norm distance of last iterates")
     # A run that stops before a second update measured no contraction.
-    worst = max(ratios, default=np.inf)
-    res.add_upper("picard_max_ratio", worst, 0.5,
-                  "analytic_bound", "successive update ratios")
-    analytic = float(np.sqrt(max(fb, ff)))
+    worst = max(sol.ratios(), default=np.inf)
+    analytic = float(np.sqrt(max(spde.contraction_factors(
+        coeffs, grid.t_max, beta))))
     res.add_upper("picard_ratio_vs_bound", worst, analytic + 0.05,
-                  "analytic_bound", f"contraction bound {analytic:.4f}")
+                  "analytic_bound", f"successive update ratios; contraction "
+                  f"bound {analytic:.4f} at beta = {beta}")
 
     sol_zero = spde.picard_solve(ex.semigroup, coeffs, ens, x0, tol=tol,
                                  max_iter=params["max_iter"], initial="zero")
@@ -776,6 +768,9 @@ class ScenarioDef:
     # The smallest value an integer parameter, or the path count (key
     # "paths"), may take, where it has one.
     least: dict = field(default_factory=dict)
+    # How many consecutive seeds, from the run's seed on, the scenario
+    # simulates paths with; the last must not exceed noise.MAX_SEED.
+    seeds: int = 1
 
 
 SCENARIOS: dict[str, ScenarioDef] = {
@@ -822,7 +817,9 @@ SCENARIOS: dict[str, ScenarioDef] = {
         seed=11, paths=20_000,
         params={"pair_seed": 23},
         # A standard error needs two paths.
-        least={"pair_seed": 0, "paths": 2}),
+        least={"pair_seed": 0, "paths": 2},
+        # One seed per driver/integrand pair.
+        seeds=5),
     "fubini": ScenarioDef(
         _scn_fubini,
         "integrate-the-mix equals mix-the-integrals, pathwise",
@@ -842,7 +839,9 @@ SCENARIOS: dict[str, ScenarioDef] = {
                 "residual_paths": 400, "slope_band": 0.3},
         # The weak residual is fitted on grids of steps // 4, // 2 and // 1.
         least={"modes": 1, "steps": 4, "channels": 1, "instance_seed": 0,
-               "residual_paths": 1, "paths": 2}),
+               "residual_paths": 1, "paths": 2},
+        # Zero-noise solve, convolution moments, weak residual.
+        seeds=3),
     "picard_contraction": ScenarioDef(
         _scn_picard,
         "fixed-point iteration under the weighted norm: measured contraction",
@@ -902,8 +901,9 @@ def _checked(name: str, key: str, default, value):
 
 def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
                  params: dict | None = None) -> RunReport:
-    """Run a scenario with `params` overriding its defaults; every override
-    is checked before anything runs (see :class:`ScenarioInputError`)."""
+    """Run a scenario with `params`, the seed and the path count overriding
+    its defaults; every override is checked before anything runs (see
+    :class:`ScenarioInputError`)."""
     if name not in SCENARIOS:
         raise ScenarioInputError(f"unknown scenario {name!r}; choices: "
                                  f"{', '.join(sorted(SCENARIOS))}")
@@ -915,9 +915,12 @@ def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
                 f"unknown parameter {key!r} for scenario {name!r}; "
                 f"expected keys: {', '.join(sorted(merged))}")
         merged[key] = _checked(name, key, merged[key], value)
-    seed = item.seed if seed is None else int(seed)
-    paths = item.paths if paths is None else int(paths)
-    for key, low in item.least.items():
+    seed = item.seed if seed is None else _checked(name, "seed", item.seed, seed)
+    paths = (item.paths if paths is None
+             else _checked(name, "paths", item.paths, paths))
+    top = noise.MAX_SEED - (item.seeds - 1)
+    _require(0 <= seed <= top, name, "seed", f"must be in 0..{top}, got {seed}")
+    for key, low in {"paths": 1, **item.least}.items():
         value = paths if key == "paths" else merged[key]
         _require(value >= low, name, key, f"must be at least {low}, got {value}")
     start = time.perf_counter()

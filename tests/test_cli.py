@@ -43,8 +43,10 @@ def test_failed_check_exits_two(tmp_path, capsys):
     assert "discrete_levy_qv: FAIL" in out.strip().split("\n")[-1]
 
 
-SEED_RULE = '"seed" must be an integer >= 0'
-PATHS_RULE = '"paths" must be an integer >= 1'
+SEED_RULE = "'seed' of scenario 'fubini' must be an integer, got"
+SEED_RANGE = "'seed' of scenario 'fubini' must be in 0..9223372036854775807"
+PATHS_RULE = "'paths' of scenario 'fubini' must be an integer, got"
+PATHS_RANGE = "'paths' of scenario 'fubini' must be at least 2"
 
 
 @pytest.mark.parametrize("payload,fragment", [
@@ -57,10 +59,18 @@ PATHS_RULE = '"paths" must be an integer >= 1'
     (json.dumps({"scenario": "fubini", "params": [1]}), "must be a JSON object"),
     (json.dumps({"scenario": "fubini", "seed": "abc"}), SEED_RULE),
     (json.dumps({"scenario": "fubini", "seed": 1.7}), SEED_RULE),
-    (json.dumps({"scenario": "fubini", "seed": -1}), SEED_RULE),
+    (json.dumps({"scenario": "fubini", "seed": -1}), SEED_RANGE),
     (json.dumps({"scenario": "fubini", "seed": True}), SEED_RULE),
-    (json.dumps({"scenario": "fubini", "paths": -3}), PATHS_RULE),
-    (json.dumps({"scenario": "fubini", "paths": 0}), PATHS_RULE),
+    (json.dumps({"scenario": "fubini", "seed": 2 ** 63}), SEED_RANGE),
+    # Scenarios that simulate with seed + 1, ... reject a seed whose last
+    # derived seed leaves the 63-bit range, before they run.
+    (json.dumps({"scenario": "heat_spde", "seed": 2 ** 63 - 1}),
+     "'seed' of scenario 'heat_spde' must be in 0..9223372036854775805"),
+    (json.dumps({"scenario": "ito_isometry", "seed": 2 ** 63 - 4}),
+     "'seed' of scenario 'ito_isometry' must be in 0..9223372036854775803"),
+    (json.dumps({"scenario": "fubini", "paths": -3}), PATHS_RANGE),
+    (json.dumps({"scenario": "fubini", "paths": 0}), PATHS_RANGE),
+    (json.dumps({"scenario": "fubini", "paths": 50.9}), PATHS_RULE),
     (json.dumps({"scenario": "fubini", "paths": 2.0}), PATHS_RULE),
     (json.dumps({"scenario": "fubini", "paths": False}), PATHS_RULE),
     (json.dumps({"scenario": "sup_measures_oracle",
@@ -243,9 +253,15 @@ def test_flag_overrides_config_overrides_default(tmp_path, capsys):
                          .read_text(encoding="utf-8"))
     assert report2["seed"] == 3
     # Flag values are validated like config values, before anything runs.
-    for flag, value in (("--seed", "-1"), ("--paths", "0"), ("--paths", "-3")):
+    for flag, value, rule in (
+            ("--seed", "-1", "in 0..9223372036854775807, got -1"),
+            ("--seed", "9223372036854775808",
+             "in 0..9223372036854775807, got 9223372036854775808"),
+            ("--paths", "0", "at least 100, got 0"),
+            ("--paths", "-3", "at least 100, got -3")):
         assert main(["run", config2, flag, value]) == EXIT_USAGE
-        assert f"{flag} must be an integer" in capsys.readouterr().err
+        assert (f"{flag[2:]!r} of scenario 'haar_counterexample' must be "
+                f"{rule}") in capsys.readouterr().err
 
 
 def test_seed_changes_artifacts(tmp_path, capsys):

@@ -174,32 +174,54 @@ def test_haar_integral_type_intensities_match_exact_tables():
         x = np.zeros(dim)
         x[n] = 1.0
         # The sampling route squares amplitudes like sqrt(2)^j in floats, so
-        # it can sit one ulp off the exact squared-value table.
+        # it can sit one ulp off the exact squared-value table.  A basis
+        # vector picks R_nn out exactly, and R_nn sums two nonnegative
+        # squares of amplitudes within one rounding of sqrt(2)^j: four
+        # roundings in all, within gamma_4 < 1e-15 on every BLAS kernel.
         np.testing.assert_allclose(family.masses(x)[:, 0], table[n],
                                    rtol=1e-15, atol=0)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff: a sum of
+    products, each term through at most n roundings, computed in any order
+    (so by any BLAS kernel), lies within gamma_n sum |terms| of the exact
+    value (Higham 2002, Lemma 3.1 and section 3.1)."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1 - n * u)
 
 
 def test_integral_type_intensity_field_is_closed_form():
     # [DERIVED] oracle: cell i carries sum_s w_s eta_s eta_s^T on the atom
     # selector[i] and nothing elsewhere, so nu_x = sum_s w_s (x . eta_s)^2.
+    # Both routes round, each in its own order; they may differ by the sum
+    # of their forward error bounds.
     spec, steps = _oracle_specs()["integral_type_several"]
     assert spec.selector == (1, 0, 1)
     grid = default_grid(spec, 1.0, steps)
     family = intensity_family(spec, grid)
     mats = family.bilinear_matrices()
-    assert mats.shape == (3, 2, 4, 4)
-    x = np.random.default_rng(32).standard_normal(4)
+    dim = 4
+    assert mats.shape == (3, 2, dim, dim)
+    x = np.random.default_rng(32).standard_normal(dim)
     for i, (etas, w) in enumerate(zip(spec.loadings, spec.weights)):
-        atom = spec.selector[i]
+        atom, k = spec.selector[i], len(w)
+        # Entry (d, e) sums k products w_s eta_sd eta_se of two roundings
+        # each, on both routes.
         expect = sum(ws * np.outer(eta, eta) for ws, eta in zip(w, etas))
-        np.testing.assert_allclose(mats[i, atom], expect, rtol=1e-15,
-                                   atol=1e-16)
+        terms = (np.abs(etas).T * w) @ np.abs(etas)
+        assert np.all(np.abs(mats[i, atom] - expect)
+                      <= 2 * _gamma(k + 1) * terms)
         assert np.all(mats[i, 1 - atom] == 0.0)
         masses = family.masses(x)[i]
         assert masses[1 - atom] == 0.0
-        np.testing.assert_allclose(
-            masses[atom], sum(ws * (x @ eta) ** 2 for ws, eta in zip(w, etas)),
-            rtol=1e-15, atol=0)
+        # The monomials w_s x_d eta_sd eta_se x_e pass through at most
+        # (k + 1) + 2 + (dim^2 - 1) roundings in <x, R x> and through
+        # 2 dim + 1 + 1 + k in sum_s w_s (x . eta_s)^2.
+        oracle = sum(ws * (x @ eta) ** 2 for ws, eta in zip(w, etas))
+        total = float(w @ (np.abs(etas) @ np.abs(x)) ** 2)
+        bound = (_gamma(k + dim * dim + 2) + _gamma(2 * dim + k + 2)) * total
+        assert abs(masses[atom] - oracle) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +233,9 @@ def test_empirical_intensity_within_three_sigma(levy_spec):
     ens = simulate(levy_spec, grid, 4000, 7)
     rng = np.random.default_rng(3)
     x = rng.standard_normal(3)
-    emp = empirical_intensity(ens, x)
-    target = intensity_family(levy_spec, grid).measure(x)
-    z = np.abs(emp.measure.cell_mass - target.cell_mass) / emp.standard_error
+    mean, se = empirical_intensity(ens, x)
+    assert mean.shape == se.shape == (grid.n_cells, grid.n_atoms)
+    z = np.abs(mean - intensity_family(levy_spec, grid).masses(x)) / se
     assert z.max() <= max_z_level(z.size)
     with pytest.raises(ValueError, match="at least 100 paths, have 99"):
         empirical_intensity(simulate(levy_spec, grid, 99, 7), x)
@@ -244,10 +266,9 @@ def test_zero_covariance_atom_yields_exact_zero_increments():
 def test_orthogonality_across_disjoint_mark_sets(levy_spec):
     grid = default_grid(levy_spec, 1.0, 5)
     ens = simulate(levy_spec, grid, 4000, 13)
-    report = orthogonality_check(ens, np.array([1.0, -0.5, 0.25]), (0,), (1,))
-    assert report.covariance.shape == report.times.shape
-    level = max_z_level(report.covariance.size)
-    assert np.all(np.abs(report.covariance) <= level * report.standard_error)
+    mean, se = orthogonality_check(ens, np.array([1.0, -0.5, 0.25]), (0,), (1,))
+    assert mean.shape == se.shape == ens.times.shape
+    assert np.all(np.abs(mean) <= max_z_level(mean.size) * se)
     with pytest.raises(ValueError, match="disjoint"):
         orthogonality_check(ens, np.ones(3), (0, 1), (1,))
 

@@ -6,7 +6,7 @@ import pytest
 from mvmlab.haar import haar_cell_integrals
 from mvmlab.hilbert import operator_norm_psd, sphere_sequence
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, IntegralType,
-                          default_grid, intensity_family)
+                          IntensityFamily, default_grid, intensity_family)
 from mvmlab.quadvar import (InconsistentDensityError, _running_max,
                             _uniform_deviation, alpha_polarization,
                             bilinear_field, counterexample_partition_sum,
@@ -133,9 +133,13 @@ def test_polarization_recovers_cross_terms(driver, family):
 
 def test_bilinear_field_equals_driver_matrices(family):
     field = bilinear_field(family)
-    np.testing.assert_allclose(field.matrices, family.bilinear_matrices(),
-                               atol=1e-13)
+    assert isinstance(field, IntensityFamily) and field.grid == family.grid
+    np.testing.assert_allclose(field.bilinear_matrices(),
+                               family.bilinear_matrices(), atol=1e-13)
     assert field.dim == 3
+    # Its diagonal nu_x(cell) = alpha(x, x) is the family it polarizes.
+    x = np.random.default_rng(8).standard_normal(3)
+    np.testing.assert_allclose(field.masses(x), family.masses(x), atol=1e-12)
 
 
 def test_kunita_watanabe_bounds(driver, family):
@@ -172,7 +176,7 @@ def test_qm_density_properties(driver, family):
     assert not qm.null_mask.any()
     # Reconstruction: density times variation returns the bilinear field.
     rebuilt = mats * est.measure.cell_mass[:, :, None, None]
-    np.testing.assert_allclose(rebuilt, field.matrices, atol=1e-10)
+    np.testing.assert_allclose(rebuilt, field.bilinear_matrices(), atol=1e-10)
     # Square-root field squares back.
     roots = qm_sqrt_field(qm)
     np.testing.assert_allclose(np.einsum("cagh,cahk->cagk", roots, roots),
@@ -191,11 +195,10 @@ def test_qm_density_zero_cells_and_inconsistency():
     np.testing.assert_array_equal(qm.null_mask[:, 0], True)
     np.testing.assert_array_equal(qm.matrices[:, 0], 0.0)
     # Forge bilinear mass on a zero-variation cell: must be refused.
-    forged = field.matrices.copy()
+    forged = field.bilinear_matrices().copy()
     forged[0, 0] = np.eye(2)
-    from mvmlab.quadvar import BilinearMeasureField
     with pytest.raises(InconsistentDensityError, match="zero quadratic"):
-        qm_density(BilinearMeasureField(family.grid, forged), est)
+        qm_density(IntensityFamily(family.grid, forged), est)
 
 
 def test_qm_csv_round_trip(driver, family):

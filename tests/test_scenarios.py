@@ -2,13 +2,14 @@
 scenario checks that must fail on a broken run."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from mvmlab import spde
-from mvmlab.noise import GATE_ALPHA, max_z_level
-from mvmlab.scenarios import ScenarioResult, run_scenario
+from mvmlab.noise import GATE_ALPHA, MAX_SEED, max_z_level
+from mvmlab.scenarios import ScenarioInputError, ScenarioResult, run_scenario
 
 
 @pytest.mark.parametrize("m, level", [(1, 3.2905), (64, 4.3196),
@@ -58,9 +59,18 @@ def test_picard_run_without_a_ratio_fails():
     # iteration stops after one update: no contraction ratio was measured.
     report = run_scenario("picard_contraction", params={"drift_gain": 10.0})
     assert not report.all_passed
-    for check in report.checks:
-        if check.name in ("picard_max_ratio", "picard_ratio_vs_bound"):
-            assert check.measured == math.inf and not check.passed
+    ratio = next(c for c in report.checks if c.name == "picard_ratio_vs_bound")
+    assert ratio.measured == math.inf and not ratio.passed
+
+
+def test_picard_passes_without_drift():
+    # At drift gain 0 the noise is additive and both contraction factors
+    # vanish: the second Picard iterate is the fixed point.
+    report = run_scenario("picard_contraction", params={"drift_gain": 0.0})
+    assert report.all_passed, [c.line() for c in report.checks if not c.passed]
+    assert {c.name for c in report.checks} >= {
+        "picard_iterations", "picard_final_update", "picard_ratio_vs_bound",
+        "fixed_point_uniqueness_gap"}
 
 
 def test_heat_additive_gap_catches_a_solver_that_drops_x0(monkeypatch):
@@ -79,3 +89,25 @@ def test_heat_additive_gap_catches_a_solver_that_drops_x0(monkeypatch):
                         solve(sg, coeffs, ens, np.zeros_like(x0), **kw))
     dropped = gap()
     assert not dropped.passed and dropped.measured > 0.1
+
+
+@pytest.mark.parametrize("overrides, rule", [
+    ({"seed": 1.7}, "'seed' of scenario 'fubini' must be an integer, got 1.7"),
+    ({"seed": True}, "'seed' of scenario 'fubini' must be an integer, got True"),
+    ({"paths": 50.9},
+     "'paths' of scenario 'fubini' must be an integer, got 50.9"),
+    ({"seed": MAX_SEED + 1}, f"must be in 0..{MAX_SEED}, got {MAX_SEED + 1}"),
+])
+def test_run_scenario_refuses_a_seed_or_path_count_before_running(
+        overrides, rule):
+    with pytest.raises(ScenarioInputError, match=re.escape(rule)):
+        run_scenario("fubini", **overrides)
+
+
+def test_largest_seed_runs_with_every_derived_seed_in_range():
+    # heat_spde simulates with seed, seed + 1 and seed + 2.
+    small = {"modes": 2, "steps": 4, "residual_paths": 2}
+    report = run_scenario("heat_spde", seed=MAX_SEED - 2, paths=4, params=small)
+    assert report.seed == MAX_SEED - 2
+    with pytest.raises(ScenarioInputError, match="must be in 0.."):
+        run_scenario("heat_spde", seed=MAX_SEED - 1, paths=4, params=small)

@@ -10,13 +10,15 @@ overridden, and prints, per scenario, the SHA-256 of each CSV artifact's text
 and ``repr`` of each check's measured value.  Two trees behave the same on a
 run when their outputs are equal, so comparing the output of this script on
 a parent and a change shows byte-identical artifacts and bit-identical checks.
-The output also records the Python and numpy versions and the BLAS numpy was
-built against: the last bits of a contraction depend on that build, so only
-outputs with equal ``environment`` entries are comparable.
+The output also records the Python and numpy versions, the BLAS numpy was
+built against and the OpenBLAS kernel it runs on (``OPENBLAS_CORETYPE`` can
+pick another one at load time): the last bits of a contraction depend on
+both, so only outputs with equal ``environment`` entries are comparable.
 The package is imported from the ``src`` directory next to this script.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import platform
@@ -30,10 +32,24 @@ import numpy as np  # noqa: E402
 from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
 
+def blas_kernel() -> str:
+    """Name of the kernel numpy's bundled OpenBLAS runs on, or "unknown"
+    where numpy carries no such library."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas['name']} {blas['version']}"}
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_kernel": blas_kernel()}
 
 
 def digests(name: str, seed: int | None, paths: int | None) -> dict:
