@@ -222,27 +222,33 @@ class IntegralPathEnsemble:
                          [self.times, mean, se, target])
 
 
+def _contract(increments: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The one cell contraction: actions ``sum_atoms Phi dM`` (paths,
+    [cells,] G) of `values`, shared ``([cells,] atoms, G, H)`` or per path,
+    on `increments` ``(paths, [cells,] atoms, H)``.
+
+    One ``np.matmul`` of the ``(..., 1, atoms * H)`` increments with the
+    stack ``values.swapaxes(-1, -2).reshape(..., atoms * H, G)``, a view
+    for a field in contraction order (see :class:`GridIntegrand`).  So every
+    (path, cell) product is the same vector-matrix call on the same C-ordered
+    matrix, for all cells at once or one at a time, shared or per path."""
+    if values.shape[-1] != increments.shape[-1]:
+        raise ValueError(f"integrand expects dim {values.shape[-1]}, "
+                         f"driver has {increments.shape[-1]}")
+    if values.ndim > increments.ndim and values.shape[0] != increments.shape[0]:
+        raise ValueError("per-path integrand does not match the path count")
+    *lead, a, h = increments.shape
+    g = values.shape[-2]
+    stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, g))
+    return np.matmul(increments.reshape(*lead, 1, a * h), stack)[..., 0, :]
+
+
 def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
     """The cellwise actions ``sum_atoms Phi dM`` of `phi` on `ens` (paths,
-    cells, G), after checking that the two fit together.
-
-    This is the one cell contraction: one ``np.matmul`` of the ``(paths,
-    cells, 1, atoms * H)`` increments with the stack
-    ``values.swapaxes(-1, -2).reshape(..., atoms * H, G)``, a C-contiguous
-    view of the field's storage (see :class:`GridIntegrand`).  A shared
-    stack broadcasts over the paths, so every (path, cell) product is the
-    same vector-matrix call on the same C-ordered matrix, and a shared field
-    and its per-path copy give bitwise-equal actions."""
+    cells, G), after checking that the two fit together (see
+    :func:`_contract`)."""
     _check_grid(phi.grid, ens)
-    if phi.dim_h != ens.dim:
-        raise ValueError(f"integrand expects dim {phi.dim_h}, driver has {ens.dim}")
-    if phi.per_path and phi.values.shape[0] != ens.paths:
-        raise ValueError("per-path integrand does not match the path count")
-    p, c, a, h = ens.increments.shape
-    stack = phi.values.swapaxes(-1, -2).reshape(
-        phi.values.shape[:-3] + (a * h, phi.dim_g))
-    out = np.matmul(ens.increments.reshape(p, c, 1, a * h), stack)
-    return out.reshape(p, c, phi.dim_g)
+    return _contract(ens.increments, phi.values)
 
 
 def _integral(times: np.ndarray, actions: np.ndarray) -> IntegralPathEnsemble:

@@ -5,15 +5,16 @@ so the semigroup acts by modewise exponential decay.  Solutions of
 
     dX = [A X + B(t, X)] dt + integral over marks of F(t, u, X) M(dt, du)
 
-are produced in mild form by Picard iteration on path ensembles: each
-iterate is one exponential-Euler scan from the initial state, with the
-coefficients evaluated at left endpoints.  The noise coefficient is always
-one map F(t, u, X); additive noise is the map that ignores X.  The
-iteration is run in an exponentially weighted path norm (weight
-``exp(-beta t)``) whose strength is chosen from the two contraction factors
-of the drift and noise parts; the weak (tested) form of the equation is
-available as a pathwise residual against every eigenmode, which vanishes at
-first order in the step.
+are computed in mild form on path ensembles by one forward
+exponential-Euler pass, with the coefficients evaluated at left endpoints:
+the mild map on the grid is strictly causal, so that pass is its fixed
+point.  Picard iteration reaches the same point, in an exponentially
+weighted path norm (weight ``exp(-beta t)``) whose strength is chosen from
+the two contraction factors of the drift and noise parts.  The noise
+coefficient is always one map F(t, u, X); additive noise is the map that
+ignores X.  The weak (tested) form of the equation is available as a
+pathwise residual against every eigenmode, which vanishes at first order in
+the step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import GridIntegrand, IntegralPathEnsemble, _cell_actions
+from .integrate import GridIntegrand, IntegralPathEnsemble, _cell_actions, _contract
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
 
@@ -38,6 +39,7 @@ __all__ = [
     "v_beta_distance",
     "contraction_factors",
     "default_beta",
+    "mild_solution",
     "MildSolutionPath",
     "picard_solve",
     "weak_residual",
@@ -65,20 +67,26 @@ class DiagonalSemigroup:
     def dim(self) -> int:
         return self.rates.shape[0]
 
-    def scan(self, times: np.ndarray, contrib: np.ndarray,
+    def scan(self, times: np.ndarray,
+             contrib: np.ndarray | Callable[[int, np.ndarray], np.ndarray],
              x0: np.ndarray | float = 0.0) -> np.ndarray:
         """Exponential-Euler recursion ``X_0 = x0``, ``X_{m+1} = exp(-l dt_m)
-        (X_m + c_m)`` along the cell axis of `contrib` ``(..., n_cells,
-        dim)``, so ``X_m = S(t_m - t_0) x0 + sum_{i<m} S(t_m - t_i) c_i``;
-        `x0` is one state or one per leading index."""
-        self._fits(contrib)
+        (X_m + c_m)``, with the c_m along the cell axis of `contrib`
+        ``(..., n_cells, dim)`` and `x0` one state or one per leading index;
+        or with ``c_m = contrib(m, X_m)``, and the leading shape of `x0`."""
         x0 = np.asarray(x0, dtype=np.float64)
+        if callable(contrib):
+            step, lead = contrib, x0.shape[:-1]
+        else:
+            self._fits(contrib)
+            step = lambda m, x: contrib[..., m, :]  # noqa: E731
+            lead = np.broadcast_shapes(contrib.shape[:-2], x0.shape[:-1])
         decay = np.exp(-np.outer(np.diff(times), self.rates))
-        lead = np.broadcast_shapes(contrib.shape[:-2], x0.shape[:-1])
         out = np.empty(lead + (len(times), self.dim))
         out[..., 0, :] = x0
         for m in range(len(times) - 1):
-            out[..., m + 1, :] = decay[m] * (out[..., m, :] + contrib[..., m, :])
+            x = out[..., m, :]
+            out[..., m + 1, :] = decay[m] * (x + step(m, x))
         return out
 
     def _fits(self, contrib: np.ndarray) -> np.ndarray:
@@ -141,32 +149,22 @@ def linear_drift_coefficients(gain: float,
                            else _state_free(noise_matrices))
 
 
-def _at_left_endpoints(fn: Callable, times: np.ndarray, states: np.ndarray,
-                       axis: int) -> np.ndarray:
-    """Stack ``fn(t_i, X_{t_i})`` over the cells i along `axis`, counted from
-    the end, so a value that ignores the state keeps no path axis."""
-    return np.stack([np.asarray(fn(times[i], states[:, i]), dtype=np.float64)
-                     for i in range(len(times) - 1)], axis=axis)
-
-
-def _contributions(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
-                   ens: MVMPathEnsemble, states: np.ndarray
-                   ) -> np.ndarray | float:
-    """Cell contributions ``B(t_i, X_i) dt_i + F(t_i, X_i) dM_i`` at the left
-    endpoints of `states`, (paths, n_cells, G); 0.0 with neither drift nor
-    noise.
-
-    The noise field is an integrand for
-    :func:`~mvmlab.integrate._cell_actions`: shared (4-d) when the map
-    ignores the state, per path (5-d) otherwise, with the same bits for the
-    same field.  Each term must land in the semigroup's G modes."""
+def _contribution(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
+                  ens: MVMPathEnsemble, i: int, x: np.ndarray
+                  ) -> np.ndarray | float:
+    """Contribution ``B(t_i, x) dt_i + F(t_i, x) dM_i`` of cell i at the
+    states `x` (paths, G) of its left endpoint; 0.0 with neither drift nor
+    noise.  The noise field, shared ``(atoms, G, H)`` or per path, goes
+    through the one cell contraction :func:`~mvmlab.integrate._contract`.
+    Each term must land in the semigroup's G modes."""
+    t = ens.times[i]
     out = 0.0
     if coeffs.noise is not None:
-        field = _at_left_endpoints(coeffs.noise, ens.times, states, -4)
-        out = sg._fits(_cell_actions(GridIntegrand(ens.grid, field), ens))
+        field = np.asarray(coeffs.noise(t, x), dtype=np.float64)
+        out = sg._fits(_contract(ens.increments[:, i], field))
     if coeffs.drift is not None:
-        drift = _at_left_endpoints(coeffs.drift, ens.times, states, -2)
-        out = out + np.diff(ens.times)[:, None] * sg._fits(drift)
+        drift = np.asarray(coeffs.drift(t, x), dtype=np.float64)
+        out = out + (ens.times[i + 1] - t) * sg._fits(drift)
     return out
 
 
@@ -223,19 +221,35 @@ def default_beta(coeffs: CoefficientSpec, t_max: float) -> float:
     return 8.0 * base if base > 0 else 1.0
 
 
+def _check_finite(x: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(x)):
+        p, i = np.argwhere(~np.isfinite(x).all(axis=2))[0]
+        raise RuntimeError(f"{what} diverged at path {p}, time index {i}")
+
+
+def mild_solution(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
+                  ens: MVMPathEnsemble, x0: np.ndarray) -> np.ndarray:
+    """The grid mild solution (paths, n_times, G) from `x0`, one state or one
+    per path: the scan whose contributions ``B(t_m, X_m) dt_m + F(t_m, X_m)
+    dM_m`` read the states it reaches.  The mild map's value at t_m reads
+    only X_i, i < m, so this is its fixed point, and Picard iterate m
+    matches it up to t_m."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape[-1] != sg.dim:
+        raise ValueError("initial state does not match the mode count")
+    x = sg.scan(ens.times, lambda m, xm: _contribution(sg, coeffs, ens, m, xm),
+                np.broadcast_to(x0, (ens.paths, sg.dim)))
+    _check_finite(x, "forward pass")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class MildSolutionPath:
     """Picard fixed point on the grid, with the iteration's diagnostics."""
 
-    times: np.ndarray
     values: np.ndarray  # (paths, n_times, G)
     picard_trace: tuple[float, ...]
-    converged: bool
     beta: float
-
-    @property
-    def paths(self) -> int:
-        return self.values.shape[0]
 
     @property
     def iterations(self) -> int:
@@ -246,77 +260,48 @@ class MildSolutionPath:
                                            self.picard_trace[1:]) if a > 0)
 
 
-def _check_finite(x: np.ndarray, iteration: int) -> None:
-    if not np.all(np.isfinite(x)):
-        p, i = np.argwhere(~np.isfinite(x).all(axis=2))[0]
-        raise RuntimeError(f"Picard iterate {iteration} diverged at path {p}, "
-                           f"time index {i}")
-
-
 def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
                  ens: MVMPathEnsemble, x0: np.ndarray, tol: float = 1e-8,
-                 max_iter: int = 40, initial: str = "semigroup"
-                 ) -> MildSolutionPath:
-    """Iterate the mild-form map to its fixed point on the path ensemble.
+                 max_iter: int = 40) -> MildSolutionPath:
+    """Iterate the mild-form map from ``S(t) x0`` to its fixed point.
 
     The map sends X to the scan from `x0` of the cell contributions
     ``B(t_i, X_i) dt_i + F(t_i, X_i) dM_i`` (left endpoints), which is
-    ``S(t) x0 + conv(B(., X)) dt + conv(F(., X) dM)`` on the grid.
-    Iteration starts from ``S(t) x0`` (or 0) and stops when the update,
-    measured in the ``exp(-beta t)`` weighted norm at :func:`default_beta`,
-    falls below `tol`; `converged` records whether that happened within
-    `max_iter`.
+    ``S(t) x0 + conv(B(., X)) dt + conv(F(., X) dM)`` on the grid.  It stops
+    when the update, in the ``exp(-beta t)`` weighted norm at
+    :func:`default_beta`, falls below `tol`, or after `max_iter` updates.
     """
     times = ens.times
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape[-1] != sg.dim:
-        raise ValueError("initial state does not match the mode count")
-    zero = np.zeros((ens.paths, len(times) - 1, sg.dim))
-    if initial == "semigroup":
-        x = sg.scan(times, zero, x0)
-    elif initial == "zero":
-        x = np.zeros((ens.paths, len(times), sg.dim))
-    else:
-        raise ValueError(f"unknown initial guess {initial!r}")
-
-    def apply_map(x: np.ndarray) -> np.ndarray:
-        contrib = _contributions(sg, coeffs, ens, x)
-        # With neither drift nor noise the map is constant: S(t) x0.
-        return sg.scan(times, zero if np.ndim(contrib) == 0 else contrib, x0)
-
+    x = mild_solution(sg, CoefficientSpec(), ens, x0)
     beta = default_beta(coeffs, float(times[-1]))
     trace: list[float] = []
-    converged = False
     for it in range(1, max_iter + 1):
-        x_next = apply_map(x)
-        _check_finite(x_next, it)
-        dist = v_beta_distance(x_next, x, times, beta)
-        trace.append(dist)
+        x_next = sg.scan(times, lambda m, xm, x=x: _contribution(
+            sg, coeffs, ens, m, x[:, m]), x[:, 0])
+        _check_finite(x_next, f"Picard iterate {it}")
+        trace.append(v_beta_distance(x_next, x, times, beta))
         x = x_next
-        if dist <= tol:
-            converged = True
+        if trace[-1] <= tol:
             break
-    return MildSolutionPath(times=times, values=x,
-                            picard_trace=tuple(trace), converged=converged,
-                            beta=beta)
+    return MildSolutionPath(values=x, picard_trace=tuple(trace), beta=beta)
 
 
-def weak_residual(sol: MildSolutionPath, sg: DiagonalSemigroup,
+def weak_residual(x: np.ndarray, sg: DiagonalSemigroup,
                   coeffs: CoefficientSpec, ens: MVMPathEnsemble
                   ) -> np.ndarray:
-    """Residual of the weak form along every eigenmode: (paths, n_times,
-    modes).
+    """Residual of the weak form of the solution `x` (paths, n_times, G)
+    along every eigenmode: (paths, n_times, modes).
 
     Along mode k the defect is
     ``X^k_t - X^k_0 + l_k int X^k_s ds - int B^k ds - noise term``
-    with left-endpoint quadrature; for solutions produced by the mild
-    iteration it vanishes at first order in the step size.
+    with left-endpoint quadrature; for mild solutions on the grid it
+    vanishes at first order in the step size.
     """
-    x = sol.values
-    inner = sg.rates * x[:, :-1] * np.diff(ens.times)[None, :, None] \
-        - _contributions(sg, coeffs, ens, x)
+    dt = np.diff(ens.times)
+    inner = [sg.rates * x[:, i] * dt[i] - _contribution(sg, coeffs, ens, i, x[:, i])
+             for i in range(len(dt))]
     residuals = np.zeros_like(x)
-    residuals[:, 1:] = np.cumsum(inner, axis=1)
+    residuals[:, 1:] = np.cumsum(np.stack(inner, axis=1), axis=1)
     residuals += x - x[:, [0]]
     return residuals
 

@@ -70,11 +70,11 @@ def test_picard_passes_without_drift():
     assert report.all_passed, [c.line() for c in report.checks if not c.passed]
     assert {c.name for c in report.checks} >= {
         "picard_iterations", "picard_final_update", "picard_ratio_vs_bound",
-        "fixed_point_uniqueness_gap"}
+        "fixed_point_uniqueness_gap", "drift_closed_form_gap"}
 
 
 def test_heat_additive_gap_catches_a_solver_that_drops_x0(monkeypatch):
-    # The Picard limit must be S(t) x0 plus the convolution; a solver that
+    # The mild solution must be S(t) x0 plus the convolution; a solver that
     # starts every path from 0 instead of x0 misses the first term.
     small = {"modes": 4, "steps": 8, "residual_paths": 50}
 
@@ -84,9 +84,9 @@ def test_heat_additive_gap_catches_a_solver_that_drops_x0(monkeypatch):
                     if c.name == "additive_solution_gap")
 
     assert gap().passed
-    solve = spde.picard_solve
-    monkeypatch.setattr(spde, "picard_solve", lambda sg, coeffs, ens, x0, **kw:
-                        solve(sg, coeffs, ens, np.zeros_like(x0), **kw))
+    solve = spde.mild_solution
+    monkeypatch.setattr(spde, "mild_solution", lambda sg, coeffs, ens, x0:
+                        solve(sg, coeffs, ens, np.zeros_like(x0)))
     dropped = gap()
     assert not dropped.passed and dropped.measured > 0.1
 

@@ -1,4 +1,5 @@
-"""Semigroups, stochastic convolution, Picard iteration, weak residuals."""
+"""Semigroups, stochastic convolution, the forward pass, Picard iteration,
+weak residuals."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.spde import (CoefficientSpec, DiagonalSemigroup,
                          additive_coefficients, contraction_factors, convolution_second_moment,
                          default_beta, heat_example_setup, heat_semigroup,
-                         linear_drift_coefficients, picard_solve,
-                         stochastic_convolution, v_beta_distance,
+                         linear_drift_coefficients, mild_solution,
+                         picard_solve, stochastic_convolution, v_beta_distance,
                          weak_residual)
 
 
@@ -197,7 +198,7 @@ def test_coefficient_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# Picard iteration
+# the forward pass and Picard iteration
 
 
 def test_additive_fixed_point_is_semigroup_plus_convolution(heat):
@@ -205,7 +206,7 @@ def test_additive_fixed_point_is_semigroup_plus_convolution(heat):
     ens = simulate(heat.noise_spec, grid, 64, 53)
     x0 = np.linspace(1.0, 0.25, heat.semigroup.dim)
     sol = picard_solve(heat.semigroup, heat.coefficients, ens, x0)
-    assert sol.converged and sol.iterations <= 2
+    assert sol.picard_trace[-1] <= 1e-8 and sol.iterations <= 2
     times = np.asarray(grid.time_points)
     sem = np.exp(-np.outer(times, heat.semigroup.rates)) * x0
     phi = GridIntegrand(grid, np.broadcast_to(
@@ -213,6 +214,10 @@ def test_additive_fixed_point_is_semigroup_plus_convolution(heat):
     conv = stochastic_convolution(heat.semigroup, phi, ens)
     np.testing.assert_allclose(sol.values, sem[None] + conv.values,
                                atol=1e-12)
+    # Additive contributions ignore the state: the first Picard update and
+    # the forward pass make the same scan.
+    assert np.array_equal(
+        mild_solution(heat.semigroup, heat.coefficients, ens, x0), sol.values)
 
 
 def test_zero_noise_linear_drift_solves_discrete_mild_equation():
@@ -228,7 +233,8 @@ def test_zero_noise_linear_drift_solves_discrete_mild_equation():
     assert np.all(ens.increments == 0.0)
     x0 = np.array([2.0, -1.0, 0.5])
     sol = picard_solve(sg, coeffs, ens, x0, tol=1e-12, max_iter=60)
-    assert sol.converged
+    assert sol.picard_trace[-1] <= 1e-12
+    forward = mild_solution(sg, coeffs, ens, x0)
     times = np.asarray(grid.time_points)
     dt = np.diff(times)
     gaps = times[:, None] - times[None, :-1]
@@ -239,7 +245,9 @@ def test_zero_noise_linear_drift_solves_discrete_mild_equation():
         rhs = np.exp(-sg.rates[k] * times) * x0[k]
         expect = np.linalg.solve(a, rhs)
         np.testing.assert_allclose(sol.values[0, :, k], expect, atol=1e-9)
+        np.testing.assert_allclose(forward[0, :, k], expect, atol=1e-12)
     np.testing.assert_allclose(sol.values[0], sol.values[1], atol=1e-15)
+    assert np.array_equal(forward[0], forward[1])
 
 
 def test_picard_contraction_diagnostics(heat):
@@ -248,18 +256,38 @@ def test_picard_contraction_diagnostics(heat):
     coeffs = linear_drift_coefficients(1.0, heat.f_matrix[None])
     x0 = np.full(heat.semigroup.dim, 0.5)
     sol = picard_solve(heat.semigroup, coeffs, ens, x0, tol=1e-9)
-    assert sol.converged and sol.iterations <= 12
+    assert sol.iterations <= 12
     fb, ff = contraction_factors(coeffs, 1.0, sol.beta)
     limit = np.sqrt(2 * (fb + ff))
     assert all(r <= limit + 0.05 for r in sol.ratios())
     assert sol.picard_trace[-1] <= 1e-9
-    # Uniqueness: a different starting guess lands on the same fixed point.
-    again = picard_solve(heat.semigroup, coeffs, ens, x0, tol=1e-9,
-                         initial="zero")
-    assert v_beta_distance(sol.values, again.values, sol.times,
-                           sol.beta) <= 10 * 1e-9
-    with pytest.raises(ValueError, match="unknown initial"):
-        picard_solve(heat.semigroup, coeffs, ens, x0, initial="warm")
+    # The limit lies within the a-posteriori estimate update q / (1 - q) of
+    # the fixed point, which is the forward pass.
+    q = np.sqrt(max(fb, ff))
+    forward = mild_solution(heat.semigroup, coeffs, ens, x0)
+    assert v_beta_distance(sol.values, forward, ens.times, sol.beta) \
+        <= sol.picard_trace[-1] * q / (1 - q)
+
+
+def test_picard_iterate_k_is_the_forward_pass_up_to_time_k(heat):
+    # The mild map is strictly causal, so Picard iterate k agrees with the
+    # forward pass, bit for bit, on the grid times 0..k; a map that reads a
+    # state at or after its own cell breaks this at time 1.
+    grid = default_grid(heat.noise_spec, 1.0, 8)
+    ens = simulate(heat.noise_spec, grid, 50, 62)
+    base = heat.f_matrix[None]
+    coeffs = CoefficientSpec(
+        drift=lambda t, x: np.sin(x) - 0.5 * x, drift_bound=1.5,
+        noise=lambda t, x: base * (1.0 + 0.5 * np.tanh(x))[..., None, :, None],
+        noise_bound=1.0)
+    x0 = np.linspace(1.0, -0.5, heat.semigroup.dim)
+    forward = mild_solution(heat.semigroup, coeffs, ens, x0)
+    for k in (1, 2, 3):
+        sol = picard_solve(heat.semigroup, coeffs, ens, x0, tol=0.0,
+                           max_iter=k)
+        assert sol.iterations == k
+        assert np.array_equal(sol.values[:, :k + 1], forward[:, :k + 1])
+        assert not np.array_equal(sol.values[:, k + 1], forward[:, k + 1])
 
 
 def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
@@ -273,7 +301,7 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
         noise_bound=1.0)
     x0 = np.full(heat.semigroup.dim, 0.5)
     sol = picard_solve(heat.semigroup, coeffs, ens, x0, tol=1e-12)
-    assert sol.converged
+    assert sol.picard_trace[-1] <= 1e-12
     # [DERIVED] oracle: one application of the mild map, written as a dense
     # loop over paths, output times and earlier cells; the fixed point is
     # left unchanged by it.
@@ -290,6 +318,9 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
                     * (field[0] @ ens.increments[p, i, 0])
             mapped[p, m] = acc
     np.testing.assert_allclose(x, mapped, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        mild_solution(heat.semigroup, coeffs, ens, x0), mapped, rtol=0,
+        atol=1e-12)
     # [DERIVED] oracle: the weak-form defect along mode k, accumulated cell
     # by cell with the noise evaluated at left endpoints.
     k, lam = 1, heat.semigroup.rates[1]
@@ -299,7 +330,7 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
         noise_k = np.einsum("ph,ph->p", row_k, ens.increments[:, i, 0])
         expect[:, i + 1] = expect[:, i] + lam * x[:, i, k] * dt[i] - noise_k
     expect += x[:, :, k] - x[:, :1, k]
-    residuals = weak_residual(sol, heat.semigroup, coeffs, ens)
+    residuals = weak_residual(x, heat.semigroup, coeffs, ens)
     np.testing.assert_allclose(residuals[:, :, k], expect, rtol=0, atol=1e-12)
 
 
@@ -323,12 +354,14 @@ def test_constant_noise_map_gives_the_additive_solution_bitwise():
     x0 = np.full(ex.semigroup.dim, 0.5)
     sols = [picard_solve(ex.semigroup, c, ens, x0)
             for c in (shared, per_path)]
-    assert sols[0].converged
+    assert sols[0].picard_trace[-1] <= 1e-8
     assert sols[0].picard_trace == sols[1].picard_trace
     assert np.array_equal(sols[0].values, sols[1].values)
+    assert np.array_equal(mild_solution(ex.semigroup, shared, ens, x0),
+                          mild_solution(ex.semigroup, per_path, ens, x0))
     assert np.array_equal(
-        weak_residual(sols[0], ex.semigroup, shared, ens),
-        weak_residual(sols[0], ex.semigroup, per_path, ens))
+        weak_residual(sols[0].values, ex.semigroup, shared, ens),
+        weak_residual(sols[0].values, ex.semigroup, per_path, ens))
 
 
 def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
@@ -339,8 +372,10 @@ def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
         noise=lambda t, x: np.broadcast_to(wide, x.shape[:-1] + wide.shape),
         noise_bound=1.0)
     x0 = np.zeros(heat.semigroup.dim)
-    with pytest.raises(ValueError, match="integrand expects dim 3, driver has 2"):
-        picard_solve(heat.semigroup, coeffs, ens, x0)
+    for solve in (picard_solve, mild_solution):
+        with pytest.raises(ValueError,
+                           match="integrand expects dim 3, driver has 2"):
+            solve(heat.semigroup, coeffs, ens, x0)
     # Maps into a state space of the wrong dimension G: a noise map, a
     # state-free noise field and a drift, each one mode short.
     short = heat.f_matrix[None, :-1]
@@ -349,30 +384,34 @@ def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
         noise_bound=1.0)
     drift = CoefficientSpec(drift=lambda t, x: x[..., :-1], drift_bound=1.0)
     for wrong in (short_noise, additive_coefficients(short), drift):
-        with pytest.raises(ValueError, match="semigroup acts on dim 4, "
-                           "contributions have dim 3"):
-            picard_solve(heat.semigroup, wrong, ens, x0)
+        for solve in (picard_solve, mild_solution):
+            with pytest.raises(ValueError, match="semigroup acts on dim 4, "
+                               "contributions have dim 3"):
+                solve(heat.semigroup, wrong, ens, x0)
     # Next to the heat noise a drift into 1 mode would broadcast against
     # the 4 noise modes, and one into 3 modes would not broadcast at all:
-    # both the Picard map and the weak residual must name the mismatch.
-    sol = picard_solve(heat.semigroup, heat.coefficients, ens, x0)
+    # the Picard map, the forward pass and the weak residual must name the
+    # mismatch.
+    x = mild_solution(heat.semigroup, heat.coefficients, ens, x0)
     for g in (1, 3):
         wrong = CoefficientSpec(drift=lambda t, x, g=g: x[..., :g],
                                 drift_bound=1.0,
                                 noise=heat.coefficients.noise)
         message = f"semigroup acts on dim 4, contributions have dim {g}"
+        for solve in (picard_solve, mild_solution):
+            with pytest.raises(ValueError, match=message):
+                solve(heat.semigroup, wrong, ens, x0)
         with pytest.raises(ValueError, match=message):
-            picard_solve(heat.semigroup, wrong, ens, x0)
-        with pytest.raises(ValueError, match=message):
-            weak_residual(sol, heat.semigroup, wrong, ens)
+            weak_residual(x, heat.semigroup, wrong, ens)
 
 
 def test_picard_rejects_an_initial_state_of_the_wrong_dimension(heat):
     grid = default_grid(heat.noise_spec, 1.0, 8)
     ens = simulate(heat.noise_spec, grid, 8, 67)
     coeffs = linear_drift_coefficients(2.0)
-    with pytest.raises(ValueError, match="mode count"):
-        picard_solve(heat.semigroup, coeffs, ens, np.zeros(3))
+    for solve in (picard_solve, mild_solution):
+        with pytest.raises(ValueError, match="mode count"):
+            solve(heat.semigroup, coeffs, ens, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +430,8 @@ def test_weak_residual_zero_noise_closed_form():
     def max_residual(steps):
         grid = default_grid(silent, 1.0, steps)
         ens = simulate(silent, grid, 2, 71)
-        sol = picard_solve(sg, CoefficientSpec(), ens, x0)
-        residuals = weak_residual(sol, sg, CoefficientSpec(), ens)[:, :, 0]
+        x = mild_solution(sg, CoefficientSpec(), ens, x0)
+        residuals = weak_residual(x, sg, CoefficientSpec(), ens)[:, :, 0]
         times = np.asarray(grid.time_points)
         lam, dt = sg.rates[0], 1.0 / steps
         decay = np.exp(-lam * times)

@@ -6,14 +6,16 @@ Usage::
 
 Runs each swept scenario through ``mvmlab.scenarios.run_scenario`` at seeds
 ``default + 1000 + s`` for s = 0 .. runs - 1: 200 runs of ``white_noise_qv``,
-``hvalued_levy_qm`` and ``haar_counterexample``, 40 of ``heat_spde`` and 25
-of ``ito_isometry``, always all of them.  Every check of provenance
+``hvalued_levy_qm``, ``haar_counterexample`` and ``picard_contraction``, 40
+of ``heat_spde`` and 25 of ``ito_isometry``, always all of them.  Every check of provenance
 ``monte_carlo_3se`` reports the largest of its m z-scores, with m in its
 detail; the sweep counts, per gate, the runs whose largest z exceeds the
 gate's former fixed level (3 or 3.5) and the runs whose largest z exceeds
 ``noise.max_z_level(m)``, the Sidak level z*(m) at ``noise.GATE_ALPHA``.  A
 fault-free gate at z*(m) trips in about alpha of its runs.  Failed checks of
-any other provenance are counted too.
+any other provenance are counted too: they are the false alarms of the
+analytic bounds, such as ``picard_contraction``'s a-posteriori bound on its
+Picard limit, which draws on the seeded paths.
 
 The result, with the Python, numpy and core count of the run, is stored
 under ``--label`` in ``--out`` (default ``BENCH_gates.json`` at the root of
@@ -41,7 +43,8 @@ from mvmlab.noise import GATE_ALPHA, max_z_level  # noqa: E402
 from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
 RUNS = {"white_noise_qv": 200, "hvalued_levy_qm": 200,
-        "haar_counterexample": 200, "heat_spde": 40, "ito_isometry": 25}
+        "haar_counterexample": 200, "picard_contraction": 200,
+        "heat_spde": 40, "ito_isometry": 25}
 SEED_OFFSET = 1000
 MONTE_CARLO = "monte_carlo_3se"
 # The fixed level each gate used before the Sidak calibration.
