@@ -3,8 +3,11 @@
 Integrands are operator-valued fields over (time cell, mark atom): either
 simple (finitely many interval x event x mark-set terms, integrated through
 the radonification formula term by term) or grid integrands (one operator
-per cell, possibly per path).  Both routes must agree; keeping them separate
-is the point, since the isometry
+per cell, possibly per path).  Both routes give the integral paths
+t -> I_t as one plain ``(paths, n_times, G)`` array, the form of every path
+result of the lab, and both sides of each pathwise identity come in that
+form too.  The routes must agree; keeping them separate is the point, since
+the isometry
 ``E ||I_T||^2 = E sum_cells ||Phi o Q_M^{1/2}||_HS^2 qv(cell)``
 is checked between independently computed sides.
 
@@ -28,8 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import GridMismatchError, GridSpec, _csv_text
-from .noise import MVMPathEnsemble, mean_se
+from .measures import GridMismatchError, GridSpec
+from .noise import MVMPathEnsemble
 from .quadvar import QMField, QVEstimate, qm_sqrt_field
 
 __all__ = [
@@ -38,7 +41,6 @@ __all__ = [
     "GridIntegrand",
     "SimpleTerm",
     "SimpleIntegrand",
-    "IntegralPathEnsemble",
     "integrate_grid",
     "integrate_simple",
     "simple_to_grid",
@@ -187,41 +189,6 @@ class GridIntegrand:
             "eg,...gh->...eh", op, self.values, optimize=True))
 
 
-@dataclass(frozen=True, eq=False)
-class IntegralPathEnsemble:
-    """Integral paths t -> I_t on the grid: values (paths, n_times, dim_g)."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        t = np.asarray(self.times, dtype=np.float64)
-        if v.ndim != 3 or v.shape[1] != t.shape[0]:
-            raise ValueError(f"integral array shape {v.shape} does not match "
-                             f"{t.shape[0]} time points")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "times", t)
-
-    @property
-    def paths(self) -> int:
-        return self.values.shape[0]
-
-    def terminal(self) -> np.ndarray:
-        return self.values[:, -1]
-
-    def second_moment(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean of ||I_t||^2 over paths with its standard error, per time."""
-        return mean_se((self.values ** 2).sum(axis=2))
-
-    def summary_csv(self, isometry_target: np.ndarray | None = None) -> str:
-        mean, se = self.second_moment()
-        target = (np.full_like(mean, np.nan) if isometry_target is None
-                  else np.asarray(isometry_target, dtype=np.float64))
-        return _csv_text("t,mean_norm2,se,isometry_target",
-                         [self.times, mean, se, target])
-
-
 def _contract(increments: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The one cell contraction: actions ``sum_atoms Phi dM`` (paths,
     [cells,] G) of `values`, shared ``([cells,] atoms, G, H)`` or per path,
@@ -251,18 +218,19 @@ def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
     return _contract(ens.increments, phi.values)
 
 
-def _integral(times: np.ndarray, actions: np.ndarray) -> IntegralPathEnsemble:
-    """Integral paths from cellwise actions: their cumulative sums."""
-    out = np.zeros((actions.shape[0], len(times), actions.shape[2]))
+def _integral(actions: np.ndarray) -> np.ndarray:
+    """Integral paths (paths, n_times, G) from cellwise actions (paths,
+    cells, G): 0 at t_0, then their cumulative sums."""
+    out = np.zeros((actions.shape[0], actions.shape[1] + 1, actions.shape[2]))
     out[:, 1:] = np.cumsum(actions, axis=1)
-    return IntegralPathEnsemble(times, out)
+    return out
 
 
-def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble
-                   ) -> IntegralPathEnsemble:
-    """Integrate a grid integrand: cumulative sums of cellwise actions, the
-    zero-rate case of :meth:`mvmlab.spde.DiagonalSemigroup.scan`."""
-    return _integral(ens.times, _cell_actions(phi, ens))
+def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
+    """Integrate a grid integrand: the paths (paths, n_times, G) of the
+    cumulative sums of cellwise actions, the zero-rate case of
+    :meth:`mvmlab.spde.DiagonalSemigroup.scan`."""
+    return _integral(_cell_actions(phi, ens))
 
 
 @dataclass(frozen=True)
@@ -354,8 +322,9 @@ class SimpleIntegrand:
 
 
 def integrate_simple(phi: SimpleIntegrand, ens: MVMPathEnsemble
-                     ) -> IntegralPathEnsemble:
-    """Integrate a simple integrand by the radonification formula.
+                     ) -> np.ndarray:
+    """Integrate a simple integrand by the radonification formula, into paths
+    (paths, n_times, G).
 
     Each term contributes ``1_F S(M(t_s .. t, atoms))`` with the increment
     accumulated before S is applied; this is deliberately a different
@@ -374,7 +343,7 @@ def integrate_simple(phi: SimpleIntegrand, ens: MVMPathEnsemble
         gated = np.where(ev[:, None, None], cum, 0.0)
         out[:, s + 1:t + 1] += gated
         out[:, t + 1:] += gated[:, -1][:, None]
-    return IntegralPathEnsemble(ens.times, out)
+    return out
 
 
 def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
@@ -394,14 +363,18 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     return GridIntegrand(phi.grid, values)
 
 
-def cell_costs(phi: GridIntegrand, qm: QMField, qv: QVEstimate) -> np.ndarray:
-    """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is)."""
+def _hs_squares(phi: GridIntegrand, qm: QMField) -> np.ndarray:
+    """Entrywise squares of ``Phi o Q_M^{1/2}`` per cell ``([paths,] cells,
+    atoms, G, H)``: summed over (G, H), the squared Hilbert-Schmidt norm."""
     if qm.grid != phi.grid:
         raise GridMismatchError("density field on a different grid")
-    roots = qm_sqrt_field(qm)
-    weighted = np.matmul(phi.values, roots)
-    return np.square(weighted, out=weighted).sum(axis=(-2, -1)) \
-        * qv.measure.cell_mass
+    weighted = np.matmul(phi.values, qm_sqrt_field(qm))
+    return np.square(weighted, out=weighted)
+
+
+def cell_costs(phi: GridIntegrand, qm: QMField, qv: QVEstimate) -> np.ndarray:
+    """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is)."""
+    return _hs_squares(phi, qm).sum(axis=(-2, -1)) * qv.measure.cell_mass
 
 
 def lambda2_profile(phi: GridIntegrand, qm: QMField,
@@ -447,16 +420,15 @@ class IdentityReport:
     """Both sides of a pathwise identity, their largest entrywise gap, and
     the scale ``max(1, max |rhs|)`` that gap is judged against."""
 
-    lhs: IntegralPathEnsemble
-    rhs: IntegralPathEnsemble
+    lhs: np.ndarray  # (paths, n_times, G)
+    rhs: np.ndarray
     max_abs_gap: float
     scale: float
 
 
-def _identity_report(lhs: IntegralPathEnsemble,
-                     rhs: IntegralPathEnsemble) -> IdentityReport:
-    gap = float(np.abs(lhs.values - rhs.values).max(initial=0.0))
-    scale = max(1.0, float(np.abs(rhs.values).max(initial=0.0)))
+def _identity_report(lhs: np.ndarray, rhs: np.ndarray) -> IdentityReport:
+    gap = float(np.abs(lhs - rhs).max(initial=0.0))
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     return IdentityReport(lhs, rhs, gap, scale)
 
 
@@ -476,11 +448,10 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
         raise ValueError("need one stopping index per path")
     actions = _cell_actions(phi, ens)
     before = np.arange(phi.grid.n_cells)[None, :] < stop_index[:, None]
-    lhs = _integral(ens.times, np.where(before[:, :, None], actions, 0.0))
-    full = _integral(ens.times, actions)
+    lhs = _integral(np.where(before[:, :, None], actions, 0.0))
     idx = np.minimum(np.arange(len(ens.times))[None, :], stop_index[:, None])
-    rhs_values = np.take_along_axis(full.values, idx[:, :, None], axis=1)
-    report = _identity_report(lhs, IntegralPathEnsemble(ens.times, rhs_values))
+    rhs = np.take_along_axis(_integral(actions), idx[:, :, None], axis=1)
+    report = _identity_report(lhs, rhs)
     if check and report.max_abs_gap > 0.0:
         raise RuntimeError(f"stopped-integral identity violated "
                            f"(gap {report.max_abs_gap:.3e})")
@@ -504,12 +475,11 @@ def restricted_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     window = np.zeros(phi.grid.n_cells, dtype=bool)
     window[s_index:t_index] = True
     on_event = np.asarray(event, dtype=bool)[..., None]
-    lhs = _integral(ens.times,
-                    np.where((on_event & window)[..., None], actions, 0.0))
-    full = _integral(ens.times, actions).values
+    lhs = _integral(np.where((on_event & window)[..., None], actions, 0.0))
+    full = _integral(actions)
     clock = np.clip(np.arange(len(ens.times)), s_index, t_index)
-    rhs_values = (full[:, clock] - full[:, [s_index]]) * on_event[..., None]
-    return _identity_report(lhs, IntegralPathEnsemble(ens.times, rhs_values))
+    rhs = (full[:, clock] - full[:, [s_index]]) * on_event[..., None]
+    return _identity_report(lhs, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,16 +520,14 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
                        phi.grid.n_cells)
         stop_indices[n] = idx
         before = np.arange(phi.grid.n_cells)[None, :] < idx[:, None]
-        integrals[n] = _integral(
-            ens.times, np.where(before[:, :, None], actions, 0.0))
+        integrals[n] = _integral(np.where(before[:, :, None], actions, 0.0))
         norms[n] = float(np.sqrt((per_cell * before).sum(axis=1).mean()))
     gap = 0.0
     ordered = sorted(thresholds)
     for lo, hi in zip(ordered, ordered[1:]):
         both = np.minimum(stop_indices[lo], stop_indices[hi])
         keep = np.arange(len(ens.times))[None, :] <= both[:, None]
-        diff = (integrals[lo].values - integrals[hi].values) \
-            * keep[:, :, None]
+        diff = (integrals[lo] - integrals[hi]) * keep[:, :, None]
         gap = max(gap, float(np.abs(diff).max(initial=0.0)))
     return LocalizationReport(
         thresholds=tuple(float(n) for n in thresholds),
@@ -582,18 +550,14 @@ def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
         raise ValueError("need matching, nonempty integrand and weight lists")
     mixed_values = sum(w * phi.values for w, phi in zip(weights, integrands))
     combined = integrate_grid(GridIntegrand(integrands[0].grid, mixed_values), ens)
-    parts = [integrate_grid(phi, ens) for phi in integrands]
-    summed_values = sum(w * part.values for w, part in zip(weights, parts))
-    return _identity_report(combined,
-                            IntegralPathEnsemble(ens.times, summed_values))
+    summed = sum(w * integrate_grid(phi, ens)
+                 for w, phi in zip(weights, integrands))
+    return _identity_report(combined, summed)
 
 
 def pushforward_commute(op: np.ndarray, phi: GridIntegrand,
                         ens: MVMPathEnsemble) -> IdentityReport:
     """Compare integrating ``R o Phi`` with applying R to the integral."""
-    lhs = integrate_grid(phi.compose(op), ens)
-    base = integrate_grid(phi, ens)
-    rhs = IntegralPathEnsemble(
-        ens.times, np.einsum("eg,ptg->pte", np.asarray(op, dtype=np.float64),
-                             base.values))
-    return _identity_report(lhs, rhs)
+    rhs = np.einsum("eg,ptg->pte", np.asarray(op, dtype=np.float64),
+                    integrate_grid(phi, ens))
+    return _identity_report(integrate_grid(phi.compose(op), ens), rhs)

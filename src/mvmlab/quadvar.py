@@ -7,9 +7,10 @@ convergence (or divergence) in the sequence length is tracked explicitly.
 Polarization of the intensities gives the signed bilinear measure field
 alpha, a field of quadratic forms like the one the intensities come from and
 so held as an :class:`IntensityFamily` too; the ratio alpha /
-quadratic-variation recovers a cellwise PSD operator density, whose operator norm is one wherever the variation charges the cell
-when the supremum is exact (the finite sphere sequence undershoots it, which
-lifts the norm slightly above one).  The Haar construction shows the
+quadratic-variation recovers a cellwise PSD operator density, whose
+operator norm is one wherever the variation charges the cell when the
+supremum is exact (the finite sphere sequence undershoots it, which lifts
+the norm slightly above one).  The Haar construction shows the
 supremum can genuinely diverge; its partition sums are computed by exact
 dyadic quadrature.
 """

@@ -14,7 +14,9 @@ the two contraction factors of the drift and noise parts.  The noise
 coefficient is always one map F(t, u, X); additive noise is the map that
 ignores X.  The weak (tested) form of the equation is available as a
 pathwise residual against every eigenmode, which vanishes at first order in
-the step.
+the step.  Solutions, stochastic convolutions and residuals are plain
+``(paths, n_times, G)`` arrays, the form of the integrals of
+:mod:`mvmlab.integrate`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import GridIntegrand, IntegralPathEnsemble, _cell_actions, _contract
+from .integrate import GridIntegrand, _cell_actions, _contract, _hs_squares
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField, QVEstimate
 
@@ -169,13 +171,13 @@ def _contribution(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
 
 
 def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
-                           ens: MVMPathEnsemble) -> IntegralPathEnsemble:
-    """Convolution ``t -> sum_{cells before t} S(t - s_cell) Phi(cell) dM``,
-    by the recursion ``X_{m+1} = S(dt_m) (X_m + Phi_m dM_m)``, ``X_0 = 0``
-    (:meth:`DiagonalSemigroup.scan`; the plain integral is the S = 1 case).
+                           ens: MVMPathEnsemble) -> np.ndarray:
+    """Convolution paths ``t -> sum_{cells before t} S(t - s_cell) Phi(cell)
+    dM`` (paths, n_times, G), by the recursion ``X_{m+1} = S(dt_m) (X_m +
+    Phi_m dM_m)``, ``X_0 = 0`` (:meth:`DiagonalSemigroup.scan`; the plain
+    integral is the S = 1 case).
     """
-    return IntegralPathEnsemble(ens.times,
-                                sg.scan(ens.times, _cell_actions(phi, ens)))
+    return sg.scan(ens.times, _cell_actions(phi, ens))
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
@@ -183,14 +185,15 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     """Modewise closed form for ``E ||conv_t||^2`` (deterministic Phi).
 
     Per cell and mode the convolution picks up variance
-    ``exp(-2 l_k (t - s_i)) <row_k Phi, (qv Q_M) row_k Phi>``; summing over
-    earlier cells and modes gives the target curve on the grid.
+    ``exp(-2 l_k (t - s_i)) qv ||row_k (Phi o Q_M^{1/2})||^2``, the row sums
+    of the squares whose total is the cell cost of
+    :func:`~mvmlab.integrate.cell_costs`; summing over earlier cells and
+    modes gives the target curve on the grid.
     """
     if phi.per_path:
         raise ValueError("closed form requires a deterministic integrand")
-    weighted = qv.measure.cell_mass[:, :, None, None] * qm.matrices
-    per_mode = np.einsum("iagh,iahl,iagl->ig", phi.values, weighted,
-                         phi.values, optimize=True)
+    per_mode = (_hs_squares(phi, qm).sum(axis=-1)
+                * qv.measure.cell_mass[:, :, None]).sum(axis=1)
     doubled = DiagonalSemigroup(2 * sg.rates)
     return doubled.scan(phi.grid.time_points, per_mode).sum(axis=1)
 

@@ -4,7 +4,8 @@ Each test runs one criterion end to end through the scenario registry at the
 pinned defaults, prints a single PASS/FAIL line (visible with ``pytest -s``),
 and then asserts — on the checks, on the stated tolerances, and on the
 runtime budget.  Nothing here loosens a tolerance: the numbers asserted
-against the reports are the published ones.
+against the reports are the published ones.  Every check of provenance
+``exact_identity`` must read exactly 0.
 """
 
 import math
@@ -46,6 +47,8 @@ def execute(label, budget_seconds, *runs):
             if check.provenance == "monte_carlo_3se":
                 assert re.search(r"largest of [1-9]\d* z-scores$",
                                  check.detail), check.as_dict()
+            if check.provenance == "exact_identity":
+                assert check.measured == 0.0, check.as_dict()
     for report in reports:
         failing = [c.line() for c in report.checks if not c.passed]
         assert report.all_passed, \
@@ -150,6 +153,7 @@ def test_heat_equation_full_stack():
     assert zero.tolerance == 1e-12 and zero.measured <= 1e-12
     additive = named(heat, "additive_solution_gap")
     assert additive.tolerance == 1e-12 and additive.measured <= 1e-12
+    assert additive.provenance == "rounding_identity"
     assert heat.paths == 10_000
     assert heat.params["modes"] == 16 and heat.params["steps"] == 64
     slope = named(heat, "weak_residual_order")

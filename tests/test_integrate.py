@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mvmlab.measures import GridMismatchError, make_grid
+from mvmlab.measures import GridMismatchError, _csv_text, make_grid
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
-                          intensity_family, simulate, white_noise)
+                          intensity_family, mean_se, simulate, white_noise)
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.hilbert import sphere_sequence
 from mvmlab.integrate import (AdaptednessError, GridIntegrand,
@@ -58,7 +58,7 @@ def test_simple_and_grid_routes_agree(ens):
     phi = SimpleIntegrand.build(ens, terms)
     via_simple = integrate_simple(phi, ens)
     via_grid = integrate_grid(simple_to_grid(phi), ens)
-    np.testing.assert_allclose(via_simple.values, via_grid.values, atol=1e-12)
+    np.testing.assert_allclose(via_simple, via_grid, atol=1e-12)
     assert not simple_to_grid(phi).per_path
 
 
@@ -77,9 +77,9 @@ def test_routes_agree_with_event_hooks(ens):
     grid_phi = simple_to_grid(phi)
     assert grid_phi.per_path
     via_grid = integrate_grid(grid_phi, ens)
-    np.testing.assert_allclose(via_simple.values, via_grid.values, atol=1e-12)
+    np.testing.assert_allclose(via_simple, via_grid, atol=1e-12)
     # The events partition the paths, so each path is driven by +/- s_mat.
-    assert np.all(np.any(via_simple.values != 0.0, axis=(1, 2)))
+    assert np.all(np.any(via_simple != 0.0, axis=(1, 2)))
 
 
 def test_constant_integrand_reproduces_coordinate_sums(ens):
@@ -90,9 +90,9 @@ def test_constant_integrand_reproduces_coordinate_sums(ens):
     integral = integrate_grid(phi, ens)
     coords = np.stack([ens.cumulative(np.eye(2)[d]) for d in range(2)],
                       axis=2)
-    np.testing.assert_allclose(integral.values, coords @ s.T, atol=1e-12)
-    assert integral.paths == ens.paths
-    np.testing.assert_array_equal(integral.terminal(), integral.values[:, -1])
+    np.testing.assert_allclose(integral, coords @ s.T, atol=1e-12)
+    assert integral.shape == (ens.paths, len(ens.times), 3)
+    np.testing.assert_array_equal(integral[:, 0], 0.0)
 
 
 def test_integration_is_linear(ens):
@@ -101,9 +101,8 @@ def test_integration_is_linear(ens):
     b = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 3, 2)))
     lhs = integrate_grid(
         GridIntegrand(ens.grid, 2.0 * a.values - 0.5 * b.values), ens)
-    rhs = 2.0 * integrate_grid(a, ens).values \
-        - 0.5 * integrate_grid(b, ens).values
-    np.testing.assert_allclose(lhs.values, rhs, atol=1e-12)
+    rhs = 2.0 * integrate_grid(a, ens) - 0.5 * integrate_grid(b, ens)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def test_isometry_and_doob_empirically(driver, qm_and_qv):
     rng = np.random.default_rng(10)
     phi = GridIntegrand.constant(grid, rng.standard_normal((2, 2)))
     integral = integrate_grid(phi, big)
-    mean, se = integral.second_moment()
+    mean, se = mean_se((integral ** 2).sum(axis=2))
     profile = lambda2_profile(phi, qm, qv)
     # The sampled supremum may undershoot the true variation slightly, so
     # compare with one-sided slack plus Monte
@@ -227,7 +226,7 @@ def test_isometry_and_doob_empirically(driver, qm_and_qv):
     assert np.all(mean >= 0.90 * profile - 3.5 * se)
     # Doob: expected running maximum of ||I||^2 at most 4x the terminal
     # second moment, with sampling slack.
-    run_max = (integral.values ** 2).sum(axis=2).max(axis=1)
+    run_max = (integral ** 2).sum(axis=2).max(axis=1)
     max_se = run_max.std(ddof=1) / np.sqrt(big.paths)
     assert run_max.mean() <= 4.0 * mean[-1] + 3.5 * max_se
 
@@ -275,7 +274,7 @@ def test_stopped_integral_identity_is_exact(ens):
     assert report.scale >= 1.0
     # Clamped paths are constant from the stopping time onward.
     for p in (0, 1, 2):
-        tail = report.rhs.values[p, stop[p]:]
+        tail = report.rhs[p, stop[p]:]
         assert np.all(tail == tail[0])
     with pytest.raises(ValueError, match="one stopping index"):
         stopped_integral(phi, ens, stop[:5])
@@ -305,10 +304,9 @@ def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
         stopped = stopped_integral(phi, ens, stop)
         assert stopped.max_abs_gap == 0.0
         restricted = restricted_integral(phi, ens, 2, 6, event)
-        return (integrate_grid(phi, ens).values,
-                stopped.lhs.values, stopped.rhs.values,
-                restricted.lhs.values, restricted.rhs.values,
-                stochastic_convolution(sg, phi, ens).values)
+        return (integrate_grid(phi, ens), stopped.lhs, stopped.rhs,
+                restricted.lhs, restricted.rhs,
+                stochastic_convolution(sg, phi, ens))
 
     reference = results(shared)
     for values in (per_path, np.asfortranarray(per_path)):
@@ -342,11 +340,11 @@ def test_per_path_results_do_not_depend_on_the_integrand_layout(dim):
 
     def results(values):
         phi = GridIntegrand(ens.grid, values)
-        return (integrate_grid(phi, ens).values,
+        return (integrate_grid(phi, ens),
                 cell_costs(phi, qm, qv),
                 phi.compose(op).values,
-                stopped_integral(phi, ens, stop).lhs.values,
-                restricted_integral(phi, ens, 2, 6, event).lhs.values)
+                stopped_integral(phi, ens, stop).lhs,
+                restricted_integral(phi, ens, 2, 6, event).lhs)
 
     reference = results(np.ascontiguousarray(field))
     for values in (np.asfortranarray(field), _contraction_ordered(field)):
@@ -375,19 +373,19 @@ def test_masked_actions_match_integrating_a_masked_field(dim):
 
     def masked(values, mask):
         return integrate_grid(GridIntegrand(ens.grid, np.where(
-            mask[..., None, None, None], values, 0.0)), ens).values
+            mask[..., None, None, None], values, 0.0)), ens)
 
     phi = GridIntegrand(ens.grid, field)
-    assert np.array_equal(stopped_integral(phi, ens, stop).lhs.values,
+    assert np.array_equal(stopped_integral(phi, ens, stop).lhs,
                           masked(field, cells[None, :] < stop[:, None]))
-    assert np.array_equal(restricted_integral(phi, ens, 2, 6).lhs.values,
+    assert np.array_equal(restricted_integral(phi, ens, 2, 6).lhs,
                           masked(field, window))
     assert np.array_equal(
-        restricted_integral(phi, ens, 2, 6, event).lhs.values,
+        restricted_integral(phi, ens, 2, 6, event).lhs,
         masked(field, event[:, None] & window))
     assert np.array_equal(
         restricted_integral(GridIntegrand(ens.grid, shared), ens, 2, 6,
-                            event).lhs.values,
+                            event).lhs,
         masked(shared[None], event[:, None] & window))
 
 
@@ -438,14 +436,13 @@ def test_restriction_matches_increment_of_the_integral(ens):
     report = restricted_integral(phi, ens, s_idx, t_idx, event)
     full = integrate_grid(phi, ens)
     clock = np.clip(np.arange(9), s_idx, t_idx)
-    moved = np.take_along_axis(full.values,
+    moved = np.take_along_axis(full,
                                np.broadcast_to(clock[None, :, None],
-                                               full.values.shape).copy(),
+                                               full.shape).copy(),
                                axis=1)
-    expected = (moved - full.values[:, s_idx][:, None]) \
-        * event[:, None, None]
-    np.testing.assert_allclose(report.lhs.values, expected, atol=1e-12)
-    np.testing.assert_array_equal(report.rhs.values, expected)
+    expected = (moved - full[:, s_idx][:, None]) * event[:, None, None]
+    np.testing.assert_allclose(report.lhs, expected, atol=1e-12)
+    np.testing.assert_array_equal(report.rhs, expected)
     assert report.max_abs_gap <= 1e-12 * report.scale
     with pytest.raises(ValueError, match="restriction window"):
         restricted_integral(phi, ens, 5, 2)
@@ -520,12 +517,16 @@ def test_integrand_validation(ens):
 
 
 def test_summary_csv(ens):
+    # The profile summary the isometry scenario writes of an integral's paths.
     integral = integrate_grid(GridIntegrand.constant(ens.grid, np.eye(2)), ens)
-    text = integral.summary_csv(isometry_target=np.linspace(0, 1, 9))
+    mean, se = mean_se((integral ** 2).sum(axis=2))
+    text = _csv_text("t,mean_norm2,se,isometry_target",
+                     [ens.times, mean, se, np.linspace(0, 1, 9)])
     lines = text.strip().split("\n")
     assert lines[0] == "t,mean_norm2,se,isometry_target"
     assert len(lines) == 10
     row = lines[-1].split(",")
     assert float(row[3]) == 1.0
-    bare = integral.summary_csv().strip().split("\n")[1].split(",")
-    assert bare[3] == "nan"
+    bare = _csv_text("t,mean_norm2,se", [ens.times, mean, se])
+    first = bare.strip().split("\n")[1].split(",")
+    assert first == ["0.0", "0.0", "0.0"]

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from mvmlab.integrate import IntegralPathEnsemble
 from mvmlab.measures import (MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
-                             GridMismatchError, GridSpec, brute_force_sup,
-                             iter_partitions, make_grid, monotone_sup,
-                             SignedDiscreteMeasure, sup_measures)
+                             GridMismatchError, GridSpec, _csv_text,
+                             brute_force_sup, iter_partitions, make_grid,
+                             monotone_sup, SignedDiscreteMeasure, sup_measures)
+from mvmlab.noise import mean_se
 from mvmlab.quadvar import QMField, qm_to_csv
 
 
@@ -245,13 +245,15 @@ def loop_qm_to_csv(qm):
     return "\n".join(lines) + "\n"
 
 
-def loop_integral_summary(integral, isometry_target=None):
-    mean, se = integral.second_moment()
+def loop_integral_summary(times, mean, se, isometry_target=None):
     buf = io.StringIO()
+    if isometry_target is None:
+        buf.write("t,mean_norm2,se\n")
+        for t, m, s in zip(times, mean, se):
+            buf.write(f"{float(t)!r},{float(m)!r},{float(s)!r}\n")
+        return buf.getvalue()
     buf.write("t,mean_norm2,se,isometry_target\n")
-    target = (np.full_like(mean, np.nan) if isometry_target is None
-              else np.asarray(isometry_target, dtype=np.float64))
-    for t, m, s, g in zip(integral.times, mean, se, target):
+    for t, m, s, g in zip(times, mean, se, isometry_target):
         buf.write(f"{float(t)!r},{float(m)!r},{float(s)!r},{float(g)!r}\n")
     return buf.getvalue()
 
@@ -275,13 +277,16 @@ def test_qm_csv_matches_row_loop(dim):
 
 
 def test_summary_csvs_match_row_loops():
+    # The summaries the scenarios write of path arrays (paths, n_times, G).
     times = np.array(SPECIAL)
     values = mixed(SPECIAL, (3, len(times), 2), 4)
-    integral = IntegralPathEnsemble(times, values)
     target = mixed(SPECIAL, (len(times),), 5)
+    unset = np.full(len(times), np.nan)
     with np.errstate(invalid="ignore", over="ignore"):
-        assert integral.summary_csv() == loop_integral_summary(integral)
-        assert (integral.summary_csv(isometry_target=target)
-                == loop_integral_summary(integral, target))
-        assert (integral.summary_csv(isometry_target=list(target))
-                == loop_integral_summary(integral, target))
+        mean, se = mean_se((values ** 2).sum(axis=2))
+        assert (_csv_text("t,mean_norm2,se", [times, mean, se])
+                == loop_integral_summary(times, mean, se))
+        for column in (target, unset):
+            assert (_csv_text("t,mean_norm2,se,isometry_target",
+                              [times, mean, se, column])
+                    == loop_integral_summary(times, mean, se, column))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvmlab.haar import haar_cell_integrals, haar_dimension
-from mvmlab.hilbert import psd_sqrt
+from mvmlab.hilbert import operator_norm_psd, psd_sqrt
 from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom,
                           IntegralType, default_grid, empirical_intensity,
                           h_valued_levy, intensity_family, max_z_level,
@@ -271,6 +271,23 @@ def test_orthogonality_across_disjoint_mark_sets(levy_spec):
     assert np.all(np.abs(mean) <= max_z_level(mean.size) * se)
     with pytest.raises(ValueError, match="disjoint"):
         orthogonality_check(ens, np.ones(3), (0, 1), (1,))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_hvalued_jump_atom_covariance_is_rank_one(dim):
+    # A jump atom's effective covariance is rate u u^T: its operator norm is
+    # rate |u|^2 and its normalization the projection u u^T / |u|^2, the
+    # closed forms of its sphere supremum and its density.
+    rng = np.random.default_rng(60 + dim)
+    jumps = [(rng.standard_normal(dim) * scale, rate)
+             for scale, rate in ((1.0, 1.0), (3.0, 2.5), (0.2, 0.7))]
+    spec = h_valued_levy(wishart(rng, dim), jumps)
+    for atom, (u, rate) in zip(spec.atoms[1:], jumps):
+        cov = atom.effective_cov()
+        norm = operator_norm_psd(cov)
+        np.testing.assert_allclose(norm, rate * (u @ u), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(cov / norm, np.outer(u, u) / (u @ u),
+                                   rtol=1e-14, atol=0)
 
 
 def test_hvalued_driver_martingale_second_moment():

@@ -111,3 +111,27 @@ def test_largest_seed_runs_with_every_derived_seed_in_range():
     assert report.seed == MAX_SEED - 2
     with pytest.raises(ScenarioInputError, match="must be in 0.."):
         run_scenario("heat_spde", seed=MAX_SEED - 1, paths=4, params=small)
+
+
+def test_exact_identities_read_zero_and_rounding_identities_are_labelled():
+    # An exact identity holds by construction, so at the defaults it reads
+    # exactly 0; two routes that round differently are a rounding identity,
+    # judged against its tolerance (heat_spde's additive_solution_gap too).
+    provenance = {}
+    for name in ("stopped_integral", "fubini"):
+        for check in run_scenario(name).checks:
+            provenance[check.name] = check.provenance
+            if check.provenance == "exact_identity":
+                assert check.measured == 0.0, check.as_dict()
+    assert {n for n, p in provenance.items() if p == "exact_identity"} == {
+        "stopped_gap_over_scale", "localization_gap_over_scale"}
+    assert {n for n, p in provenance.items() if p == "rounding_identity"} == {
+        "restriction_gap_over_scale", "pushforward_gap_over_scale",
+        "fubini_gap_over_scale"}
+
+
+def test_fubini_summary_has_no_empty_column():
+    text = run_scenario("fubini", paths=200).artifacts["fubini_mixed.csv"]
+    lines = text.strip().split("\n")
+    assert lines[0] == "t,mean_norm2,se" and len(lines) == 18
+    assert "nan" not in text

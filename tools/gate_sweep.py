@@ -17,17 +17,18 @@ any other provenance are counted too: they are the false alarms of the
 analytic bounds, such as ``picard_contraction``'s a-posteriori bound on its
 Picard limit, which draws on the seeded paths.
 
-The result, with the Python, numpy and core count of the run, is stored
-under ``--label`` in ``--out`` (default ``BENCH_gates.json`` at the root of
-this checkout).  A sweep replaces the entry of its own label and keeps the
-others, so one file can hold the sweeps of two trees.  The package is
-imported from the ``src`` directory next to this script.
+The result is stored under ``--label`` in ``--out`` (default
+``BENCH_gates.json`` at the root of this checkout), with the run's
+environment as ``tools/artifact_digests.py`` records it (Python, numpy, the
+BLAS and the OpenBLAS kernel, which sets the last bits of every z-value),
+its commit and its core count.  A sweep replaces the entry of its own label
+and keeps the others, so one file can hold the sweeps of two trees.  The
+package is imported from the ``src`` directory next to this script.
 """
 
 import argparse
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
@@ -37,8 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
-
+import artifact_digests  # noqa: E402  (this script's own directory)
 from mvmlab.noise import GATE_ALPHA, max_z_level  # noqa: E402
 from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
@@ -96,8 +96,7 @@ def environment() -> dict:
             capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = None
-    return {"commit": commit, "python": platform.python_version(),
-            "numpy": np.__version__, "machine": platform.machine(),
+    return {**artifact_digests.environment(), "commit": commit,
             "cores": len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else os.cpu_count()}
 

@@ -12,8 +12,10 @@ subprocesses whose environment alone carries the variable, the Tier-1 suite
 ``tools/artifact_digests.py`` at every scenario's defaults.  It records each
 kernel's test verdicts (the failed test ids), whether every scenario passed,
 and the CSV artifacts and check values that differ from the default
-kernel's, with both values.  An exact identity must not move; a Monte Carlo
-or quadrature value may move in its last bits.
+kernel's, with both values.  An ``exact_identity`` check reads 0 by
+construction on every kernel and must not move; a ``rounding_identity``
+check compares two routes that round differently, and it, a Monte Carlo or
+a quadrature value may move in its last bits.
 
 The result, with the Python and numpy of the run, is stored under
 ``--label`` in ``--out`` (default ``BENCH_kernels.json`` at the root of this
