@@ -6,16 +6,18 @@ the radonification formula term by term) or grid integrands (one operator
 per cell, possibly per path).  Both routes give the integral paths
 t -> I_t as one plain ``(paths, n_times, G)`` array, the form of every path
 result of the lab, and both sides of each pathwise identity come in that
-form too.  The routes must agree; keeping them separate is the point, since
-the isometry
+form too.  The routes must agree, and the ``ito_isometry`` scenario checks
+that they do on its simple integrands; keeping them separate is the point,
+since the isometry
 ``E ||I_T||^2 = E sum_cells ||Phi o Q_M^{1/2}||_HS^2 qv(cell)``
 is checked between independently computed sides.
 
-On the grid the integral is the cumulative sum of the cellwise actions
-``sum_atoms Phi dM``, and the integral of ``1_A Phi`` is that of the actions
-masked by A.  So stopping, window/event restriction and localization
-contract the field once and mask its actions; no masked copy of the field
-is made.
+On the grid the integral is the running sum of the cellwise actions
+``sum_atoms Phi dM`` (:func:`mvmlab.measures._running_sum`, the one time
+scan of the grid's cumulative sums), and the integral of ``1_A Phi`` is
+that of the actions masked by A.  So stopping, window/event restriction and
+localization contract the field once and mask its actions; no masked copy
+of the field is made.
 
 Adaptedness is structural: events, history-dependent operator fields and
 stopping rules are hooks that receive only a read-only view of the increments
@@ -31,9 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import GridMismatchError, GridSpec
+from .measures import (DiscreteMeasure, GridMismatchError, GridSpec,
+                       _running_sum)
 from .noise import MVMPathEnsemble
-from .quadvar import QMField, QVEstimate, qm_sqrt_field
+from .quadvar import QMField, qm_sqrt_field
 
 __all__ = [
     "AdaptednessError",
@@ -218,19 +221,11 @@ def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
     return _contract(ens.increments, phi.values)
 
 
-def _integral(actions: np.ndarray) -> np.ndarray:
-    """Integral paths (paths, n_times, G) from cellwise actions (paths,
-    cells, G): 0 at t_0, then their cumulative sums."""
-    out = np.zeros((actions.shape[0], actions.shape[1] + 1, actions.shape[2]))
-    out[:, 1:] = np.cumsum(actions, axis=1)
-    return out
-
-
 def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
     """Integrate a grid integrand: the paths (paths, n_times, G) of the
     cumulative sums of cellwise actions, the zero-rate case of
     :meth:`mvmlab.spde.DiagonalSemigroup.scan`."""
-    return _integral(_cell_actions(phi, ens))
+    return _running_sum(_cell_actions(phi, ens))
 
 
 @dataclass(frozen=True)
@@ -372,20 +367,19 @@ def _hs_squares(phi: GridIntegrand, qm: QMField) -> np.ndarray:
     return np.square(weighted, out=weighted)
 
 
-def cell_costs(phi: GridIntegrand, qm: QMField, qv: QVEstimate) -> np.ndarray:
+def cell_costs(phi: GridIntegrand, qm: QMField,
+               qv: DiscreteMeasure) -> np.ndarray:
     """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is)."""
-    return _hs_squares(phi, qm).sum(axis=(-2, -1)) * qv.measure.cell_mass
+    return _hs_squares(phi, qm).sum(axis=(-2, -1)) * qv.cell_mass
 
 
 def lambda2_profile(phi: GridIntegrand, qm: QMField,
-                    qv: QVEstimate) -> np.ndarray:
+                    qv: DiscreteMeasure) -> np.ndarray:
     """Cumulative squared integration norm at every grid time."""
     costs = cell_costs(phi, qm, qv)
     if costs.ndim == 3:
         costs = costs.mean(axis=0)
-    out = np.zeros(phi.grid.n_cells + 1)
-    out[1:] = np.cumsum(costs.sum(axis=1))
-    return out
+    return _running_sum(costs.sum(axis=1), axis=0)
 
 
 def grid_stopping_time(ens: MVMPathEnsemble,
@@ -448,9 +442,9 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
         raise ValueError("need one stopping index per path")
     actions = _cell_actions(phi, ens)
     before = np.arange(phi.grid.n_cells)[None, :] < stop_index[:, None]
-    lhs = _integral(np.where(before[:, :, None], actions, 0.0))
+    lhs = _running_sum(np.where(before[:, :, None], actions, 0.0))
     idx = np.minimum(np.arange(len(ens.times))[None, :], stop_index[:, None])
-    rhs = np.take_along_axis(_integral(actions), idx[:, :, None], axis=1)
+    rhs = np.take_along_axis(_running_sum(actions), idx[:, :, None], axis=1)
     report = _identity_report(lhs, rhs)
     if check and report.max_abs_gap > 0.0:
         raise RuntimeError(f"stopped-integral identity violated "
@@ -475,8 +469,8 @@ def restricted_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     window = np.zeros(phi.grid.n_cells, dtype=bool)
     window[s_index:t_index] = True
     on_event = np.asarray(event, dtype=bool)[..., None]
-    lhs = _integral(np.where((on_event & window)[..., None], actions, 0.0))
-    full = _integral(actions)
+    lhs = _running_sum(np.where((on_event & window)[..., None], actions, 0.0))
+    full = _running_sum(actions)
     clock = np.clip(np.arange(len(ens.times)), s_index, t_index)
     rhs = (full[:, clock] - full[:, [s_index]]) * on_event[..., None]
     return _identity_report(lhs, rhs)
@@ -494,7 +488,8 @@ class LocalizationReport:
 
 
 def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
-             qv: QVEstimate, thresholds: Sequence[float]) -> LocalizationReport:
+             qv: DiscreteMeasure,
+             thresholds: Sequence[float]) -> LocalizationReport:
     """Stop when the running integration cost first reaches each threshold.
 
     For threshold n, ``tau_n`` is the first grid time at which the pathwise
@@ -509,8 +504,7 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
     if costs.ndim == 2:
         costs = np.broadcast_to(costs, (ens.paths,) + costs.shape)
     per_cell = costs.sum(axis=2)
-    cum = np.zeros((ens.paths, phi.grid.n_cells + 1))
-    cum[:, 1:] = np.cumsum(per_cell, axis=1)
+    cum = _running_sum(per_cell)
     stop_indices: dict = {}
     integrals: dict = {}
     norms: dict = {}
@@ -520,7 +514,7 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
                        phi.grid.n_cells)
         stop_indices[n] = idx
         before = np.arange(phi.grid.n_cells)[None, :] < idx[:, None]
-        integrals[n] = _integral(np.where(before[:, :, None], actions, 0.0))
+        integrals[n] = _running_sum(np.where(before[:, :, None], actions, 0.0))
         norms[n] = float(np.sqrt((per_cell * before).sum(axis=1).mean()))
     gap = 0.0
     ordered = sorted(thresholds)

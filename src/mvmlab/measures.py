@@ -108,6 +108,18 @@ def make_grid(t_max: float, steps: int, mark_atoms: Sequence[str]) -> GridSpec:
     return GridSpec(time_points=tp, mark_atoms=tuple(mark_atoms))
 
 
+def _running_sum(per_cell: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Running sums over the grid: 0 at t_0, then the cumulative sums of
+    `per_cell` along its cell axis `axis`, written in place after the zero."""
+    shape = list(per_cell.shape)
+    shape[axis] += 1
+    out = np.zeros(shape)
+    later = [slice(None)] * per_cell.ndim
+    later[axis] = slice(1, None)
+    np.cumsum(per_cell, axis=axis, out=out[tuple(later)])
+    return out
+
+
 def _csv_text(header: str, columns: Sequence) -> str:
     """CSV text of equal-length columns: lists of strings, written as they
     are, or float arrays, whose C-ordered entries are written as the ``repr``

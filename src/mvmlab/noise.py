@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .hilbert import psd_part, psd_sqrt
-from .measures import DiscreteMeasure, GridSpec, make_grid
+from .measures import DiscreteMeasure, GridSpec, _running_sum, make_grid
 
 __all__ = [
     "DiscreteLevyAtom",
@@ -429,11 +429,7 @@ class MVMPathEnsemble:
                    ) -> np.ndarray:
         """Martingale paths t -> M(t, A)(x), shape (paths, n_times)."""
         idx = self._atom_list(atoms)
-        out = np.zeros((self.paths, len(self.grid.time_points)))
-        if idx:
-            per_cell = self.paired(x)[:, :, idx].sum(axis=2)
-            out[:, 1:] = np.cumsum(per_cell, axis=1)
-        return out
+        return _running_sum(self.paired(x)[:, :, idx].sum(axis=2))
 
 
 def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,

@@ -1,9 +1,9 @@
 """Quadratic variation of martingale-valued noise, and its operator density.
 
 The quadratic variation is the supremum of the intensity family over a dense
-sequence of unit vectors; on the grid this is a cellwise running maximum,
-folded from block maxima between the trace counts 1, 2, 4, ..., whose
-convergence (or divergence) in the sequence length is tracked explicitly.
+sequence of unit vectors; on the grid this is the cellwise maximum of the
+intensities along the sequence, a :class:`DiscreteMeasure` whose masses keep
+every bit, since a maximum rounds nothing.
 Polarization of the intensities gives the signed bilinear measure field
 alpha, a field of quadratic forms like the one the intensities come from and
 so held as an :class:`IntensityFamily` too; the ratio alpha /
@@ -28,10 +28,8 @@ from .measures import (DiscreteMeasure, GridSpec, SignedDiscreteMeasure,
 from .noise import IntensityFamily
 
 __all__ = [
-    "QVEstimate",
     "qv_supremum",
     "counterexample_partition_sum",
-    "counterexample_trace",
     "alpha_polarization",
     "bilinear_field",
     "QMField",
@@ -42,61 +40,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class QVEstimate:
-    """Cellwise supremum of intensities over a finite unit-vector prefix.
-
-    `convergence_trace` records the total mass after growing prefixes of the
-    sequence (powers of two plus the full count); a trace that keeps climbing
-    signals a driver without a quadratic variation.  A maximum rounds
-    nothing, so the maxima behind it are exact however they are computed.
-    """
-
-    measure: DiscreteMeasure
-    sphere_count: int
-    convergence_trace: tuple[tuple[int, float], ...]
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.measure.grid
-
-
-def _trace_counts(n: int) -> list[int]:
-    counts = [1]
-    while counts[-1] * 2 < n:
-        counts.append(counts[-1] * 2)
-    if counts[-1] != n:
-        counts.append(n)
-    return counts
-
-
-def _running_max(stack: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Final running maximum of `stack` along axis 0 and its total at each
-    trace count, folded from contiguous block maxima between the counts.
-    The running maximum is C-ordered, so each total is a function of the
-    masses alone."""
-    running = stack[0].copy()
-    trace = []
-    start = 0
-    for count in _trace_counts(len(stack)):
-        np.maximum(running, stack[start:count].max(axis=0), out=running)
-        trace.append((count, float(running.sum())))
-        start = count
-    return running, tuple(trace)
-
-
-def qv_supremum(family: IntensityFamily, vectors: np.ndarray) -> QVEstimate:
-    """Supremum of the intensity family along a sequence of unit vectors;
-    the running maximum comes from block maxima between the trace counts."""
+def qv_supremum(family: IntensityFamily,
+                vectors: np.ndarray) -> DiscreteMeasure:
+    """Supremum of the intensity family along a sequence of unit vectors:
+    the cellwise maximum of their intensities."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vectors.shape[0] < 1:
         raise ValueError("need at least one unit vector")
-    running, trace = _running_max(family.batch(vectors))
-    return QVEstimate(
-        measure=DiscreteMeasure(family.grid, running),
-        sphere_count=len(vectors),
-        convergence_trace=trace,
-    )
+    return DiscreteMeasure(family.grid, family.batch(vectors).max(axis=0))
 
 
 def _uniform_deviation(family: IntensityFamily, x_a: np.ndarray,
@@ -126,11 +77,6 @@ def counterexample_partition_sum(k: int) -> float:
     """
     table = haar.haar_cell_integrals(k)
     return float(table.max(axis=0).sum())
-
-
-def counterexample_trace(k: int) -> tuple[tuple[int, float], ...]:
-    """Partition sums over growing prefixes of the Haar basis."""
-    return _running_max(haar.haar_cell_integrals(k))[1]
 
 
 def alpha_polarization(family: IntensityFamily, x: np.ndarray,
@@ -186,7 +132,7 @@ class QMField:
         return self.matrices.shape[-1]
 
 
-def qm_density(alpha: IntensityFamily, qv: QVEstimate) -> QMField:
+def qm_density(alpha: IntensityFamily, qv: DiscreteMeasure) -> QMField:
     """Divide the bilinear field by the quadratic variation on charged cells.
 
     Zero-variation cells must carry zero bilinear mass, up to 1e-9 times
@@ -198,7 +144,7 @@ def qm_density(alpha: IntensityFamily, qv: QVEstimate) -> QMField:
     if alpha.grid != qv.grid:
         raise ValueError("bilinear field and variation live on different grids")
     mats = alpha.bilinear_matrices()
-    qv_mass = qv.measure.cell_mass
+    qv_mass = qv.cell_mass
     scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
     null = qv_mass <= 0.0
     bad = null & (np.abs(mats).max(axis=(2, 3)) > 1e-9 * scale)

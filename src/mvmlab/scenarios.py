@@ -237,13 +237,13 @@ def _scn_white_noise(seed: int, paths: int, params: dict) -> ScenarioResult:
     est = quadvar.qv_supremum(family, sphere_sequence(1, 2))
     target = np.outer(grid.dt, lam)
     res.add_upper("qv_exactness_gap",
-                  float(np.abs(est.measure.cell_mass - target).max()),
+                  float(np.abs(est.cell_mass - target).max()),
                   1e-12, "closed_form", "qv cell mass = dt * lam(atom)")
 
     res.add_max_z("orthogonality_3se",
                   *noise.orthogonality_check(ens, one, (0,), (1,)), 0.0,
                   "covariance of disjoint-mark martingales")
-    res.artifacts["white_noise_qv.csv"] = est.measure.to_csv()
+    res.artifacts["white_noise_qv.csv"] = est.to_csv()
     res.artifacts["white_noise_intensity.csv"] = \
         DiscreteMeasure(grid, nu_mean).to_csv()
     return res
@@ -282,7 +282,7 @@ def _menu_variation(res: ScenarioResult, name: str, spec: noise.DiscreteLevy,
     norms = [operator_norm_psd(c) for c in covs]
     dt = grid.dt[0]
     rel = max((dt * n - mass) / (dt * n)
-              for n, mass in zip(norms, qv.measure.cell_mass[0]))
+              for n, mass in zip(norms, qv.cell_mass[0]))
     res.add_upper("qv_rel_shortfall", float(rel), params["qv_rtol"],
                   "closed_form", f"dt ||Q_k|| per atom; atom norms "
                   f"{[round(n, 4) for n in norms]}, sphere {params['sphere']}")
@@ -311,8 +311,7 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     dim = params["dim"]
     _, (family, alpha, est, qm) = _menu_variation(
         res, "discrete_levy_qv", _levy_menu(seed, dim), params)
-    spread = float(np.abs(est.measure.cell_mass
-                          - est.measure.cell_mass[[0]]).max())
+    spread = float(np.abs(est.cell_mass - est.cell_mass[[0]]).max())
     res.add_upper("qv_time_homogeneity_gap", spread, 1e-12, "closed_form",
                   "uniform grid: every time cell carries the same mass")
 
@@ -330,14 +329,14 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
     for _ in range(8):
         x, y = rng.standard_normal((2, dim))
         a = quadvar.alpha_polarization(family, x, y)
-        bound = est.measure.scaled(np.linalg.norm(x) * np.linalg.norm(y))
+        bound = est.scaled(np.linalg.norm(x) * np.linalg.norm(y))
         # The sphere sup slightly undershoots; allow its relative shortfall.
         slack = params["qv_rtol"] * bound.cell_mass.max()
         excess = np.abs(a.cell_mass) - bound.cell_mass
         bound_ok = max(bound_ok, float(excess.max()) - slack)
     res.add_upper("alpha_bound_excess", bound_ok, 0.0, "analytic_bound",
                   "|alpha(x,y)| <= ||x|| ||y|| qv up to sampling slack")
-    res.artifacts["discrete_levy_qv.csv"] = est.measure.to_csv()
+    res.artifacts["discrete_levy_qv.csv"] = est.to_csv()
     res.artifacts["discrete_levy_qm.csv"] = quadvar.qm_to_csv(qm)
     return res
 
@@ -370,7 +369,7 @@ def _scn_hvalued(seed: int, paths: int, params: dict) -> ScenarioResult:
                   family.measure(x).cell_mass)
     res.add_max_z("orthogonality_3se", *noise.orthogonality_check(
         ens, x, (0,), tuple(range(1, 1 + len(jumps)))), 0.0)
-    res.artifacts["hvalued_qv.csv"] = est.measure.to_csv()
+    res.artifacts["hvalued_qv.csv"] = est.to_csv()
     res.artifacts["hvalued_qm.csv"] = quadvar.qm_to_csv(qm)
     return res
 
@@ -391,8 +390,8 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
     worst_ratio = np.inf
     for k in range(1, k_max + 1):
         value = quadvar.counterexample_partition_sum(k)
-        trace = quadvar.counterexample_trace(k)
-        ratio = trace[-1][1] / trace[0][1]
+        # The running supremum starts at the constant function's mass.
+        ratio = value / float(haar.haar_cell_integrals(k)[0].sum())
         worst_exact = max(worst_exact, abs(value - float(2 ** k)))
         worst_lower = min(worst_lower, value - float(2 ** k))
         worst_ratio = min(worst_ratio, ratio / float(2 ** (k - 1)))
@@ -448,7 +447,8 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 
 def _isometry_pairs(seed: int):
-    """Five (driver, integrand) combinations used by the isometry scenario."""
+    """Five (driver, integrand) combinations used by the isometry scenario;
+    the two simple integrands come as built, for both integration routes."""
     rng = np.random.default_rng(seed)
     pairs = []
 
@@ -476,7 +476,7 @@ def _isometry_pairs(seed: int):
                                  event=lambda past: past[:, 0, 0, 0] <= 0),
             integrate.SimpleTerm(14, 20, (0, 1), 0.25 * s4),
         ]
-        return integrate.simple_to_grid(integrate.SimpleIntegrand.build(ens, terms))
+        return integrate.SimpleIntegrand.build(ens, terms)
 
     pairs.append(("discrete_levy/simple_multi_term", dl, dl_grid,
                   build_simple_dl))
@@ -498,7 +498,7 @@ def _isometry_pairs(seed: int):
             integrate.SimpleTerm(10, 20, (0, 2), -2.0 * s5,
                                  event=lambda past: past[:, :, 1, 0].sum(axis=1) > 0),
         ]
-        return integrate.simple_to_grid(integrate.SimpleIntegrand.build(ens, terms))
+        return integrate.SimpleIntegrand.build(ens, terms)
 
     pairs.append(("hvalued_levy/simple_event", hv, hv_grid, build_simple_hv))
     return pairs
@@ -510,7 +510,9 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
     for idx, (name, spec, grid, build) in enumerate(
             _isometry_pairs(params["pair_seed"])):
         ens = noise.simulate(spec, grid, paths, seed + idx)
-        phi = build(ens)
+        simple = phi = build(ens)
+        if isinstance(simple, integrate.SimpleIntegrand):
+            phi = integrate.simple_to_grid(simple)
         _, _, qv, qm = _variation(spec, grid)
         integral = integrate.integrate_grid(phi, ens)
         costs = integrate.cell_costs(phi, qm, qv)
@@ -523,6 +525,14 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
             0.0, "paired difference of ||I_T||^2 and the cell cost")
         z_mean = res.add_max_z(f"zero_mean_z[{name}]", *noise.mean_se(term),
                                0.0)
+        if simple is not phi:
+            # The radonification route, term by term, against the grid route.
+            route = integrate._identity_report(
+                integrate.integrate_simple(simple, ens), integral)
+            res.add_upper(f"simple_route_gap_over_scale[{name}]",
+                          route.max_abs_gap / route.scale, 1e-10,
+                          "rounding_identity", "integrate_simple against "
+                          "integrate_grid of simple_to_grid")
         rows.append(f"{name},{float(terminal_sq.mean())!r},"
                     f"{float(per_path_cost.mean())!r},{z_iso!r},{z_mean!r}")
         if idx == 0:

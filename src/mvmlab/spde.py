@@ -27,8 +27,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .integrate import GridIntegrand, _cell_actions, _contract, _hs_squares
+from .measures import DiscreteMeasure, _running_sum
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
-from .quadvar import QMField, QVEstimate
+from .quadvar import QMField
 
 __all__ = [
     "DiagonalSemigroup",
@@ -181,7 +182,7 @@ def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
-                              qm: QMField, qv: QVEstimate) -> np.ndarray:
+                              qm: QMField, qv: DiscreteMeasure) -> np.ndarray:
     """Modewise closed form for ``E ||conv_t||^2`` (deterministic Phi).
 
     Per cell and mode the convolution picks up variance
@@ -193,7 +194,7 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     if phi.per_path:
         raise ValueError("closed form requires a deterministic integrand")
     per_mode = (_hs_squares(phi, qm).sum(axis=-1)
-                * qv.measure.cell_mass[:, :, None]).sum(axis=1)
+                * qv.cell_mass[:, :, None]).sum(axis=1)
     doubled = DiagonalSemigroup(2 * sg.rates)
     return doubled.scan(phi.grid.time_points, per_mode).sum(axis=1)
 
@@ -303,8 +304,7 @@ def weak_residual(x: np.ndarray, sg: DiagonalSemigroup,
     dt = np.diff(ens.times)
     inner = [sg.rates * x[:, i] * dt[i] - _contribution(sg, coeffs, ens, i, x[:, i])
              for i in range(len(dt))]
-    residuals = np.zeros_like(x)
-    residuals[:, 1:] = np.cumsum(np.stack(inner, axis=1), axis=1)
+    residuals = _running_sum(np.stack(inner, axis=1))
     residuals += x - x[:, [0]]
     return residuals
 

@@ -8,6 +8,7 @@ import pytest
 
 from mvmlab.measures import (MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
                              GridMismatchError, GridSpec, _csv_text,
+                             _running_sum,
                              brute_force_sup, iter_partitions, make_grid,
                              monotone_sup, SignedDiscreteMeasure, sup_measures)
 from mvmlab.noise import mean_se
@@ -55,6 +56,21 @@ def test_uniform_grid_geometry():
     assert grid.t_max == 2.0
     np.testing.assert_allclose(grid.dt, 0.5)
     assert grid.cells() == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 7), 1),
+                                         ((5, 7, 3), 1)])
+def test_running_sum_is_zero_then_cumulative_sums(shape, axis):
+    per_cell = np.random.default_rng(len(shape)).standard_normal(shape)
+    expect_shape = list(shape)
+    expect_shape[axis] += 1
+    expect = np.zeros(expect_shape)
+    later = [slice(None)] * len(shape)
+    later[axis] = slice(1, None)
+    expect[tuple(later)] = np.cumsum(per_cell, axis=axis)
+    got = _running_sum(per_cell, axis=axis)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_measure_shape_and_sign_validation():

@@ -1,6 +1,6 @@
 """Package surface: each module's ``__all__`` names what it defines and
-what the package itself uses, every source file uses what it imports, and
-one function computes standard errors."""
+what the package itself uses, every source file uses what it imports, one
+function computes standard errors and one takes the grid's running sums."""
 
 import ast
 import importlib
@@ -38,32 +38,49 @@ def test_every_import_is_used(path):
     assert not imported - used, f"{path.name} imports unused {imported - used}"
 
 
-def test_standard_errors_come_only_from_mean_se():
-    # Every Monte Carlo gate judges one estimator: `.std(` is called only
-    # inside noise.mean_se.
+def method_calls(attr, allowed_in):
+    """(file, line, allowed) of every ``.<attr>(`` call in src/mvmlab, where
+    allowed means inside a function named in `allowed_in` as (file, name)."""
     calls = []
     for path in sorted(ROOT.glob("src/mvmlab/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = {id(node) for fn in ast.walk(tree)
-                   if path.name == "noise.py"
-                   and isinstance(fn, ast.FunctionDef) and fn.name == "mean_se"
+                   if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) in allowed_in
                    for node in ast.walk(fn)}
         calls += [(path.name, node.lineno, id(node) in allowed)
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "std"]
+                  and node.func.attr == attr]
+    return calls
+
+
+def test_standard_errors_come_only_from_mean_se():
+    # Every Monte Carlo gate judges one estimator: `.std(` is called only
+    # inside noise.mean_se.
+    calls = method_calls("std", {("noise.py", "mean_se")})
     stray = [(name, line) for name, line, ok in calls if not ok]
     assert not stray, f".std( outside noise.mean_se at {stray}"
     assert any(ok for _, _, ok in calls), "noise.mean_se calls no .std("
+
+
+def test_running_sums_come_only_from_running_sum():
+    # One time scan: a cumulative sum is taken only by measures._running_sum,
+    # by integrate_simple (the independent radonification route) and by
+    # quadvar._uniform_deviation (tail sums).
+    calls = method_calls("cumsum", {("measures.py", "_running_sum"),
+                                    ("integrate.py", "integrate_simple"),
+                                    ("quadvar.py", "_uniform_deviation")})
+    stray = [(name, line) for name, line, ok in calls if not ok]
+    assert not stray, f"cumsum outside the three allowed functions at {stray}"
+    assert len(calls) == 3, calls
 
 
 # Public names that package code need not reference, each with its reason.
 UNREFERENCED_OK = {
     # The console script named in pyproject.toml.
     "cli.entry",
-    # The radonification reference the grid route is tested against.
-    "integrate.integrate_simple",
 }
 
 

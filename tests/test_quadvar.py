@@ -7,11 +7,11 @@ from mvmlab.haar import haar_cell_integrals
 from mvmlab.hilbert import operator_norm_psd, sphere_sequence
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, IntegralType,
                           IntensityFamily, default_grid, intensity_family)
-from mvmlab.quadvar import (InconsistentDensityError, _running_max,
-                            _uniform_deviation, alpha_polarization,
-                            bilinear_field, counterexample_partition_sum,
-                            counterexample_trace, qm_density, qm_sqrt_field,
-                            qm_to_csv, qv_supremum)
+from mvmlab.measures import DiscreteMeasure
+from mvmlab.quadvar import (InconsistentDensityError, _uniform_deviation,
+                            alpha_polarization, bilinear_field,
+                            counterexample_partition_sum, qm_density,
+                            qm_sqrt_field, qm_to_csv, qv_supremum)
 
 
 def wishart(rng, dim):
@@ -54,10 +54,9 @@ def exact_vectors(driver):
 def test_qv_dominates_every_sampled_intensity(family):
     vectors = sphere_sequence(3, 64)
     est = qv_supremum(family, vectors)
-    sup = est.measure.cell_mass
+    assert isinstance(est, DiscreteMeasure)
     for x in vectors:
-        assert np.all(family.masses(x) <= sup + 1e-15)
-    assert est.sphere_count == 64
+        assert np.all(family.masses(x) <= est.cell_mass + 1e-15)
     assert est.grid == family.grid
 
 
@@ -65,54 +64,25 @@ def test_qv_matches_top_eigenvalues_with_exact_vectors(driver, family):
     est = qv_supremum(family, exact_vectors(driver))
     dt = np.asarray(family.grid.dt)
     tops = [operator_norm_psd(atom.effective_cov()) for atom in driver.atoms]
-    np.testing.assert_allclose(est.measure.cell_mass, np.outer(dt, tops),
-                               rtol=1e-12)
+    np.testing.assert_allclose(est.cell_mass, np.outer(dt, tops), rtol=1e-12)
 
 
-def test_trace_is_monotone_and_counts_are_doubling(family):
-    est = qv_supremum(family, sphere_sequence(3, 96))
-    counts = [c for c, _ in est.convergence_trace]
-    totals = [t for _, t in est.convergence_trace]
-    assert counts == [1, 2, 4, 8, 16, 32, 64, 96]
-    assert all(a <= b + 1e-15 for a, b in zip(totals, totals[1:]))
-    assert totals[-1] == est.measure.mass()
+def test_prefix_suprema_do_not_decrease(family):
+    vectors = sphere_sequence(3, 96)
+    totals = [qv_supremum(family, vectors[:c]).mass()
+              for c in (1, 2, 4, 8, 16, 32, 64, 96)]
+    assert all(a <= b for a, b in zip(totals, totals[1:]))
     with pytest.raises(ValueError, match="at least one"):
         qv_supremum(family, np.empty((0, 3)))
 
 
-def accumulated(table):
-    """Element-wise running maximum over the first axis, with its totals
-    after 1, 2, 4, ... rows and after the last row, each summed in C
-    order."""
-    running = np.ascontiguousarray(np.maximum.accumulate(table, axis=0))
-    n = len(table)
-    counts = [2 ** e for e in range(n.bit_length()) if 2 ** e < n] + [n]
-    return running[-1], tuple((c, float(running[c - 1].sum())) for c in counts)
-
-
 @pytest.mark.parametrize("count", [1, 2, 3, 64, 100])
-def test_qv_supremum_matches_accumulated_maximum(family, count):
+def test_qv_supremum_is_the_cellwise_maximum(family, count):
+    # A maximum rounds nothing: the masses are those of the batch, bitwise.
     vectors = np.random.default_rng(count).standard_normal((count, 3))
     est = qv_supremum(family, vectors)
-    final, trace = accumulated(family.batch(vectors))
-    assert est.measure.cell_mass.tobytes() == final.tobytes()
-    assert est.convergence_trace == trace
-
-
-def test_running_max_does_not_depend_on_the_stack_layout(family):
-    # The trace totals are a function of the masses alone: the batch as
-    # returned, its C-ordered and its Fortran-ordered copy give the same bits.
-    masses = family.batch(np.random.default_rng(2).standard_normal((2, 3)))
-    final, trace = _running_max(np.ascontiguousarray(masses))
-    for stack in (masses, np.asfortranarray(masses)):
-        got_final, got_trace = _running_max(stack)
-        assert got_trace == trace
-        assert np.array_equal(got_final, final)
-
-
-@pytest.mark.parametrize("k", range(1, 7))
-def test_counterexample_trace_matches_accumulated_maximum(k):
-    assert counterexample_trace(k) == accumulated(haar_cell_integrals(k))[1]
+    assert est.cell_mass.tobytes() == \
+        family.batch(vectors).max(axis=0).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +123,7 @@ def test_kunita_watanabe_bounds(driver, family):
         cauchy = np.sqrt(family.masses(x) * family.masses(y))
         assert np.all(np.abs(alpha.cell_mass) <= cauchy * (1 + 1e-12) + 1e-15)
         bound = (float(np.linalg.norm(x) * np.linalg.norm(y))
-                 * est.measure.cell_mass)
+                 * est.cell_mass)
         assert np.all(np.abs(alpha.cell_mass) <= bound + 1e-12)
 
 
@@ -175,7 +145,7 @@ def test_qm_density_properties(driver, family):
             assert w.max() == pytest.approx(1.0, abs=1e-9)
     assert not qm.null_mask.any()
     # Reconstruction: density times variation returns the bilinear field.
-    rebuilt = mats * est.measure.cell_mass[:, :, None, None]
+    rebuilt = mats * est.cell_mass[:, :, None, None]
     np.testing.assert_allclose(rebuilt, field.bilinear_matrices(), atol=1e-10)
     # Square-root field squares back.
     roots = qm_sqrt_field(qm)
@@ -248,13 +218,15 @@ def test_counterexample_partition_sums_are_exact_powers_of_two():
         assert counterexample_partition_sum(k) == float(2 ** k)
 
 
-def test_counterexample_trace_grows_geometrically():
-    for k in (2, 4, 6, 8):
-        trace = counterexample_trace(k)
-        totals = [t for _, t in trace]
-        assert totals[0] == 1.0  # constant basis function alone
-        assert totals[-1] == counterexample_partition_sum(k)
-        assert all(a <= b for a, b in zip(totals, totals[1:]))
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_counterexample_grows_from_the_constant_function(k):
+    # The running supremum over the Haar basis starts at the constant
+    # function's mass 1 and ends at the partition sum 2^k.
+    table = haar_cell_integrals(k)
+    assert table[0].sum() == 1.0
+    totals = np.maximum.accumulate(table, axis=0).sum(axis=1)
+    assert np.all(np.diff(totals) >= 0)
+    assert totals[-1] == counterexample_partition_sum(k)
 
 
 def test_haar_family_qv_reproduces_counterexample_sum():
@@ -265,8 +237,8 @@ def test_haar_family_qv_reproduces_counterexample_sum():
     family = intensity_family(spec, default_grid(spec, 1.0, 2 ** k))
     est = qv_supremum(family, np.eye(spec.dim))
     table = haar_cell_integrals(k)
-    np.testing.assert_allclose(est.measure.cell_mass[:, 0],
+    np.testing.assert_allclose(est.cell_mass[:, 0],
                                table.max(axis=0), rtol=1e-12)
-    assert est.measure.mass() == pytest.approx(2.0 ** k, rel=1e-12)
-    trace = est.convergence_trace
-    assert trace[-1][1] / trace[0][1] >= 2.0 ** (k - 1)
+    assert est.mass() == pytest.approx(2.0 ** k, rel=1e-12)
+    first = qv_supremum(family, np.eye(spec.dim)[:1])
+    assert est.mass() >= 2.0 ** (k - 1) * first.mass()

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from mvmlab import spde
+from mvmlab import integrate, spde
 from mvmlab.noise import GATE_ALPHA, MAX_SEED, max_z_level
 from mvmlab.scenarios import ScenarioInputError, ScenarioResult, run_scenario
 
@@ -89,6 +89,26 @@ def test_heat_additive_gap_catches_a_solver_that_drops_x0(monkeypatch):
                         solve(sg, coeffs, ens, np.zeros_like(x0)))
     dropped = gap()
     assert not dropped.passed and dropped.measured > 0.1
+
+
+def test_simple_route_gap_catches_a_grid_that_drops_each_first_cell(
+        monkeypatch):
+    # integrate_simple sums each term from its first cell on; a simple_to_grid
+    # that starts every term one cell late still passes the isometry gates,
+    # but no longer agrees with the radonification route.
+    def gaps():
+        report = run_scenario("ito_isometry", paths=200)
+        return [c for c in report.checks
+                if c.name.startswith("simple_route_gap_over_scale[")]
+
+    assert len(gaps()) == 2 and all(c.passed for c in gaps())
+    materialize = integrate.simple_to_grid
+    monkeypatch.setattr(integrate, "simple_to_grid", lambda phi: materialize(
+        integrate.SimpleIntegrand(phi.grid, phi.paths, tuple(
+            (s + 1, t, *rest) for s, t, *rest in phi.terms))))
+    late = gaps()
+    assert len(late) == 2
+    assert all(not c.passed and c.measured > 0.1 for c in late)
 
 
 @pytest.mark.parametrize("overrides, rule", [

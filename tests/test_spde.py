@@ -84,7 +84,7 @@ def test_scan_matches_loop_oracle(heat):
     grid = default_grid(heat.noise_spec, 1.0, 8)
     qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
     phi = GridIntegrand.constant(grid, heat.f_matrix)
-    weighted = qv.measure.cell_mass[:, :, None, None] * qm.matrices
+    weighted = qv.cell_mass[:, :, None, None] * qm.matrices
     per_mode = np.einsum("iagh,iahl,iagl->ig", phi.values, weighted,
                          phi.values)
     times = np.asarray(grid.time_points)
