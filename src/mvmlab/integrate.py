@@ -19,6 +19,13 @@ that of the actions masked by A.  So stopping, window/event restriction and
 localization contract the field once and mask its actions; no masked copy
 of the field is made.
 
+Per-path kernels run block by block: the cell contraction, the cell costs
+of a per-path field and the gather of a simple integrand's per-path field
+each take the paths in blocks of 1024, on one thread per usable core
+(:func:`mvmlab.measures._by_path_blocks`).  Every block writes only its own
+rows with the arithmetic a single path gets, so results do not depend on
+the thread count.  Hooks still run in the calling thread, one cell at a time.
+
 Adaptedness is structural: events, history-dependent operator fields and
 stopping rules are hooks that receive only a read-only view of the increments
 of cells strictly before the current time, so referencing the future or
@@ -34,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import (DiscreteMeasure, GridMismatchError, GridSpec,
-                       _running_sum)
+                       _by_path_blocks, _running_sum)
 from .noise import MVMPathEnsemble
 from .quadvar import QMField, qm_sqrt_field
 
@@ -210,7 +217,16 @@ def _contract(increments: np.ndarray, values: np.ndarray) -> np.ndarray:
     *lead, a, h = increments.shape
     g = values.shape[-2]
     stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, g))
-    return np.matmul(increments.reshape(*lead, 1, a * h), stack)[..., 0, :]
+    rows_in = increments.reshape(*lead, 1, a * h)
+    out = np.empty((*lead, 1, g))
+    per_path = values.ndim > increments.ndim
+
+    def block(rows: slice) -> None:
+        np.matmul(rows_in[rows], stack[rows] if per_path else stack,
+                  out=out[rows])
+
+    _by_path_blocks(lead[0], block)
+    return out[..., 0, :]
 
 
 def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
@@ -342,35 +358,67 @@ def integrate_simple(phi: SimpleIntegrand, ens: MVMPathEnsemble
 
 
 def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
-    """Materialize a simple integrand as a grid integrand."""
-    deterministic = all(ev.all() for *_, ev in phi.terms)
+    """Materialize a simple integrand as a grid integrand.
+
+    Paths whose events agree on every term share one field: each distinct
+    event pattern sums the terms it selects, in term order, and the per-path
+    field gathers its pattern's field one path block at a time."""
     g = phi.dim_g
     dim_h = phi.terms[0][3].shape[1] if phi.terms else 0
     shape = (phi.grid.n_cells, phi.grid.n_atoms, g, dim_h)
-    values = np.zeros(shape) if deterministic \
-        else _zeros_contraction_order((phi.paths,) + shape)
-    for s, t, atoms, matrix, ev in phi.terms:
+    events = np.stack([ev for *_, ev in phi.terms], axis=1) if phi.terms \
+        else np.ones((phi.paths, 0), dtype=bool)
+    patterns, pattern_of = np.unique(events, axis=0, return_inverse=True)
+    # Stored in (H x G) order: the contraction order of GridIntegrand.
+    table = _zeros_contraction_order((len(patterns),) + shape)
+    for (s, t, atoms, matrix, _), selects in zip(phi.terms, patterns.T):
         for j in atoms:
-            if deterministic:
-                values[s:t, j] += matrix
-            else:  # index the stored (H x G) order: contiguous per path
-                values.swapaxes(-1, -2)[np.nonzero(ev)[0], s:t, j] += matrix.T
+            table.swapaxes(-1, -2)[selects, s:t, j] += matrix.T
+    if patterns.all():  # every event is sure: one shared field
+        return GridIntegrand(phi.grid, table[0])
+    values = _zeros_contraction_order((phi.paths,) + shape)
+
+    def gather(rows: slice) -> None:
+        # "clip" writes straight into `out`; the default "raise" buffers.
+        np.take(table.swapaxes(-1, -2), pattern_of[rows], axis=0,
+                out=values.swapaxes(-1, -2)[rows], mode="clip")
+
+    _by_path_blocks(phi.paths, gather)
     return GridIntegrand(phi.grid, values)
 
 
-def _hs_squares(phi: GridIntegrand, qm: QMField) -> np.ndarray:
-    """Entrywise squares of ``Phi o Q_M^{1/2}`` per cell ``([paths,] cells,
-    atoms, G, H)``: summed over (G, H), the squared Hilbert-Schmidt norm."""
+def _density_roots(phi: GridIntegrand, qm: QMField) -> np.ndarray:
+    """The cellwise square roots ``Q_M^{1/2}`` that `phi` is weighted by."""
     if qm.grid != phi.grid:
         raise GridMismatchError("density field on a different grid")
-    weighted = np.matmul(phi.values, qm_sqrt_field(qm))
+    return qm_sqrt_field(qm)
+
+
+def _hs_squares(values: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Entrywise squares of ``Phi o Q_M^{1/2}`` per cell ``([paths,] cells,
+    atoms, G, H)`` for the field `values` and the `roots` of
+    :func:`_density_roots`: summed over (G, H), the squared Hilbert-Schmidt
+    norm."""
+    weighted = np.matmul(values, roots)
     return np.square(weighted, out=weighted)
 
 
 def cell_costs(phi: GridIntegrand, qm: QMField,
                qv: DiscreteMeasure) -> np.ndarray:
-    """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is)."""
-    return _hs_squares(phi, qm).sum(axis=(-2, -1)) * qv.cell_mass
+    """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is,
+    then one path block at a time)."""
+    roots = _density_roots(phi, qm)
+    if not phi.per_path:
+        return _hs_squares(phi.values, roots).sum(axis=(-2, -1)) \
+            * qv.cell_mass
+    out = np.empty(phi.values.shape[:3])
+
+    def block(rows: slice) -> None:
+        np.multiply(_hs_squares(phi.values[rows], roots).sum(axis=(-2, -1)),
+                    qv.cell_mass, out=out[rows])
+
+    _by_path_blocks(out.shape[0], block)
+    return out
 
 
 def lambda2_profile(phi: GridIntegrand, qm: QMField,

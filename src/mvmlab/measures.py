@@ -6,13 +6,18 @@ nonnegative mass per grid cell, where a cell is one half-open time interval
 is the supremum of a family of measures, defined through finite partitions;
 on an atomic grid the finest partition always wins, and ``brute_force_sup``
 keeps the partition-enumeration definition alive as an independent oracle.
+Two private helpers serve the grid's path results in the other modules: the
+running sum over time cells, and ``_by_path_blocks``, which spreads per-path
+work over blocks of 1024 paths and one thread per usable core.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -118,6 +123,75 @@ def _running_sum(per_cell: np.ndarray, axis: int = 1) -> np.ndarray:
     later[axis] = slice(1, None)
     np.cumsum(per_cell, axis=axis, out=out[tuple(later)])
     return out
+
+
+# Paths per block: per-path work is split into blocks of this many paths, and
+# each block of a sampled ensemble draws from a random stream of its own.
+_BLOCK = 1024
+# Threads that take path blocks: the calling one and one per other usable core.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+# The pooled threads, with the id of the process that started them: a child
+# forked later has none of them and starts its own.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _block_threads(paths: int) -> int:
+    """The number of threads that take the blocks of `paths` in
+    :func:`_by_path_blocks`."""
+    return min(_WORKERS, -(-paths // _BLOCK))
+
+
+def _by_path_blocks(paths: int, work: Callable[[slice], None]) -> None:
+    """Call ``work(rows)`` once for every block ``rows`` of `_BLOCK` paths
+    (the last one truncated) out of `paths`.
+
+    The calling thread takes blocks, and so does one pooled thread per other
+    usable core; the pool is built on the first call with more than one
+    block.  Each call of `work` must write only its own rows of arrays its
+    caller allocated, touch only numpy and private helpers (public functions
+    run in the caller, before the blocks) and not call this function again;
+    then the result does not depend on the thread count.  After an error no
+    further block starts, and the error of the calling thread, or else the
+    first one of a pooled thread, reaches the caller once every started
+    block has ended.
+    """
+    global _pool
+    starts = iter(range(0, paths, _BLOCK))
+    lock = threading.Lock()
+
+    def take() -> None:
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            try:
+                work(slice(lo, min(lo + _BLOCK, paths)))
+            except BaseException:
+                with lock:
+                    for _ in starts:
+                        pass
+                raise
+
+    helpers = _block_threads(paths) - 1
+    if helpers <= 0:
+        take()
+        return
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), ThreadPoolExecutor(
+                _WORKERS - 1, thread_name_prefix="mvmlab-paths"))
+    futures = [_pool[1].submit(take) for _ in range(helpers)]
+    try:
+        take()
+    finally:
+        errors = [f.exception() for f in futures]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _csv_text(header: str, columns: Sequence) -> str:

@@ -29,7 +29,11 @@ counts, each in two vectorized calls.  Every block is drawn whole, the last
 one truncated, so path p depends only on (s, p // 1024): enlarging the path
 count leaves the existing paths unchanged (prefix stability).  Each driver
 turns a block's raw draws into increments by vectorized arithmetic, element
-for element the formulas a single path would use.
+for element the formulas a single path would use, written in place into the
+block's rows of the ensemble.  Blocks are drawn concurrently, one thread per
+usable core (:func:`mvmlab.measures._by_path_blocks`); since a block's
+stream and rows are its own, the ensemble does not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .hilbert import psd_part, psd_sqrt
-from .measures import DiscreteMeasure, GridSpec, _running_sum, make_grid
+from .measures import (_BLOCK, DiscreteMeasure, GridSpec, _block_threads,
+                       _by_path_blocks, _running_sum, make_grid)
 
 __all__ = [
     "DiscreteLevyAtom",
@@ -109,14 +114,15 @@ class NoiseSpecBase(abc.ABC):
 
     @abc.abstractmethod
     def _sampler(self, grid: GridSpec
-                 ) -> tuple["_DrawPlan", Callable[[np.ndarray, np.ndarray],
-                                                   np.ndarray]]:
+                 ) -> tuple["_DrawPlan", Callable[..., None]]:
         """Return the draw plan of one path and a vectorized ``assemble``.
 
-        ``assemble(z, n)`` maps a block's raw draws -- standard normals
-        ``z`` of shape (block, plan.normals) and Poisson counts ``n`` of
-        shape (block, plan.means.size), one row per path -- to increments
-        of shape (block, n_cells, n_atoms, dim)."""
+        ``assemble(z, n, out, scratch)`` maps a block's raw draws --
+        standard normals ``z`` of shape (block, plan.normals) and Poisson
+        counts ``n`` of shape (block, plan.means.size), one row per path --
+        to increments, written into the zeroed ``out`` of shape (block,
+        n_cells, n_atoms, dim); ``scratch``, of shape (2, block, n_cells),
+        holds the jump terms of a driver with Poisson counts."""
 
     @abc.abstractmethod
     def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
@@ -206,30 +212,40 @@ class DiscreteLevy(NoiseSpecBase):
     def _sampler(self, grid: GridSpec):
         dt = grid.dt
         sqrt_dt = np.sqrt(dt)[:, None]
-        shape = (grid.n_cells, len(self.atoms), self.dim)
         plan = _DrawPlan()
         parts = []
         for atom in self.atoms:
             brownian = None
             if atom.brownian_cov is not None:
-                brownian = (plan.normal(grid.n_cells * self.dim),
-                            psd_sqrt(atom.brownian_cov))
+                cols = plan.normal(grid.n_cells * self.dim)
+                root = psd_sqrt(atom.brownian_cov)
+                # A zero covariance adds +0.0, as 0 + z @ 0 does; the scalar
+                # product below would give -0.0 for a negative normal.
+                if root.any():
+                    brownian = (cols, root.T)
             jumps = []
             for u, rate in atom.jumps:
                 mean = rate * dt
                 jumps.append((plan.poisson(mean), mean, u))
             parts.append((brownian, jumps))
 
-        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
-            out = np.zeros((z.shape[0],) + shape)
+        def assemble(z: np.ndarray, n: np.ndarray, out: np.ndarray,
+                     scratch: np.ndarray) -> None:
+            centred, term = scratch
             for k, (brownian, jumps) in enumerate(parts):
+                dst = out[:, :, k]
                 if brownian is not None:
-                    cols, root = brownian
+                    cols, root_t = brownian
                     zk = z[:, cols].reshape(-1, grid.n_cells, self.dim)
-                    out[:, :, k] += sqrt_dt * (zk @ root.T)
+                    if self.dim == 1:  # one rounding, as in a 1 x 1 matmul
+                        np.multiply(zk, root_t[0, 0], out=dst)
+                    else:
+                        np.matmul(zk, root_t, out=dst)
+                    dst *= sqrt_dt
                 for cols, mean, u in jumps:
-                    out[:, :, k] += (n[:, cols] - mean)[..., None] * u
-            return out
+                    np.subtract(n[:, cols], mean, out=centred)
+                    for d in range(self.dim):
+                        dst[..., d] += np.multiply(centred, u[d], out=term)
 
         return plan, assemble
 
@@ -329,19 +345,18 @@ class IntegralType(NoiseSpecBase):
                 f"grid has {grid.n_cells}")
 
     def _sampler(self, grid: GridSpec):
-        shape = (grid.n_cells, len(self.labels), self.dim)
         plan = _DrawPlan()
         cells = [(plan.normal(w.size), np.sqrt(w), eta)
                  for w, eta in zip(self.weights, self.loadings)]
 
-        def assemble(z: np.ndarray, n: np.ndarray) -> np.ndarray:
-            out = np.zeros((z.shape[0],) + shape)
+        def assemble(z: np.ndarray, n: np.ndarray, out: np.ndarray,
+                     scratch: np.ndarray) -> None:
             for i, (cols, std, eta) in enumerate(cells):
                 # A (block, 1, k) stack keeps the vector-matrix product of a
                 # single path, so the rounding matches it bit for bit.
-                out[:, i, self.selector[i]] = \
-                    ((z[:, cols] * std)[:, None, :] @ eta)[:, 0]
-            return out
+                j = self.selector[i]
+                np.matmul((z[:, cols] * std)[:, None, :], eta,
+                          out=out[:, i, j:j + 1])
 
         return plan, assemble
 
@@ -370,8 +385,6 @@ class IntegralType(NoiseSpecBase):
                    selector=(0,) * n_cells)
 
 
-# Paths per random stream: part of the stream definition (see ``simulate``).
-_BLOCK = 1024
 # The largest seed: a Philox key word holds a nonnegative 63-bit integer.
 MAX_SEED = 2 ** 63 - 1
 
@@ -441,7 +454,9 @@ def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
     all its paths, then their Poisson counts, each path-major and each row in
     the driver's column order.  Every block is drawn whole and the last one
     truncated, so path p depends only on (seed, p // _BLOCK) and enlarging
-    `paths` leaves the existing paths unchanged.
+    `paths` leaves the existing paths unchanged.  Blocks are drawn
+    concurrently, each into its own rows of the ensemble, so the result is
+    the same bits whatever the number of threads.
     """
     if paths < 1:
         raise ValueError("need at least one path")
@@ -449,13 +464,25 @@ def simulate(spec: NoiseSpecBase, grid: GridSpec, paths: int,
         raise ValueError("seed must be a nonnegative 63-bit integer")
     spec.validate_grid(grid)
     plan, assemble = spec._sampler(grid)
-    out = np.empty((paths, grid.n_cells, grid.n_atoms, spec.dim))
-    for b, lo in enumerate(range(0, paths, _BLOCK)):
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), b]))
-        z = rng.standard_normal((_BLOCK, plan.normals))
+    out = np.zeros((paths, grid.n_cells, grid.n_atoms, spec.dim))
+    # Buffers for one block per thread taking blocks, allocated here: memory
+    # a pooled thread allocates stays cached by that thread's allocator.
+    jump_cells = grid.n_cells if plan.means.size else 0
+    spare = [(np.empty((_BLOCK, plan.normals)),
+              np.empty((2, _BLOCK, jump_cells)))
+             for _ in range(_block_threads(paths))]
+
+    def draw(rows: slice) -> None:
+        rng = np.random.Generator(
+            np.random.Philox(key=[int(seed), rows.start // _BLOCK]))
+        buffers = z, scratch = spare.pop()
+        rng.standard_normal(out=z)
         n = rng.poisson(plan.means, size=(_BLOCK, plan.means.size))
-        hi = min(lo + _BLOCK, paths)
-        out[lo:hi] = assemble(z[:hi - lo], n[:hi - lo])
+        size = rows.stop - rows.start
+        assemble(z[:size], n[:size], out[rows], scratch[:, :size])
+        spare.append(buffers)
+
+    _by_path_blocks(paths, draw)
     return MVMPathEnsemble(grid, out)
 
 

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .integrate import GridIntegrand, _cell_actions, _contract, _hs_squares
+from .integrate import (GridIntegrand, _cell_actions, _contract,
+                        _density_roots, _hs_squares)
 from .measures import DiscreteMeasure, _running_sum
 from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
 from .quadvar import QMField
@@ -193,8 +194,8 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     """
     if phi.per_path:
         raise ValueError("closed form requires a deterministic integrand")
-    per_mode = (_hs_squares(phi, qm).sum(axis=-1)
-                * qv.cell_mass[:, :, None]).sum(axis=1)
+    squares = _hs_squares(phi.values, _density_roots(phi, qm))
+    per_mode = (squares.sum(axis=-1) * qv.cell_mass[:, :, None]).sum(axis=1)
     doubled = DiagonalSemigroup(2 * sg.rates)
     return doubled.scan(phi.grid.time_points, per_mode).sum(axis=1)
 

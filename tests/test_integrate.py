@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mvmlab import measures
 from mvmlab.measures import GridMismatchError, _csv_text, make_grid
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
                           intensity_family, mean_se, simulate, white_noise)
@@ -80,6 +81,45 @@ def test_routes_agree_with_event_hooks(ens):
     np.testing.assert_allclose(via_simple, via_grid, atol=1e-12)
     # The events partition the paths, so each path is driven by +/- s_mat.
     assert np.all(np.any(via_simple != 0.0, axis=(1, 2)))
+
+
+def _per_path_accumulation(phi):
+    """simple_to_grid's field built path by path: each path adds the
+    matrices of the terms its events select, in term order, to zeros."""
+    values = np.zeros((phi.paths, phi.grid.n_cells, phi.grid.n_atoms)
+                      + phi.terms[0][3].shape)
+    for p in range(phi.paths):
+        for s, t, atoms, matrix, ev in phi.terms:
+            if ev[p]:
+                for j in atoms:
+                    values[p, s:t, j] += matrix
+    return values
+
+
+def test_simple_to_grid_matches_per_path_accumulation(ens):
+    # A sure term, then two events on atom 0 that split the paths and one
+    # on atom 1: four event patterns, gathered block by block.
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((4, 3, 2))
+
+    def up(past):
+        return past[:, :, 0, 0].sum(axis=1) > 0
+
+    terms = [SimpleTerm(0, 4, (0, 1), mats[0]),
+             SimpleTerm(4, 8, (0,), mats[1], event=up),
+             SimpleTerm(4, 8, (0,), mats[2], event=lambda past: ~up(past)),
+             SimpleTerm(4, 8, (1,), mats[3],
+                        event=lambda past: past[:, :, 1, 1].sum(axis=1) > 0)]
+    phi = SimpleIntegrand.build(ens, terms)
+    grid_phi = simple_to_grid(phi)
+    assert grid_phi.per_path
+    assert np.array_equal(grid_phi.values, _per_path_accumulation(phi))
+    # Events that are sure on every path give one shared field.
+    sure = SimpleIntegrand.build(ens, [SimpleTerm(0, 4, (0, 1), mats[0]),
+                                       SimpleTerm(4, 8, (1,), mats[1])])
+    shared = simple_to_grid(sure)
+    assert not shared.per_path
+    assert np.array_equal(shared.values, _per_path_accumulation(sure)[0])
 
 
 def test_constant_integrand_reproduces_coordinate_sums(ens):
@@ -243,6 +283,50 @@ def test_cell_costs_shapes_and_grid_guard(ens, qm_and_qv):
     other = make_grid(1.0, 8, ["z"])
     with pytest.raises(GridMismatchError):
         cell_costs(GridIntegrand.constant(other, np.ones((1, 2))), qm, qv)
+
+
+def _thread_count_results(ens, phi, qm, qv, stop):
+    stopped = stopped_integral(phi, ens, stop)
+    return [integrate_grid(phi, ens), cell_costs(phi, qm, qv),
+            stopped.lhs, stopped.rhs]
+
+
+@pytest.mark.parametrize("per_path", [False, True])
+def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
+                                                     per_path, monkeypatch):
+    # 2,500 paths are three blocks, the last one short: contracted and
+    # costed by the default threads, by one and by three, every result is
+    # the same bytes, for a shared field and for a history-built one.
+    qm, qv = qm_and_qv
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
+    if per_path:
+        phi = GridIntegrand.from_history(ens, lambda past, i: np.tanh(
+            past.sum(axis=(1, 2)))[:, None, None, :] * np.ones((1, 2, 3, 1)))
+    else:
+        phi = GridIntegrand(ens.grid, np.random.default_rng(3)
+                            .standard_normal((8, 2, 3, 2)))
+    stop = grid_stopping_time(ens, lambda past, i: np.abs(
+        past[:, :, :, 0].sum(axis=(1, 2))) > 1.0)
+    default = _thread_count_results(ens, phi, qm, qv, stop)
+    assert default[1].ndim == (3 if per_path else 2)
+    for workers in (1, 3):
+        monkeypatch.setattr(measures, "_WORKERS", workers)
+        got = _thread_count_results(ens, phi, qm, qv, stop)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in default]
+
+
+def test_a_block_error_reaches_the_caller(driver, qm_and_qv, monkeypatch):
+    # A per-path field on dim-3 states cannot act on the dim-2 driver: the
+    # contraction refuses it, and its cost fails inside every path block.
+    qm, qv = qm_and_qv
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
+    wrong = GridIntegrand(ens.grid, np.ones((ens.paths, 8, 2, 1, 3)))
+    for workers in (1, 3):
+        monkeypatch.setattr(measures, "_WORKERS", workers)
+        with pytest.raises(ValueError, match="integrand expects dim 3"):
+            integrate_grid(wrong, ens)
+        with pytest.raises(ValueError, match="matmul"):
+            cell_costs(wrong, qm, qv)
 
 
 # ---------------------------------------------------------------------------

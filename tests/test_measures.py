@@ -2,16 +2,20 @@
 
 import io
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mvmlab.measures import (MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
-                             GridMismatchError, GridSpec, _csv_text,
-                             _running_sum,
+from mvmlab import measures
+from mvmlab.measures import (_BLOCK, MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
+                             GridMismatchError, GridSpec, _by_path_blocks,
+                             _csv_text, _running_sum,
                              brute_force_sup, iter_partitions, make_grid,
                              monotone_sup, SignedDiscreteMeasure, sup_measures)
-from mvmlab.noise import mean_se
+from mvmlab.noise import default_grid, mean_se, simulate, white_noise
 from mvmlab.quadvar import QMField, qm_to_csv
 
 
@@ -71,6 +75,82 @@ def test_running_sum_is_zero_then_cumulative_sums(shape, axis):
     got = _running_sum(per_cell, axis=axis)
     assert got.shape == expect.shape
     assert got.tobytes() == expect.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# path blocks
+
+
+def test_path_blocks_are_each_taken_once_under_contention(monkeypatch):
+    # Eight threads on 41 blocks, with a thread switch forced every
+    # microsecond: every block is still taken exactly once, and the rows of
+    # the blocks tile the paths.
+    paths = 40 * _BLOCK + 7
+    monkeypatch.setattr(measures, "_WORKERS", 8)
+    monkeypatch.setattr(measures, "_pool", None)
+    taken, threads = [], set()
+
+    def work(rows):
+        taken.append((rows.start, rows.stop))
+        threads.add(threading.get_ident())
+        np.sin(np.arange(2_000.0)).sum()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _by_path_blocks(paths, work)
+    finally:
+        sys.setswitchinterval(interval)
+        measures._pool[1].shutdown(wait=True)
+    assert sorted(taken) == [(lo, min(lo + _BLOCK, paths))
+                             for lo in range(0, paths, _BLOCK)]
+    assert len(threads) <= 8
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_path_block_error_reaches_the_caller(workers, monkeypatch):
+    # An error in any block, whichever thread takes it, is raised to the
+    # caller, and the next call runs every block again.
+    monkeypatch.setattr(measures, "_WORKERS", workers)
+    for bad in range(3):
+        def work(rows):
+            if rows.start == bad * _BLOCK:
+                raise ValueError(f"block {bad}")
+
+        with pytest.raises(ValueError, match=f"block {bad}"):
+            _by_path_blocks(3 * _BLOCK, work)
+    done = []
+    _by_path_blocks(3 * _BLOCK, lambda rows: done.append(rows.start))
+    assert sorted(done) == [0, _BLOCK, 2 * _BLOCK]
+
+
+def _draw_in_child(conn):
+    spec = white_noise((("a", 1.0),))
+    ens = simulate(spec, default_grid(spec, 1.0, 4), 3 * _BLOCK, 2)
+    conn.send(ens.increments.tobytes())
+    conn.close()
+
+
+def test_a_forked_child_starts_its_own_path_threads(monkeypatch):
+    # The pool's threads do not survive a fork: a child that draws blocks
+    # after its parent did must not wait for them.
+    monkeypatch.setattr(measures, "_WORKERS", 3)
+    spec = white_noise((("a", 1.0),))
+    want = simulate(spec, default_grid(spec, 1.0, 4), 3 * _BLOCK, 2)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_draw_in_child, args=(send,))
+    child.start()
+    send.close()
+    try:
+        got = recv.recv() if recv.poll(30) else None
+        child.join(30)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == want.increments.tobytes()
 
 
 def test_measure_shape_and_sign_validation():

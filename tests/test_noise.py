@@ -5,10 +5,12 @@ import pytest
 
 from mvmlab.haar import haar_cell_integrals, haar_dimension
 from mvmlab.hilbert import operator_norm_psd, psd_sqrt
-from mvmlab.noise import (_BLOCK, DiscreteLevy, DiscreteLevyAtom,
-                          IntegralType, default_grid, empirical_intensity,
-                          h_valued_levy, intensity_family, max_z_level,
-                          orthogonality_check, simulate, white_noise)
+from mvmlab import measures
+from mvmlab.measures import _BLOCK
+from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, IntegralType,
+                          default_grid, empirical_intensity, h_valued_levy,
+                          intensity_family, max_z_level, orthogonality_check,
+                          simulate, white_noise)
 
 
 def wishart(rng, dim):
@@ -412,6 +414,43 @@ def test_simulate_matches_block_oracle_bitwise(name):
     for paths in counts:
         ens = simulate(spec, grid, paths, 9)
         assert np.array_equal(ens.increments, oracle[:paths]), paths
+
+
+def _thread_count_specs():
+    rng = np.random.default_rng(43)
+    return {
+        "white_noise": (white_noise((("a", 0.5), ("b", 2.0))), 6),
+        "discrete_levy_jump": (DiscreteLevy((
+            DiscreteLevyAtom("g", brownian_cov=wishart(rng, 3)),
+            DiscreteLevyAtom("j", brownian_cov=0.5 * wishart(rng, 3),
+                             jumps=((rng.standard_normal(3), 1.5),)),
+        )), 5),
+        "h_valued_levy": (h_valued_levy(
+            wishart(rng, 2), ((rng.standard_normal(2), 1.0),)), 4),
+        "haar": (IntegralType.from_haar(3), 8),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_thread_count_specs()))
+def test_simulate_does_not_depend_on_the_thread_count(name, monkeypatch):
+    # 2,500 paths are three blocks, the last one short: drawn by the default
+    # threads, by one and by three, the ensembles are the same bytes.
+    spec, steps = _thread_count_specs()[name]
+    grid = default_grid(spec, 1.0, steps)
+    default = simulate(spec, grid, 2_500, 8).increments.tobytes()
+    for workers in (1, 3):
+        monkeypatch.setattr(measures, "_WORKERS", workers)
+        assert simulate(spec, grid, 2_500, 8).increments.tobytes() == default
+
+
+def test_zero_rate_atom_draws_positive_zeros():
+    # A zero Brownian covariance adds exact +0.0, as 0 + sqrt(dt) (z @ 0)
+    # does: the scalar fast path must not turn z * 0.0 into -0.0.
+    spec = white_noise((("off", 0.0), ("on", 1.0)))
+    ens = simulate(spec, default_grid(spec, 1.0, 4), 64, 3)
+    off = np.ascontiguousarray(ens.increments[:, :, 0])
+    assert off.tobytes() == np.zeros_like(off).tobytes()
+    assert np.all(ens.increments[:, :, 1] != 0.0)
 
 
 def test_enlarging_the_ensemble_preserves_existing_paths(levy_spec):

@@ -14,13 +14,17 @@ The output also records the Python and numpy versions, the BLAS numpy was
 built against and the OpenBLAS kernel it runs on (``OPENBLAS_CORETYPE`` can
 pick another one at load time): the last bits of a contraction depend on
 both, so only outputs with equal ``environment`` entries are comparable.
-The package is imported from the ``src`` directory next to this script.
+It records the usable core count too, which sets how many threads take path
+blocks; the digests must not depend on it (compare a run under
+``taskset -c 0``).  The package is imported from the ``src`` directory next
+to this script.
 """
 
 import argparse
 import ctypes
 import hashlib
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -49,7 +53,9 @@ def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
-            "blas_kernel": blas_kernel()}
+            "blas_kernel": blas_kernel(),
+            "cores": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else os.cpu_count()}
 
 
 def digests(name: str, seed: int | None, paths: int | None) -> dict:

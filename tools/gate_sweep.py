@@ -20,15 +20,14 @@ Picard limit, which draws on the seeded paths.
 The result is stored under ``--label`` in ``--out`` (default
 ``BENCH_gates.json`` at the root of this checkout), with the run's
 environment as ``tools/artifact_digests.py`` records it (Python, numpy, the
-BLAS and the OpenBLAS kernel, which sets the last bits of every z-value),
-its commit and its core count.  A sweep replaces the entry of its own label
+BLAS and the OpenBLAS kernel, which sets the last bits of every z-value, and
+the core count) and its commit.  A sweep replaces the entry of its own label
 and keeps the others, so one file can hold the sweeps of two trees.  The
 package is imported from the ``src`` directory next to this script.
 """
 
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
@@ -96,9 +95,7 @@ def environment() -> dict:
             capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = None
-    return {**artifact_digests.environment(), "commit": commit,
-            "cores": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count()}
+    return {**artifact_digests.environment(), "commit": commit}
 
 
 def main(argv: list[str] | None = None) -> int:
