@@ -19,18 +19,22 @@ that of the actions masked by A.  So stopping, window/event restriction and
 localization contract the field once and mask its actions; no masked copy
 of the field is made.
 
-Per-path kernels run block by block: the cell contraction, the cell costs
-of a per-path field and the gather of a simple integrand's per-path field
-each take the paths in blocks of 1024, on one thread per usable core
-(:func:`mvmlab.measures._by_path_blocks`).  Every block writes only its own
-rows with the arithmetic a single path gets, so results do not depend on
-the thread count.  Hooks still run in the calling thread, one cell at a time.
+Per-path work runs block by block: the hooks below, the cell contraction,
+the cell costs of a per-path field and the gather of a simple integrand's
+per-path field each take the paths in blocks of 1024, on one thread per
+usable core (:func:`mvmlab.measures._by_path_blocks`).  Every block writes
+only its own rows with the arithmetic a single path gets, so results do not
+depend on the thread count.
 
 Adaptedness is structural: events, history-dependent operator fields and
 stopping rules are hooks that receive only a read-only view of the increments
 of cells strictly before the current time, so referencing the future or
 editing the ensemble is impossible by construction and any out-of-range
-access is surfaced as an error.
+access is surfaced as an error.  Predictability and stopping are defined path
+by path, so a hook is asked about one block of paths at a time: it gets the
+past of those paths (their count is ``past.shape[0]``), answers for them
+only, and is called once per block and cell.  It must be a pure function of
+its arguments, since it may run on a pooled thread.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import (DiscreteMeasure, GridMismatchError, GridSpec,
+from .measures import (_BLOCK, DiscreteMeasure, GridMismatchError, GridSpec,
                        _by_path_blocks, _running_sum)
 from .noise import MVMPathEnsemble
 from .quadvar import QMField, qm_sqrt_field
@@ -80,11 +84,22 @@ def _check_grid(grid: GridSpec, ens: MVMPathEnsemble) -> None:
         raise GridMismatchError("integrand and ensemble live on different grids")
 
 
-def _past(ens: MVMPathEnsemble, i: int) -> np.ndarray:
-    """Read-only view of the increments of cells ``< i``, handed to hooks."""
-    past = ens.increments[:, :i]
+def _past(ens: MVMPathEnsemble, rows: slice, i: int) -> np.ndarray:
+    """Read-only view of the increments of cells ``< i`` on the paths `rows`,
+    handed to hooks."""
+    past = ens.increments[rows, :i]
     past.flags.writeable = False
     return past
+
+
+def _ask(what: str, hook: Callable, *args):
+    """``hook(*args)``; an IndexError, a hook reaching outside the past it
+    was given, is raised as an AdaptednessError naming `what`."""
+    try:
+        return hook(*args)
+    except IndexError as exc:
+        raise AdaptednessError(
+            f"{what} reached outside the past ({exc})") from exc
 
 
 def _contraction_order(v: np.ndarray) -> np.ndarray:
@@ -166,28 +181,40 @@ class GridIntegrand:
                      ) -> "GridIntegrand":
         """Build a per-path field from a history hook.
 
-        ``hook(past, i)`` receives only the increments of cells ``< i``
-        (shape ``(paths, i, n_atoms, dim)``) and returns the operators for
-        cell i, broadcastable to ``(paths, n_atoms, dim_g, dim_h)``.
+        ``hook(past, i)`` receives only the increments of cells ``< i`` of
+        one block of paths (shape ``(block, i, n_atoms, dim)``) and returns
+        the operators of those paths for cell i, broadcastable to
+        ``(block, n_atoms, dim_g, dim_h)``.  It is called once per block and
+        cell; the first block's answer for cell 0, asked on the calling
+        thread, fixes ``(dim_g, dim_h)``.
         """
         grid = ens.grid
-        values = None
-        for i in range(grid.n_cells):
-            try:
-                vals = np.asarray(hook(_past(ens, i), i), dtype=np.float64)
-            except IndexError as exc:
-                raise AdaptednessError(
-                    f"history hook for cell {i} reached outside the past "
-                    f"({exc})") from exc
-            if values is None and vals.ndim >= 2:
-                values = _zeros_contraction_order(
-                    (ens.paths, grid.n_cells, grid.n_atoms) + vals.shape[-2:])
-            if values is None or vals.shape[-2:] != values.shape[-2:]:
-                raise ValueError(f"history hook for cell {i} returned shape "
-                                 f"{vals.shape}: every cell needs (G x H) "
-                                 f"operators of one shape")
-            values[:, i] = np.broadcast_to(
-                vals, (ens.paths, grid.n_atoms) + vals.shape[-2:])
+
+        def ask(rows: slice, i: int) -> np.ndarray:
+            return np.asarray(_ask(f"history hook for cell {i}", hook,
+                                   _past(ens, rows, i), i), dtype=np.float64)
+
+        def misshapen(i: int, vals: np.ndarray) -> ValueError:
+            return ValueError(f"history hook for cell {i} returned shape "
+                              f"{vals.shape}: every cell needs (G x H) "
+                              f"operators of one shape")
+
+        first = ask(slice(0, _BLOCK), 0)
+        if first.ndim < 2:
+            raise misshapen(0, first)
+        op_shape = first.shape[-2:]
+        values = _zeros_contraction_order(
+            (ens.paths, grid.n_cells, grid.n_atoms) + op_shape)
+
+        def block(rows: slice) -> None:
+            for i in range(grid.n_cells):
+                vals = first if (rows.start, i) == (0, 0) else ask(rows, i)
+                if vals.shape[-2:] != op_shape:
+                    raise misshapen(i, vals)
+                values[rows, i] = np.broadcast_to(vals, (
+                    rows.stop - rows.start, grid.n_atoms) + op_shape)
+
+        _by_path_blocks(ens.paths, block)
         return cls(grid, values)
 
     def compose(self, op: np.ndarray) -> "GridIntegrand":
@@ -249,7 +276,9 @@ class SimpleTerm:
     """One block ``1_{(t_s, t_t]} 1_F 1_{atoms} S`` of a simple integrand.
 
     `event` may be True (sure event), a per-path boolean array, or a hook
-    called with the increments of cells ``< s_index`` only.
+    called with the increments of cells ``< s_index`` only: like every hook
+    (see :mod:`mvmlab.integrate`), it is asked once per block of paths,
+    gets the past of that block and returns one boolean per path of it.
     """
 
     s_index: int
@@ -279,6 +308,7 @@ class SimpleIntegrand:
         grid = ens.grid
         shaped = []
         dims = set()
+        asked = []  # (event array to fill, s_index, hook)
         for term in terms:
             s, t = int(term.s_index), int(term.t_index)
             if not 0 <= s < t <= grid.n_cells:
@@ -292,12 +322,8 @@ class SimpleIntegrand:
                                  f"accept dim-{ens.dim} increments")
             dims.add(matrix.shape[0])
             if callable(term.event):
-                try:
-                    ev = np.asarray(term.event(_past(ens, s)), dtype=bool)
-                except IndexError as exc:
-                    raise AdaptednessError(
-                        f"event hook for interval starting at cell {s} reached "
-                        f"outside the past ({exc})") from exc
+                ev = np.empty(ens.paths, dtype=bool)
+                asked.append((ev, s, term.event))
             elif term.event is True:
                 ev = np.ones(ens.paths, dtype=bool)
             else:
@@ -307,6 +333,18 @@ class SimpleIntegrand:
             shaped.append((s, t, atoms, matrix, ev))
         if len(dims) > 1:
             raise ValueError("terms disagree on the target dimension")
+
+        def block(rows: slice) -> None:
+            for ev, s, hook in asked:
+                got = np.asarray(_ask(
+                    f"event hook for interval starting at cell {s}", hook,
+                    _past(ens, rows, s)), dtype=bool)
+                if got.shape != ev[rows].shape:
+                    raise ValueError(
+                        "event must resolve to one boolean per path")
+                ev[rows] = got
+
+        _by_path_blocks(ens.paths, block)
         cls._check_normal_form(shaped)
         return cls(grid=grid, paths=ens.paths, terms=tuple(shaped))
 
@@ -435,25 +473,27 @@ def grid_stopping_time(ens: MVMPathEnsemble,
                        ) -> np.ndarray:
     """First grid index at which an adapted rule fires, per path.
 
-    ``hook(past, i)`` sees the increments of cells ``< i`` and returns a
-    boolean per path; the result is the smallest such i (or n_cells when the
-    rule never fires, i.e. the stopping time is the horizon).
+    ``hook(past, i)`` sees the increments of cells ``< i`` of one block of
+    paths and returns a boolean per path of that block; the result is the
+    smallest such i (or n_cells when the rule never fires, i.e. the stopping
+    time is the horizon).  Each block asks the rule for i = 0, 1, ... until
+    all of its paths have fired.
     """
     n = ens.grid.n_cells
     stop = np.full(ens.paths, n, dtype=np.int64)
-    open_mask = np.ones(ens.paths, dtype=bool)
-    for i in range(n + 1):
-        try:
-            fired = np.asarray(hook(_past(ens, i), i), dtype=bool)
-        except IndexError as exc:
-            raise AdaptednessError(
-                f"stopping rule at index {i} reached outside the past "
-                f"({exc})") from exc
-        newly = open_mask & fired
-        stop[newly] = min(i, n)
-        open_mask &= ~fired
-        if not open_mask.any():
-            break
+
+    def block(rows: slice) -> None:
+        stop_rows = stop[rows]
+        open_mask = np.ones(stop_rows.shape, dtype=bool)
+        for i in range(n + 1):
+            fired = np.asarray(_ask(f"stopping rule at index {i}", hook,
+                                    _past(ens, rows, i), i), dtype=bool)
+            stop_rows[open_mask & fired] = i
+            open_mask &= ~fired
+            if not open_mask.any():
+                return
+
+    _by_path_blocks(ens.paths, block)
     return stop
 
 

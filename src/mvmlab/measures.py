@@ -152,10 +152,12 @@ def _by_path_blocks(paths: int, work: Callable[[slice], None]) -> None:
     block.  Each call of `work` must write only its own rows of arrays its
     caller allocated, touch only numpy and private helpers (public functions
     run in the caller, before the blocks) and not call this function again;
-    then the result does not depend on the thread count.  After an error no
-    further block starts, and the error of the calling thread, or else the
-    first one of a pooled thread, reaches the caller once every started
-    block has ended.
+    then the result does not depend on the thread count.  Caller code may
+    run in a block too: the hooks of :mod:`mvmlab.integrate`, which must be
+    pure functions of the past of the block's paths and answer for those
+    paths only.  After an error no further block starts, and the error of
+    the calling thread, or else the first one of a pooled thread, reaches
+    the caller once every started block has ended.
     """
     global _pool
     starts = iter(range(0, paths, _BLOCK))

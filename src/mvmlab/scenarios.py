@@ -25,7 +25,7 @@ import numpy as np
 
 from . import haar, integrate, noise, quadvar, spde
 from .hilbert import operator_norm_psd, sphere_sequence
-from .measures import (DiscreteMeasure, _csv_text, brute_force_sup,
+from .measures import (_BLOCK, DiscreteMeasure, _csv_text, brute_force_sup,
                        make_grid, monotone_sup, sup_measures)
 
 __all__ = ["Check", "ScenarioResult", "RunReport", "SCENARIOS",
@@ -608,6 +608,16 @@ def _scn_stopped(seed: int, paths: int, params: dict) -> ScenarioResult:
     res.add_upper("stopped_gap_over_scale",
                   stopped.max_abs_gap / stopped.scale, tol, "exact_identity",
                   f"stop indices span {int(sigma.min())}..{int(sigma.max())}")
+    # The first firing, found without the early exit or the open-path
+    # bookkeeping: the rule at every index of the first path block.
+    rows = slice(0, _BLOCK)
+    fired = np.stack([stop_rule(integrate._past(ens, rows, i), i)
+                      for i in range(grid.n_cells + 1)], axis=1)
+    first = np.where(fired.any(axis=1), fired.argmax(axis=1), grid.n_cells)
+    res.add_upper("stopping_index_gap",
+                  float(np.abs(first - sigma[rows]).max()), 0.0,
+                  "exact_identity", f"largest |first firing - "
+                  f"grid_stopping_time| in cells, first {len(first)} paths")
 
     # Window-and-event restriction identity.
     event = ens.increments[:, :5, 0, 0].sum(axis=1) > 0

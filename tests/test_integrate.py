@@ -1,5 +1,7 @@
 """Stochastic integrals: routes, identities, norms, stopping, localization."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,138 @@ def test_a_block_error_reaches_the_caller(driver, qm_and_qv, monkeypatch):
             integrate_grid(wrong, ens)
         with pytest.raises(ValueError, match="matmul"):
             cell_costs(wrong, qm, qv)
+
+
+def _hook_results(ens):
+    """A history field, a stopping time and two simple-integrand events, each
+    from a pure hook of the past."""
+    def history(past, i):
+        return np.tanh(past.sum(axis=(1, 2)))[:, None, None, :] \
+            * np.ones((1, 2, 3, 1))
+
+    def rule(past, i):
+        return np.abs(past[:, :, :, 0].sum(axis=(1, 2))) > 1.0
+
+    def up(past):
+        return past[:, :, 1, 0].sum(axis=1) > 0
+
+    simple = SimpleIntegrand.build(ens, [
+        SimpleTerm(0, 3, (0,), np.eye(2)),
+        SimpleTerm(3, 8, (0, 1), np.eye(2), event=up),
+        SimpleTerm(3, 8, (0, 1), -np.eye(2), event=lambda past: ~up(past))])
+    return (history, rule, up), [
+        GridIntegrand.from_history(ens, history).values,
+        grid_stopping_time(ens, rule),
+        *(ev for *_, ev in simple.terms[1:])]
+
+
+def test_hooks_do_not_depend_on_the_thread_count(driver, monkeypatch):
+    # 2,500 paths are three blocks, the last one short: asked block by block
+    # on the default threads, on one and on three, the hooks give the same
+    # bytes, and the bytes the hooks give when asked about all paths at once.
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
+    n = ens.grid.n_cells
+    (history, rule, up), default = _hook_results(ens)
+    fired = np.stack([rule(ens.increments[:, :i], i) for i in range(n + 1)],
+                     axis=1)
+    whole = [np.stack([history(ens.increments[:, :i], i) for i in range(n)],
+                      axis=1),
+             np.where(fired.any(axis=1), fired.argmax(axis=1), n),
+             up(ens.increments[:, :3]), ~up(ens.increments[:, :3])]
+    assert [a.tobytes() for a in default] == [a.tobytes() for a in whole]
+    assert 1 < len(np.unique(default[1])) and 0 < default[2].sum() < ens.paths
+    for workers in (1, 3):
+        monkeypatch.setattr(measures, "_WORKERS", workers)
+        _, got = _hook_results(ens)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in default]
+
+
+def _pooled_only(misbehave, answer):
+    """A hook that calls `misbehave(past)` on a pooled thread and returns
+    `answer(past)` on the calling thread; there, the first time its past is
+    not empty, it waits (at most 10 s) until a pooled thread has misbehaved,
+    so the error is raised in a pooled block."""
+    pooled, waited = threading.Event(), threading.Event()
+
+    def hook(past, i=None):
+        if threading.current_thread() is not threading.main_thread():
+            pooled.set()
+            return misbehave(past)
+        if past.shape[1] and not waited.is_set():
+            pooled.wait(10.0)
+            waited.set()
+        return answer(past)
+
+    return hook
+
+
+def _overwrite(past):
+    past[...] = 0.0
+
+
+@pytest.mark.parametrize("misbehave, error, match", [
+    (lambda past: past[:, past.shape[1]], AdaptednessError, "outside the past"),
+    (_overwrite, ValueError, "read-only")])
+def test_a_hook_error_in_a_pooled_block_reaches_the_caller(
+        driver, monkeypatch, misbehave, error, match):
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
+    before = ens.increments.copy()
+    monkeypatch.setattr(measures, "_WORKERS", 3)
+
+    def never(past):
+        return np.zeros(past.shape[0], dtype=bool)
+
+    builds = [
+        lambda: GridIntegrand.from_history(ens, _pooled_only(
+            misbehave, lambda past: np.ones((1, 1, 1, 2)))),
+        lambda: grid_stopping_time(ens, _pooled_only(misbehave, never)),
+        lambda: SimpleIntegrand.build(ens, [SimpleTerm(
+            2, 4, (0,), np.ones((1, 2)), event=_pooled_only(misbehave, never))])]
+    for build in builds:
+        with pytest.raises(error, match=match):
+            build()
+    assert np.array_equal(ens.increments, before)
+
+
+def test_each_hook_is_asked_once_per_block_and_cell(driver, monkeypatch):
+    # Three blocks of 8 cells: a history hook is asked 3 x 8 times, an event
+    # hook 3 times, and a rule that fires on all of block 0 at index 1 is
+    # not asked about block 0 again.
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
+    n = ens.grid.n_cells
+    asked = []
+
+    def block_of(past):
+        offset = past.ctypes.data - ens.increments.ctypes.data
+        return offset // ens.increments.strides[0] // measures._BLOCK
+
+    def history(past, i):
+        asked.append((block_of(past), i))
+        return np.ones((1, 1, 1, 2))
+
+    def rule(past, i):
+        asked.append((block_of(past), i))
+        return np.full(past.shape[0], block_of(past) == 0 and i >= 1)
+
+    def event(past):
+        asked.append((block_of(past), past.shape[1]))
+        return np.ones(past.shape[0], dtype=bool)
+
+    for workers in (measures._WORKERS, 3):
+        monkeypatch.setattr(measures, "_WORKERS", workers)
+        GridIntegrand.from_history(ens, history)
+        assert sorted(asked) == [(b, i) for b in range(3) for i in range(n)]
+        asked.clear()
+        stop = grid_stopping_time(ens, rule)
+        assert sorted(asked) == [(0, 0), (0, 1)] + [
+            (b, i) for b in (1, 2) for i in range(n + 1)]
+        assert np.array_equal(stop, np.where(
+            np.arange(ens.paths) < measures._BLOCK, 1, n))
+        asked.clear()
+        SimpleIntegrand.build(ens, [SimpleTerm(3, 8, (0,), np.eye(2),
+                                               event=event)])
+        assert sorted(asked) == [(b, 3) for b in range(3)]
+        asked.clear()
 
 
 # ---------------------------------------------------------------------------

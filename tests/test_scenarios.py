@@ -144,7 +144,8 @@ def test_exact_identities_read_zero_and_rounding_identities_are_labelled():
             if check.provenance == "exact_identity":
                 assert check.measured == 0.0, check.as_dict()
     assert {n for n, p in provenance.items() if p == "exact_identity"} == {
-        "stopped_gap_over_scale", "localization_gap_over_scale"}
+        "stopped_gap_over_scale", "stopping_index_gap",
+        "localization_gap_over_scale"}
     assert {n for n, p in provenance.items() if p == "rounding_identity"} == {
         "restriction_gap_over_scale", "pushforward_gap_over_scale",
         "fubini_gap_over_scale"}
