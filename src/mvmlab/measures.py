@@ -196,13 +196,26 @@ def _by_path_blocks(paths: int, work: Callable[[slice], None]) -> None:
             raise error
 
 
+def _reprs(values) -> list[str]:
+    """``repr`` of each C-ordered entry of `values` as a Python float,
+    rendering each distinct double once.  Doubles are told apart by their
+    bit patterns, so ``-0.0`` and ``0.0`` (equal as floats) keep their own
+    texts."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(x) for x in distinct.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse].tolist()
+
+
 def _csv_text(header: str, columns: Sequence) -> str:
     """CSV text of equal-length columns: lists of strings, written as they
     are, or float arrays, whose C-ordered entries are written as the ``repr``
-    of Python floats (the shortest text that reads back to the same double)."""
-    text = [col if isinstance(col, list) else
-            list(map(repr, np.asarray(col, dtype=np.float64).ravel().tolist()))
-            for col in columns]
+    of Python floats (the shortest text that reads back to the same double).
+    Each distinct double of a column, keyed by its bit pattern, is rendered
+    once and its text reused, which gives the same bytes as a ``repr`` per
+    entry."""
+    text = [col if isinstance(col, list) else _reprs(col) for col in columns]
     return "\n".join([header, *map(",".join, zip(*text))]) + "\n"
 
 
@@ -213,7 +226,7 @@ def _cell_csv(grid: GridSpec, names: Sequence[str], values: np.ndarray) -> str:
     rest = values.shape[2:]
     per_atom = math.prod(rest)
     per_cell = grid.n_atoms * per_atom
-    times = list(map(repr, grid.time_points))
+    times = _reprs(grid.time_points)
     index = [list(map(str, axis.ravel().tolist())) * (grid.n_cells * grid.n_atoms)
              for axis in np.indices(rest)]
     columns = [[t for t in times[:-1] for _ in range(per_cell)],

@@ -386,3 +386,66 @@ def test_summary_csvs_match_row_loops():
             assert (_csv_text("t,mean_norm2,se,isometry_target",
                               [times, mean, se, column])
                     == loop_integral_summary(times, mean, se, column))
+
+
+# A quiet NaN whose payload differs from ``math.nan``'s: a second bit pattern
+# that is also written "nan".
+NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+REPEATED = [*SPECIAL, NAN_PAYLOAD]
+
+
+def cycled(values, shape, shift=0):
+    """`values` rotated by `shift`, repeated in turn until `shape` is full."""
+    return np.resize(np.roll(np.array(values), shift), shape)
+
+
+def per_entry_csv(header, columns):
+    """The writer with one ``repr`` per float entry, which the text-per-
+    distinct-double writer must match byte for byte."""
+    text = [col if isinstance(col, list) else
+            list(map(repr, np.asarray(col, dtype=np.float64).ravel().tolist()))
+            for col in columns]
+    return "\n".join([header, *map(",".join, zip(*text))]) + "\n"
+
+
+def test_csv_writers_match_row_loops_on_repeated_values():
+    # Every value recurs in every column, so each text is reused many times;
+    # -0.0 beside 0.0 and the two NaN payloads must keep their own texts.
+    cell = cycled(REPEATED, (CSV_GRID.n_atoms, 3, 3))
+    matrices = np.broadcast_to(cell, (CSV_GRID.n_cells, *cell.shape))
+    qm = QMField(CSV_GRID, matrices.copy(),
+                 np.zeros((CSV_GRID.n_cells, CSV_GRID.n_atoms), dtype=bool))
+    bits = set(qm.matrices.view(np.uint64).ravel().tolist())
+    assert {0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001, 1} <= bits
+    assert qm_to_csv(qm) == loop_qm_to_csv(qm)
+
+    grid = make_grid(1.0, 16, ["a", "b2", "jump"])
+    shape = (grid.n_cells, grid.n_atoms)
+    nonneg = [-0.0, 0.0, 5e-324, 1e16, 1 / 3, 0.1, 1e-300, 123456789.0]
+    for mu in (DiscreteMeasure(grid, cycled(nonneg, shape)),
+               SignedDiscreteMeasure(grid, cycled(FINITE, shape))):
+        assert mu.to_csv() == loop_to_csv(mu)
+
+    n = 4 * len(REPEATED)
+    times, mean, se, target = (cycled(REPEATED, (n,), k) for k in range(4))
+    assert (_csv_text("t,mean_norm2,se", [times, mean, se])
+            == loop_integral_summary(times, mean, se))
+    assert (_csv_text("t,mean_norm2,se,isometry_target",
+                      [times, mean, se, target])
+            == loop_integral_summary(times, mean, se, target))
+
+
+@pytest.mark.parametrize("columns", [
+    # zero-length columns: the header alone
+    [np.empty(0), np.empty((0, 3)), []],
+    # a strided view and a Fortran-ordered array, written in C order
+    [cycled(REPEATED, (6, 8))[:, ::2],
+     np.asfortranarray(cycled(REPEATED, (4, 6), 5)),
+     [str(i) for i in range(24)]],
+    # integers and single precision, written as the reprs of doubles
+    [np.arange(-12, 12) % 5, cycled([0.1, -0.0, 1 / 3, 1e-40], (24,))
+     .astype(np.float32), cycled(REPEATED, (2, 3, 4), 2)],
+], ids=["empty", "strided-fortran", "int-float32"])
+def test_csv_text_matches_per_entry_repr(columns):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    assert _csv_text(header, columns) == per_entry_csv(header, columns)

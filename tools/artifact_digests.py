@@ -3,11 +3,16 @@
 Usage::
 
     python3 tools/artifact_digests.py [SCENARIO ...] [--seed S] [--paths P]
+    python3 tools/artifact_digests.py --config CONFIG.json [--seed S] [--paths P]
 
 Runs each named scenario (all of them by default) through
 ``mvmlab.scenarios.run_scenario``, at its default seed and path count unless
-overridden, and prints, per scenario, the SHA-256 of each CSV artifact's text
-and ``repr`` of each check's measured value.  Two trees behave the same on a
+overridden, and prints, per scenario, the parameters it ran with, the
+SHA-256 of each CSV artifact's text and ``repr`` of each check's measured
+value.  ``--config`` runs the one scenario of a JSON config instead, read as
+``mvmlab run`` reads it (``scenario``, ``seed``, ``paths``, ``params``; an
+``out`` directory is ignored, as nothing is written), with the flags
+overriding its seed and path count.  Two trees behave the same on a
 run when their outputs are equal, so comparing the output of this script on
 a parent and a change shows byte-identical artifacts and bit-identical checks.
 The output also records the Python and numpy versions, the BLAS numpy was
@@ -33,7 +38,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
+from mvmlab.cli import _load_config, _UsageError  # noqa: E402
+from mvmlab.scenarios import (SCENARIOS, ScenarioInputError,  # noqa: E402
+                              run_scenario)
 
 
 def blas_kernel() -> str:
@@ -58,11 +65,13 @@ def environment() -> dict:
             if hasattr(os, "sched_getaffinity") else os.cpu_count()}
 
 
-def digests(name: str, seed: int | None, paths: int | None) -> dict:
-    report = run_scenario(name, seed=seed, paths=paths)
+def digests(name: str, seed: int | None, paths: int | None,
+            params: dict | None = None) -> dict:
+    report = run_scenario(name, seed=seed, paths=paths, params=params)
     return {
         "seed": report.seed,
         "paths": report.paths,
+        "params": report.params,
         "all_passed": report.all_passed,
         "artifacts": {
             file: hashlib.sha256(text.encode()).hexdigest()
@@ -72,20 +81,40 @@ def digests(name: str, seed: int | None, paths: int | None) -> dict:
     }
 
 
+def scenario_digests(parser: argparse.ArgumentParser, args) -> dict:
+    """Digests of the scenarios `args` names, by scenario name."""
+    if args.config is None:
+        unknown = sorted(set(args.scenarios) - set(SCENARIOS))
+        if unknown:
+            parser.error(f"unknown scenarios: {', '.join(unknown)}")
+        return {name: digests(name, args.seed, args.paths)
+                for name in args.scenarios or list(SCENARIOS)}
+    if args.scenarios:
+        parser.error("give SCENARIO names or --config, not both")
+    try:
+        config = _load_config(args.config)
+    except _UsageError as exc:
+        parser.error(str(exc))
+    seed = config.get("seed") if args.seed is None else args.seed
+    paths = config.get("paths") if args.paths is None else args.paths
+    name = config["scenario"]
+    return {name: digests(name, seed, paths, config.get("params", {}))}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("scenarios", nargs="*", metavar="SCENARIO",
                         help="scenarios to run (default: all)")
     parser.add_argument("--seed", type=int, help="seed for every scenario")
     parser.add_argument("--paths", type=int, help="path count for every scenario")
+    parser.add_argument("--config", metavar="CONFIG",
+                        help="JSON scenario config, as for 'mvmlab run'")
     args = parser.parse_args(argv)
-    unknown = sorted(set(args.scenarios) - set(SCENARIOS))
-    if unknown:
-        parser.error(f"unknown scenarios: {', '.join(unknown)}")
-    names = args.scenarios or list(SCENARIOS)
-    out = {"environment": environment(),
-           "scenarios": {name: digests(name, args.seed, args.paths)
-                         for name in names}}
+    try:
+        runs = scenario_digests(parser, args)
+    except ScenarioInputError as exc:
+        parser.error(str(exc))
+    out = {"environment": environment(), "scenarios": runs}
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 
