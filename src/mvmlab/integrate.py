@@ -218,12 +218,14 @@ class GridIntegrand:
         return cls(grid, values)
 
     def compose(self, op: np.ndarray) -> "GridIntegrand":
-        """Push the field forward by a fixed operator: cellwise op @ value."""
+        """Push the field forward by a fixed operator: cellwise op @ value,
+        one GEMM whose product is already in contraction order."""
         op = np.asarray(op, dtype=np.float64)
         if op.ndim != 2 or op.shape[1] != self.dim_g:
             raise ValueError(f"cannot compose {op.shape} with dim_g={self.dim_g}")
-        return GridIntegrand(self.grid, np.einsum(
-            "eg,...gh->...eh", op, self.values, optimize=True))
+        stack = self.values.swapaxes(-1, -2)
+        return GridIntegrand(self.grid, (stack.reshape(-1, self.dim_g) @ op.T)
+                             .reshape(stack.shape[:-1] + (-1,)).swapaxes(-1, -2))
 
 
 def _contract(increments: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -640,6 +642,7 @@ def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
 def pushforward_commute(op: np.ndarray, phi: GridIntegrand,
                         ens: MVMPathEnsemble) -> IdentityReport:
     """Compare integrating ``R o Phi`` with applying R to the integral."""
-    rhs = np.einsum("eg,ptg->pte", np.asarray(op, dtype=np.float64),
-                    integrate_grid(phi, ens))
-    return _identity_report(integrate_grid(phi.compose(op), ens), rhs)
+    lhs = integrate_grid(phi.compose(op), ens)
+    integral = integrate_grid(phi, ens)
+    rhs = integral.reshape(-1, phi.dim_g) @ np.asarray(op, dtype=np.float64).T
+    return _identity_report(lhs, rhs.reshape(integral.shape[:-1] + (-1,)))

@@ -155,7 +155,7 @@ def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
     trials = params["trials"]
     mismatches = 0
     worst_gap = 0.0
-    rows = ["trial,n_measures,n_cells,cellwise,partition"]
+    rows = []
     for trial in range(trials):
         grid = make_grid(1.0, int(rng.integers(1, 4)),
                          [f"a{j}" for j in range(rng.integers(1, 3))])
@@ -172,7 +172,7 @@ def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
         if cellwise != partition:
             mismatches += 1
             worst_gap = max(worst_gap, abs(cellwise - partition))
-        rows.append(f"{trial},{n_meas},{size},{cellwise!r},{partition!r}")
+        rows.append((f"{trial},{n_meas},{size}", cellwise, partition))
     res.add("partition_oracle_mismatches", mismatches, 0.0, 0.0,
             "independent_enumeration",
             f"{trials} random families, dyadic masses; worst gap {worst_gap}")
@@ -194,7 +194,9 @@ def _scn_sup_measures(seed: int, paths: int, params: dict) -> ScenarioResult:
     res.add("counting_family_total", sup_measures(scaled).mass(),
             8 * base.mass(), 0.0, "closed_form",
             "sup over n * mu grows linearly in the largest n")
-    res.artifacts["sup_measures_trials.csv"] = "\n".join(rows) + "\n"
+    counts, *masses = zip(*rows)
+    res.artifacts["sup_measures_trials.csv"] = _csv_text(
+        "trial,n_measures,n_cells,cellwise,partition", [list(counts), *masses])
     return res
 
 
@@ -384,7 +386,7 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
                  f"must be at most {haar.MAX_LEVEL}, got {params[key]}")
     res = ScenarioResult()
     k_max = params["k_max"]
-    rows = ["k,partition_sum,lower_bound,trace_ratio"]
+    rows = []
     worst_exact = 0.0
     worst_lower = np.inf
     worst_ratio = np.inf
@@ -395,7 +397,7 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
         worst_exact = max(worst_exact, abs(value - float(2 ** k)))
         worst_lower = min(worst_lower, value - float(2 ** k))
         worst_ratio = min(worst_ratio, ratio / float(2 ** (k - 1)))
-        rows.append(f"{k},{value!r},{2 ** k},{ratio!r}")
+        rows.append((str(k), value, str(2 ** k), ratio))
     res.add_upper("partition_sum_quadrature_gap", worst_exact, 0.0,
                   "quadrature", "exact dyadic arithmetic, k = 1.." + str(k_max))
     res.add_lower("partition_sum_excess_over_2^k", worst_lower, 0.0,
@@ -438,7 +440,10 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
         excess = max(excess, dev - bound)
     res.add_upper("modulus_bound_excess", excess, 1e-12, "quadrature",
                   "uniform deviation <= integral of |x_n^2 - x^2|")
-    res.artifacts["haar_partition_sums.csv"] = "\n".join(rows) + "\n"
+    levels, sums, bounds, ratios = zip(*rows)
+    res.artifacts["haar_partition_sums.csv"] = _csv_text(
+        "k,partition_sum,lower_bound,trace_ratio",
+        [list(levels), sums, list(bounds), ratios])
     return res
 
 
@@ -506,14 +511,15 @@ def _isometry_pairs(seed: int):
 
 def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    rows = ["pair,mc_second_moment,lambda2_sq,z_isometry,max_z_mean"]
-    for idx, (name, spec, grid, build) in enumerate(
-            _isometry_pairs(params["pair_seed"])):
-        ens = noise.simulate(spec, grid, paths, seed + idx)
+    rows, drawn = [], None
+    for name, spec, grid, build in _isometry_pairs(params["pair_seed"]):
+        if spec is not drawn:
+            # One ensemble and one variation per driver, its pairs in a row.
+            drawn, ens = spec, noise.simulate(spec, grid, paths, seed)
+            _, _, qv, qm = _variation(spec, grid)
         simple = phi = build(ens)
         if isinstance(simple, integrate.SimpleIntegrand):
             phi = integrate.simple_to_grid(simple)
-        _, _, qv, qm = _variation(spec, grid)
         integral = integrate.integrate_grid(phi, ens)
         costs = integrate.cell_costs(phi, qm, qv)
         per_path_cost = costs.sum(axis=(1, 2)) if costs.ndim == 3 \
@@ -533,15 +539,18 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
                           route.max_abs_gap / route.scale, 1e-10,
                           "rounding_identity", "integrate_simple against "
                           "integrate_grid of simple_to_grid")
-        rows.append(f"{name},{float(terminal_sq.mean())!r},"
-                    f"{float(per_path_cost.mean())!r},{z_iso!r},{z_mean!r}")
-        if idx == 0:
+        if not rows:  # the first pair, on white noise: its profile in time
             mean, se = noise.mean_se((integral ** 2).sum(axis=2))
             res.artifacts["ito_isometry_profile.csv"] = _csv_text(
                 "t,mean_norm2,se,isometry_target", [
                     ens.times, mean, se,
                     integrate.lambda2_profile(phi, qm, qv)])
-    res.artifacts["ito_isometry_pairs.csv"] = "\n".join(rows) + "\n"
+        rows.append((name, float(terminal_sq.mean()),
+                     float(per_path_cost.mean()), z_iso, z_mean))
+    names, *values = zip(*rows)
+    res.artifacts["ito_isometry_pairs.csv"] = _csv_text(
+        "pair,mc_second_moment,lambda2_sq,z_isometry,max_z_mean",
+        [list(names), *values])
     return res
 
 
@@ -671,14 +680,14 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     # S(t) x0 in closed form, on every grid of `steps` cells.
     sem = np.exp(-np.outer(grid.time_points, ex.semigroup.rates)) * x0
 
-    # (a) zero-noise solve reproduces the modewise exponential decay.
-    sol0 = spde.mild_solution(ex.semigroup, spde.CoefficientSpec(),
-                              noise.simulate(ex.noise_spec, grid, 8, seed), x0)
+    ens = noise.simulate(ex.noise_spec, grid, paths, seed)
+    # (a) zero-noise solve on (at most) 8 paths: modewise exponential decay.
+    few = noise.MVMPathEnsemble(grid, ens.increments[:8])
+    sol0 = spde.mild_solution(ex.semigroup, spde.CoefficientSpec(), few, x0)
     res.add_upper("zero_noise_gap", float(np.abs(sol0 - sem[None]).max()), 1e-12,
                   "closed_form", "pure semigroup decay, modewise")
 
     # (b) stochastic convolution second moment against the modewise sum.
-    ens = noise.simulate(ex.noise_spec, grid, paths, seed + 1)
     phi = integrate.GridIntegrand.constant(grid, ex.f_matrix)
     conv = spde.stochastic_convolution(ex.semigroup, phi, ens)
     _, _, qv, qm = _variation(ex.noise_spec, grid)
@@ -699,7 +708,7 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     metrics = []
     for n_steps in sizes:
         g = noise.default_grid(ex.noise_spec, 1.0, n_steps)
-        e = noise.simulate(ex.noise_spec, g, res_paths, seed + 2)
+        e = noise.simulate(ex.noise_spec, g, res_paths, seed)
         s = spde.mild_solution(ex.semigroup, ex.coefficients, e, x0)
         peak = np.abs(spde.weak_residual(s, ex.semigroup, ex.coefficients,
                                          e)).max(axis=1)
@@ -709,14 +718,13 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     slope = float(np.polyfit(np.log(dts), np.log(metrics), 1)[0])
     res.add("weak_residual_order", slope, 1.0, params["slope_band"],
             "quadrature", f"residuals {[f'{m:.4g}' for m in metrics]}")
-    rows = ["steps,dt,mean_max_residual"]
-    rows += [f"{n},{1.0 / n!r},{float(m)!r}" for n, m in zip(sizes, metrics)]
-    res.artifacts["heat_weak_residual.csv"] = "\n".join(rows) + "\n"
+    res.artifacts["heat_weak_residual.csv"] = _csv_text(
+        "steps,dt,mean_max_residual",
+        [list(map(str, sizes)), dts, np.array(metrics)])
 
     # (d) on the finest of those grids (the grid of (b)), the mild solution
     # of the additive equation is S(t) x0 plus the convolution.
-    direct = sem + spde.stochastic_convolution(
-        ex.semigroup, integrate.GridIntegrand.constant(g, ex.f_matrix), e)
+    direct = sem + spde.stochastic_convolution(ex.semigroup, phi, e)
     res.add_upper("additive_solution_gap", float(
         np.abs(s - direct).max() / np.abs(direct).max()), 1e-12,
         "rounding_identity", f"forward pass, {res_paths} paths, {steps} steps")
@@ -766,9 +774,9 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
         (np.abs(drift_only - closed).max(axis=(0, 1))
          / np.abs(closed).max(axis=0)).max()), 1e-12, "closed_form",
         "zero-noise linear drift, largest gap over each mode's scale")
-    rows = ["iteration,v_beta_update"]
-    rows += [f"{i + 1},{d!r}" for i, d in enumerate(sol.picard_trace)]
-    res.artifacts["picard_trace.csv"] = "\n".join(rows) + "\n"
+    res.artifacts["picard_trace.csv"] = _csv_text(
+        "iteration,v_beta_update",
+        [[str(i) for i in range(1, sol.iterations + 1)], sol.picard_trace])
     return res
 
 
@@ -786,9 +794,6 @@ class ScenarioDef:
     # The smallest value an integer parameter, or the path count (key
     # "paths"), may take, where it has one.
     least: dict = field(default_factory=dict)
-    # How many consecutive seeds, from the run's seed on, the scenario
-    # simulates paths with; the last must not exceed noise.MAX_SEED.
-    seeds: int = 1
 
 
 SCENARIOS: dict[str, ScenarioDef] = {
@@ -835,9 +840,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         seed=11, paths=20_000,
         params={"pair_seed": 23},
         # A standard error needs two paths.
-        least={"pair_seed": 0, "paths": 2},
-        # One seed per driver/integrand pair.
-        seeds=5),
+        least={"pair_seed": 0, "paths": 2}),
     "fubini": ScenarioDef(
         _scn_fubini,
         "integrate-the-mix equals mix-the-integrals, pathwise",
@@ -857,9 +860,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
                 "residual_paths": 400, "slope_band": 0.3},
         # The weak residual is fitted on grids of steps // 4, // 2 and // 1.
         least={"modes": 1, "steps": 4, "channels": 1, "instance_seed": 0,
-               "residual_paths": 1, "paths": 2},
-        # Zero-noise solve, convolution moments, weak residual.
-        seeds=3),
+               "residual_paths": 1, "paths": 2}),
     "picard_contraction": ScenarioDef(
         _scn_picard,
         "fixed-point iteration under the weighted norm: measured contraction",
@@ -922,7 +923,7 @@ def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
     """Run a scenario with `params`, the seed and the path count overriding
     its defaults; every override is checked before anything runs (see
     :class:`ScenarioInputError`)."""
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ScenarioInputError(f"unknown scenario {name!r}; choices: "
                                  f"{', '.join(sorted(SCENARIOS))}")
     item = SCENARIOS[name]
@@ -936,8 +937,8 @@ def run_scenario(name: str, seed: int | None = None, paths: int | None = None,
     seed = item.seed if seed is None else _checked(name, "seed", item.seed, seed)
     paths = (item.paths if paths is None
              else _checked(name, "paths", item.paths, paths))
-    top = noise.MAX_SEED - (item.seeds - 1)
-    _require(0 <= seed <= top, name, "seed", f"must be in 0..{top}, got {seed}")
+    _require(0 <= seed <= noise.MAX_SEED, name, "seed",
+             f"must be in 0..{noise.MAX_SEED}, got {seed}")
     for key, low in {"paths": 1, **item.least}.items():
         value = paths if key == "paths" else merged[key]
         _require(value >= low, name, key, f"must be at least {low}, got {value}")

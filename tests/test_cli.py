@@ -56,18 +56,13 @@ PATHS_RANGE = "'paths' of scenario 'fubini' must be at least 2"
     (json.dumps({"scenario": "fubini", "threads": 2}), "unknown config keys"),
     (json.dumps({"seed": 3}), "missing the required"),
     (json.dumps({"scenario": "nope"}), "unknown scenario"),
+    (json.dumps({"scenario": ["fubini"]}), "unknown scenario ['fubini']"),
     (json.dumps({"scenario": "fubini", "params": [1]}), "must be a JSON object"),
     (json.dumps({"scenario": "fubini", "seed": "abc"}), SEED_RULE),
     (json.dumps({"scenario": "fubini", "seed": 1.7}), SEED_RULE),
     (json.dumps({"scenario": "fubini", "seed": -1}), SEED_RANGE),
     (json.dumps({"scenario": "fubini", "seed": True}), SEED_RULE),
     (json.dumps({"scenario": "fubini", "seed": 2 ** 63}), SEED_RANGE),
-    # Scenarios that simulate with seed + 1, ... reject a seed whose last
-    # derived seed leaves the 63-bit range, before they run.
-    (json.dumps({"scenario": "heat_spde", "seed": 2 ** 63 - 1}),
-     "'seed' of scenario 'heat_spde' must be in 0..9223372036854775805"),
-    (json.dumps({"scenario": "ito_isometry", "seed": 2 ** 63 - 4}),
-     "'seed' of scenario 'ito_isometry' must be in 0..9223372036854775803"),
     (json.dumps({"scenario": "fubini", "paths": -3}), PATHS_RANGE),
     (json.dumps({"scenario": "fubini", "paths": 0}), PATHS_RANGE),
     (json.dumps({"scenario": "fubini", "paths": 50.9}), PATHS_RULE),

@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from mvmlab import integrate, spde
+from mvmlab import integrate, noise, spde
 from mvmlab.noise import GATE_ALPHA, MAX_SEED, max_z_level
-from mvmlab.scenarios import ScenarioInputError, ScenarioResult, run_scenario
+from mvmlab.scenarios import (SCENARIOS, ScenarioInputError, ScenarioResult,
+                              run_scenario)
 
 
 @pytest.mark.parametrize("m, level", [(1, 3.2905), (64, 4.3196),
@@ -124,13 +125,46 @@ def test_run_scenario_refuses_a_seed_or_path_count_before_running(
         run_scenario("fubini", **overrides)
 
 
-def test_largest_seed_runs_with_every_derived_seed_in_range():
-    # heat_spde simulates with seed, seed + 1 and seed + 2.
-    small = {"modes": 2, "steps": 4, "residual_paths": 2}
-    report = run_scenario("heat_spde", seed=MAX_SEED - 2, paths=4, params=small)
-    assert report.seed == MAX_SEED - 2
-    with pytest.raises(ScenarioInputError, match="must be in 0.."):
-        run_scenario("heat_spde", seed=MAX_SEED - 1, paths=4, params=small)
+# Every scenario at a small size: (paths, params).  A scenario missing here
+# fails the two tests below.
+SMALL = {
+    "sup_measures_oracle": (1, {"trials": 2}),
+    "white_noise_qv": (100, {"steps": 2}),
+    "discrete_levy_qv": (1, {"dim": 2, "steps": 2, "sphere": 8}),
+    "hvalued_levy_qm": (100, {"dim": 2, "jumps": 1, "steps": 2,
+                              "sphere": 8}),
+    "haar_counterexample": (100, {"k_max": 2, "k_sim": 1}),
+    "ito_isometry": (2, {}),
+    "fubini": (2, {"family_size": 2}),
+    "stopped_integral": (2, {}),
+    "heat_spde": (4, {"modes": 2, "steps": 4, "residual_paths": 2}),
+    "picard_contraction": (4, {"modes": 2, "steps": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_accepts_the_largest_seed(name):
+    paths, params = SMALL[name]
+    report = run_scenario(name, seed=MAX_SEED, paths=paths, params=params)
+    assert report.seed == MAX_SEED
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_simulation_draws_from_the_run_seed(name, monkeypatch):
+    # Runs at neighbouring seeds share no ensemble only if no scenario
+    # offsets its seed.
+    seeds = []
+    draw = noise.simulate
+
+    def spy(spec, grid, paths, seed):
+        seeds.append(seed)
+        return draw(spec, grid, paths, seed)
+
+    monkeypatch.setattr(noise, "simulate", spy)
+    paths, params = SMALL[name]
+    run_scenario(name, seed=4242, paths=paths, params=params)
+    assert set(seeds) == (set() if name in {"sup_measures_oracle",
+                                            "discrete_levy_qv"} else {4242})
 
 
 def test_exact_identities_read_zero_and_rounding_identities_are_labelled():
