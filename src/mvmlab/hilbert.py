@@ -32,13 +32,6 @@ def _scale(q: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(q).max(axis=(-2, -1), initial=0.0))
 
 
-def _one_matrix(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2:
-        raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    return q
-
-
 def check_symmetric(q: np.ndarray) -> np.ndarray:
     """Symmetrize a matrix or a stack, each checked at its own scale."""
     q = np.asarray(q, dtype=np.float64)
@@ -71,18 +64,22 @@ def psd_part(q: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt(q: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix.
+    """Symmetric square root of a PSD matrix, or of each matrix of a stack.
 
     Eigenvalues in ``[-PSD_CLIP * scale, 0)`` are treated as zero; anything
-    more negative is rejected, as is a visibly non-symmetric input.
+    more negative is rejected, as is a visibly non-symmetric input.  The
+    zero matrix has the zero root.
     """
-    w, v = _clipped_eigh(_one_matrix(q))
-    return (v * np.sqrt(w)) @ v.T
+    w, v = _clipped_eigh(q)
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -2, -1)
 
 
 def operator_norm_psd(q: np.ndarray) -> float:
     """Operator norm (= largest eigenvalue) of a PSD matrix."""
-    w, _ = _clipped_eigh(_one_matrix(q))
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {q.shape}")
+    w, _ = _clipped_eigh(q)
     return float(w.max(initial=0.0))
 
 

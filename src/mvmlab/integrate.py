@@ -10,7 +10,9 @@ form too.  The routes must agree, and the ``ito_isometry`` scenario checks
 that they do on its simple integrands; keeping them separate is the point,
 since the isometry
 ``E ||I_T||^2 = E sum_cells ||Phi o Q_M^{1/2}||_HS^2 qv(cell)``
-is checked between independently computed sides.
+is checked between independently computed sides.  The density Q_M is the
+:class:`~mvmlab.noise.IntensityFamily` of :func:`mvmlab.quadvar.qm_density`,
+and its cellwise roots come from one stacked :func:`mvmlab.hilbert.psd_sqrt`.
 
 On the grid the integral is the running sum of the cellwise actions
 ``sum_atoms Phi dM`` (:func:`mvmlab.measures._running_sum`, the one time
@@ -46,8 +48,8 @@ import numpy as np
 
 from .measures import (_BLOCK, DiscreteMeasure, GridMismatchError, GridSpec,
                        _by_path_blocks, _running_sum)
-from .noise import MVMPathEnsemble
-from .quadvar import QMField, qm_sqrt_field
+from .hilbert import psd_sqrt
+from .noise import IntensityFamily, MVMPathEnsemble
 
 __all__ = [
     "AdaptednessError",
@@ -427,11 +429,13 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     return GridIntegrand(phi.grid, values)
 
 
-def _density_roots(phi: GridIntegrand, qm: QMField) -> np.ndarray:
-    """The cellwise square roots ``Q_M^{1/2}`` that `phi` is weighted by."""
+def _density_roots(phi: GridIntegrand, qm: IntensityFamily) -> np.ndarray:
+    """The cellwise square roots ``Q_M^{1/2}`` that `phi` is weighted by, in
+    one stacked :func:`~mvmlab.hilbert.psd_sqrt` call (a zero cell gets the
+    zero root)."""
     if qm.grid != phi.grid:
         raise GridMismatchError("density field on a different grid")
-    return qm_sqrt_field(qm)
+    return psd_sqrt(qm.matrices)
 
 
 def _hs_squares(values: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -443,7 +447,7 @@ def _hs_squares(values: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.square(weighted, out=weighted)
 
 
-def cell_costs(phi: GridIntegrand, qm: QMField,
+def cell_costs(phi: GridIntegrand, qm: IntensityFamily,
                qv: DiscreteMeasure) -> np.ndarray:
     """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is,
     then one path block at a time)."""
@@ -461,7 +465,7 @@ def cell_costs(phi: GridIntegrand, qm: QMField,
     return out
 
 
-def lambda2_profile(phi: GridIntegrand, qm: QMField,
+def lambda2_profile(phi: GridIntegrand, qm: IntensityFamily,
                     qv: DiscreteMeasure) -> np.ndarray:
     """Cumulative squared integration norm at every grid time."""
     costs = cell_costs(phi, qm, qv)
@@ -577,8 +581,8 @@ class LocalizationReport:
     max_cell_cost: float
 
 
-def localize(phi: GridIntegrand, ens: MVMPathEnsemble, qm: QMField,
-             qv: DiscreteMeasure,
+def localize(phi: GridIntegrand, ens: MVMPathEnsemble,
+             qm: IntensityFamily, qv: DiscreteMeasure,
              thresholds: Sequence[float]) -> LocalizationReport:
     """Stop when the running integration cost first reaches each threshold.
 

@@ -490,10 +490,11 @@ class IntensityFamily:
     """Deterministic intensities nu_x of a driver, one measure per vector x.
 
     Every driver has quadratic-form intensities ``nu_x(cell) = <x, R_cell x>``
-    with PSD matrices R_cell, held as one field of shape (n_cells, n_atoms,
-    dim, dim); this makes the scaling rule nu_{c x} = c^2 nu_x structural.
-    The polarized field alpha of :func:`mvmlab.quadvar.bilinear_field` is
-    such a field as well.
+    with PSD matrices R_cell, held as one field `matrices` of shape
+    (n_cells, n_atoms, dim, dim); this makes the scaling rule
+    nu_{c x} = c^2 nu_x structural.  The polarized field alpha of
+    :func:`mvmlab.quadvar.bilinear_field` and the operator density Q_M of
+    :func:`mvmlab.quadvar.qm_density` are such fields as well.
     """
 
     def __init__(self, grid: GridSpec, matrices: np.ndarray):
@@ -505,17 +506,13 @@ class IntensityFamily:
                              f"expected {expected}")
         self.grid = grid
         self.dim = dim
-        self._matrices = matrices
+        self.matrices = matrices
 
     def batch(self, xs: np.ndarray) -> np.ndarray:
         """Masses for a batch of vectors: (n_vectors, n_cells, n_atoms)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        return np.einsum("xd,cade,xe->xca", xs, self._matrices, xs,
+        return np.einsum("xd,cade,xe->xca", xs, self.matrices, xs,
                          optimize=True)
-
-    def bilinear_matrices(self) -> np.ndarray:
-        """The field R_cell, shape (n_cells, n_atoms, dim, dim)."""
-        return self._matrices
 
     def masses(self, x: np.ndarray) -> np.ndarray:
         return self.batch(np.asarray(x, dtype=np.float64)[None])[0]

@@ -7,24 +7,19 @@ every bit, since a maximum rounds nothing.
 Polarization of the intensities gives the signed bilinear measure field
 alpha, a field of quadratic forms like the one the intensities come from and
 so held as an :class:`IntensityFamily` too; the ratio alpha /
-quadratic-variation recovers a cellwise PSD operator density, whose
-operator norm is one wherever the variation charges the cell when the
-supremum is exact (the finite sphere sequence undershoots it, which lifts
-the norm slightly above one).  The Haar construction shows the
-supremum can genuinely diverge; its partition sums are computed by exact
-dyadic quadrature.
+quadratic-variation recovers the cellwise PSD operator density Q_M, a third
+such field (its norm is taken up in :func:`qm_density`).  The Haar
+construction shows the supremum can genuinely diverge; its partition sums
+are computed by exact dyadic quadrature.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import haar
 from .hilbert import psd_part
-from .measures import (DiscreteMeasure, GridSpec, SignedDiscreteMeasure,
-                       _cell_csv)
+from .measures import DiscreteMeasure, SignedDiscreteMeasure, _cell_csv
 from .noise import IntensityFamily
 
 __all__ = [
@@ -32,9 +27,7 @@ __all__ = [
     "counterexample_partition_sum",
     "alpha_polarization",
     "bilinear_field",
-    "QMField",
     "qm_density",
-    "qm_sqrt_field",
     "qm_to_csv",
     "InconsistentDensityError",
 ]
@@ -111,39 +104,23 @@ class InconsistentDensityError(ValueError):
     """A cell carries bilinear mass but no quadratic-variation mass."""
 
 
-@dataclass(frozen=True, eq=False)
-class QMField:
-    """Cellwise PSD operator density of the bilinear field w.r.t. the QV.
+def qm_density(alpha: IntensityFamily,
+               qv: DiscreteMeasure) -> IntensityFamily:
+    """Divide the bilinear field by the quadratic variation on charged cells:
+    the operator density Q_M, a field of PSD quadratic forms.
 
-    `matrices[i, j]` is symmetric PSD.  On a charged cell its operator norm
-    is 1 / (1 - r), at least one, where r is the relative shortfall of the
-    sphere supremum below the true variation (the density divides by the
-    supremum, which undershoots it); with an exact supremum the norm is one.
-    `null_mask` marks cells without quadratic-variation mass, where the
-    density is identically zero by convention.
-    """
-
-    grid: GridSpec
-    matrices: np.ndarray  # (n_cells, n_atoms, dim, dim)
-    null_mask: np.ndarray  # (n_cells, n_atoms) bool
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[-1]
-
-
-def qm_density(alpha: IntensityFamily, qv: DiscreteMeasure) -> QMField:
-    """Divide the bilinear field by the quadratic variation on charged cells.
-
-    Zero-variation cells must carry zero bilinear mass, up to 1e-9 times
-    ``max(1, largest |entry|)``, and get the zero matrix; anything else is
-    reported as an inconsistency.  The
+    On a charged cell the operator norm of Q_M is 1 / (1 - r), at least one,
+    where r is the relative shortfall of the sphere supremum below the true
+    variation (the density divides by the supremum, which undershoots it);
+    with an exact supremum the norm is one.  Zero-variation cells must carry
+    zero bilinear mass, up to 1e-9 times ``max(1, largest |entry|)``, and
+    get the zero matrix; anything else is reported as an inconsistency.  The
     quotient matrices are symmetrized and their tiny negative eigenvalue
     bands clipped to zero in one stacked :func:`psd_part` call.
     """
     if alpha.grid != qv.grid:
         raise ValueError("bilinear field and variation live on different grids")
-    mats = alpha.bilinear_matrices()
+    mats = alpha.matrices
     qv_mass = qv.cell_mass
     scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
     null = qv_mass <= 0.0
@@ -154,19 +131,9 @@ def qm_density(alpha: IntensityFamily, qv: DiscreteMeasure) -> QMField:
             f"cell {cell} has zero quadratic variation but nonzero bilinear mass")
     out = np.zeros_like(mats)
     out[~null] = psd_part(mats[~null] / qv_mass[~null, None, None])
-    return QMField(alpha.grid, out, null)
+    return IntensityFamily(alpha.grid, out)
 
 
-def qm_sqrt_field(qm: QMField) -> np.ndarray:
-    """Cellwise symmetric square roots of the density, by one stacked eigh."""
-    out = np.zeros_like(qm.matrices)
-    live = ~qm.null_mask
-    w, v = np.linalg.eigh(qm.matrices[live])
-    root = np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    out[live] = (v * root) @ np.swapaxes(v, -2, -1)
-    return out
-
-
-def qm_to_csv(qm: QMField) -> str:
+def qm_to_csv(qm: IntensityFamily) -> str:
     """Flatten the density field to rows (t_lo, t_hi, atom_id, row, col, value)."""
     return _cell_csv(qm.grid, ("row", "col", "value"), qm.matrices)

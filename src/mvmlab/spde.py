@@ -29,8 +29,8 @@ import numpy as np
 from .integrate import (GridIntegrand, _cell_actions, _contract,
                         _density_roots, _hs_squares)
 from .measures import DiscreteMeasure, _running_sum
-from .noise import DiscreteLevy, DiscreteLevyAtom, MVMPathEnsemble
-from .quadvar import QMField
+from .noise import (DiscreteLevy, DiscreteLevyAtom, IntensityFamily,
+                    MVMPathEnsemble)
 
 __all__ = [
     "DiagonalSemigroup",
@@ -183,7 +183,8 @@ def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
-                              qm: QMField, qv: DiscreteMeasure) -> np.ndarray:
+                              qm: IntensityFamily,
+                              qv: DiscreteMeasure) -> np.ndarray:
     """Modewise closed form for ``E ||conv_t||^2`` (deterministic Phi).
 
     Per cell and mode the convolution picks up variance

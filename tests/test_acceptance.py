@@ -133,10 +133,12 @@ def test_integration_isometry_five_pairs():
 def test_pathwise_identities_at_float_tolerance():
     stopped, fubini = execute(
         "pathwise identities: stopping, restriction, pushforward, "
-        "five-member mixing, localization (1e-10 x scale)", 30.0,
+        "five-member mixing, localization (exact identities at 0, rounding "
+        "identities at 1e-10 x scale)", 30.0,
         ("stopped_integral", {}), ("fubini", {}))
-    for name in ("stopped_gap_over_scale", "restriction_gap_over_scale",
-                 "pushforward_gap_over_scale", "localization_gap_over_scale"):
+    for name in ("stopped_gap_over_scale", "localization_gap_over_scale"):
+        assert named(stopped, name).tolerance == 0.0
+    for name in ("restriction_gap_over_scale", "pushforward_gap_over_scale"):
         assert named(stopped, name).tolerance == 1e-10
     assert stopped.params["thresholds"] == [1.0, 2.0, 4.0, 8.0]
     assert named(fubini, "fubini_gap_over_scale").tolerance == 1e-10

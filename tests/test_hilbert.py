@@ -78,11 +78,26 @@ def test_stack_checks_each_matrix_at_its_own_scale():
         psd_part(np.stack([large, negative]))
 
 
+def test_psd_sqrt_on_a_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    stack = np.stack([random_psd(rng, 4) for _ in range(6)])
+    a = rng.standard_normal((4, 2))
+    stack[2] = a @ a.T  # rank deficient
+    stack[3] = 0.0  # a null cell of a density field
+    stack[4] *= 1e6
+    stack = stack.reshape(2, 3, 4, 4)
+    got = psd_sqrt(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], psd_sqrt(stack[idx]))
+    assert np.array_equal(got[1, 0], np.zeros((4, 4)))
+    assert psd_sqrt(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
 def test_single_matrix_helpers_reject_stacks():
     stack = np.stack([np.eye(3), 2 * np.eye(3)])
-    for fn in (psd_sqrt, operator_norm_psd):
-        with pytest.raises(ValueError, match="square matrix"):
-            fn(stack)
+    with pytest.raises(ValueError, match="square matrix"):
+        operator_norm_psd(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from mvmlab.measures import (_BLOCK, MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
                              _csv_text, _running_sum,
                              brute_force_sup, iter_partitions, make_grid,
                              monotone_sup, SignedDiscreteMeasure, sup_measures)
-from mvmlab.noise import default_grid, mean_se, simulate, white_noise
-from mvmlab.quadvar import QMField, qm_to_csv
+from mvmlab.noise import (IntensityFamily, default_grid, mean_se, simulate,
+                          white_noise)
+from mvmlab.quadvar import qm_to_csv
 
 
 def random_family(rng, grid, max_measures=5):
@@ -367,8 +368,7 @@ def test_measure_csv_matches_row_loop():
 @pytest.mark.parametrize("dim", [1, 3])
 def test_qm_csv_matches_row_loop(dim):
     shape = (CSV_GRID.n_cells, CSV_GRID.n_atoms, dim, dim)
-    qm = QMField(CSV_GRID, mixed(SPECIAL, shape, dim),
-                 np.zeros(shape[:2], dtype=bool))
+    qm = IntensityFamily(CSV_GRID, mixed(SPECIAL, shape, dim))
     assert qm_to_csv(qm) == loop_qm_to_csv(qm)
 
 
@@ -413,8 +413,7 @@ def test_csv_writers_match_row_loops_on_repeated_values():
     # -0.0 beside 0.0 and the two NaN payloads must keep their own texts.
     cell = cycled(REPEATED, (CSV_GRID.n_atoms, 3, 3))
     matrices = np.broadcast_to(cell, (CSV_GRID.n_cells, *cell.shape))
-    qm = QMField(CSV_GRID, matrices.copy(),
-                 np.zeros((CSV_GRID.n_cells, CSV_GRID.n_atoms), dtype=bool))
+    qm = IntensityFamily(CSV_GRID, matrices.copy())
     bits = set(qm.matrices.view(np.uint64).ravel().tolist())
     assert {0, 1 << 63, 0x7FF8000000000000, 0x7FF8000000000001, 1} <= bits
     assert qm_to_csv(qm) == loop_qm_to_csv(qm)

@@ -116,7 +116,7 @@ def test_white_noise_intensity_is_dt_times_rate():
     spec = white_noise(zip("abc", rates))
     grid = default_grid(spec, 0.7, 7)
     family = intensity_family(spec, grid)
-    mats = family.bilinear_matrices()
+    mats = family.matrices
     assert mats.shape == (7, 3, 1, 1)
     # Bitwise dt x rate: the PSD check leaves a 1 x 1 covariance unchanged.
     assert np.array_equal(mats[..., 0, 0], np.outer(grid.dt, rates))
@@ -141,7 +141,7 @@ def test_intensity_scaling_is_quadratic(levy_spec):
 def test_intensity_matches_bilinear_matrices(levy_spec):
     grid = default_grid(levy_spec, 1.0, 5)
     family = intensity_family(levy_spec, grid)
-    mats = family.bilinear_matrices()
+    mats = family.matrices
     rng = np.random.default_rng(1)
     x = rng.standard_normal(3)
     direct = np.einsum("d,cade,e->ca", x, mats, x)
@@ -153,7 +153,7 @@ def test_intensity_lipschitz_in_the_test_vector(levy_spec):
     # intensities move continuously with the tested direction.
     grid = default_grid(levy_spec, 1.0, 5)
     family = intensity_family(levy_spec, grid)
-    mats = family.bilinear_matrices()
+    mats = family.matrices
     norms = np.linalg.norm(mats, ord=2, axis=(2, 3))
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -202,7 +202,7 @@ def test_integral_type_intensity_field_is_closed_form():
     assert spec.selector == (1, 0, 1)
     grid = default_grid(spec, 1.0, steps)
     family = intensity_family(spec, grid)
-    mats = family.bilinear_matrices()
+    mats = family.matrices
     dim = 4
     assert mats.shape == (3, 2, dim, dim)
     x = np.random.default_rng(32).standard_normal(dim)

@@ -1,6 +1,7 @@
 """Package surface: each module's ``__all__`` names what it defines and
 what the package itself uses, every source file uses what it imports, one
-function computes standard errors and one takes the grid's running sums."""
+function computes standard errors, one takes the grid's running sums and one
+takes eigen-decompositions."""
 
 import ast
 import importlib
@@ -75,6 +76,18 @@ def test_running_sums_come_only_from_running_sum():
     stray = [(name, line) for name, line, ok in calls if not ok]
     assert not stray, f"cumsum outside the three allowed functions at {stray}"
     assert len(calls) == 3, calls
+
+
+def test_eigen_decompositions_come_only_from_clipped_eigh():
+    # One eigen-route for every PSD field: `eigh` is called only inside
+    # hilbert._clipped_eigh, and `eigvalsh` only in the rank-one check of
+    # the hvalued_levy_qm scenario.
+    for attr, owner in (("eigh", ("hilbert.py", "_clipped_eigh")),
+                        ("eigvalsh", ("scenarios.py", "_scn_hvalued"))):
+        calls = method_calls(attr, {owner})
+        stray = [(name, line) for name, line, ok in calls if not ok]
+        assert not stray, f".{attr}( outside {owner} at {stray}"
+        assert len(calls) == 1, calls
 
 
 # Public names that package code need not reference, each with its reason.

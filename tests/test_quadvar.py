@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from mvmlab.haar import haar_cell_integrals
-from mvmlab.hilbert import operator_norm_psd, sphere_sequence
+from mvmlab.hilbert import operator_norm_psd, psd_sqrt, sphere_sequence
+from mvmlab.integrate import GridIntegrand, cell_costs
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, IntegralType,
                           IntensityFamily, default_grid, intensity_family)
 from mvmlab.measures import DiscreteMeasure
 from mvmlab.quadvar import (InconsistentDensityError, _uniform_deviation,
                             alpha_polarization, bilinear_field,
                             counterexample_partition_sum, qm_density,
-                            qm_sqrt_field, qm_to_csv, qv_supremum)
+                            qm_to_csv, qv_supremum)
 
 
 def wishart(rng, dim):
@@ -92,7 +93,7 @@ def test_qv_supremum_is_the_cellwise_maximum(family, count):
 def test_polarization_recovers_cross_terms(driver, family):
     # [DERIVED] oracle: the quadratic-form matrices the driver was built
     # from, contracted directly as x R y.
-    mats = family.bilinear_matrices()
+    mats = family.matrices
     rng = np.random.default_rng(5)
     for _ in range(10):
         x, y = rng.standard_normal((2, 3))
@@ -104,8 +105,7 @@ def test_polarization_recovers_cross_terms(driver, family):
 def test_bilinear_field_equals_driver_matrices(family):
     field = bilinear_field(family)
     assert isinstance(field, IntensityFamily) and field.grid == family.grid
-    np.testing.assert_allclose(field.bilinear_matrices(),
-                               family.bilinear_matrices(), atol=1e-13)
+    np.testing.assert_allclose(field.matrices, family.matrices, atol=1e-13)
     assert field.dim == 3
     # Its diagonal nu_x(cell) = alpha(x, x) is the family it polarizes.
     x = np.random.default_rng(8).standard_normal(3)
@@ -135,6 +135,7 @@ def test_qm_density_properties(driver, family):
     est = qv_supremum(family, exact_vectors(driver))
     field = bilinear_field(family)
     qm = qm_density(field, est)
+    assert isinstance(qm, IntensityFamily) and qm.grid == family.grid
     mats = qm.matrices
     np.testing.assert_allclose(mats, np.swapaxes(mats, 2, 3), atol=1e-12)
     for i in range(mats.shape[0]):
@@ -143,12 +144,12 @@ def test_qm_density_properties(driver, family):
             assert w.min() >= -1e-12
             # Exact supremum: density norms are one on charged cells.
             assert w.max() == pytest.approx(1.0, abs=1e-9)
-    assert not qm.null_mask.any()
+    assert (est.cell_mass > 0).all()
     # Reconstruction: density times variation returns the bilinear field.
     rebuilt = mats * est.cell_mass[:, :, None, None]
-    np.testing.assert_allclose(rebuilt, field.bilinear_matrices(), atol=1e-10)
+    np.testing.assert_allclose(rebuilt, field.matrices, atol=1e-10)
     # Square-root field squares back.
-    roots = qm_sqrt_field(qm)
+    roots = psd_sqrt(mats)
     np.testing.assert_allclose(np.einsum("cagh,cahk->cagk", roots, roots),
                                mats, atol=1e-10)
 
@@ -162,10 +163,16 @@ def test_qm_density_zero_cells_and_inconsistency():
     est = qv_supremum(family, np.eye(2))
     field = bilinear_field(family)
     qm = qm_density(field, est)
-    np.testing.assert_array_equal(qm.null_mask[:, 0], True)
+    np.testing.assert_array_equal(est.cell_mass[:, 0], 0.0)
     np.testing.assert_array_equal(qm.matrices[:, 0], 0.0)
+    # A zero cell has the zero root, so it costs nothing.
+    np.testing.assert_array_equal(psd_sqrt(qm.matrices)[:, 0], 0.0)
+    phi = GridIntegrand.constant(family.grid, np.ones((3, 2)))
+    costs = cell_costs(phi, qm, est)
+    np.testing.assert_array_equal(costs[:, 0], 0.0)
+    assert (costs[:, 1] > 0).all()
     # Forge bilinear mass on a zero-variation cell: must be refused.
-    forged = field.bilinear_matrices().copy()
+    forged = field.matrices.copy()
     forged[0, 0] = np.eye(2)
     with pytest.raises(InconsistentDensityError, match="zero quadratic"):
         qm_density(IntensityFamily(family.grid, forged), est)
@@ -191,7 +198,7 @@ def test_probe_modulus_obeys_lipschitz_bound(family):
     # [DERIVED] oracle: tail sums of |nu_a - nu_b| are bounded by the total
     # operator-norm budget times (||a|| + ||b||) ||a - b||, along the
     # approach sequence x_n -> x that the Haar scenario's modulus check uses.
-    mats = family.bilinear_matrices()
+    mats = family.matrices
     budget = np.linalg.norm(mats, ord=2, axis=(2, 3)).sum()
     rng = np.random.default_rng(8)
     x = rng.standard_normal(3)

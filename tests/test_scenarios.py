@@ -167,16 +167,38 @@ def test_every_simulation_draws_from_the_run_seed(name, monkeypatch):
                                             "discrete_levy_qv"} else {4242})
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_instance_draws_from_the_run_or_instance_seed(name, monkeypatch):
+    # A random instance (menu, integrand, test vectors) comes from a
+    # generator seeded with the run's seed or a declared instance seed,
+    # never with an offset of either.
+    seeds = []
+    make = np.random.default_rng
+
+    def spy(seed=None):
+        seeds.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    paths, params = SMALL[name]
+    report = run_scenario(name, seed=4242, paths=paths, params=params)
+    declared = {4242} | {report.params[key] for key in
+                         ("pair_seed", "instance_seed") if key in report.params}
+    assert set(seeds) <= declared, (seeds, declared)
+
+
 def test_exact_identities_read_zero_and_rounding_identities_are_labelled():
     # An exact identity holds by construction, so at the defaults it reads
-    # exactly 0; two routes that round differently are a rounding identity,
-    # judged against its tolerance (heat_spde's additive_solution_gap too).
+    # exactly 0 and is judged at tolerance 0; two routes that round
+    # differently are a rounding identity, judged against its tolerance
+    # (heat_spde's additive_solution_gap too).
     provenance = {}
     for name in ("stopped_integral", "fubini"):
         for check in run_scenario(name).checks:
             provenance[check.name] = check.provenance
             if check.provenance == "exact_identity":
                 assert check.measured == 0.0, check.as_dict()
+                assert check.tolerance == 0.0, check.as_dict()
     assert {n for n, p in provenance.items() if p == "exact_identity"} == {
         "stopped_gap_over_scale", "stopping_index_gap",
         "localization_gap_over_scale"}

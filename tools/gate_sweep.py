@@ -21,9 +21,10 @@ The result is stored under ``--label`` in ``--out`` (default
 ``BENCH_gates.json`` at the root of this checkout), with the run's
 environment as ``tools/artifact_digests.py`` records it (Python, numpy, the
 BLAS and the OpenBLAS kernel, which sets the last bits of every z-value, and
-the core count) and its commit.  A sweep replaces the entry of its own label
-and keeps the others, so one file can hold the sweeps of two trees.  The
-package is imported from the ``src`` directory next to this script.
+the core count), its commit and whether the tree had uncommitted changes
+(``dirty``).  A sweep replaces the entry of its own label and keeps the
+others, so one file can hold the sweeps of two trees.  The package is
+imported from the ``src`` directory next to this script.
 """
 
 import argparse
@@ -88,14 +89,22 @@ def sweep(name: str, runs: int) -> dict:
             "gates": gates, "other_failed_checks": others}
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def environment() -> dict:
+    """The digests' environment, the commit and whether the tree it ran on
+    has uncommitted changes ("dirty"): a sweep of a change made before
+    committing is otherwise filed under its parent's hash."""
     try:
-        commit = subprocess.run(
-            ["git", "-C", str(ROOT), "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True).stdout.strip()
+        commit = _git("rev-parse", "--short", "HEAD")
+        dirty = bool(_git("status", "--porcelain"))
     except (OSError, subprocess.CalledProcessError):
-        commit = None
-    return {**artifact_digests.environment(), "commit": commit}
+        commit = dirty = None
+    return {**artifact_digests.environment(), "commit": commit,
+            "dirty": dirty}
 
 
 def main(argv: list[str] | None = None) -> int:
