@@ -154,10 +154,6 @@ class GridIntegrand:
     def dim_g(self) -> int:
         return self.values.shape[-2]
 
-    @property
-    def dim_h(self) -> int:
-        return self.values.shape[-1]
-
     @classmethod
     def constant(cls, grid: GridSpec, matrix: np.ndarray) -> "GridIntegrand":
         """The same operator on every cell and atom."""

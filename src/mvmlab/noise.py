@@ -13,9 +13,9 @@ Two driver classes are provided; the first has three constructors:
 * ``h_valued_levy`` -- a ``DiscreteLevy`` whose mark space is the state
   space itself: a Wiener part sitting on the origin atom plus one atom per
   jump vector;
-* ``IntegralType`` -- a time-changed scalar Brownian driver routed to marks
-  by a deterministic selector, with per-cell loading vectors (this is the
-  variant with deterministic but non-homogeneous intensities).
+* ``IntegralType`` -- a time-changed scalar Brownian driver on a single
+  mark, with per-cell loading vectors (this is the variant with
+  deterministic but non-homogeneous intensities).
 
 Every driver has deterministic intensities nu_x(cell) = <x, R_cell x>; an
 :class:`IntensityFamily` holds the field R, of shape (n_cells, n_atoms, dim,
@@ -290,29 +290,26 @@ def h_valued_levy(wiener_cov: np.ndarray,
 class IntegralType(NoiseSpecBase):
     """Time-inhomogeneous driver built from scalar Brownian components.
 
-    Cell i receives the increment ``sum_s eta_{i,s} Z_{i,s}`` at the mark
-    chosen by ``selector[i]``, with independent ``Z_{i,s} ~ N(0, w_{i,s})``;
-    the loading vectors eta and variance weights w (which already absorb the
-    cell length) are deterministic, so the intensities are the deterministic
-    measures nu_x(cell) = sum_s w_{i,s} <x, eta_{i,s}>^2, i.e. the field
-    R[i, selector[i]] = sum_s w_{i,s} eta_{i,s} eta_{i,s}^T, zero on the other
-    atoms.  For the Haar driver of level k that dense field has
-    2^k 4^(k+1) entries (2,048 at k = 3), never more than a level-k
-    ensemble of at least 2^(k+1) paths.
+    Cell i receives the increment ``sum_s eta_{i,s} Z_{i,s}`` at the one mark
+    "U", with independent ``Z_{i,s} ~ N(0, w_{i,s})``; the loading vectors
+    eta and variance weights w (which already absorb the cell length) are
+    deterministic, so the intensities are the deterministic measures
+    nu_x(cell) = sum_s w_{i,s} <x, eta_{i,s}>^2, i.e. the field
+    R[i, 0] = sum_s w_{i,s} eta_{i,s} eta_{i,s}^T.  For the Haar driver of
+    level k that dense field has 2^k 4^(k+1) entries (2,048 at k = 3), never
+    more than a level-k ensemble of at least 2^(k+1) paths.
     """
 
     loadings: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
-    selector: tuple[int, ...]
-    labels: tuple[str, ...] = ("U",)
 
     def __post_init__(self) -> None:
         loadings = tuple(np.atleast_2d(np.asarray(m, dtype=np.float64))
                          for m in self.loadings)
         weights = tuple(np.atleast_1d(np.asarray(w, dtype=np.float64))
                         for w in self.weights)
-        if len(loadings) != len(weights) or len(loadings) != len(self.selector):
-            raise ValueError("loadings, weights and selector must align per cell")
+        if len(loadings) != len(weights):
+            raise ValueError("loadings and weights must align per cell")
         dims = {m.shape[1] for m in loadings}
         if len(dims) != 1:
             raise ValueError("loading vectors disagree on the state dimension")
@@ -321,13 +318,8 @@ class IntegralType(NoiseSpecBase):
                 raise ValueError("per-cell component counts disagree")
             if np.any(w < 0):
                 raise ValueError("negative variance weight")
-        sel = tuple(int(j) for j in self.selector)
-        if any(j < 0 or j >= len(self.labels) for j in sel):
-            raise ValueError("selector points outside the mark menu")
         object.__setattr__(self, "loadings", loadings)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "selector", sel)
-        object.__setattr__(self, "labels", tuple(str(a) for a in self.labels))
 
     @property
     def dim(self) -> int:
@@ -335,13 +327,13 @@ class IntegralType(NoiseSpecBase):
 
     @property
     def atom_labels(self) -> tuple[str, ...]:
-        return self.labels
+        return ("U",)
 
     def validate_grid(self, grid: GridSpec) -> None:
         super().validate_grid(grid)
-        if grid.n_cells != len(self.selector):
+        if grid.n_cells != len(self.loadings):
             raise ValueError(
-                f"driver is laid out for {len(self.selector)} time cells, "
+                f"driver is laid out for {len(self.loadings)} time cells, "
                 f"grid has {grid.n_cells}")
 
     def _sampler(self, grid: GridSpec):
@@ -354,17 +346,14 @@ class IntegralType(NoiseSpecBase):
             for i, (cols, std, eta) in enumerate(cells):
                 # A (block, 1, k) stack keeps the vector-matrix product of a
                 # single path, so the rounding matches it bit for bit.
-                j = self.selector[i]
-                np.matmul((z[:, cols] * std)[:, None, :], eta,
-                          out=out[:, i, j:j + 1])
+                np.matmul((z[:, cols] * std)[:, None, :], eta, out=out[:, i])
 
         return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
-        mats = np.zeros((grid.n_cells, grid.n_atoms, self.dim, self.dim))
-        for i, (etas, w) in enumerate(zip(self.loadings, self.weights)):
-            mats[i, self.selector[i]] = (etas.T * w) @ etas
-        return IntensityFamily(grid, mats)
+        mats = np.stack([(etas.T * w) @ etas
+                         for etas, w in zip(self.loadings, self.weights)])
+        return IntensityFamily(grid, mats[:, None])
 
     @classmethod
     def from_haar(cls, k: int) -> "IntegralType":
@@ -381,8 +370,7 @@ class IntegralType(NoiseSpecBase):
         w = np.full(2, 2.0 ** (-(k + 1)))
         loadings = tuple(values[:, [2 * i, 2 * i + 1]].T.copy()
                          for i in range(n_cells))
-        return cls(loadings=loadings, weights=(w,) * n_cells,
-                   selector=(0,) * n_cells)
+        return cls(loadings=loadings, weights=(w,) * n_cells)
 
 
 # The largest seed: a Philox key word holds a nonnegative 63-bit integer.

@@ -656,39 +656,50 @@ def _scn_stopped(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 
 def _heat_instance(seed: int, modes: int, channels: int):
+    """The heat equation's driver and its additive noise operator.
+
+    The driver is one mark "U" on R^channels, with identity Wiener
+    covariance and one compensated jump along the first channel.  The
+    operator (modes x channels) sends channel i to ``alpha_i sigma_i``, with
+    sigma_i given by sine-mode coefficients.
+    """
     rng = np.random.default_rng(seed)
     sigmas = rng.standard_normal((channels, modes)) \
         / (np.arange(1, modes + 1) ** 1.0)
     alphas = 1.0 / (1.0 + np.arange(channels))
     jump = np.zeros(channels)
     jump[0] = 1.0
-    return spde.heat_example_setup(sigmas, alphas,
-                                   jumps=((jump, 2.0),))
+    atom = noise.DiscreteLevyAtom("U", brownian_cov=np.eye(channels),
+                                  jumps=((jump, 2.0),))
+    return noise.DiscreteLevy((atom,)), (alphas[:, None] * sigmas).T
 
 
 def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     modes = params["modes"]
     steps = params["steps"]
-    ex = _heat_instance(params["instance_seed"], modes, params["channels"])
+    spec, f = _heat_instance(params["instance_seed"], modes,
+                             params["channels"])
+    sg = spde.heat_semigroup(modes)
+    coeffs = spde.additive_coefficients(f[None])
     x0 = 1.0 / np.arange(1, modes + 1)
 
-    grid = noise.default_grid(ex.noise_spec, 1.0, steps)
+    grid = noise.default_grid(spec, 1.0, steps)
     # S(t) x0 in closed form, on every grid of `steps` cells.
-    sem = np.exp(-np.outer(grid.time_points, ex.semigroup.rates)) * x0
+    sem = np.exp(-np.outer(grid.time_points, sg.rates)) * x0
 
-    ens = noise.simulate(ex.noise_spec, grid, paths, seed)
+    ens = noise.simulate(spec, grid, paths, seed)
     # (a) zero-noise solve on (at most) 8 paths: modewise exponential decay.
     few = noise.MVMPathEnsemble(grid, ens.increments[:8])
-    sol0 = spde.mild_solution(ex.semigroup, spde.CoefficientSpec(), few, x0)
+    sol0 = spde.mild_solution(sg, spde.CoefficientSpec(), few, x0)
     res.add_upper("zero_noise_gap", float(np.abs(sol0 - sem[None]).max()), 1e-12,
                   "closed_form", "pure semigroup decay, modewise")
 
     # (b) stochastic convolution second moment against the modewise sum.
-    phi = integrate.GridIntegrand.constant(grid, ex.f_matrix)
-    conv = spde.stochastic_convolution(ex.semigroup, phi, ens)
-    _, _, qv, qm = _variation(ex.noise_spec, grid)
-    target = spde.convolution_second_moment(ex.semigroup, phi, qm, qv)
+    phi = integrate.GridIntegrand.constant(grid, f)
+    conv = spde.stochastic_convolution(sg, phi, ens)
+    _, _, qv, qm = _variation(spec, grid)
+    target = spde.convolution_second_moment(sg, phi, qm, qv)
     mean, se = noise.mean_se((conv ** 2).sum(axis=2))
     res.add_max_z("convolution_moment_max_z", mean[1:], se[1:], target[1:],
                   "modewise closed sum at every grid time")
@@ -704,11 +715,10 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     sizes = [steps // 4, steps // 2, steps]
     metrics = []
     for n_steps in sizes:
-        g = noise.default_grid(ex.noise_spec, 1.0, n_steps)
-        e = noise.simulate(ex.noise_spec, g, res_paths, seed)
-        s = spde.mild_solution(ex.semigroup, ex.coefficients, e, x0)
-        peak = np.abs(spde.weak_residual(s, ex.semigroup, ex.coefficients,
-                                         e)).max(axis=1)
+        g = noise.default_grid(spec, 1.0, n_steps)
+        e = noise.simulate(spec, g, res_paths, seed)
+        s = spde.mild_solution(sg, coeffs, e, x0)
+        peak = np.abs(spde.weak_residual(s, sg, coeffs, e)).max(axis=1)
         worst = max(peak[:, k].mean() for k in range(modes))
         metrics.append(worst)
     dts = 1.0 / np.asarray(sizes, dtype=float)
@@ -721,7 +731,7 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
 
     # (d) on the finest of those grids (the grid of (b)), the mild solution
     # of the additive equation is S(t) x0 plus the convolution.
-    direct = sem + spde.stochastic_convolution(ex.semigroup, phi, e)
+    direct = sem + spde.stochastic_convolution(sg, phi, e)
     res.add_upper("additive_solution_gap", float(
         np.abs(s - direct).max() / np.abs(direct).max()), 1e-12,
         "rounding_identity", f"forward pass, {res_paths} paths, {steps} steps")
@@ -732,15 +742,16 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
     modes = params["modes"]
     steps = params["steps"]
-    ex = _heat_instance(params["instance_seed"], modes, params["channels"])
+    spec, f = _heat_instance(params["instance_seed"], modes,
+                             params["channels"])
+    sg = spde.heat_semigroup(modes)
     gain = params["drift_gain"]
-    coeffs = spde.linear_drift_coefficients(gain, ex.f_matrix[None])
-    grid = noise.default_grid(ex.noise_spec, 1.0, steps)
-    ens = noise.simulate(ex.noise_spec, grid, paths, seed)
+    coeffs = spde.linear_drift_coefficients(gain, f[None])
+    grid = noise.default_grid(spec, 1.0, steps)
+    ens = noise.simulate(spec, grid, paths, seed)
     x0 = 1.0 / np.arange(1, modes + 1)
-    beta = spde.default_beta(coeffs, grid.t_max)
     tol = params["tol"]
-    sol = spde.picard_solve(ex.semigroup, coeffs, ens, x0, tol=tol,
+    sol = spde.picard_solve(sg, coeffs, ens, x0, tol=tol,
                             max_iter=params["max_iter"])
     res.add_upper("picard_iterations", float(sol.iterations), 10.0,
                   "analytic_bound")
@@ -750,22 +761,22 @@ def _scn_picard(seed: int, paths: int, params: dict) -> ScenarioResult:
     # A run that stops before a second update measured no contraction.
     worst = max(sol.ratios(), default=np.inf)
     analytic = float(np.sqrt(max(spde.contraction_factors(
-        coeffs, grid.t_max, beta))))
+        coeffs, grid.t_max, sol.beta))))
     res.add_upper("picard_ratio_vs_bound", worst, analytic + 0.05,
                   "analytic_bound", f"successive update ratios; contraction "
-                  f"bound {analytic:.4f} at beta = {beta}")
+                  f"bound {analytic:.4f} at beta = {sol.beta}")
 
     # The Picard limit lies within update * q / (1 - q) of the fixed point.
-    forward = spde.mild_solution(ex.semigroup, coeffs, ens, x0)
+    forward = spde.mild_solution(sg, coeffs, ens, x0)
     res.add_upper("fixed_point_uniqueness_gap", spde.v_beta_distance(
-        sol.values, forward, ens.times, beta),
+        sol.values, forward, ens.times, sol.beta),
         sol.picard_trace[-1] * analytic / (1.0 - analytic), "analytic_bound",
         f"Picard limit against the forward pass, q = {analytic:.4f}")
     # Without noise, X_m = prod_{i<m} exp(-l dt_i) (1 + gain dt_i) x0.
     growth = np.cumprod(np.r_[1.0, 1.0 + gain * np.diff(ens.times)])
-    closed = np.exp(-np.outer(ens.times, ex.semigroup.rates)) * x0 * growth[:, None]
+    closed = np.exp(-np.outer(ens.times, sg.rates)) * x0 * growth[:, None]
     drift_only = spde.mild_solution(
-        ex.semigroup, spde.linear_drift_coefficients(gain),
+        sg, spde.linear_drift_coefficients(gain),
         noise.MVMPathEnsemble(grid, ens.increments[:4]), x0)
     res.add_upper("drift_closed_form_gap", float(
         (np.abs(drift_only - closed).max(axis=(0, 1))

@@ -16,21 +16,22 @@ ignores X.  The weak (tested) form of the equation is available as a
 pathwise residual against every eigenmode, which vanishes at first order in
 the step.  Solutions, stochastic convolutions and residuals are plain
 ``(paths, n_times, G)`` arrays, the form of the integrals of
-:mod:`mvmlab.integrate`.
+:mod:`mvmlab.integrate`.  The module holds no equation instance: one is a
+semigroup (:func:`heat_semigroup`), coefficients and a driver of
+:mod:`mvmlab.noise`, put together where it is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .integrate import (GridIntegrand, _cell_actions, _contract,
                         _density_roots, _hs_squares)
 from .measures import DiscreteMeasure, _running_sum
-from .noise import (DiscreteLevy, DiscreteLevyAtom, IntensityFamily,
-                    MVMPathEnsemble)
+from .noise import IntensityFamily, MVMPathEnsemble
 
 __all__ = [
     "DiagonalSemigroup",
@@ -47,8 +48,6 @@ __all__ = [
     "MildSolutionPath",
     "picard_solve",
     "weak_residual",
-    "HeatExample",
-    "heat_example_setup",
 ]
 
 
@@ -310,47 +309,3 @@ def weak_residual(x: np.ndarray, sg: DiagonalSemigroup,
     residuals += x - x[:, [0]]
     return residuals
 
-
-@dataclass(frozen=True, eq=False)
-class HeatExample:
-    """Heat equation on (0, 1) with multiplicative-structure additive noise.
-
-    The noise pairs a driver on R^{n_sigma} with the operator sending the
-    i-th coordinate to ``alpha_i sigma_i`` (sigma given by sine-mode
-    coefficients); its squared Hilbert-Schmidt norm is
-    ``sum_i alpha_i^2 ||sigma_i||^2`` by construction.
-    """
-
-    semigroup: DiagonalSemigroup
-    coefficients: CoefficientSpec
-    noise_spec: DiscreteLevy
-    f_matrix: np.ndarray
-
-
-def heat_example_setup(sigma_modes: np.ndarray, alphas: np.ndarray,
-                       jumps: Sequence[tuple[np.ndarray, float]] = ()
-                       ) -> HeatExample:
-    """Assemble the heat scenario: semigroup, additive F, and its driver.
-
-    `sigma_modes` holds one row of sine-mode coefficients per noise channel;
-    `alphas` the channel gains.  The driver is a single-mark noise on
-    R^{n_sigma} with identity Wiener covariance and the given compensated
-    jumps.
-    """
-    sigma_modes = np.atleast_2d(np.asarray(sigma_modes, dtype=np.float64))
-    alphas = np.asarray(alphas, dtype=np.float64)
-    n_sigma, n_modes = sigma_modes.shape
-    if alphas.shape != (n_sigma,):
-        raise ValueError("one gain per noise channel required")
-    f_matrix = (alphas[:, None] * sigma_modes).T  # (G, H)
-    hs_sq = float((f_matrix ** 2).sum())
-    target = float((alphas ** 2 * (sigma_modes ** 2).sum(axis=1)).sum())
-    if abs(hs_sq - target) > 1e-12 * max(1.0, target):
-        raise AssertionError("Hilbert-Schmidt bookkeeping mismatch")
-    atom = DiscreteLevyAtom("U", brownian_cov=np.eye(n_sigma),
-                            jumps=tuple((np.asarray(u, float), float(r))
-                                        for u, r in jumps))
-    spec = DiscreteLevy((atom,))
-    coeffs = additive_coefficients(f_matrix[None])
-    return HeatExample(semigroup=heat_semigroup(n_modes), coefficients=coeffs,
-                       noise_spec=spec, f_matrix=f_matrix)

@@ -84,17 +84,14 @@ def test_hvalued_validation():
 
 def test_integral_type_validation():
     ok = IntegralType(loadings=(np.ones((2, 4)),) * 3,
-                      weights=(np.ones(2),) * 3, selector=(0, 0, 0))
-    assert ok.dim == 4
+                      weights=(np.ones(2),) * 3)
+    assert ok.dim == 4 and ok.atom_labels == ("U",)
     with pytest.raises(ValueError, match="align"):
         IntegralType(loadings=(np.ones((2, 4)),) * 3,
-                     weights=(np.ones(2),) * 2, selector=(0, 0, 0))
+                     weights=(np.ones(2),) * 2)
     with pytest.raises(ValueError, match="negative variance"):
         IntegralType(loadings=(np.ones((1, 2)),),
-                     weights=(np.array([-1.0]),), selector=(0,))
-    with pytest.raises(ValueError, match="outside the mark menu"):
-        IntegralType(loadings=(np.ones((1, 2)),),
-                     weights=(np.ones(1),), selector=(1,))
+                     weights=(np.array([-1.0]),))
     grid = default_grid(ok, 1.0, 4)  # driver laid out for 3 cells
     with pytest.raises(ValueError, match="3 time cells"):
         simulate(ok, grid, 1, 0)
@@ -194,36 +191,32 @@ def _gamma(n: int) -> float:
 
 
 def test_integral_type_intensity_field_is_closed_form():
-    # [DERIVED] oracle: cell i carries sum_s w_s eta_s eta_s^T on the atom
-    # selector[i] and nothing elsewhere, so nu_x = sum_s w_s (x . eta_s)^2.
-    # Both routes round, each in its own order; they may differ by the sum
-    # of their forward error bounds.
+    # [DERIVED] oracle: cell i carries sum_s w_s eta_s eta_s^T on the one
+    # atom, so nu_x = sum_s w_s (x . eta_s)^2.  Both routes round, each in
+    # its own order; they may differ by the sum of their forward error
+    # bounds.
     spec, steps = _oracle_specs()["integral_type_several"]
-    assert spec.selector == (1, 0, 1)
     grid = default_grid(spec, 1.0, steps)
     family = intensity_family(spec, grid)
     mats = family.matrices
     dim = 4
-    assert mats.shape == (3, 2, dim, dim)
+    assert mats.shape == (3, 1, dim, dim)
     x = np.random.default_rng(32).standard_normal(dim)
     for i, (etas, w) in enumerate(zip(spec.loadings, spec.weights)):
-        atom, k = spec.selector[i], len(w)
+        k = len(w)
         # Entry (d, e) sums k products w_s eta_sd eta_se of two roundings
         # each, on both routes.
         expect = sum(ws * np.outer(eta, eta) for ws, eta in zip(w, etas))
         terms = (np.abs(etas).T * w) @ np.abs(etas)
-        assert np.all(np.abs(mats[i, atom] - expect)
+        assert np.all(np.abs(mats[i, 0] - expect)
                       <= 2 * _gamma(k + 1) * terms)
-        assert np.all(mats[i, 1 - atom] == 0.0)
-        masses = family.masses(x)[i]
-        assert masses[1 - atom] == 0.0
         # The monomials w_s x_d eta_sd eta_se x_e pass through at most
         # (k + 1) + 2 + (dim^2 - 1) roundings in <x, R x> and through
         # 2 dim + 1 + 1 + k in sum_s w_s (x . eta_s)^2.
         oracle = sum(ws * (x @ eta) ** 2 for ws, eta in zip(w, etas))
         total = float(w @ (np.abs(etas) @ np.abs(x)) ** 2)
         bound = (_gamma(k + dim * dim + 2) + _gamma(2 * dim + k + 2)) * total
-        assert abs(masses[atom] - oracle) <= bound
+        assert abs(family.masses(x)[i, 0] - oracle) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ def _loop_oracle_path(spec, grid, rng):
     else:
         for i, (eta, w) in enumerate(zip(spec.loadings, spec.weights)):
             z = rng.standard_normal(w.shape) * np.sqrt(w)
-            out[i, spec.selector[i]] = z @ eta
+            out[i, 0] = z @ eta
     return out
 
 
@@ -391,8 +384,7 @@ def _oracle_specs():
         loadings=(rng.standard_normal((3, 4)), rng.standard_normal((1, 4)),
                   rng.standard_normal((2, 4))),
         weights=(np.array([0.1, 0.2, 0.05]), np.array([0.3]),
-                 np.array([0.25, 0.125])),
-        selector=(1, 0, 1), labels=("A", "B"))
+                 np.array([0.25, 0.125])))
     return {
         "white_noise": (white_noise((("a", 0.5), ("b", 2.0))), 5),
         "discrete_levy": (levy, 5),

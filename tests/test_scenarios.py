@@ -10,7 +10,7 @@ import pytest
 from mvmlab import integrate, noise, spde
 from mvmlab.noise import GATE_ALPHA, MAX_SEED, max_z_level
 from mvmlab.scenarios import (SCENARIOS, ScenarioInputError, ScenarioResult,
-                              run_scenario)
+                              _heat_instance, run_scenario)
 
 
 @pytest.mark.parametrize("m, level", [(1, 3.2905), (64, 4.3196),
@@ -90,6 +90,30 @@ def test_heat_additive_gap_catches_a_solver_that_drops_x0(monkeypatch):
                         solve(sg, coeffs, ens, np.zeros_like(x0)))
     dropped = gap()
     assert not dropped.passed and dropped.measured > 0.1
+
+
+def test_heat_instance_bookkeeping():
+    # The operator sends channel i to alpha_i sigma_i, so its squared
+    # Hilbert-Schmidt norm is sum_i alpha_i^2 ||sigma_i||^2; the driver is
+    # one mark with identity Wiener covariance and a rate-2 jump along e_0.
+    modes, channels = 5, 3
+    spec, f = _heat_instance(17, modes, channels)
+    sigma = np.random.default_rng(17).standard_normal((channels, modes)) \
+        / np.arange(1, modes + 1)
+    alphas = 1.0 / np.arange(1, channels + 1)
+    assert f.shape == (modes, channels)
+    assert np.array_equal(f, (alphas[:, None] * sigma).T)
+    target = float((alphas ** 2 * (sigma ** 2).sum(axis=1)).sum())
+    assert abs(float((f ** 2).sum()) - target) <= 1e-12 * target
+    (atom,) = spec.atoms
+    assert atom.label == "U"
+    e0 = np.eye(channels)[0]
+    np.testing.assert_allclose(atom.effective_cov(),
+                               np.eye(channels) + 2.0 * np.outer(e0, e0))
+    # Additive noise: the map ignores the state and returns the one field.
+    coeffs = spde.additive_coefficients(f[None])
+    for x in (np.ones((2, modes)), np.zeros((4, 3, modes))):
+        assert np.array_equal(coeffs.noise(0.0, x), f[None])
 
 
 def test_simple_route_gap_catches_a_grid_that_drops_each_first_cell(

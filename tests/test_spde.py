@@ -1,6 +1,8 @@
 """Semigroups, stochastic convolution, the forward pass, Picard iteration,
 weak residuals."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,29 @@ from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
 from mvmlab.spde import (CoefficientSpec, DiagonalSemigroup,
                          additive_coefficients, contraction_factors, convolution_second_moment,
-                         default_beta, heat_example_setup, heat_semigroup,
+                         default_beta, heat_semigroup,
                          linear_drift_coefficients, mild_solution,
                          picard_solve, stochastic_convolution, v_beta_distance,
                          weak_residual)
+
+
+def heat_parts(sigma, alphas):
+    """The heat equation on sigma.shape[1] modes with additive noise: the
+    operator sends channel i to alpha_i sigma_i, and the driver is one mark
+    with identity Wiener covariance on the channels."""
+    f = (alphas[:, None] * sigma).T
+    atom = DiscreteLevyAtom("U", brownian_cov=np.eye(len(alphas)))
+    spec = DiscreteLevy((atom,))
+    return SimpleNamespace(semigroup=heat_semigroup(sigma.shape[1]),
+                           coefficients=additive_coefficients(f[None]),
+                           noise_spec=spec, f_matrix=f)
 
 
 @pytest.fixture(scope="module")
 def heat():
     rng = np.random.default_rng(400)
     sigma = rng.standard_normal((2, 4)) / np.arange(1, 5)
-    return heat_example_setup(sigma, np.array([1.0, 0.5]))
+    return heat_parts(sigma, np.array([1.0, 0.5]))
 
 
 def qm_qv_for(spec, grid, dim):
@@ -339,8 +353,8 @@ def test_constant_noise_map_gives_the_additive_solution_bitwise():
     # cell contraction, so the Picard iterates, solutions and weak residuals
     # must come out bitwise equal.
     rng = np.random.default_rng(64)
-    ex = heat_example_setup(rng.standard_normal((2, 8)) / np.arange(1, 9),
-                            np.array([1.0, 0.5]))
+    ex = heat_parts(rng.standard_normal((2, 8)) / np.arange(1, 9),
+                    np.array([1.0, 0.5]))
     grid = default_grid(ex.noise_spec, 1.0, 16)
     ens = simulate(ex.noise_spec, grid, 300, 65)
     mats = ex.f_matrix[None]
@@ -441,28 +455,3 @@ def test_weak_residual_zero_noise_closed_form():
 
     coarse, fine = max_residual(16), max_residual(32)
     assert 1.8 <= coarse / fine <= 2.2  # first order in the step size
-
-
-# ---------------------------------------------------------------------------
-# coefficient families and the worked example
-
-
-def test_heat_example_setup_bookkeeping():
-    rng = np.random.default_rng(17)
-    sigma = rng.standard_normal((3, 5))
-    alphas = np.array([1.0, 0.5, 0.25])
-    jump = (np.array([1.0, 0.0, 0.0]), 2.0)
-    ex = heat_example_setup(sigma, alphas, jumps=(jump,))
-    assert ex.f_matrix.shape == (5, 3)
-    np.testing.assert_allclose(ex.f_matrix, (alphas[:, None] * sigma).T)
-    assert ex.semigroup.dim == 5
-    # Additive noise: the map ignores the state and returns the one field.
-    assert np.array_equal(ex.coefficients.noise(0.0, np.ones((2, 5))),
-                          ex.f_matrix[None])
-    atoms = ex.noise_spec.atoms
-    assert len(atoms) == 1 and atoms[0].label == "U"
-    np.testing.assert_allclose(atoms[0].effective_cov(),
-                               np.eye(3) + 2.0 * np.outer(jump[0], jump[0]))
-    with pytest.raises(ValueError, match="one gain per"):
-        heat_example_setup(sigma, np.ones(2))
-

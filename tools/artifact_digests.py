@@ -13,16 +13,18 @@ value.  ``--config`` runs the one scenario of a JSON config instead, read as
 ``mvmlab run`` reads it (``scenario``, ``seed``, ``paths``, ``params``; an
 ``out`` directory is ignored, as nothing is written), with the flags
 overriding its seed and path count.  Two trees behave the same on a
-run when their outputs are equal, so comparing the output of this script on
-a parent and a change shows byte-identical artifacts and bit-identical checks.
-The output also records the Python and numpy versions, the BLAS numpy was
-built against and the OpenBLAS kernel it runs on (``OPENBLAS_CORETYPE`` can
-pick another one at load time): the last bits of a contraction depend on
-both, so only outputs with equal ``environment`` entries are comparable.
-It records the usable core count too, which sets how many threads take path
-blocks; the digests must not depend on it (compare a run under
-``taskset -c 0``).  The package is imported from the ``src`` directory next
-to this script.
+run when their ``scenarios`` entries are equal, so comparing the output of
+this script on a parent and a change shows byte-identical artifacts and
+bit-identical checks.  The output also records the Python and numpy
+versions, the BLAS numpy was built against and the OpenBLAS kernel it runs
+on (``OPENBLAS_CORETYPE`` can pick another one at load time): the last bits
+of a contraction depend on both, so only outputs with equal entries for
+these are comparable.  It records the usable core count too, which sets how
+many threads take path blocks; the digests must not depend on it (compare a
+run under ``taskset -c 0``).  Last, it records the checkout's commit and
+whether its tree had uncommitted changes (``dirty``), so a run of a change
+made before committing is not filed under its parent's hash.  The package
+is imported from the ``src`` directory next to this script.
 """
 
 import argparse
@@ -31,10 +33,12 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
@@ -56,13 +60,24 @@ def blas_kernel() -> str:
     return corename().decode()
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        commit = _git("rev-parse", "--short", "HEAD")
+        dirty = bool(_git("status", "--porcelain"))
+    except (OSError, subprocess.CalledProcessError):
+        commit = dirty = None
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}",
             "blas_kernel": blas_kernel(),
             "cores": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else os.cpu_count()}
+            if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "commit": commit, "dirty": dirty}
 
 
 def digests(name: str, seed: int | None, paths: int | None,

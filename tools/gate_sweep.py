@@ -19,9 +19,9 @@ Picard limit, which draws on the seeded paths.
 
 The result is stored under ``--label`` in ``--out`` (default
 ``BENCH_gates.json`` at the root of this checkout), with the run's
-environment as ``tools/artifact_digests.py`` records it (Python, numpy, the
-BLAS and the OpenBLAS kernel, which sets the last bits of every z-value, and
-the core count), its commit and whether the tree had uncommitted changes
+environment as ``tools/artifact_digests.py`` records it: Python, numpy, the
+BLAS and the OpenBLAS kernel, which sets the last bits of every z-value, the
+core count, the commit and whether the tree had uncommitted changes
 (``dirty``).  A sweep replaces the entry of its own label and keeps the
 others, so one file can hold the sweeps of two trees.  The package is
 imported from the ``src`` directory next to this script.
@@ -30,7 +30,6 @@ imported from the ``src`` directory next to this script.
 import argparse
 import json
 import re
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -89,24 +88,6 @@ def sweep(name: str, runs: int) -> dict:
             "gates": gates, "other_failed_checks": others}
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
-                          text=True, check=True).stdout.strip()
-
-
-def environment() -> dict:
-    """The digests' environment, the commit and whether the tree it ran on
-    has uncommitted changes ("dirty"): a sweep of a change made before
-    committing is otherwise filed under its parent's hash."""
-    try:
-        commit = _git("rev-parse", "--short", "HEAD")
-        dirty = bool(_git("status", "--porcelain"))
-    except (OSError, subprocess.CalledProcessError):
-        commit = dirty = None
-    return {**artifact_digests.environment(), "commit": commit,
-            "dirty": dirty}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True,
@@ -129,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     stored.setdefault("alpha", GATE_ALPHA)
     stored.setdefault("seed_rule", f"default + {SEED_OFFSET} + s")
     stored.setdefault("sweeps", {})[args.label] = {
-        "env": environment(),
+        "env": artifact_digests.environment(),
         "seconds": round(time.perf_counter() - start, 1),
         "scenarios": result}
     args.out.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n",

@@ -17,10 +17,12 @@ construction on every kernel and must not move; a ``rounding_identity``
 check compares two routes that round differently, and it, a Monte Carlo or
 a quadrature value may move in its last bits.
 
-The result, with the Python and numpy of the run, is stored under
-``--label`` in ``--out`` (default ``BENCH_kernels.json`` at the root of this
-checkout); entries of other labels are kept, so one file can hold the
-matrices of two trees.
+The result is stored under ``--label`` in ``--out`` (default
+``BENCH_kernels.json`` at the root of this checkout), with the run's
+environment as ``tools/artifact_digests.py`` records it, less the kernel:
+Python, numpy, the BLAS, the core count, the commit and whether the tree had
+uncommitted changes (``dirty``).  Entries of other labels are kept, so one
+file can hold the matrices of two trees.
 """
 
 import argparse
