@@ -3,7 +3,7 @@
 The package builds discrete-time, discrete-mark models of martingale-valued
 noise and verifies their structure numerically:
 
-- :mod:`mvmlab.measures` — signed/positive measures on a product grid, the
+- :mod:`mvmlab.measures` — nonnegative measures on a product grid, the
   cellwise supremum, and a brute-force partition oracle for it;
 - :mod:`mvmlab.hilbert` — PSD linear algebra helpers and well-spread unit
   vector sequences;
@@ -13,8 +13,8 @@ noise and verifies their structure numerically:
   form field per driver, and Monte Carlo estimates (empirical intensities,
   orthogonality covariances) as ``mean_se`` (mean, standard error) pairs;
 - :mod:`mvmlab.quadvar` — quadratic variation as a supremum of intensities,
-  polarization into a bilinear field held as a quadratic form field too, and
-  the cellwise operator density;
+  polarization into signed cell masses and a bilinear field held as a
+  quadratic form field too, and the cellwise operator density;
 - :mod:`mvmlab.integrate` — grid and simple-form stochastic integrals, the
   integration norm, stopping/restriction/localization identities;
 - :mod:`mvmlab.spde` — diagonal semigroups, stochastic convolution, and the

@@ -22,11 +22,11 @@ localization contract the field once and mask its actions; no masked copy
 of the field is made.
 
 Per-path work runs block by block: the hooks below, the cell contraction,
-the cell costs of a per-path field and the gather of a simple integrand's
-per-path field each take the paths in blocks of 1024, on one thread per
-usable core (:func:`mvmlab.measures._by_path_blocks`).  Every block writes
-only its own rows with the arithmetic a single path gets, so results do not
-depend on the thread count.
+the cell costs (one row for a shared field) and the gather of a simple
+integrand's per-path field each take the paths in blocks of 1024, on one
+thread per usable core (:func:`mvmlab.measures._by_path_blocks`).  Every
+block writes only its own rows with the arithmetic a single path gets, so
+results do not depend on the thread count.
 
 Adaptedness is structural: events, history-dependent operator fields and
 stopping rules are hooks that receive only a read-only view of the increments
@@ -331,6 +331,8 @@ class SimpleIntegrand:
             if ev.shape != (ens.paths,):
                 raise ValueError("event must resolve to one boolean per path")
             shaped.append((s, t, atoms, matrix, ev))
+        if not shaped:
+            raise ValueError("a simple integrand needs at least one term")
         if len(dims) > 1:
             raise ValueError("terms disagree on the target dimension")
 
@@ -367,7 +369,7 @@ class SimpleIntegrand:
 
     @property
     def dim_g(self) -> int:
-        return self.terms[0][3].shape[0] if self.terms else 0
+        return self.terms[0][3].shape[0]
 
 
 def integrate_simple(phi: SimpleIntegrand, ens: MVMPathEnsemble
@@ -401,11 +403,8 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     Paths whose events agree on every term share one field: each distinct
     event pattern sums the terms it selects, in term order, and the per-path
     field gathers its pattern's field one path block at a time."""
-    g = phi.dim_g
-    dim_h = phi.terms[0][3].shape[1] if phi.terms else 0
-    shape = (phi.grid.n_cells, phi.grid.n_atoms, g, dim_h)
-    events = np.stack([ev for *_, ev in phi.terms], axis=1) if phi.terms \
-        else np.ones((phi.paths, 0), dtype=bool)
+    shape = (phi.grid.n_cells, phi.grid.n_atoms) + phi.terms[0][3].shape
+    events = np.stack([ev for *_, ev in phi.terms], axis=1)
     patterns, pattern_of = np.unique(events, axis=0, return_inverse=True)
     # Stored in (H x G) order: the contraction order of GridIntegrand.
     table = _zeros_contraction_order((len(patterns),) + shape)
@@ -425,12 +424,16 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     return GridIntegrand(phi.grid, values)
 
 
-def _density_roots(phi: GridIntegrand, qm: IntensityFamily) -> np.ndarray:
+def _density_roots(phi: GridIntegrand, qm: IntensityFamily,
+                   qv: DiscreteMeasure) -> np.ndarray:
     """The cellwise square roots ``Q_M^{1/2}`` that `phi` is weighted by, in
     one stacked :func:`~mvmlab.hilbert.psd_sqrt` call (a zero cell gets the
-    zero root)."""
+    zero root), once the density and the variation are known to live on the
+    grid of `phi`."""
     if qm.grid != phi.grid:
         raise GridMismatchError("density field on a different grid")
+    if qv.grid != phi.grid:
+        raise GridMismatchError("quadratic variation on a different grid")
     return psd_sqrt(qm.matrices)
 
 
@@ -445,16 +448,15 @@ def _hs_squares(values: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 def cell_costs(phi: GridIntegrand, qm: IntensityFamily,
                qv: DiscreteMeasure) -> np.ndarray:
-    """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per cell (per path if Phi is,
-    then one path block at a time)."""
-    roots = _density_roots(phi, qm)
-    if not phi.per_path:
-        return _hs_squares(phi.values, roots).sum(axis=(-2, -1)) \
-            * qv.cell_mass
-    out = np.empty(phi.values.shape[:3])
+    """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per path and cell, (paths,
+    n_cells, n_atoms), one path block at a time; a shared field is costed as
+    one row."""
+    roots = _density_roots(phi, qm, qv)
+    values = phi.values if phi.per_path else phi.values[None]
+    out = np.empty(values.shape[:3])
 
     def block(rows: slice) -> None:
-        np.multiply(_hs_squares(phi.values[rows], roots).sum(axis=(-2, -1)),
+        np.multiply(_hs_squares(values[rows], roots).sum(axis=(-2, -1)),
                     qv.cell_mass, out=out[rows])
 
     _by_path_blocks(out.shape[0], block)
@@ -463,10 +465,9 @@ def cell_costs(phi: GridIntegrand, qm: IntensityFamily,
 
 def lambda2_profile(phi: GridIntegrand, qm: IntensityFamily,
                     qv: DiscreteMeasure) -> np.ndarray:
-    """Cumulative squared integration norm at every grid time."""
-    costs = cell_costs(phi, qm, qv)
-    if costs.ndim == 3:
-        costs = costs.mean(axis=0)
+    """Cumulative squared integration norm at every grid time, averaged over
+    the paths of a per-path field."""
+    costs = cell_costs(phi, qm, qv).mean(axis=0)
     return _running_sum(costs.sum(axis=1), axis=0)
 
 
@@ -524,12 +525,15 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     The field is contracted once.  The left side integrates the actions of
     the cells before the stopping time (later cells add exact zeros); the
     right side clamps the integral of all the actions at the stopping time,
-    so the two sides agree exactly.  `check` turns a nonzero gap into an
-    error (regression guard).
+    so the two sides agree exactly.  A stopping index is a grid index, from
+    0 to n_cells.  `check` turns a nonzero gap into an error (regression
+    guard).
     """
     stop_index = np.asarray(stop_index, dtype=np.int64)
     if stop_index.shape != (ens.paths,):
         raise ValueError("need one stopping index per path")
+    if np.any((stop_index < 0) | (stop_index > phi.grid.n_cells)):
+        raise ValueError(f"stopping indices must lie in 0..{phi.grid.n_cells}")
     actions = _cell_actions(phi, ens)
     before = np.arange(phi.grid.n_cells)[None, :] < stop_index[:, None]
     lhs = _running_sum(np.where(before[:, :, None], actions, 0.0))
@@ -590,10 +594,8 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble,
     time on every path.
     """
     actions = _cell_actions(phi, ens)
-    costs = cell_costs(phi, qm, qv)
-    if costs.ndim == 2:
-        costs = np.broadcast_to(costs, (ens.paths,) + costs.shape)
-    per_cell = costs.sum(axis=2)
+    per_cell = np.broadcast_to(cell_costs(phi, qm, qv).sum(axis=2),
+                               (ens.paths, phi.grid.n_cells))
     cum = _running_sum(per_cell)
     stop_indices: dict = {}
     integrals: dict = {}

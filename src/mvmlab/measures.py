@@ -26,7 +26,6 @@ __all__ = [
     "GridMismatchError",
     "GridSpec",
     "DiscreteMeasure",
-    "SignedDiscreteMeasure",
     "make_grid",
     "sup_measures",
     "brute_force_sup",
@@ -236,7 +235,7 @@ def _cell_csv(grid: GridSpec, names: Sequence[str], values: np.ndarray) -> str:
     return _csv_text(",".join(["t_lo", "t_hi", "atom_id", *names]), columns)
 
 
-def _as_mass(grid: GridSpec, cell_mass, *, signed: bool) -> np.ndarray:
+def _as_mass(grid: GridSpec, cell_mass) -> np.ndarray:
     m = np.asarray(cell_mass, dtype=np.float64)
     if m.shape != (grid.n_cells, grid.n_atoms):
         raise ValueError(
@@ -244,22 +243,22 @@ def _as_mass(grid: GridSpec, cell_mass, *, signed: bool) -> np.ndarray:
             f"({grid.n_cells} time cells x {grid.n_atoms} atoms)")
     if not np.all(np.isfinite(m)):
         raise ValueError("cell masses must be finite")
-    if not signed and np.any(m < 0):
+    if np.any(m < 0):
         bad = np.argwhere(m < 0)[0]
         raise ValueError(f"negative mass at cell {tuple(bad)}")
     return m
 
 
 @dataclass(frozen=True, eq=False)
-class SignedDiscreteMeasure:
-    """Signed set function on the grid cells (finite, atomic)."""
+class DiscreteMeasure:
+    """Nonnegative set function on the grid cells (finite, atomic)."""
 
     grid: GridSpec
     cell_mass: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cell_mass",
-                           _as_mass(self.grid, self.cell_mass, signed=True))
+                           _as_mass(self.grid, self.cell_mass))
 
     def mass(self, cells: Iterable[Cell] | None = None) -> float:
         """Mass of a set of cells (all of them when `cells` is None)."""
@@ -270,18 +269,9 @@ class SignedDiscreteMeasure:
     def to_csv(self) -> str:
         return _cell_csv(self.grid, ("mass",), self.cell_mass)
 
-
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure(SignedDiscreteMeasure):
-    """Nonnegative set function on the grid cells."""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cell_mass",
-                           _as_mass(self.grid, self.cell_mass, signed=False))
-
     def scaled(self, factor: float) -> "DiscreteMeasure":
         if factor < 0:
-            raise ValueError("use SignedDiscreteMeasure for negative scaling")
+            raise ValueError("a measure scales by nonnegative factors only")
         return DiscreteMeasure(self.grid, factor * self.cell_mass)
 
     def restrict_atoms(self, atoms: Iterable[int]) -> "DiscreteMeasure":
@@ -291,7 +281,7 @@ class DiscreteMeasure(SignedDiscreteMeasure):
         return DiscreteMeasure(self.grid, mass)
 
 
-def _check_family(family: Sequence[SignedDiscreteMeasure]) -> GridSpec:
+def _check_family(family: Sequence[DiscreteMeasure]) -> GridSpec:
     if not family:
         raise ValueError("empty family of measures")
     grid = family[0].grid

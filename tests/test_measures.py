@@ -14,7 +14,7 @@ from mvmlab.measures import (_BLOCK, MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
                              GridMismatchError, GridSpec, _by_path_blocks,
                              _csv_text, _running_sum,
                              brute_force_sup, iter_partitions, make_grid,
-                             monotone_sup, SignedDiscreteMeasure, sup_measures)
+                             monotone_sup, sup_measures)
 from mvmlab.noise import (IntensityFamily, default_grid, mean_se, simulate,
                           white_noise)
 from mvmlab.quadvar import qm_to_csv
@@ -158,13 +158,13 @@ def test_measure_shape_and_sign_validation():
     grid = make_grid(1.0, 2, ["a", "b"])
     with pytest.raises(ValueError):
         DiscreteMeasure(grid, np.ones((3, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative mass at cell"):
         DiscreteMeasure(grid, [[1.0, -0.5], [0.0, 0.0]])
-    # The signed variant accepts negative masses.
-    nu = SignedDiscreteMeasure(grid, [[1.0, -0.5], [0.0, 0.25]])
-    assert np.abs(nu.cell_mass).sum() == 1.75
-    with pytest.raises(ValueError):
-        SignedDiscreteMeasure(grid, [[np.inf, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(grid, [[np.inf, 0.0], [0.0, 0.0]])
+    # -0.0 is not negative: it is kept, bit for bit.
+    zero = DiscreteMeasure(grid, [[-0.0, 0.0], [0.0, 0.25]])
+    assert np.signbit(zero.cell_mass[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +359,8 @@ def test_measure_csv_matches_row_loop():
     shape = (CSV_GRID.n_cells, CSV_GRID.n_atoms)
     mass = np.abs(mixed(FINITE, shape, 1))
     mass[0, 1] = -0.0  # not negative, yet written as "-0.0"
-    nonneg = DiscreteMeasure(CSV_GRID, mass)
-    signed = SignedDiscreteMeasure(CSV_GRID, mixed(FINITE, shape, 2))
-    for mu in (nonneg, signed):
-        assert mu.to_csv() == loop_to_csv(mu)
+    mu = DiscreteMeasure(CSV_GRID, mass)
+    assert mu.to_csv() == loop_to_csv(mu)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -421,9 +419,8 @@ def test_csv_writers_match_row_loops_on_repeated_values():
     grid = make_grid(1.0, 16, ["a", "b2", "jump"])
     shape = (grid.n_cells, grid.n_atoms)
     nonneg = [-0.0, 0.0, 5e-324, 1e16, 1 / 3, 0.1, 1e-300, 123456789.0]
-    for mu in (DiscreteMeasure(grid, cycled(nonneg, shape)),
-               SignedDiscreteMeasure(grid, cycled(FINITE, shape))):
-        assert mu.to_csv() == loop_to_csv(mu)
+    mu = DiscreteMeasure(grid, cycled(nonneg, shape))
+    assert mu.to_csv() == loop_to_csv(mu)
 
     n = 4 * len(REPEATED)
     times, mean, se, target = (cycled(REPEATED, (n,), k) for k in range(4))

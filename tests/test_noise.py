@@ -83,15 +83,17 @@ def test_hvalued_validation():
 
 
 def test_integral_type_validation():
-    ok = IntegralType(loadings=(np.ones((2, 4)),) * 3,
-                      weights=(np.ones(2),) * 3)
+    ok = IntegralType(loadings=np.ones((3, 2, 4)), weights=np.ones((3, 2)))
     assert ok.dim == 4 and ok.atom_labels == ("U",)
-    with pytest.raises(ValueError, match="align"):
-        IntegralType(loadings=(np.ones((2, 4)),) * 3,
-                     weights=(np.ones(2),) * 2)
+    # Weights must match the loadings cell for cell and component for
+    # component, and the loadings need a cell axis.
+    for loadings, weights in ((np.ones((3, 2, 4)), np.ones((2, 2))),
+                              (np.ones((3, 2, 4)), np.ones((3, 1))),
+                              (np.ones((2, 4)), np.ones(2))):
+        with pytest.raises(ValueError, match="components"):
+            IntegralType(loadings=loadings, weights=weights)
     with pytest.raises(ValueError, match="negative variance"):
-        IntegralType(loadings=(np.ones((1, 2)),),
-                     weights=(np.array([-1.0]),))
+        IntegralType(loadings=np.ones((1, 1, 2)), weights=np.array([[-1.0]]))
     grid = default_grid(ok, 1.0, 4)  # driver laid out for 3 cells
     with pytest.raises(ValueError, match="3 time cells"):
         simulate(ok, grid, 1, 0)
@@ -380,11 +382,12 @@ def _oracle_specs():
         DiscreteLevyAtom("mixed", brownian_cov=wishart(rng, 3),
                          jumps=((u[3], 2.0),)),
     ))
+    # A zero weight switches a component off: one, three and two components
+    # contribute in the three cells.
     several = IntegralType(
-        loadings=(rng.standard_normal((3, 4)), rng.standard_normal((1, 4)),
-                  rng.standard_normal((2, 4))),
-        weights=(np.array([0.1, 0.2, 0.05]), np.array([0.3]),
-                 np.array([0.25, 0.125])))
+        loadings=rng.standard_normal((3, 3, 4)),
+        weights=np.array([[0.1, 0.2, 0.05], [0.3, 0.0, 0.0],
+                          [0.25, 0.0, 0.125]]))
     return {
         "white_noise": (white_noise((("a", 0.5), ("b", 2.0))), 5),
         "discrete_levy": (levy, 5),

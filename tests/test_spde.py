@@ -8,6 +8,7 @@ import pytest
 
 from mvmlab.hilbert import sphere_sequence
 from mvmlab.integrate import GridIntegrand
+from mvmlab.measures import DiscreteMeasure, GridMismatchError
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
                           intensity_family, max_z_level, mean_se, simulate)
 from mvmlab.quadvar import bilinear_field, qm_density, qv_supremum
@@ -54,8 +55,9 @@ def test_heat_semigroup_rates_and_actions():
                                (np.arange(1, 6) * np.pi) ** 2, rtol=1e-15)
     v = np.arange(5.0)
     # One cell of the scan applies S(0.3) to its contribution.
-    np.testing.assert_allclose(sg.scan(np.array([0.0, 0.3]), v[None])[1],
-                               v * np.exp(-sg.rates * 0.3))
+    np.testing.assert_allclose(
+        sg.scan(np.array([0.0, 0.3]), lambda m, x: v, np.zeros(5))[1],
+        v * np.exp(-sg.rates * 0.3))
     with pytest.raises(ValueError, match="nonempty"):
         DiagonalSemigroup(np.empty(0))
     with pytest.raises(ValueError, match="negative decay"):
@@ -79,8 +81,11 @@ def test_scan_matches_loop_oracle(heat):
     times = np.array([0.0, 0.2, 0.5, 0.6, 1.0, 1.05])
     shared = rng.standard_normal((5, 3))
     per_path = rng.standard_normal((4, 5, 3))
+    def step(contrib):
+        return lambda m, x: contrib[..., m, :]
+
     for contrib in (shared, per_path):
-        got = sg.scan(times, contrib)
+        got = sg.scan(times, step(contrib), np.zeros(contrib.shape[:-2] + (3,)))
         assert got.shape == contrib.shape[:-2] + (6, 3)
         assert np.all(got[..., 0, :] == 0.0)
         np.testing.assert_allclose(
@@ -88,7 +93,7 @@ def test_scan_matches_loop_oracle(heat):
     # Started from x0, shared or one per path, the scan adds S(t_m) x0.
     for contrib, x0 in ((shared, rng.standard_normal(3)),
                         (per_path, rng.standard_normal((4, 3)))):
-        got = sg.scan(times, contrib, x0)
+        got = sg.scan(times, step(contrib), x0)
         assert np.array_equal(got[..., 0, :], np.broadcast_to(
             x0, got[..., 0, :].shape))
         expect = np.exp(-np.outer(times, sg.rates)) * x0[..., None, :] \
@@ -156,6 +161,11 @@ def test_convolution_validation(heat):
     qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
     with pytest.raises(ValueError, match="deterministic"):
         convolution_second_moment(heat.semigroup, per_path, qm, qv)
+    moved = DiscreteMeasure(default_grid(heat.noise_spec, 2.0, 4), qv.cell_mass)
+    with pytest.raises(GridMismatchError, match="quadratic variation"):
+        convolution_second_moment(heat.semigroup,
+                                  GridIntegrand.constant(grid, heat.f_matrix),
+                                  qm, moved)
     spec = DiscreteLevy((DiscreteLevyAtom("a", brownian_cov=np.eye(4)),))
     grid = default_grid(spec, 1.0, 5)
     ens = simulate(spec, grid, 1, 0)

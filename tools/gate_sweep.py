@@ -4,18 +4,19 @@ Usage::
 
     python3 tools/gate_sweep.py --label NAME [--out FILE]
 
-Runs each swept scenario through ``mvmlab.scenarios.run_scenario`` at seeds
-``default + 1000 + s`` for s = 0 .. runs - 1: 200 runs of ``white_noise_qv``,
-``hvalued_levy_qm``, ``haar_counterexample`` and ``picard_contraction``, 40
-of ``heat_spde`` and 25 of ``ito_isometry``, always all of them.  Every check of provenance
-``monte_carlo_3se`` reports the largest of its m z-scores, with m in its
-detail; the sweep counts, per gate, the runs whose largest z exceeds the
-gate's former fixed level (3 or 3.5) and the runs whose largest z exceeds
-``noise.max_z_level(m)``, the Sidak level z*(m) at ``noise.GATE_ALPHA``.  A
-fault-free gate at z*(m) trips in about alpha of its runs.  Failed checks of
-any other provenance are counted too: they are the false alarms of the
-analytic bounds, such as ``picard_contraction``'s a-posteriori bound on its
-Picard limit, which draws on the seeded paths.
+Runs every scenario through ``mvmlab.scenarios.run_scenario`` at seeds
+``default + 1000 + s`` for s = 0 .. runs - 1: 40 runs of ``heat_spde``, 25
+of ``ito_isometry`` and 200 of each of the other eight, always all of them.
+Every check of provenance ``monte_carlo_3se`` reports the largest of its m
+z-scores, with m in its detail; the sweep counts, per gate, the runs whose
+largest z exceeds ``noise.max_z_level(m)``, the Sidak level z*(m) at
+``noise.GATE_ALPHA``.  A fault-free gate at z*(m) trips in about alpha of
+its runs.  Failed checks of any other provenance are counted too, with the
+seeds they failed at: the false alarms of the analytic bounds, such as
+``picard_contraction``'s a-posteriori bound on its Picard limit, which draws
+on the seeded paths, and of fixed budgets, such as ``discrete_levy_qv``'s 2%
+budgets on its sphere supremum, whose shortfall depends on the seed's
+instance.
 
 The result is stored under ``--label`` in ``--out`` (default
 ``BENCH_gates.json`` at the root of this checkout), with the run's
@@ -43,13 +44,10 @@ from mvmlab.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
 RUNS = {"white_noise_qv": 200, "hvalued_levy_qm": 200,
         "haar_counterexample": 200, "picard_contraction": 200,
-        "heat_spde": 40, "ito_isometry": 25}
+        "heat_spde": 40, "ito_isometry": 25, "sup_measures_oracle": 200,
+        "discrete_levy_qv": 200, "fubini": 200, "stopped_integral": 200}
 SEED_OFFSET = 1000
 MONTE_CARLO = "monte_carlo_3se"
-# The fixed level each gate used before the Sidak calibration.
-FORMER_LEVELS = {("hvalued_levy_qm", "intensity_max_z"): 3.5,
-                 ("haar_counterexample", "intensity_max_z"): 3.5}
-FORMER_DEFAULT = 3.0
 COUNT = re.compile(r"largest of (\d+) z-scores$")
 
 
@@ -65,19 +63,15 @@ def sweep(name: str, runs: int) -> dict:
                     others.setdefault(c.name, []).append(seed)
                 continue
             m = int(COUNT.search(c.detail).group(1))
-            former = FORMER_LEVELS.get((name, c.name.split("[")[0]),
-                                       FORMER_DEFAULT)
             g = gates.setdefault(c.name, {
-                "m": m, "former_level": former,
-                "calibrated_level": round(max_z_level(m), 6),
-                "runs": 0, "trips_former": 0, "trips_calibrated": 0,
+                "m": m, "calibrated_level": round(max_z_level(m), 6),
+                "runs": 0, "trips_calibrated": 0,
                 "worst_z": 0.0, "worst_seed": None, "seeds_tripped": []})
             if g["m"] != m:
                 raise ValueError(f"{name} {c.name}: m changed from {g['m']} "
                                  f"to {m}")
             z = c.measured
             g["runs"] += 1
-            g["trips_former"] += int(not z <= former)
             if not z <= max_z_level(m):
                 g["trips_calibrated"] += 1
                 g["seeds_tripped"].append(seed)
@@ -99,10 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, runs in RUNS.items():
         result[name] = sweep(name, runs)
         for gate, g in result[name]["gates"].items():
-            print(f"{name} {gate}: m {g['m']}, trips {g['trips_former']} at "
-                  f"{g['former_level']:g} and {g['trips_calibrated']} at "
-                  f"{g['calibrated_level']:.4f} in {g['runs']} runs, worst z "
-                  f"{g['worst_z']:.4f}", flush=True)
+            print(f"{name} {gate}: m {g['m']}, trips {g['trips_calibrated']} "
+                  f"at {g['calibrated_level']:.4f} in {g['runs']} runs, worst "
+                  f"z {g['worst_z']:.4f}", flush=True)
         for check, seeds in result[name]["other_failed_checks"].items():
             print(f"{name} {check}: failed at seeds {seeds}", flush=True)
     stored = json.loads(args.out.read_text(encoding="utf-8")) \
