@@ -62,19 +62,12 @@ def haar_values(k: int) -> np.ndarray:
 
 
 def haar_squared_values(k: int) -> np.ndarray:
-    """Exact squared step values (powers of two; no float rounding)."""
+    """Exact squared step values: 2^j on the support of a generation-j
+    wavelet, 1 for the constant function (powers of two; no float
+    rounding)."""
     k = _check_level(k)
-    n_sub = 2 ** (k + 1)
-    rows = [np.ones(n_sub)]
-    for j in range(k + 1):
-        # (2^(j/2))^2 == 2^j held exactly instead of squaring a float sqrt.
-        amp2 = float(2.0 ** j)
-        width = n_sub // 2 ** j
-        for i in range(2 ** j):
-            row = np.zeros(n_sub)
-            row[i * width:(i + 1) * width] = amp2
-            rows.append(row)
-    return np.stack(rows)
+    generation = np.repeat(np.arange(k + 1), 2 ** np.arange(k + 1))
+    return (haar_values(k) != 0) * 2.0 ** np.r_[0, generation][:, None]
 
 
 def haar_cell_integrals(k: int) -> np.ndarray:

@@ -3,12 +3,12 @@
 Integrands are operator-valued fields over (time cell, mark atom): either
 simple (finitely many interval x event x mark-set terms, integrated through
 the radonification formula term by term) or grid integrands (one operator
-per cell, possibly per path).  Both routes give the integral paths
-t -> I_t as one plain ``(paths, n_times, G)`` array, the form of every path
-result of the lab, and both sides of each pathwise identity come in that
-form too.  The routes must agree, and the ``ito_isometry`` scenario checks
-that they do on its simple integrands; keeping them separate is the point,
-since the isometry
+per cell, in one row that every path shares or in one row per path).  Both
+routes give the integral paths t -> I_t as one plain ``(paths, n_times,
+G)`` array, the form of every path result of the lab, and both sides of
+each pathwise identity come in that form too.  The routes must agree, and
+the ``ito_isometry`` scenario checks that they do on its simple integrands;
+keeping them separate is the point, since the isometry
 ``E ||I_T||^2 = E sum_cells ||Phi o Q_M^{1/2}||_HS^2 qv(cell)``
 is checked between independently computed sides.  The density Q_M is the
 :class:`~mvmlab.noise.IntensityFamily` of :func:`mvmlab.quadvar.qm_density`,
@@ -28,15 +28,16 @@ thread per usable core (:func:`mvmlab.measures._by_path_blocks`).  Every
 block writes only its own rows with the arithmetic a single path gets, so
 results do not depend on the thread count.
 
-Adaptedness is structural: events, history-dependent operator fields and
-stopping rules are hooks that receive only a read-only view of the increments
-of cells strictly before the current time, so referencing the future or
-editing the ensemble is impossible by construction and any out-of-range
-access is surfaced as an error.  Predictability and stopping are defined path
-by path, so a hook is asked about one block of paths at a time: it gets the
-past of those paths (their count is ``past.shape[0]``), answers for them
-only, and is called once per block and cell.  It must be a pure function of
-its arguments, since it may run on a pooled thread.
+Adaptedness is structural: every predictable input (simple-integrand
+events, history-dependent operator fields and stopping rules) is a hook,
+never a precomputed array, and a hook receives only a read-only view of
+the increments of cells strictly before the current time, so referencing
+the future or editing the ensemble is impossible by construction and any
+out-of-range access is surfaced as an error.  Predictability and stopping
+are defined path by path, so a hook is asked about one block of paths at a
+time: it gets the past of those paths (their count is ``past.shape[0]``),
+answers for them only, and is called once per block and cell.  It must be
+a pure function of its arguments, since it may run on a pooled thread.
 """
 
 from __future__ import annotations
@@ -119,14 +120,15 @@ def _zeros_contraction_order(shape: tuple[int, ...]) -> np.ndarray:
 class GridIntegrand:
     """Operator-valued field: one (G x H) matrix per (time cell, mark atom).
 
-    `values` has shape ``(n_cells, n_atoms, dim_g, dim_h)`` for deterministic
-    fields or ``(paths, n_cells, n_atoms, dim_g, dim_h)`` for history-built
-    ones.  Only the left endpoint of a cell ever sees the field, which is how
-    predictability is encoded on the grid.
+    `values` has shape ``(rows, n_cells, n_atoms, dim_g, dim_h)``, `rows`
+    being 1 for a field that every path shares and the path count for one
+    per path (a :meth:`from_history` field on a one-path ensemble has one
+    row, so it counts as shared).  Only the left endpoint of a cell ever
+    sees the field, which is how predictability is encoded on the grid.
 
-    Every field, shared or per-path, is stored in contraction order:
-    ``values.swapaxes(-1, -2)`` is C-contiguous, i.e. the memory holds
-    ``([paths,] cells, atoms, dim_h, dim_g)`` in C order.  That is the stack
+    Every field is stored in contraction order: ``values.swapaxes(-1, -2)``
+    is C-contiguous, i.e. the memory holds ``(rows, cells, atoms, dim_h,
+    dim_g)`` in C order.  That is the stack
     of ``(atoms * dim_h, dim_g)`` matrices the cell contraction multiplies,
     so integrating reads the field in place, and every field reaches the
     kernel in one layout, whatever layout the caller passed.  The
@@ -138,17 +140,15 @@ class GridIntegrand:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim not in (4, 5):
-            raise ValueError(f"integrand array must be 4- or 5-d, got {v.ndim}-d")
-        cells_axis = 0 if v.ndim == 4 else 1
-        if v.shape[cells_axis] != self.grid.n_cells \
-                or v.shape[cells_axis + 1] != self.grid.n_atoms:
+        if v.ndim != 5:
+            raise ValueError(f"need (rows, cells, atoms, G, H), got {v.ndim}-d")
+        if v.shape[1:3] != (self.grid.n_cells, self.grid.n_atoms):
             raise ValueError(f"integrand shape {v.shape} does not match grid")
         object.__setattr__(self, "values", _contraction_order(v))
 
     @property
     def per_path(self) -> bool:
-        return self.values.ndim == 5
+        return len(self.values) > 1
 
     @property
     def dim_g(self) -> int:
@@ -156,22 +156,22 @@ class GridIntegrand:
 
     @classmethod
     def constant(cls, grid: GridSpec, matrix: np.ndarray) -> "GridIntegrand":
-        """The same operator on every cell and atom."""
+        """The same operator on every cell and atom, one row."""
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("expected a single (G x H) matrix")
         return cls(grid, np.broadcast_to(
-            matrix, (grid.n_cells, grid.n_atoms) + matrix.shape))
+            matrix, (1, grid.n_cells, grid.n_atoms) + matrix.shape))
 
     @classmethod
     def from_time_profile(cls, grid: GridSpec, matrices: np.ndarray
                           ) -> "GridIntegrand":
-        """Deterministic time-varying field, shared by all atoms."""
+        """Deterministic time-varying field, shared by all atoms, one row."""
         matrices = np.asarray(matrices, dtype=np.float64)
         if matrices.shape[0] != grid.n_cells or matrices.ndim != 3:
             raise ValueError("expected one (G x H) matrix per time cell")
-        values = np.repeat(matrices[:, None], grid.n_atoms, axis=1)
-        return cls(grid, values)
+        return cls(grid, np.repeat(matrices[None, :, None], grid.n_atoms,
+                                   axis=2))
 
     @classmethod
     def from_history(cls, ens: MVMPathEnsemble,
@@ -228,28 +228,30 @@ class GridIntegrand:
 
 def _contract(increments: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The one cell contraction: actions ``sum_atoms Phi dM`` (paths,
-    [cells,] G) of `values`, shared ``([cells,] atoms, G, H)`` or per path,
-    on `increments` ``(paths, [cells,] atoms, H)``.
+    [cells,] G) of `values` ``(rows, [cells,] atoms, G, H)``, one row shared
+    or one per path, on `increments` ``(paths, [cells,] atoms, H)``.
 
     One ``np.matmul`` of the ``(..., 1, atoms * H)`` increments with the
-    stack ``values.swapaxes(-1, -2).reshape(..., atoms * H, G)``, a view
-    for a field in contraction order (see :class:`GridIntegrand`).  So every
+    stack ``values.swapaxes(-1, -2).reshape(rows, ..., atoms * H, G)``, a
+    view for a field in contraction order (see :class:`GridIntegrand`), of
+    which each path block reads the one row or its own rows.  So every
     (path, cell) product is the same vector-matrix call on the same C-ordered
     matrix, for all cells at once or one at a time, shared or per path."""
     if values.shape[-1] != increments.shape[-1]:
         raise ValueError(f"integrand expects dim {values.shape[-1]}, "
                          f"driver has {increments.shape[-1]}")
-    if values.ndim > increments.ndim and values.shape[0] != increments.shape[0]:
-        raise ValueError("per-path integrand does not match the path count")
+    if values.ndim != increments.ndim + 1 \
+            or len(values) not in (1, len(increments)):
+        raise ValueError(f"integrand of shape {values.shape} does not match "
+                         f"the path count: it needs 1 row or one per path")
     *lead, a, h = increments.shape
     g = values.shape[-2]
     stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, g))
     rows_in = increments.reshape(*lead, 1, a * h)
     out = np.empty((*lead, 1, g))
-    per_path = values.ndim > increments.ndim
 
     def block(rows: slice) -> None:
-        np.matmul(rows_in[rows], stack[rows] if per_path else stack,
+        np.matmul(rows_in[rows], stack if len(stack) == 1 else stack[rows],
                   out=out[rows])
 
     _by_path_blocks(lead[0], block)
@@ -275,10 +277,10 @@ def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
 class SimpleTerm:
     """One block ``1_{(t_s, t_t]} 1_F 1_{atoms} S`` of a simple integrand.
 
-    `event` may be True (sure event), a per-path boolean array, or a hook
-    called with the increments of cells ``< s_index`` only: like every hook
-    (see :mod:`mvmlab.integrate`), it is asked once per block of paths,
-    gets the past of that block and returns one boolean per path of it.
+    `event` is True (the sure event) or a hook called with the increments
+    of cells ``< s_index`` only, so F is known at t_s: like every hook (see
+    :mod:`mvmlab.integrate`), it is asked once per block of paths, gets the
+    past of that block and returns one boolean per path of it.
     """
 
     s_index: int
@@ -321,15 +323,13 @@ class SimpleIntegrand:
                 raise ValueError(f"term matrix shape {matrix.shape} does not "
                                  f"accept dim-{ens.dim} increments")
             dims.add(matrix.shape[0])
-            if callable(term.event):
+            if term.event is True:
+                ev = np.ones(ens.paths, dtype=bool)
+            elif callable(term.event):
                 ev = np.empty(ens.paths, dtype=bool)
                 asked.append((ev, s, term.event))
-            elif term.event is True:
-                ev = np.ones(ens.paths, dtype=bool)
             else:
-                ev = np.asarray(term.event, dtype=bool)
-            if ev.shape != (ens.paths,):
-                raise ValueError("event must resolve to one boolean per path")
+                raise ValueError("event must be True or a hook on the past")
             shaped.append((s, t, atoms, matrix, ev))
         if not shaped:
             raise ValueError("a simple integrand needs at least one term")
@@ -411,8 +411,8 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     for (s, t, atoms, matrix, _), selects in zip(phi.terms, patterns.T):
         for j in atoms:
             table.swapaxes(-1, -2)[selects, s:t, j] += matrix.T
-    if patterns.all():  # every event is sure: one shared field
-        return GridIntegrand(phi.grid, table[0])
+    if len(table) == 1:  # every path falls into one pattern: a shared field
+        return GridIntegrand(phi.grid, table)
     values = _zeros_contraction_order((phi.paths,) + shape)
 
     def gather(rows: slice) -> None:
@@ -438,7 +438,7 @@ def _density_roots(phi: GridIntegrand, qm: IntensityFamily,
 
 
 def _hs_squares(values: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Entrywise squares of ``Phi o Q_M^{1/2}`` per cell ``([paths,] cells,
+    """Entrywise squares of ``Phi o Q_M^{1/2}`` per cell ``(rows, cells,
     atoms, G, H)`` for the field `values` and the `roots` of
     :func:`_density_roots`: summed over (G, H), the squared Hilbert-Schmidt
     norm."""
@@ -452,11 +452,10 @@ def cell_costs(phi: GridIntegrand, qm: IntensityFamily,
     n_cells, n_atoms), one path block at a time; a shared field is costed as
     one row."""
     roots = _density_roots(phi, qm, qv)
-    values = phi.values if phi.per_path else phi.values[None]
-    out = np.empty(values.shape[:3])
+    out = np.empty(phi.values.shape[:3])
 
     def block(rows: slice) -> None:
-        np.multiply(_hs_squares(values[rows], roots).sum(axis=(-2, -1)),
+        np.multiply(_hs_squares(phi.values[rows], roots).sum(axis=(-2, -1)),
                     qv.cell_mass, out=out[rows])
 
     _by_path_blocks(out.shape[0], block)
@@ -559,10 +558,12 @@ def restricted_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     """
     if not 0 <= s_index <= t_index <= phi.grid.n_cells:
         raise ValueError(f"bad restriction window ({s_index}, {t_index}]")
+    on_event = np.asarray(event, dtype=bool)[..., None]
+    if on_event.shape not in ((1,), (ens.paths, 1)):
+        raise ValueError("event must resolve to one boolean per path")
     actions = _cell_actions(phi, ens)
     window = np.zeros(phi.grid.n_cells, dtype=bool)
     window[s_index:t_index] = True
-    on_event = np.asarray(event, dtype=bool)[..., None]
     lhs = _running_sum(np.where((on_event & window)[..., None], actions, 0.0))
     full = _running_sum(actions)
     clock = np.clip(np.arange(len(ens.times)), s_index, t_index)

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import haar
 from .hilbert import psd_part
-from .measures import DiscreteMeasure, _cell_csv
+from .measures import (DiscreteMeasure, GridMismatchError, _cell_csv,
+                       _running_sum)
 from .noise import IntensityFamily
 
 __all__ = [
@@ -49,9 +50,8 @@ def _uniform_deviation(family: IntensityFamily, x_a: np.ndarray,
                        x_b: np.ndarray) -> float:
     """sup over grid times s and ring sets A of |nu_a - nu_b|((s, T] x A)."""
     diff = family.masses(x_a) - family.masses(x_b)
-    # Tail sums over (s, T]: reversed cumulative sums per atom.
-    tails = np.vstack([diff[::-1].cumsum(axis=0)[::-1],
-                       np.zeros((1, diff.shape[1]))])
+    # Tail sums over (s, T]: the running sums of the reversed cells, reversed.
+    tails = _running_sum(diff[::-1], axis=0)[::-1]
     best = 0.0
     for ring in family.grid.rings:
         if not ring:
@@ -122,7 +122,8 @@ def qm_density(alpha: IntensityFamily,
     bands clipped to zero in one stacked :func:`psd_part` call.
     """
     if alpha.grid != qv.grid:
-        raise ValueError("bilinear field and variation live on different grids")
+        raise GridMismatchError(
+            "bilinear field and variation live on different grids")
     mats = alpha.matrices
     qv_mass = qv.cell_mass
     scale = max(1.0, float(np.abs(mats).max(initial=0.0)))

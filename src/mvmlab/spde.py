@@ -105,10 +105,10 @@ def heat_semigroup(n_modes: int) -> DiagonalSemigroup:
 class CoefficientSpec:
     """Drift and noise coefficients with their growth/Lipschitz constants.
 
-    `drift(t, x)` maps states (shape ``(..., G)``) to states; `noise(t, x)`
-    maps states to operator fields ``(..., n_atoms, G, H)``.  Either may be
-    None (no drift, no noise).  A map may ignore the state and return one
-    field for all paths, as additive noise does: ``(n_atoms, G, H)``.
+    `drift(t, x)` maps states (shape ``(paths, G)``) to states; `noise(t,
+    x)` maps states to operator fields ``(rows, n_atoms, G, H)``, with one
+    row per path, or one row for a field that all paths share, as additive
+    noise returns.  Either may be None (no drift, no noise).
     The constants enter the contraction bookkeeping only (they pick the
     weight of :func:`default_beta`); nothing derives or checks them.
     """
@@ -125,11 +125,12 @@ class CoefficientSpec:
 
 def _state_free(noise_matrices: np.ndarray
                 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The noise map returning the constant field ``(atoms, G, H)``."""
+    """The noise map returning the constant field ``(atoms, G, H)`` as one
+    row."""
     mats = np.asarray(noise_matrices, dtype=np.float64)
     if mats.ndim != 3:
         raise ValueError("constant noise field must be (atoms, G, H)")
-    return lambda t, x: mats
+    return lambda t, x: mats[None]
 
 
 def additive_coefficients(noise_matrices: np.ndarray) -> CoefficientSpec:
@@ -152,8 +153,8 @@ def _contribution(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
                   ) -> np.ndarray | float:
     """Contribution ``B(t_i, x) dt_i + F(t_i, x) dM_i`` of cell i at the
     states `x` (paths, G) of its left endpoint; 0.0 with neither drift nor
-    noise.  The noise field, shared ``(atoms, G, H)`` or per path, goes
-    through the one cell contraction :func:`~mvmlab.integrate._contract`.
+    noise.  The noise field ``(rows, atoms, G, H)`` goes through the one cell
+    contraction :func:`~mvmlab.integrate._contract`.
     Each term must land in the semigroup's G modes."""
     t = ens.times[i]
     out = 0.0
@@ -191,7 +192,7 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     """
     if phi.per_path:
         raise ValueError("closed form requires a deterministic integrand")
-    squares = _hs_squares(phi.values, _density_roots(phi, qm, qv))
+    squares = _hs_squares(phi.values[0], _density_roots(phi, qm, qv))
     per_mode = sg._fits(
         (squares.sum(axis=-1) * qv.cell_mass[:, :, None]).sum(axis=1))
     doubled = DiagonalSemigroup(2 * sg.rates)

@@ -117,12 +117,15 @@ def test_simple_to_grid_matches_per_path_accumulation(ens):
     grid_phi = simple_to_grid(phi)
     assert grid_phi.per_path
     assert np.array_equal(grid_phi.values, _per_path_accumulation(phi))
-    # Events that are sure on every path give one shared field.
-    sure = SimpleIntegrand.build(ens, [SimpleTerm(0, 4, (0, 1), mats[0]),
-                                       SimpleTerm(4, 8, (1,), mats[1])])
-    shared = simple_to_grid(sure)
-    assert not shared.per_path
-    assert np.array_equal(shared.values, _per_path_accumulation(sure)[0])
+    # Paths that all fall into one event pattern share one field, one row:
+    # events sure on every path, or a hook that answers alike on every path.
+    for event in (True, lambda past: np.zeros(len(past), dtype=bool)):
+        one = SimpleIntegrand.build(ens, [
+            SimpleTerm(0, 4, (0, 1), mats[0]),
+            SimpleTerm(4, 8, (1,), mats[1], event=event)])
+        shared = simple_to_grid(one)
+        assert not shared.per_path
+        assert np.array_equal(shared.values, _per_path_accumulation(one)[:1])
 
 
 def test_constant_integrand_reproduces_coordinate_sums(ens):
@@ -140,8 +143,8 @@ def test_constant_integrand_reproduces_coordinate_sums(ens):
 
 def test_integration_is_linear(ens):
     rng = np.random.default_rng(9)
-    a = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 3, 2)))
-    b = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 3, 2)))
+    a = GridIntegrand(ens.grid, rng.standard_normal((1, 8, 2, 3, 2)))
+    b = GridIntegrand(ens.grid, rng.standard_normal((1, 8, 2, 3, 2)))
     lhs = integrate_grid(
         GridIntegrand(ens.grid, 2.0 * a.values - 0.5 * b.values), ens)
     rhs = 2.0 * integrate_grid(a, ens) - 0.5 * integrate_grid(b, ens)
@@ -163,9 +166,12 @@ def test_normal_form_rejections(ens):
     # Same interval is fine with disjoint marks or disjoint events.
     SimpleIntegrand.build(ens, [SimpleTerm(0, 3, (0,), s),
                                 SimpleTerm(0, 3, (1,), s)])
-    half = np.arange(ens.paths) % 2 == 0
-    SimpleIntegrand.build(ens, [SimpleTerm(0, 3, (0,), s, event=half),
-                                SimpleTerm(0, 3, (0,), s, event=~half)])
+    def up(past):
+        return past[:, 0, 0, 0] > 0
+
+    SimpleIntegrand.build(ens, [SimpleTerm(1, 3, (0,), s, event=up),
+                                SimpleTerm(1, 3, (0,), s,
+                                           event=lambda past: ~up(past))])
 
 
 def test_simple_term_validation(ens):
@@ -179,9 +185,15 @@ def test_simple_term_validation(ens):
     with pytest.raises(ValueError, match="disagree on the target"):
         SimpleIntegrand.build(ens, [SimpleTerm(0, 2, (0,), s),
                                     SimpleTerm(4, 6, (0,), np.ones((2, 2)))])
+    # An event is True or a hook on the past: a precomputed array could
+    # read the future.
+    for event in (np.ones(ens.paths, dtype=bool), False):
+        with pytest.raises(ValueError, match="True or a hook"):
+            SimpleIntegrand.build(ens, [SimpleTerm(0, 2, (0,), s,
+                                                   event=event)])
     with pytest.raises(ValueError, match="one boolean per path"):
-        SimpleIntegrand.build(ens, [SimpleTerm(0, 2, (0,), s,
-                                               event=np.ones(3, dtype=bool))])
+        SimpleIntegrand.build(ens, [SimpleTerm(
+            0, 2, (0,), s, event=lambda past: np.ones(3, dtype=bool))])
     # With no term there is no target dimension, and the two routes would
     # disagree: (paths, n_times, 0) paths against a refused grid field.
     with pytest.raises(ValueError, match="at least one term"):
@@ -282,13 +294,13 @@ def test_cell_costs_shapes_and_grid_guard(ens, qm_and_qv):
     qm, qv = qm_and_qv
     # A shared field is costed as one row of (paths, cells, atoms) costs.
     phi = GridIntegrand(ens.grid, np.random.default_rng(12)
-                        .standard_normal((8, 2, 3, 2)))
+                        .standard_normal((1, 8, 2, 3, 2)))
     costs = cell_costs(phi, qm, qv)
     assert costs.shape == (1, 8, 2)
     assert np.all(costs >= 0.0)
     # Its per-path copy costs that row on every path, bit for bit.
     per_path = GridIntegrand(ens.grid, np.broadcast_to(
-        phi.values, (ens.paths,) + phi.values.shape))
+        phi.values, (ens.paths,) + phi.values.shape[1:]))
     copied = cell_costs(per_path, qm, qv)
     assert copied.shape == (ens.paths, 8, 2)
     assert copied.tobytes() == np.broadcast_to(costs, copied.shape).tobytes()
@@ -324,7 +336,7 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
             past.sum(axis=(1, 2)))[:, None, None, :] * np.ones((1, 2, 3, 1)))
     else:
         phi = GridIntegrand(ens.grid, np.random.default_rng(3)
-                            .standard_normal((8, 2, 3, 2)))
+                            .standard_normal((1, 8, 2, 3, 2)))
     stop = grid_stopping_time(ens, lambda past, i: np.abs(
         past[:, :, :, 0].sum(axis=(1, 2))) > 1.0)
     default = _thread_count_results(ens, phi, qm, qv, stop)
@@ -503,7 +515,7 @@ def test_grid_stopping_time_matches_loop_oracle(ens):
 
 def test_stopped_integral_identity_is_exact(ens):
     rng = np.random.default_rng(11)
-    phi = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 2, 2)))
+    phi = GridIntegrand(ens.grid, rng.standard_normal((1, 8, 2, 2, 2)))
     stop = rng.integers(0, 9, size=ens.paths)
     report = stopped_integral(phi, ens, stop)
     assert report.max_abs_gap == 0.0
@@ -536,8 +548,8 @@ def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
                          jumps=((rng.standard_normal(dim), 1.0),)),
     ))
     ens = simulate(driver, default_grid(driver, 1.0, 8), 256, 31)
-    shared = rng.standard_normal((8, 2, 3, dim))
-    per_path = np.broadcast_to(shared, (ens.paths,) + shared.shape).copy()
+    shared = rng.standard_normal((1, 8, 2, 3, dim))
+    per_path = np.broadcast_to(shared, (ens.paths,) + shared.shape[1:]).copy()
     stop = rng.integers(0, 9, size=ens.paths)
     event = rng.random(ens.paths) < 0.5
     sg = DiagonalSemigroup(np.array([0.5, 3.0, 40.0]))
@@ -608,7 +620,7 @@ def test_masked_actions_match_integrating_a_masked_field(dim):
     ))
     ens = simulate(driver, default_grid(driver, 1.0, 8), 128, 7)
     field = rng.standard_normal((ens.paths, 8, 2, 3, dim))
-    shared = rng.standard_normal((8, 2, 3, dim))
+    shared = rng.standard_normal((1, 8, 2, 3, dim))
     stop = rng.integers(0, 9, size=ens.paths)
     event = rng.random(ens.paths) < 0.5
     cells = np.arange(8)
@@ -629,7 +641,7 @@ def test_masked_actions_match_integrating_a_masked_field(dim):
     assert np.array_equal(
         restricted_integral(GridIntegrand(ens.grid, shared), ens, 2, 6,
                             event).lhs,
-        masked(shared[None], event[:, None] & window))
+        masked(shared, event[:, None] & window))
 
 
 def test_integrands_are_stored_in_contraction_order(ens):
@@ -642,7 +654,7 @@ def test_integrands_are_stored_in_contraction_order(ens):
     phi = GridIntegrand(ens.grid, field)
     assert np.shares_memory(phi.values, field)
     assert in_contraction_order(GridIntegrand(ens.grid, field.copy(order="C")))
-    shared = rng.standard_normal((8, 2, 3, 2))
+    shared = rng.standard_normal((1, 8, 2, 3, 2))
     assert in_contraction_order(GridIntegrand(ens.grid, shared))
     matrix = rng.standard_normal((3, 2))
     constant = GridIntegrand.constant(ens.grid, matrix)
@@ -664,16 +676,16 @@ def test_integrands_are_stored_in_contraction_order(ens):
 
     history = GridIntegrand.from_history(ens, hook)
     assert np.array_equal(history.values, np.stack(outputs, axis=1))
-    event = rng.random(ens.paths) < 0.5
     simple = simple_to_grid(SimpleIntegrand.build(ens, [
-        SimpleTerm(1, 5, (0, 1), rng.standard_normal((3, 2)), event=event)]))
+        SimpleTerm(1, 5, (0, 1), rng.standard_normal((3, 2)),
+                   event=lambda past: past[:, 0, 0, 0] > 0)]))
     for result in (history, simple, phi.compose(rng.standard_normal((4, 3)))):
         assert result.per_path and in_contraction_order(result)
 
 
 def test_restriction_matches_increment_of_the_integral(ens):
     rng = np.random.default_rng(12)
-    phi = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 2, 2)))
+    phi = GridIntegrand(ens.grid, rng.standard_normal((1, 8, 2, 2, 2)))
     event = rng.random(ens.paths) < 0.5
     s_idx, t_idx = 2, 6
     report = restricted_integral(phi, ens, s_idx, t_idx, event)
@@ -689,6 +701,20 @@ def test_restriction_matches_increment_of_the_integral(ens):
     assert report.max_abs_gap <= 1e-12 * report.scale
     with pytest.raises(ValueError, match="restriction window"):
         restricted_integral(phi, ens, 5, 2)
+
+
+def test_restriction_event_is_one_boolean_per_path(ens):
+    # F is one boolean for all paths or one per path, nothing else: a
+    # length-1 array is not broadcast to every path, and a longer one is
+    # refused before any arithmetic.
+    phi = GridIntegrand.constant(ens.grid, np.eye(2))
+    for sure in (True, np.True_, np.ones(ens.paths, dtype=bool)):
+        assert np.array_equal(restricted_integral(phi, ens, 2, 6, sure).lhs,
+                              restricted_integral(phi, ens, 2, 6).lhs)
+    for bad in (np.ones(1, dtype=bool), np.ones(ens.paths + 1, dtype=bool),
+                np.ones((ens.paths, 1), dtype=bool)):
+        with pytest.raises(ValueError, match="one boolean per path"):
+            restricted_integral(phi, ens, 2, 6, bad)
 
 
 def test_localization_tower(ens, qm_and_qv):
@@ -714,7 +740,7 @@ def test_localization_tower(ens, qm_and_qv):
 
 def test_fubini_identity_and_validation(ens):
     rng = np.random.default_rng(14)
-    members = [GridIntegrand(ens.grid, rng.standard_normal((8, 2, 2, 2)))
+    members = [GridIntegrand(ens.grid, rng.standard_normal((1, 8, 2, 2, 2)))
                for _ in range(4)]
     weights = [0.1, 0.4, 0.2, 0.3]
     report = fubini_check(members, weights, ens)
@@ -727,7 +753,7 @@ def test_fubini_identity_and_validation(ens):
 
 def test_pushforward_commutes(ens):
     rng = np.random.default_rng(15)
-    phi = GridIntegrand(ens.grid, rng.standard_normal((8, 2, 3, 2)))
+    phi = GridIntegrand(ens.grid, rng.standard_normal((1, 8, 2, 3, 2)))
     op = rng.standard_normal((4, 3))
     report = pushforward_commute(op, phi, ens)
     assert report.max_abs_gap <= 1e-10 * report.scale
@@ -740,10 +766,12 @@ def test_pushforward_commutes(ens):
 
 
 def test_integrand_validation(ens):
-    with pytest.raises(ValueError, match="4- or 5-d"):
-        GridIntegrand(ens.grid, np.ones((8, 2, 2)))
+    # Every field has a rows axis: a 4-d shared field is refused.
+    for rank in ((8, 2, 2), (8, 2, 2, 2)):
+        with pytest.raises(ValueError, match=r"\(rows, cells, atoms, G, H\)"):
+            GridIntegrand(ens.grid, np.ones(rank))
     with pytest.raises(ValueError, match="does not match grid"):
-        GridIntegrand(ens.grid, np.ones((7, 2, 2, 2)))
+        GridIntegrand(ens.grid, np.ones((1, 7, 2, 2, 2)))
     with pytest.raises(ValueError, match="single"):
         GridIntegrand.constant(ens.grid, np.ones(3))
     with pytest.raises(ValueError, match="per time cell"):

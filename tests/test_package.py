@@ -67,15 +67,13 @@ def test_standard_errors_come_only_from_mean_se():
 
 
 def test_running_sums_come_only_from_running_sum():
-    # One time scan: a cumulative sum is taken only by measures._running_sum,
-    # by integrate_simple (the independent radonification route) and by
-    # quadvar._uniform_deviation (tail sums).
+    # One time scan: a cumulative sum is taken only by measures._running_sum
+    # and by integrate_simple (the independent radonification route).
     calls = method_calls("cumsum", {("measures.py", "_running_sum"),
-                                    ("integrate.py", "integrate_simple"),
-                                    ("quadvar.py", "_uniform_deviation")})
+                                    ("integrate.py", "integrate_simple")})
     stray = [(name, line) for name, line, ok in calls if not ok]
-    assert not stray, f"cumsum outside the three allowed functions at {stray}"
-    assert len(calls) == 3, calls
+    assert not stray, f"cumsum outside the two allowed functions at {stray}"
+    assert len(calls) == 2, calls
 
 
 def test_eigen_decompositions_come_only_from_clipped_eigh():

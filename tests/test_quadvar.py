@@ -8,7 +8,7 @@ from mvmlab.hilbert import operator_norm_psd, psd_sqrt, sphere_sequence
 from mvmlab.integrate import GridIntegrand, cell_costs
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, IntegralType,
                           IntensityFamily, default_grid, intensity_family)
-from mvmlab.measures import DiscreteMeasure
+from mvmlab.measures import DiscreteMeasure, GridMismatchError, make_grid
 from mvmlab.quadvar import (InconsistentDensityError, _uniform_deviation,
                             alpha_polarization, bilinear_field,
                             counterexample_partition_sum, qm_density,
@@ -176,6 +176,17 @@ def test_qm_density_zero_cells_and_inconsistency():
     forged[0, 0] = np.eye(2)
     with pytest.raises(InconsistentDensityError, match="zero quadratic"):
         qm_density(IntensityFamily(family.grid, forged), est)
+
+
+def test_qm_density_refuses_a_variation_of_another_grid(family):
+    # A variation on [0, 2] has the cells and atoms of the field's grid on
+    # [0, 1], but not its grid: refused like every other grid mismatch.
+    est = qv_supremum(family, np.eye(3))
+    grid = family.grid
+    moved = DiscreteMeasure(make_grid(2.0, grid.n_cells, grid.mark_atoms),
+                            est.cell_mass)
+    with pytest.raises(GridMismatchError, match="different grids"):
+        qm_density(bilinear_field(family), moved)
 
 
 def test_qm_csv_round_trip(driver, family):

@@ -110,10 +110,11 @@ def test_heat_instance_bookkeeping():
     e0 = np.eye(channels)[0]
     np.testing.assert_allclose(atom.effective_cov(),
                                np.eye(channels) + 2.0 * np.outer(e0, e0))
-    # Additive noise: the map ignores the state and returns the one field.
+    # Additive noise: the map ignores the state and returns the one field,
+    # as one row that every path shares.
     coeffs = spde.additive_coefficients(f[None])
     for x in (np.ones((2, modes)), np.zeros((4, 3, modes))):
-        assert np.array_equal(coeffs.noise(0.0, x), f[None])
+        assert np.array_equal(coeffs.noise(0.0, x), f[None, None])
 
 
 def test_simple_route_gap_catches_a_grid_that_drops_each_first_cell(

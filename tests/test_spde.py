@@ -104,8 +104,8 @@ def test_scan_matches_loop_oracle(heat):
     qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
     phi = GridIntegrand.constant(grid, heat.f_matrix)
     weighted = qv.cell_mass[:, :, None, None] * qm.matrices
-    per_mode = np.einsum("iagh,iahl,iagl->ig", phi.values, weighted,
-                         phi.values)
+    per_mode = np.einsum("iagh,iahl,iagl->ig", phi.values[0], weighted,
+                         phi.values[0])
     times = np.asarray(grid.time_points)
     expect = decayed_sum_oracle(2 * heat.semigroup.rates, times,
                                 per_mode).sum(axis=1)
@@ -234,7 +234,7 @@ def test_additive_fixed_point_is_semigroup_plus_convolution(heat):
     times = np.asarray(grid.time_points)
     sem = np.exp(-np.outer(times, heat.semigroup.rates)) * x0
     phi = GridIntegrand(grid, np.broadcast_to(
-        heat.f_matrix, (grid.n_cells, 1) + heat.f_matrix.shape).copy())
+        heat.f_matrix, (1, grid.n_cells, 1) + heat.f_matrix.shape).copy())
     conv = stochastic_convolution(heat.semigroup, phi, ens)
     np.testing.assert_allclose(sol.values, sem[None] + conv, atol=1e-12)
     # Additive contributions ignore the state: the first Picard update and
@@ -358,8 +358,8 @@ def test_state_dependent_noise_fixed_point_matches_loop_oracle(heat):
 
 
 def test_constant_noise_map_gives_the_additive_solution_bitwise():
-    # A state-free map returning one (atoms, G, H) field is a shared
-    # integrand, its per-path broadcast a per-path one: both reach the one
+    # A state-free map returning one (atoms, G, H) field as one row is a
+    # shared integrand, its per-path broadcast a per-path one: both reach the one
     # cell contraction, so the Picard iterates, solutions and weak residuals
     # must come out bitwise equal.
     rng = np.random.default_rng(64)
@@ -370,7 +370,7 @@ def test_constant_noise_map_gives_the_additive_solution_bitwise():
     mats = ex.f_matrix[None]
     shared = linear_drift_coefficients(0.5, mats)
     assert shared.noise(0.0, np.ones((3, ex.semigroup.dim))).shape \
-        == mats.shape
+        == (1,) + mats.shape
     per_path = CoefficientSpec(
         drift=shared.drift, drift_bound=shared.drift_bound,
         noise=lambda t, x: np.broadcast_to(mats, x.shape[:-1] + mats.shape))
@@ -399,6 +399,11 @@ def test_noise_map_of_the_wrong_dimension_is_rejected(heat):
         with pytest.raises(ValueError,
                            match="integrand expects dim 3, driver has 2"):
             solve(heat.semigroup, coeffs, ens, x0)
+    # A noise map must return a rows axis: one field of (atoms, G, H) is
+    # refused, not read as one row per atom.
+    bare = CoefficientSpec(noise=lambda t, x: heat.f_matrix[None])
+    with pytest.raises(ValueError, match="does not match the path count"):
+        mild_solution(heat.semigroup, bare, ens, x0)
     # Maps into a state space of the wrong dimension G: a noise map, a
     # state-free noise field and a drift, each one mode short.
     short = heat.f_matrix[None, :-1]
