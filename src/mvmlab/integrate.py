@@ -3,7 +3,7 @@
 Integrands are operator-valued fields over (time cell, mark atom): either
 simple (finitely many interval x event x mark-set terms, integrated through
 the radonification formula term by term) or grid integrands (one operator
-per cell, in one row that every path shares or in one row per path).  Both
+per cell, in one shared row, one row per path or a table of rows).  Both
 routes give the integral paths t -> I_t as one plain ``(paths, n_times,
 G)`` array, the form of every path result of the lab, and both sides of
 each pathwise identity come in that form too.  The routes must agree, and
@@ -21,12 +21,12 @@ that of the actions masked by A.  So stopping, window/event restriction and
 localization contract the field once and mask its actions; no masked copy
 of the field is made.
 
-Per-path work runs block by block: the hooks below, the cell contraction,
-the cell costs (one row for a shared field) and the gather of a simple
-integrand's per-path field each take the paths in blocks of 1024, on one
-thread per usable core (:func:`mvmlab.measures._by_path_blocks`).  Every
-block writes only its own rows with the arithmetic a single path gets, so
-results do not depend on the thread count.
+Per-path work runs block by block: the hooks below, the cell contraction and
+the cell costs (of the field's rows, one per event pattern for a simple
+integrand) each take the paths or rows in blocks of 1024, on one thread per
+usable core (:func:`mvmlab.measures._by_path_blocks`).  Every block writes
+only its own rows with the arithmetic a single path gets, so results do not
+depend on the thread count.
 
 Adaptedness is structural: every predictable input (simple-integrand
 events, history-dependent operator fields and stopping rules) is a hook,
@@ -42,7 +42,7 @@ a pure function of its arguments, since it may run on a pooled thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,15 +116,24 @@ def _zeros_contraction_order(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
 
 
+def _row_index(index: np.ndarray | None, rows: int) -> np.ndarray | None:
+    """`index`, checked to be None or to name one of `rows` rows per path."""
+    if index is not None and (index.ndim != 1 or index.dtype.kind not in "iu"
+                              or not np.all((0 <= index) & (index < rows))):
+        raise ValueError(f"a row index needs one row of 0..{rows - 1} per path")
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class GridIntegrand:
     """Operator-valued field: one (G x H) matrix per (time cell, mark atom).
 
-    `values` has shape ``(rows, n_cells, n_atoms, dim_g, dim_h)``, `rows`
-    being 1 for a field that every path shares and the path count for one
-    per path (a :meth:`from_history` field on a one-path ensemble has one
-    row, so it counts as shared).  Only the left endpoint of a cell ever
-    sees the field, which is how predictability is encoded on the grid.
+    `values` has shape ``(rows, n_cells, n_atoms, dim_g, dim_h)``: one row
+    that every path shares, one per path (a :meth:`from_history` field on
+    one path has one row, so it counts as shared), or a table of rows, path
+    p reading row ``index[p]``, which only :func:`simple_to_grid` makes.
+    Only the left endpoint of a cell ever sees the field, which is how
+    predictability is encoded on the grid.
 
     Every field is stored in contraction order: ``values.swapaxes(-1, -2)``
     is C-contiguous, i.e. the memory holds ``(rows, cells, atoms, dim_h,
@@ -137,6 +146,7 @@ class GridIntegrand:
 
     grid: GridSpec
     values: np.ndarray
+    index: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -145,6 +155,7 @@ class GridIntegrand:
         if v.shape[1:3] != (self.grid.n_cells, self.grid.n_atoms):
             raise ValueError(f"integrand shape {v.shape} does not match grid")
         object.__setattr__(self, "values", _contraction_order(v))
+        _row_index(self.index, len(v))
 
     @property
     def per_path(self) -> bool:
@@ -217,42 +228,43 @@ class GridIntegrand:
 
     def compose(self, op: np.ndarray) -> "GridIntegrand":
         """Push the field forward by a fixed operator: cellwise op @ value,
-        one GEMM whose product is already in contraction order."""
+        one GEMM whose product is already in contraction order, same index."""
         op = np.asarray(op, dtype=np.float64)
         if op.ndim != 2 or op.shape[1] != self.dim_g:
             raise ValueError(f"cannot compose {op.shape} with dim_g={self.dim_g}")
         stack = self.values.swapaxes(-1, -2)
-        return GridIntegrand(self.grid, (stack.reshape(-1, self.dim_g) @ op.T)
-                             .reshape(stack.shape[:-1] + (-1,)).swapaxes(-1, -2))
+        return replace(self, values=(stack.reshape(-1, self.dim_g) @ op.T)
+                       .reshape(stack.shape[:-1] + (-1,)).swapaxes(-1, -2))
 
 
-def _contract(increments: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _contract(increments: np.ndarray, values: np.ndarray,
+              index: np.ndarray | None = None) -> np.ndarray:
     """The one cell contraction: actions ``sum_atoms Phi dM`` (paths,
-    [cells,] G) of `values` ``(rows, [cells,] atoms, G, H)``, one row shared
-    or one per path, on `increments` ``(paths, [cells,] atoms, H)``.
+    [cells,] G) of `values` ``(rows, [cells,] atoms, G, H)`` (path p reading
+    row 0, p or ``index[p]``) on `increments` ``(paths, [cells,] atoms, H)``.
 
     One ``np.matmul`` of the ``(..., 1, atoms * H)`` increments with the
     stack ``values.swapaxes(-1, -2).reshape(rows, ..., atoms * H, G)``, a
     view for a field in contraction order (see :class:`GridIntegrand`), of
-    which each path block reads the one row or its own rows.  So every
-    (path, cell) product is the same vector-matrix call on the same C-ordered
-    matrix, for all cells at once or one at a time, shared or per path."""
+    which each path block reads its paths' rows.  So every (path, cell)
+    product is the same vector-matrix call on the same C-ordered matrix, for
+    all cells at once or one at a time."""
     if values.shape[-1] != increments.shape[-1]:
         raise ValueError(f"integrand expects dim {values.shape[-1]}, "
                          f"driver has {increments.shape[-1]}")
-    if values.ndim != increments.ndim + 1 \
-            or len(values) not in (1, len(increments)):
+    fits = len(values) in (1, len(increments)) if index is None \
+        else len(_row_index(index, len(values))) == len(increments)
+    if values.ndim != increments.ndim + 1 or not fits:
         raise ValueError(f"integrand of shape {values.shape} does not match "
                          f"the path count: it needs 1 row or one per path")
     *lead, a, h = increments.shape
-    g = values.shape[-2]
-    stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, g))
+    stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, -1))
     rows_in = increments.reshape(*lead, 1, a * h)
-    out = np.empty((*lead, 1, g))
+    out = np.empty((*lead, 1, stack.shape[-1]))
 
     def block(rows: slice) -> None:
-        np.matmul(rows_in[rows], stack if len(stack) == 1 else stack[rows],
-                  out=out[rows])
+        np.matmul(rows_in[rows], stack if len(stack) == 1 else stack[
+            rows if index is None else index[rows]], out=out[rows])
 
     _by_path_blocks(lead[0], block)
     return out[..., 0, :]
@@ -263,7 +275,7 @@ def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
     cells, G), after checking that the two fit together (see
     :func:`_contract`)."""
     _check_grid(phi.grid, ens)
-    return _contract(ens.increments, phi.values)
+    return _contract(ens.increments, phi.values, phi.index)
 
 
 def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
@@ -398,11 +410,11 @@ def integrate_simple(phi: SimpleIntegrand, ens: MVMPathEnsemble
 
 
 def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
-    """Materialize a simple integrand as a grid integrand.
+    """Materialize a simple integrand as a grid integrand: a table of fields.
 
-    Paths whose events agree on every term share one field: each distinct
-    event pattern sums the terms it selects, in term order, and the per-path
-    field gathers its pattern's field one path block at a time."""
+    Paths whose events agree on every term share one row: each distinct
+    event pattern sums the terms it selects, in term order, and the index
+    names each path's pattern, unless there is only one (a shared field)."""
     shape = (phi.grid.n_cells, phi.grid.n_atoms) + phi.terms[0][3].shape
     events = np.stack([ev for *_, ev in phi.terms], axis=1)
     patterns, pattern_of = np.unique(events, axis=0, return_inverse=True)
@@ -411,17 +423,7 @@ def simple_to_grid(phi: SimpleIntegrand) -> GridIntegrand:
     for (s, t, atoms, matrix, _), selects in zip(phi.terms, patterns.T):
         for j in atoms:
             table.swapaxes(-1, -2)[selects, s:t, j] += matrix.T
-    if len(table) == 1:  # every path falls into one pattern: a shared field
-        return GridIntegrand(phi.grid, table)
-    values = _zeros_contraction_order((phi.paths,) + shape)
-
-    def gather(rows: slice) -> None:
-        # "clip" writes straight into `out`; the default "raise" buffers.
-        np.take(table.swapaxes(-1, -2), pattern_of[rows], axis=0,
-                out=values.swapaxes(-1, -2)[rows], mode="clip")
-
-    _by_path_blocks(phi.paths, gather)
-    return GridIntegrand(phi.grid, values)
+    return GridIntegrand(phi.grid, table, pattern_of if len(table) > 1 else None)
 
 
 def _density_roots(phi: GridIntegrand, qm: IntensityFamily,
@@ -449,8 +451,8 @@ def _hs_squares(values: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def cell_costs(phi: GridIntegrand, qm: IntensityFamily,
                qv: DiscreteMeasure) -> np.ndarray:
     """Cost ``||Phi o Q_M^{1/2}||_HS^2 qv`` per path and cell, (paths,
-    n_cells, n_atoms), one path block at a time; a shared field is costed as
-    one row."""
+    n_cells, n_atoms), one block of rows at a time; a shared field is costed
+    as one row, and a table's rows are costed, then gathered by its index."""
     roots = _density_roots(phi, qm, qv)
     out = np.empty(phi.values.shape[:3])
 
@@ -459,7 +461,7 @@ def cell_costs(phi: GridIntegrand, qm: IntensityFamily,
                     qv.cell_mass, out=out[rows])
 
     _by_path_blocks(out.shape[0], block)
-    return out
+    return out if phi.index is None else out[phi.index]
 
 
 def lambda2_profile(phi: GridIntegrand, qm: IntensityFamily,
@@ -476,10 +478,10 @@ def grid_stopping_time(ens: MVMPathEnsemble,
     """First grid index at which an adapted rule fires, per path.
 
     ``hook(past, i)`` sees the increments of cells ``< i`` of one block of
-    paths and returns a boolean per path of that block; the result is the
-    smallest such i (or n_cells when the rule never fires, i.e. the stopping
-    time is the horizon).  Each block asks the rule for i = 0, 1, ... until
-    all of its paths have fired.
+    paths and returns one boolean for all of them or one per path of that
+    block; the result is the smallest such i (or n_cells when the rule
+    never fires, i.e. the stopping time is the horizon).  Each block asks
+    the rule for i = 0, 1, ... until all of its paths have fired.
     """
     n = ens.grid.n_cells
     stop = np.full(ens.paths, n, dtype=np.int64)
@@ -490,6 +492,9 @@ def grid_stopping_time(ens: MVMPathEnsemble,
         for i in range(n + 1):
             fired = np.asarray(_ask(f"stopping rule at index {i}", hook,
                                     _past(ens, rows, i), i), dtype=bool)
+            if fired.shape not in ((), stop_rows.shape):
+                raise ValueError(f"stopping rule at index {i} must resolve to "
+                                 f"one boolean per path, got {fired.shape}")
             stop_rows[open_mask & fired] = i
             open_mask &= ~fired
             if not open_mask.any():
@@ -635,7 +640,8 @@ def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
     """
     if len(integrands) != len(weights) or not integrands:
         raise ValueError("need matching, nonempty integrand and weight lists")
-    mixed_values = sum(w * phi.values for w, phi in zip(weights, integrands))
+    mixed_values = sum(w * phi.values[... if phi.index is None else phi.index]
+                       for w, phi in zip(weights, integrands))
     combined = integrate_grid(GridIntegrand(integrands[0].grid, mixed_values), ens)
     summed = sum(w * integrate_grid(phi, ens)
                  for w, phi in zip(weights, integrands))

@@ -519,10 +519,7 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
             phi = integrate.simple_to_grid(simple)
         integral = integrate.integrate_grid(phi, ens)
         costs = integrate.cell_costs(phi, qm, qv)
-        # A fresh array, not a broadcast view of the one row of a shared
-        # field: a view read 8.5 MiB more peak RSS here (cause unknown).
-        per_path_cost = costs.sum(axis=(1, 2)) if len(costs) > 1 \
-            else np.full(paths, costs.sum())
+        per_path_cost = np.broadcast_to(costs.sum(axis=(1, 2)), (paths,))
         term = integral[:, -1]
         terminal_sq = (term ** 2).sum(axis=1)
         z_iso = res.add_max_z(

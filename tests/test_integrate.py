@@ -18,7 +18,7 @@ from mvmlab.integrate import (AdaptednessError, GridIntegrand,
                               integrate_grid, integrate_simple,
                               lambda2_profile, localize,
                               pushforward_commute, restricted_integral,
-                              simple_to_grid, stopped_integral)
+                              simple_to_grid, stopped_integral, _contract)
 from mvmlab.spde import DiagonalSemigroup, stochastic_convolution
 
 
@@ -101,7 +101,8 @@ def _per_path_accumulation(phi):
 
 def test_simple_to_grid_matches_per_path_accumulation(ens):
     # A sure term, then two events on atom 0 that split the paths and one
-    # on atom 1: four event patterns, gathered block by block.
+    # on atom 1: four event patterns, one table row each, and each path
+    # reads its pattern's row.
     rng = np.random.default_rng(5)
     mats = rng.standard_normal((4, 3, 2))
 
@@ -115,8 +116,9 @@ def test_simple_to_grid_matches_per_path_accumulation(ens):
                         event=lambda past: past[:, :, 1, 1].sum(axis=1) > 0)]
     phi = SimpleIntegrand.build(ens, terms)
     grid_phi = simple_to_grid(phi)
-    assert grid_phi.per_path
-    assert np.array_equal(grid_phi.values, _per_path_accumulation(phi))
+    assert grid_phi.per_path and len(grid_phi.values) == 4
+    assert np.array_equal(grid_phi.values[grid_phi.index],
+                          _per_path_accumulation(phi))
     # Paths that all fall into one event pattern share one field, one row:
     # events sure on every path, or a hook that answers alike on every path.
     for event in (True, lambda past: np.zeros(len(past), dtype=bool)):
@@ -124,7 +126,7 @@ def test_simple_to_grid_matches_per_path_accumulation(ens):
             SimpleTerm(0, 4, (0, 1), mats[0]),
             SimpleTerm(4, 8, (1,), mats[1], event=event)])
         shared = simple_to_grid(one)
-        assert not shared.per_path
+        assert not shared.per_path and shared.index is None
         assert np.array_equal(shared.values, _per_path_accumulation(one)[:1])
 
 
@@ -323,15 +325,35 @@ def _thread_count_results(ens, phi, qm, qv, stop):
             stopped.lhs, stopped.rhs]
 
 
-@pytest.mark.parametrize("per_path", [False, True])
+def _table_field(ens, rng):
+    """simple_to_grid's table of a simple integrand whose events split the
+    paths into three patterns: a table field with an index."""
+    def up(past):
+        return past[:, :, 0, 0].sum(axis=1) > 0
+
+    return simple_to_grid(SimpleIntegrand.build(ens, [
+        SimpleTerm(0, 3, (0, 1), rng.standard_normal((3, 2))),
+        SimpleTerm(3, 8, (0,), rng.standard_normal((3, 2)), event=up),
+        SimpleTerm(3, 8, (0,), rng.standard_normal((3, 2)),
+                   event=lambda past: ~up(past)),
+        SimpleTerm(3, 8, (1,), rng.standard_normal((3, 2)),
+                   event=lambda past: up(past) & (past[:, :, 1, 1].sum(
+                       axis=1) > 0))]))
+
+
+@pytest.mark.parametrize("per_path", [False, True, "table"])
 def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
                                                      per_path, monkeypatch):
     # 2,500 paths are three blocks, the last one short: contracted and
     # costed by the default threads, by one and by three, every result is
-    # the same bytes, for a shared field and for a history-built one.
+    # the same bytes, for a shared field, a history-built one and a table
+    # with an index.
     qm, qv = qm_and_qv
     ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
-    if per_path:
+    if per_path == "table":
+        phi = _table_field(ens, np.random.default_rng(3))
+        assert len(phi.values) == 3
+    elif per_path:
         phi = GridIntegrand.from_history(ens, lambda past, i: np.tanh(
             past.sum(axis=(1, 2)))[:, None, None, :] * np.ones((1, 2, 3, 1)))
     else:
@@ -345,6 +367,60 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
         monkeypatch.setattr(measures, "_WORKERS", workers)
         got = _thread_count_results(ens, phi, qm, qv, stop)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in default]
+
+
+def test_a_table_field_gives_the_bytes_of_its_dense_copy(driver, qm_and_qv):
+    # [DERIVED] oracle: the rows each path reads, gathered into a dense
+    # per-path field.  On 2,500 paths (three blocks) every result of the
+    # table field must be the bytes of the dense copy's.
+    qm, qv = qm_and_qv
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 41)
+    rng = np.random.default_rng(29)
+    table = _table_field(ens, rng)
+    dense = GridIntegrand(ens.grid, table.values[table.index])
+    assert dense.index is None and len(dense.values) == ens.paths
+    stop = rng.integers(0, 9, size=ens.paths)
+    event = rng.random(ens.paths) < 0.5
+    op = rng.standard_normal((4, 3))
+    assert table.compose(op).index is table.index
+
+    def results(phi):
+        stopped = stopped_integral(phi, ens, stop)
+        restricted = restricted_integral(phi, ens, 2, 6, event)
+        local = localize(phi, ens, qm, qv, [0.5, 2.0])
+        pushed = pushforward_commute(op, phi, ens)
+        return [integrate_grid(phi, ens), cell_costs(phi, qm, qv),
+                stopped.lhs, stopped.rhs, restricted.lhs, restricted.rhs,
+                *local.stop_indices.values(),
+                np.array([*local.truncated_norms.values(),
+                          local.max_consistency_gap, local.max_cell_cost]),
+                pushed.lhs, pushed.rhs]
+
+    got, want = results(table), results(dense)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_a_row_index_names_one_table_row_per_path(ens):
+    # A table field's index is one integer per path, each naming a row of
+    # the table: the field refuses a 2-d index or a row off the table, and
+    # the contraction refuses those and an index that misses paths.
+    table = np.random.default_rng(31).standard_normal((2, 8, 2, 3, 2))
+    index = np.arange(ens.paths) % 2
+    for bad in (index[:, None], index + 1, index - 1, index.astype(float),
+                index.astype(bool)):
+        with pytest.raises(ValueError, match="one row of 0..1 per path"):
+            GridIntegrand(ens.grid, table, bad)
+        with pytest.raises(ValueError, match="one row of 0..1 per path"):
+            _contract(ens.increments, table, bad)
+    short = GridIntegrand(ens.grid, table, index[:-1])
+    with pytest.raises(ValueError, match="path count"):
+        integrate_grid(short, ens)
+    with pytest.raises(ValueError, match="path count"):
+        _contract(ens.increments, table, index[:-1])
+    # One cell's actions, as the mild-solution scan contracts them: path p
+    # reads row index[p], as from the dense copy of the rows.
+    assert _contract(ens.increments[:, 3], table[:, 3], index).tobytes() \
+        == _contract(ens.increments[:, 3], table[index, 3]).tobytes()
 
 
 def test_a_block_error_reaches_the_caller(driver, qm_and_qv, monkeypatch):
@@ -511,6 +587,26 @@ def test_grid_stopping_time_matches_loop_oracle(ens):
         expected = hits[0] + 1 if hits.size else ens.grid.n_cells
         assert stop[p] == min(expected, ens.grid.n_cells)
     assert stop.min() >= 1
+
+
+def test_a_stopping_rule_answers_one_boolean_or_one_per_path(driver):
+    # A rule answers for the block it is asked about: one boolean for all of
+    # its paths or one per path.  A column, or an answer for the whole
+    # ensemble when the block is part of it, is refused by name.
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 1_500, 3)
+    assert np.array_equal(grid_stopping_time(ens, lambda past, i: i >= 3),
+                          np.full(ens.paths, 3))
+    for rule in (lambda past, i: np.ones((len(past), 1), dtype=bool),
+                 lambda past, i: np.ones(ens.paths, dtype=bool)):
+        with pytest.raises(ValueError, match="stopping rule at index 0 "
+                                             "must resolve to one boolean "
+                                             "per path"):
+            grid_stopping_time(ens, rule)
+    # On 10 paths the one block is the ensemble, so its answer fits.
+    small = simulate(driver, default_grid(driver, 1.0, 8), 10, 3)
+    assert np.array_equal(grid_stopping_time(
+        small, lambda past, i: np.full(small.paths, i >= 2)),
+        np.full(small.paths, 2))
 
 
 def test_stopped_integral_identity_is_exact(ens):
@@ -745,6 +841,20 @@ def test_fubini_identity_and_validation(ens):
     weights = [0.1, 0.4, 0.2, 0.3]
     report = fubini_check(members, weights, ens)
     assert report.max_abs_gap <= 1e-10 * report.scale
+    # Two simple fields whose events split the paths differently: each path
+    # mixes the rows it reads, so the check gives the bytes of mixing the
+    # dense copies, not a mix of the two tables row by row.
+    tables = [simple_to_grid(SimpleIntegrand.build(ens, [
+        SimpleTerm(0, 2, (0, 1), rng.standard_normal((2, 2))),
+        SimpleTerm(2, 8, (c,), rng.standard_normal((2, 2)),
+                   event=lambda past, c=c: past[:, :, c, c].sum(axis=1) > 0)]))
+        for c in (0, 1)]
+    assert not np.array_equal(*(t.index for t in tables))
+    dense = [GridIntegrand(ens.grid, t.values[t.index]) for t in tables]
+    mixed, want = (fubini_check(m, [0.3, 0.7], ens) for m in (tables, dense))
+    assert mixed.lhs.tobytes() == want.lhs.tobytes()
+    assert mixed.rhs.tobytes() == want.rhs.tobytes()
+    assert mixed.max_abs_gap <= 1e-10 * mixed.scale
     with pytest.raises(ValueError, match="matching"):
         fubini_check(members, weights[:2], ens)
     with pytest.raises(ValueError, match="matching"):
