@@ -237,18 +237,12 @@ class GridIntegrand:
                        .reshape(stack.shape[:-1] + (-1,)).swapaxes(-1, -2))
 
 
-def _contract(increments: np.ndarray, values: np.ndarray,
-              index: np.ndarray | None = None) -> np.ndarray:
-    """The one cell contraction: actions ``sum_atoms Phi dM`` (paths,
-    [cells,] G) of `values` ``(rows, [cells,] atoms, G, H)`` (path p reading
-    row 0, p or ``index[p]``) on `increments` ``(paths, [cells,] atoms, H)``.
-
-    One ``np.matmul`` of the ``(..., 1, atoms * H)`` increments with the
-    stack ``values.swapaxes(-1, -2).reshape(rows, ..., atoms * H, G)``, a
-    view for a field in contraction order (see :class:`GridIntegrand`), of
-    which each path block reads its paths' rows.  So every (path, cell)
-    product is the same vector-matrix call on the same C-ordered matrix, for
-    all cells at once or one at a time."""
+def _check_fit(increments: np.ndarray, values: np.ndarray,
+               index: np.ndarray | None = None) -> None:
+    """Refuse a field `values` ``(rows, [cells,] atoms, G, H)`` that cannot
+    act on `increments` ``(paths, [cells,] atoms, H)``: it needs the
+    driver's H and one row, one per path, or an index naming one row per
+    path."""
     if values.shape[-1] != increments.shape[-1]:
         raise ValueError(f"integrand expects dim {values.shape[-1]}, "
                          f"driver has {increments.shape[-1]}")
@@ -257,16 +251,43 @@ def _contract(increments: np.ndarray, values: np.ndarray,
     if values.ndim != increments.ndim + 1 or not fits:
         raise ValueError(f"integrand of shape {values.shape} does not match "
                          f"the path count: it needs 1 row or one per path")
+
+
+def _contract_rows(increments: np.ndarray, values: np.ndarray,
+                   index: np.ndarray | None, rows: slice,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The actions ``(block, [cells,] 1, G)`` of a field that fits (see
+    :func:`_check_fit`) on the `increments` ``(block, [cells,] atoms, H)``
+    of the paths `rows`, each path reading its row through the one
+    accessor: row 0 of a one-row field, else row p or ``index[p]``.
+
+    One ``np.matmul`` of the ``(..., 1, atoms * H)`` increments with the
+    stack ``values.swapaxes(-1, -2).reshape(rows, ..., atoms * H, G)``, a
+    view for a field in contraction order (see :class:`GridIntegrand`).  So
+    every (path, cell) product is the same vector-matrix call on the same
+    C-ordered matrix, for all cells at once or one at a time, whatever the
+    block.  It runs in the block that asks, on `out` when given."""
     *lead, a, h = increments.shape
     stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, -1))
-    rows_in = increments.reshape(*lead, 1, a * h)
-    out = np.empty((*lead, 1, stack.shape[-1]))
+    return np.matmul(increments.reshape(*lead, 1, a * h),
+                     stack if len(stack) == 1 else stack[
+                         rows if index is None else index[rows]], out=out)
+
+
+def _contract(increments: np.ndarray, values: np.ndarray,
+              index: np.ndarray | None = None) -> np.ndarray:
+    """The one cell contraction: actions ``sum_atoms Phi dM`` (paths,
+    [cells,] G) of `values` ``(rows, [cells,] atoms, G, H)`` (path p reading
+    row 0, p or ``index[p]``) on `increments` ``(paths, [cells,] atoms, H)``,
+    checked on the calling thread (:func:`_check_fit`), then made one path
+    block at a time by :func:`_contract_rows`."""
+    _check_fit(increments, values, index)
+    out = np.empty(increments.shape[:-2] + (1, values.shape[-2]))
 
     def block(rows: slice) -> None:
-        np.matmul(rows_in[rows], stack if len(stack) == 1 else stack[
-            rows if index is None else index[rows]], out=out[rows])
+        _contract_rows(increments[rows], values, index, rows, out[rows])
 
-    _by_path_blocks(lead[0], block)
+    _by_path_blocks(len(increments), block)
     return out[..., 0, :]
 
 

@@ -150,13 +150,19 @@ def _by_path_blocks(paths: int, work: Callable[[slice], None]) -> None:
     usable core; the pool is built on the first call with more than one
     block.  Each call of `work` must write only its own rows of arrays its
     caller allocated, touch only numpy and private helpers (public functions
-    run in the caller, before the blocks) and not call this function again;
-    then the result does not depend on the thread count.  Caller code may
-    run in a block too: the hooks of :mod:`mvmlab.integrate`, which must be
-    pure functions of the past of the block's paths and answer for those
-    paths only.  After an error no further block starts, and the error of
-    the calling thread, or else the first one of a pooled thread, reaches
-    the caller once every started block has ended.
+    run in the caller, before the blocks) and not call this function again,
+    not even through a helper: a nested call that submits to the pool can
+    wait on pooled threads that wait on it.  So a helper that a block calls
+    is a per-block kernel with its checks split off, as
+    ``integrate._contract_rows`` and ``integrate._check_fit`` are for
+    ``integrate._contract``.  Then the result does not depend on the thread
+    count.  Caller code may run in a block too: the hooks of
+    :mod:`mvmlab.integrate` and the drift and noise maps that the time scan
+    of :mod:`mvmlab.spde` steps through, which must be pure functions of the
+    past or the states of the block's paths and answer for those paths only.
+    After an error no further block starts, and the error of the calling
+    thread, or else the first one of a pooled thread, reaches the caller
+    once every started block has ended.
     """
     global _pool
     starts = iter(range(0, paths, _BLOCK))

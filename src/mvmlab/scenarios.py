@@ -25,8 +25,8 @@ import numpy as np
 
 from . import haar, integrate, noise, quadvar, spde
 from .hilbert import operator_norm_psd, sphere_sequence
-from .measures import (_BLOCK, DiscreteMeasure, _csv_text, brute_force_sup,
-                       make_grid, monotone_sup, sup_measures)
+from .measures import (_BLOCK, DiscreteMeasure, _by_path_blocks, _csv_text,
+                       brute_force_sup, make_grid, monotone_sup, sup_measures)
 
 __all__ = ["Check", "ScenarioResult", "RunReport", "SCENARIOS",
            "ScenarioInputError", "run_scenario", "list_scenarios"]
@@ -137,6 +137,21 @@ def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def _squared_norms(paths: np.ndarray, shift: np.ndarray | float = 0.0
+                   ) -> np.ndarray:
+    """Per-path squared norms ``((shift + paths) ** 2).sum(axis=2)`` (paths,
+    n_times) of the path results `paths` (paths, n_times, G), taken one path
+    block at a time, so no temporary of the whole ensemble is made; each
+    row is reduced as in one whole-ensemble sum."""
+    out = np.empty(paths.shape[:2])
+
+    def block(rows: slice) -> None:
+        out[rows] = ((shift + paths[rows]) ** 2).sum(axis=2)
+
+    _by_path_blocks(len(paths), block)
+    return out
 
 
 def _require(ok: bool, name: str, key: str, rule: str) -> None:
@@ -536,7 +551,7 @@ def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
                           "rounding_identity", "integrate_simple against "
                           "integrate_grid of simple_to_grid")
         if not rows:  # the first pair, on white noise: its profile in time
-            mean, se = noise.mean_se((integral ** 2).sum(axis=2))
+            mean, se = noise.mean_se(_squared_norms(integral))
             res.artifacts["ito_isometry_profile.csv"] = _csv_text(
                 "t,mean_norm2,se,isometry_target", [
                     ens.times, mean, se,
@@ -573,7 +588,7 @@ def _scn_fubini(seed: int, paths: int, params: dict) -> ScenarioResult:
                   params["tol"], "rounding_identity",
                   f"family of {n_members} integrands, weighted mix")
     res.artifacts["fubini_mixed.csv"] = _csv_text("t,mean_norm2,se", [
-        ens.times, *noise.mean_se((report.lhs ** 2).sum(axis=2))])
+        ens.times, *noise.mean_se(_squared_norms(report.lhs))])
     return res
 
 
@@ -699,13 +714,13 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
     conv = spde.stochastic_convolution(sg, phi, ens)
     _, _, qv, qm = _variation(spec, grid)
     target = spde.convolution_second_moment(sg, phi, qm, qv)
-    mean, se = noise.mean_se((conv ** 2).sum(axis=2))
+    mean, se = noise.mean_se(_squared_norms(conv))
     res.add_max_z("convolution_moment_max_z", mean[1:], se[1:], target[1:],
                   "modewise closed sum at every grid time")
     res.artifacts["heat_convolution.csv"] = _csv_text(
         "t,mean_norm2,se,isometry_target", [ens.times, mean, se, target])
     # The additive mild solution is S(t) x0 plus the convolution.
-    mean, se = noise.mean_se(((sem + conv) ** 2).sum(axis=2))
+    mean, se = noise.mean_se(_squared_norms(conv, sem))
     res.artifacts["heat_solution.csv"] = _csv_text("t,mean_norm2,se",
                                                    [ens.times, mean, se])
 

@@ -8,29 +8,34 @@ so the semigroup acts by modewise exponential decay.  Solutions of
 are computed in mild form on path ensembles by one forward
 exponential-Euler pass, with the coefficients evaluated at left endpoints:
 the mild map on the grid is strictly causal, so that pass is its fixed
-point.  Picard iteration reaches the same point, in an exponentially
-weighted path norm (weight ``exp(-beta t)``) whose strength is chosen from
-the two contraction factors of the drift and noise parts.  The noise
-coefficient is always one map F(t, u, X); additive noise is the map that
-ignores X.  The weak (tested) form of the equation is available as a
-pathwise residual against every eigenmode, which vanishes at first order in
-the step.  Solutions, stochastic convolutions and residuals are plain
-``(paths, n_times, G)`` arrays, the form of the integrals of
-:mod:`mvmlab.integrate`.  The module holds no equation instance: one is a
-semigroup (:func:`heat_semigroup`), coefficients and a driver of
-:mod:`mvmlab.noise`, put together where it is used.
+point.  The pass, like every scan here, runs one block of paths at a time
+on the path-block threads of :mod:`mvmlab.measures`: the drift and noise
+maps are asked about one block's states per step, and the noise term of a
+step contracts one cell of the block's rows, so the scan holds no array of
+the whole ensemble but its result.  Picard iteration reaches the same
+point, in an exponentially weighted path norm (weight ``exp(-beta t)``)
+whose strength is chosen from the two contraction factors of the drift and
+noise parts.  The noise coefficient is always one map F(t, u, X); additive
+noise is the map that ignores X.  The weak (tested) form of the equation
+is available as a pathwise residual against every eigenmode, which vanishes
+at first order in the step.  Solutions, stochastic convolutions and
+residuals are plain ``(paths, n_times, G)`` arrays, the form of the
+integrals of :mod:`mvmlab.integrate`.  The module holds no equation
+instance: one is a semigroup (:func:`heat_semigroup`), coefficients and a
+driver of :mod:`mvmlab.noise`, put together where it is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .integrate import (GridIntegrand, _cell_actions, _contract,
-                        _density_roots, _hs_squares)
-from .measures import DiscreteMeasure, _running_sum
+from .integrate import (GridIntegrand, _check_fit, _check_grid,
+                        _contract_rows, _density_roots, _hs_squares)
+from .measures import DiscreteMeasure, _by_path_blocks, _running_sum
 from .noise import IntensityFamily, MVMPathEnsemble
 
 __all__ = [
@@ -71,28 +76,35 @@ class DiagonalSemigroup:
         return self.rates.shape[0]
 
     def scan(self, times: np.ndarray,
-             step: Callable[[int, np.ndarray], np.ndarray],
+             step: Callable[[slice, int, np.ndarray], np.ndarray],
              x0: np.ndarray) -> np.ndarray:
         """Exponential-Euler recursion ``X_0 = x0``, ``X_{m+1} = exp(-l dt_m)
-        (X_m + c_m)`` with ``c_m = step(m, X_m)``: the states (..., n_times,
-        dim), with the leading shape of `x0`.  A precomputed array c of
-        contributions is the step ``lambda m, x: c[..., m, :]`` from a zero
-        `x0` (a broadcast zero allocates nothing)."""
+        (X_m + c_m)``: the states (paths, n_times, dim) from `x0` (paths,
+        dim), one path block at a time
+        (:func:`~mvmlab.measures._by_path_blocks`).  Block `rows` takes
+        ``c_m = step(rows, m, x)`` at its states `x` (block, dim) at t_m, so
+        the step answers for those paths only: a precomputed array c of
+        contributions is the step ``lambda rows, m, x: c[rows, m]`` from a
+        zero `x0` (a broadcast zero allocates nothing), and a path-less
+        recursion is one row."""
         x0 = np.asarray(x0, dtype=np.float64)
         decay = np.exp(-np.outer(np.diff(times), self.rates))
-        out = np.empty(x0.shape[:-1] + (len(times), self.dim))
-        out[..., 0, :] = x0
-        for m in range(len(times) - 1):
-            x = out[..., m, :]
-            out[..., m + 1, :] = decay[m] * (x + step(m, x))
+        out = np.empty((len(x0), len(times), self.dim))
+
+        def block(rows: slice) -> None:
+            x = out[rows, 0] = x0[rows]
+            for m in range(len(times) - 1):
+                x = out[rows, m + 1] = decay[m] * (x + step(rows, m, x))
+
+        _by_path_blocks(len(x0), block)
         return out
 
-    def _fits(self, contrib: np.ndarray) -> np.ndarray:
-        """`contrib`, once its last axis is known to match the mode count."""
-        if contrib.shape[-1] != self.dim:
+    def _fits(self, dim: int) -> None:
+        """Refuse contributions of `dim` modes unless it is the mode
+        count."""
+        if dim != self.dim:
             raise ValueError(f"semigroup acts on dim {self.dim}, "
-                             f"contributions have dim {contrib.shape[-1]}")
-        return contrib
+                             f"contributions have dim {dim}")
 
 
 def heat_semigroup(n_modes: int) -> DiagonalSemigroup:
@@ -108,8 +120,11 @@ class CoefficientSpec:
     `drift(t, x)` maps states (shape ``(paths, G)``) to states; `noise(t,
     x)` maps states to operator fields ``(rows, n_atoms, G, H)``, with one
     row per path, or one row for a field that all paths share, as additive
-    noise returns.  Either may be None (no drift, no noise).
-    The constants enter the contraction bookkeeping only (they pick the
+    noise returns.  Either may be None (no drift, no noise).  The time scan
+    asks each map once per path block and step, possibly on a pooled thread
+    (:meth:`DiagonalSemigroup.scan`), with the states of that block's paths
+    only, so a map must be a pure function of ``(t, x)`` and answer for
+    those states only.  The constants enter the contraction bookkeeping only (they pick the
     weight of :func:`default_beta`); nothing derives or checks them.
     """
 
@@ -149,21 +164,26 @@ def linear_drift_coefficients(gain: float,
 
 
 def _contribution(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
-                  ens: MVMPathEnsemble, i: int, x: np.ndarray
+                  ens: MVMPathEnsemble, rows: slice, i: int, x: np.ndarray
                   ) -> np.ndarray | float:
-    """Contribution ``B(t_i, x) dt_i + F(t_i, x) dM_i`` of cell i at the
-    states `x` (paths, G) of its left endpoint; 0.0 with neither drift nor
-    noise.  The noise field ``(rows, atoms, G, H)`` goes through the one cell
-    contraction :func:`~mvmlab.integrate._contract`.
+    """Contribution ``B(t_i, x) dt_i + F(t_i, x) dM_i`` of cell i on the
+    paths `rows` at their states `x` (block, G) at its left endpoint; 0.0
+    with neither drift nor noise.  The noise field ``(rows, atoms, G, H)``
+    of the block goes through the one cell contraction
+    :func:`~mvmlab.integrate._contract_rows`, in the block that asks.
     Each term must land in the semigroup's G modes."""
     t = ens.times[i]
     out = 0.0
     if coeffs.noise is not None:
         field = np.asarray(coeffs.noise(t, x), dtype=np.float64)
-        out = sg._fits(_contract(ens.increments[:, i], field))
+        increments = ens.increments[rows, i]
+        _check_fit(increments, field)
+        out = _contract_rows(increments, field, None, slice(None))[:, 0]
+        sg._fits(out.shape[-1])
     if coeffs.drift is not None:
         drift = np.asarray(coeffs.drift(t, x), dtype=np.float64)
-        out = out + (ens.times[i + 1] - t) * sg._fits(drift)
+        sg._fits(drift.shape[-1])
+        out = out + (ens.times[i + 1] - t) * drift
     return out
 
 
@@ -172,11 +192,17 @@ def stochastic_convolution(sg: DiagonalSemigroup, phi: GridIntegrand,
     """Convolution paths ``t -> sum_{cells before t} S(t - s_cell) Phi(cell)
     dM`` (paths, n_times, G), by the recursion ``X_{m+1} = S(dt_m) (X_m +
     Phi_m dM_m)``, ``X_0 = 0`` (:meth:`DiagonalSemigroup.scan`; the plain
-    integral is the S = 1 case).
+    integral is the S = 1 case).  The field is checked against the ensemble
+    and the semigroup first; then each step of a path block contracts cell
+    m of the block's rows (:func:`~mvmlab.integrate._contract_rows`), so no
+    actions of the whole ensemble are held.
     """
-    actions = sg._fits(_cell_actions(phi, ens))
-    return sg.scan(ens.times, lambda m, x: actions[:, m],
-                   np.broadcast_to(0.0, (ens.paths, sg.dim)))
+    _check_grid(phi.grid, ens)
+    _check_fit(ens.increments, phi.values, phi.index)
+    sg._fits(phi.dim_g)
+    return sg.scan(ens.times, lambda rows, m, x: _contract_rows(
+        ens.increments[rows, m], phi.values[:, m], phi.index, rows)[:, 0],
+        np.broadcast_to(0.0, (ens.paths, sg.dim)))
 
 
 def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
@@ -193,11 +219,11 @@ def convolution_second_moment(sg: DiagonalSemigroup, phi: GridIntegrand,
     if phi.per_path:
         raise ValueError("closed form requires a deterministic integrand")
     squares = _hs_squares(phi.values[0], _density_roots(phi, qm, qv))
-    per_mode = sg._fits(
-        (squares.sum(axis=-1) * qv.cell_mass[:, :, None]).sum(axis=1))
+    per_mode = (squares.sum(axis=-1) * qv.cell_mass[:, :, None]).sum(axis=1)
+    sg._fits(per_mode.shape[-1])
     doubled = DiagonalSemigroup(2 * sg.rates)
-    return doubled.scan(phi.grid.time_points, lambda m, x: per_mode[m],
-                        np.broadcast_to(0.0, sg.dim)).sum(axis=1)
+    return doubled.scan(phi.grid.time_points, lambda rows, m, x: per_mode[m],
+                        np.zeros((1, sg.dim)))[0].sum(axis=1)
 
 
 def v_beta_distance(a: np.ndarray, b: np.ndarray, times: np.ndarray,
@@ -240,9 +266,11 @@ def mild_solution(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
     only X_i, i < m, so this is its fixed point, and Picard iterate m
     matches it up to t_m."""
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape[-1] != sg.dim:
-        raise ValueError("initial state does not match the mode count")
-    x = sg.scan(ens.times, lambda m, xm: _contribution(sg, coeffs, ens, m, xm),
+    if x0.shape not in ((sg.dim,), (ens.paths, sg.dim)):
+        raise ValueError(f"initial state of shape {x0.shape} does not match "
+                         f"the mode count and path count: it needs "
+                         f"({sg.dim},) or ({ens.paths}, {sg.dim})")
+    x = sg.scan(ens.times, partial(_contribution, sg, coeffs, ens),
                 np.broadcast_to(x0, (ens.paths, sg.dim)))
     _check_finite(x, "forward pass")
     return x
@@ -281,8 +309,8 @@ def picard_solve(sg: DiagonalSemigroup, coeffs: CoefficientSpec,
     beta = default_beta(coeffs, float(times[-1]))
     trace: list[float] = []
     for it in range(1, max_iter + 1):
-        x_next = sg.scan(times, lambda m, xm, x=x: _contribution(
-            sg, coeffs, ens, m, x[:, m]), x[:, 0])
+        x_next = sg.scan(times, lambda rows, m, xm, x=x: _contribution(
+            sg, coeffs, ens, rows, m, x[rows, m]), x[:, 0])
         _check_finite(x_next, f"Picard iterate {it}")
         trace.append(v_beta_distance(x_next, x, times, beta))
         x = x_next
@@ -303,7 +331,8 @@ def weak_residual(x: np.ndarray, sg: DiagonalSemigroup,
     vanishes at first order in the step size.
     """
     dt = np.diff(ens.times)
-    inner = [sg.rates * x[:, i] * dt[i] - _contribution(sg, coeffs, ens, i, x[:, i])
+    inner = [sg.rates * x[:, i] * dt[i]
+             - _contribution(sg, coeffs, ens, slice(None), i, x[:, i])
              for i in range(len(dt))]
     residuals = _running_sum(np.stack(inner, axis=1))
     residuals += x - x[:, [0]]

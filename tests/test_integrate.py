@@ -417,8 +417,8 @@ def test_a_row_index_names_one_table_row_per_path(ens):
         integrate_grid(short, ens)
     with pytest.raises(ValueError, match="path count"):
         _contract(ens.increments, table, index[:-1])
-    # One cell's actions, as the mild-solution scan contracts them: path p
-    # reads row index[p], as from the dense copy of the rows.
+    # One cell's actions, as a step of the convolution's scan contracts
+    # them: path p reads row index[p], as from the dense copy of the rows.
     assert _contract(ens.increments[:, 3], table[:, 3], index).tobytes() \
         == _contract(ens.increments[:, 3], table[index, 3]).tobytes()
 

@@ -1,13 +1,17 @@
 """Semigroups, stochastic convolution, the forward pass, Picard iteration,
 weak residuals."""
 
+import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from mvmlab import measures
 from mvmlab.hilbert import sphere_sequence
-from mvmlab.integrate import GridIntegrand
+from mvmlab.integrate import (GridIntegrand, SimpleIntegrand, SimpleTerm,
+                              simple_to_grid)
 from mvmlab.measures import DiscreteMeasure, GridMismatchError
 from mvmlab.noise import (DiscreteLevy, DiscreteLevyAtom, default_grid,
                           intensity_family, max_z_level, mean_se, simulate)
@@ -18,6 +22,7 @@ from mvmlab.spde import (CoefficientSpec, DiagonalSemigroup,
                          linear_drift_coefficients, mild_solution,
                          picard_solve, stochastic_convolution, v_beta_distance,
                          weak_residual)
+from mvmlab.scenarios import _heat_instance
 
 
 def heat_parts(sigma, alphas):
@@ -54,9 +59,11 @@ def test_heat_semigroup_rates_and_actions():
     np.testing.assert_allclose(sg.rates,
                                (np.arange(1, 6) * np.pi) ** 2, rtol=1e-15)
     v = np.arange(5.0)
-    # One cell of the scan applies S(0.3) to its contribution.
+    # One cell of the scan applies S(0.3) to its contribution; a path-less
+    # recursion is one row.
     np.testing.assert_allclose(
-        sg.scan(np.array([0.0, 0.3]), lambda m, x: v, np.zeros(5))[1],
+        sg.scan(np.array([0.0, 0.3]), lambda rows, m, x: v,
+                np.zeros((1, 5)))[0, 1],
         v * np.exp(-sg.rates * 0.3))
     with pytest.raises(ValueError, match="nonempty"):
         DiagonalSemigroup(np.empty(0))
@@ -79,26 +86,47 @@ def test_scan_matches_loop_oracle(heat):
     rng = np.random.default_rng(51)
     sg = DiagonalSemigroup(np.array([0.5, 3.0, 40.0]))
     times = np.array([0.0, 0.2, 0.5, 0.6, 1.0, 1.05])
-    shared = rng.standard_normal((5, 3))
     per_path = rng.standard_normal((4, 5, 3))
-    def step(contrib):
-        return lambda m, x: contrib[..., m, :]
 
-    for contrib in (shared, per_path):
-        got = sg.scan(times, step(contrib), np.zeros(contrib.shape[:-2] + (3,)))
-        assert got.shape == contrib.shape[:-2] + (6, 3)
-        assert np.all(got[..., 0, :] == 0.0)
-        np.testing.assert_allclose(
-            got, decayed_sum_oracle(sg.rates, times, contrib), rtol=1e-13)
+    def step(rows, m, x):
+        assert x.shape == (len(per_path[rows]), 3)
+        return per_path[rows, m]
+
+    got = sg.scan(times, step, np.zeros((4, 3)))
+    assert got.shape == (4, 6, 3)
+    assert np.all(got[:, 0] == 0.0)
+    np.testing.assert_allclose(
+        got, decayed_sum_oracle(sg.rates, times, per_path), rtol=1e-13)
     # Started from x0, shared or one per path, the scan adds S(t_m) x0.
-    for contrib, x0 in ((shared, rng.standard_normal(3)),
-                        (per_path, rng.standard_normal((4, 3)))):
-        got = sg.scan(times, step(contrib), x0)
-        assert np.array_equal(got[..., 0, :], np.broadcast_to(
-            x0, got[..., 0, :].shape))
-        expect = np.exp(-np.outer(times, sg.rates)) * x0[..., None, :] \
-            + decayed_sum_oracle(sg.rates, times, contrib)
+    for x0 in (np.broadcast_to(rng.standard_normal(3), (4, 3)),
+               rng.standard_normal((4, 3))):
+        got = sg.scan(times, step, x0)
+        assert np.array_equal(got[:, 0], x0)
+        expect = np.exp(-np.outer(times, sg.rates)) * x0[:, None, :] \
+            + decayed_sum_oracle(sg.rates, times, per_path)
         np.testing.assert_allclose(got, expect, rtol=1e-13)
+    # A step that reads the states: on 2,500 paths (three blocks, the last
+    # one short) every block is asked about its own rows at every step, and
+    # each path follows its own loop X_{m+1} = S(dt_m) (X_m + X_m / 2 + c_m).
+    paths = 2_500
+    contrib = rng.standard_normal((paths, 5, 3))
+    x0 = rng.standard_normal((paths, 3))
+    asked = []
+
+    def reads_state(rows, m, x):
+        asked.append((rows.start, rows.stop, m))
+        return 0.5 * x + contrib[rows, m]
+
+    got = sg.scan(times, reads_state, x0)
+    assert sorted(asked) == [(lo, min(lo + 1024, paths), m)
+                             for lo in (0, 1024, 2048) for m in range(5)]
+    expect = np.empty_like(got)
+    for p in (0, 1023, 1024, 2047, 2048, paths - 1):
+        x = expect[p, 0] = x0[p]
+        for m in range(5):
+            decay = np.exp(-sg.rates * (times[m + 1] - times[m]))
+            x = expect[p, m + 1] = decay * (x + (0.5 * x + contrib[p, m]))
+        assert np.array_equal(got[p], expect[p])
     # The doubled-rate scan behind the closed-form convolution moment.
     grid = default_grid(heat.noise_spec, 1.0, 8)
     qm, qv = qm_qv_for(heat.noise_spec, grid, 2)
@@ -180,6 +208,72 @@ def test_convolution_validation(heat):
         stochastic_convolution(sg, wrong_paths, ens)
     fits = GridIntegrand(grid, np.ones((1, 5, 1, 3, 4)))
     assert stochastic_convolution(sg, fits, ens).shape == (1, 6, 3)
+
+
+def test_convolution_holds_no_actions_of_the_whole_ensemble(monkeypatch):
+    # The heat_spde instance on 64 steps and 8,192 paths: each step of a
+    # path block contracts one cell of the block's rows, so on one thread
+    # the traced peak stays near the output, not near the output plus a
+    # (paths, cells, G) array of actions.
+    monkeypatch.setattr(measures, "_WORKERS", 1)
+    spec, f = _heat_instance(2, 16, 4)
+    ens = simulate(spec, default_grid(spec, 1.0, 64), 8_192, 9)
+    phi = GridIntegrand.constant(ens.grid, f)
+    tracemalloc.start()
+    try:
+        out = stochastic_convolution(heat_semigroup(16), phi, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (8_192, 65, 16)
+    assert peak <= 1.25 * out.nbytes
+
+
+def test_scans_do_not_depend_on_the_thread_count(heat, monkeypatch):
+    # 2,500 paths are three blocks, the last one short: scanned by the
+    # default threads, by one and by three, the convolutions of a shared, a
+    # per-path and a table field, the forward pass under a per-path
+    # state-dependent noise map and the Picard solve are the same bytes,
+    # and the table field's convolution is the bytes of its dense copy's.
+    grid = default_grid(heat.noise_spec, 1.0, 8)
+    ens = simulate(heat.noise_spec, grid, 2_500, 73)
+    rng = np.random.default_rng(74)
+    sg, f = heat.semigroup, heat.f_matrix
+    shared = GridIntegrand(grid, rng.standard_normal((1, 8, 1) + f.shape))
+    per_path = GridIntegrand.from_history(ens, lambda past, i: f * (
+        1.0 + 0.5 * np.tanh(past.sum(axis=(1, 2, 3))))[:, None, None, None])
+
+    def up(past):
+        return past[:, :, 0, 0].sum(axis=1) > 0
+
+    table = simple_to_grid(SimpleIntegrand.build(ens, [
+        SimpleTerm(0, 2, (0,), rng.standard_normal(f.shape)),
+        SimpleTerm(2, 3, (0,), rng.standard_normal(f.shape),
+                   event=lambda past: past[:, :, 0, 1].sum(axis=1) > 0),
+        SimpleTerm(3, 8, (0,), rng.standard_normal(f.shape), event=up),
+        SimpleTerm(3, 8, (0,), rng.standard_normal(f.shape),
+                   event=lambda past: ~up(past))]))
+    assert len(table.values) == 4 and table.index is not None
+    dense = GridIntegrand(grid, table.values[table.index])
+    coeffs = CoefficientSpec(
+        drift=lambda t, x: np.sin(x) - 0.5 * x, drift_bound=1.5,
+        noise=lambda t, x: f[None] * (1.0 + 0.5 * np.tanh(x))[..., None, :,
+                                                              None],
+        noise_bound=1.0)
+    x0 = np.linspace(1.0, -0.5, sg.dim)
+
+    def results():
+        sol = picard_solve(sg, coeffs, ens, x0)
+        return [*(stochastic_convolution(sg, phi, ens)
+                  for phi in (shared, per_path, table, dense)),
+                mild_solution(sg, coeffs, ens, x0), sol.values,
+                np.array(sol.picard_trace)]
+
+    default = [a.tobytes() for a in results()]
+    assert default[2] == default[3]
+    for workers in (1, 3):
+        monkeypatch.setattr(measures, "_WORKERS", workers)
+        assert [a.tobytes() for a in results()] == default
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +534,26 @@ def test_picard_rejects_an_initial_state_of_the_wrong_dimension(heat):
     for solve in (picard_solve, mild_solution):
         with pytest.raises(ValueError, match="mode count"):
             solve(heat.semigroup, coeffs, ens, np.zeros(3))
+
+
+def test_an_initial_state_is_one_state_or_one_per_path(heat):
+    # Neither one state nor one per path, an initial state is refused by its
+    # shape; one per path starts each path from its own state, as a shared
+    # state does.
+    grid = default_grid(heat.noise_spec, 1.0, 8)
+    ens = simulate(heat.noise_spec, grid, 5, 68)
+    sg = heat.semigroup
+    for x0 in (np.zeros((3, sg.dim)), np.zeros((1, sg.dim)),
+               np.zeros((5, 1, sg.dim))):
+        for solve in (picard_solve, mild_solution):
+            with pytest.raises(ValueError, match=r"initial state of shape "
+                               + re.escape(str(x0.shape))):
+                solve(sg, heat.coefficients, ens, x0)
+    starts = np.random.default_rng(69).standard_normal((5, sg.dim))
+    each = mild_solution(sg, heat.coefficients, ens, starts)
+    for p in range(5):
+        assert np.array_equal(
+            each[p], mild_solution(sg, heat.coefficients, ens, starts[p])[p])
 
 
 # ---------------------------------------------------------------------------
