@@ -542,6 +542,13 @@ def _identity_report(lhs: np.ndarray, rhs: np.ndarray) -> IdentityReport:
     return IdentityReport(lhs, rhs, gap, scale)
 
 
+def _stopped(actions: np.ndarray, stop_index: np.ndarray) -> np.ndarray:
+    """The integral of the cell actions (paths, n_cells, G) before each
+    path's stopping index: later cells add exact zeros."""
+    before = np.arange(actions.shape[1])[None, :] < stop_index[:, None]
+    return _running_sum(np.where(before[:, :, None], actions, 0.0))
+
+
 def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
                      stop_index: np.ndarray, check: bool = True
                      ) -> IdentityReport:
@@ -560,8 +567,7 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     if np.any((stop_index < 0) | (stop_index > phi.grid.n_cells)):
         raise ValueError(f"stopping indices must lie in 0..{phi.grid.n_cells}")
     actions = _cell_actions(phi, ens)
-    before = np.arange(phi.grid.n_cells)[None, :] < stop_index[:, None]
-    lhs = _running_sum(np.where(before[:, :, None], actions, 0.0))
+    lhs = _stopped(actions, stop_index)
     idx = np.minimum(np.arange(len(ens.times))[None, :], stop_index[:, None])
     rhs = np.take_along_axis(_running_sum(actions), idx[:, :, None], axis=1)
     report = _identity_report(lhs, rhs)
@@ -632,8 +638,8 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble,
         idx = np.where(reached.any(axis=1), reached.argmax(axis=1),
                        phi.grid.n_cells)
         stop_indices[n] = idx
+        integrals[n] = _stopped(actions, idx)
         before = np.arange(phi.grid.n_cells)[None, :] < idx[:, None]
-        integrals[n] = _running_sum(np.where(before[:, :, None], actions, 0.0))
         norms[n] = float(np.sqrt((per_cell * before).sum(axis=1).mean()))
     gap = 0.0
     ordered = sorted(thresholds)

@@ -6,9 +6,11 @@ nonnegative mass per grid cell, where a cell is one half-open time interval
 is the supremum of a family of measures, defined through finite partitions;
 on an atomic grid the finest partition always wins, and ``brute_force_sup``
 keeps the partition-enumeration definition alive as an independent oracle.
-Two private helpers serve the grid's path results in the other modules: the
-running sum over time cells, and ``_by_path_blocks``, which spreads per-path
-work over blocks of 1024 paths and one thread per usable core.
+Three private helpers serve the grid's path results in the other modules:
+the running sum over time cells; ``_by_path_blocks``, which spreads per-path
+work over blocks of 1024 paths and one thread per usable core; and
+``_squared_norms``, the per-path squared distances of two path results,
+reduced one block at a time.
 """
 
 from __future__ import annotations
@@ -199,6 +201,23 @@ def _by_path_blocks(paths: int, work: Callable[[slice], None]) -> None:
     for error in errors:
         if error is not None:
             raise error
+
+
+def _squared_norms(a: np.ndarray, b: np.ndarray | float = 0.0) -> np.ndarray:
+    """Per-path squared distances ``((a - b) ** 2).sum(axis=2)`` (paths,
+    n_times) of the path results `a` (paths, n_times, G) from `b`, which
+    broadcasts to the shape of `a` (a state path all paths share, or 0.0
+    for the norms of `a`).  Taken one path block at a time, so no temporary
+    of the whole ensemble is made; each row is reduced as in one
+    whole-ensemble sum."""
+    b = np.broadcast_to(b, a.shape)
+    out = np.empty(a.shape[:2])
+
+    def block(rows: slice) -> None:
+        out[rows] = ((a[rows] - b[rows]) ** 2).sum(axis=2)
+
+    _by_path_blocks(len(a), block)
+    return out
 
 
 def _reprs(values) -> list[str]:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import haar, integrate, noise, quadvar, spde
 from .hilbert import operator_norm_psd, sphere_sequence
-from .measures import (_BLOCK, DiscreteMeasure, _by_path_blocks, _csv_text,
+from .measures import (_BLOCK, DiscreteMeasure, _csv_text, _squared_norms,
                        brute_force_sup, make_grid, monotone_sup, sup_measures)
 
 __all__ = ["Check", "ScenarioResult", "RunReport", "SCENARIOS",
@@ -137,21 +137,6 @@ def _random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def _squared_norms(paths: np.ndarray, shift: np.ndarray | float = 0.0
-                   ) -> np.ndarray:
-    """Per-path squared norms ``((shift + paths) ** 2).sum(axis=2)`` (paths,
-    n_times) of the path results `paths` (paths, n_times, G), taken one path
-    block at a time, so no temporary of the whole ensemble is made; each
-    row is reduced as in one whole-ensemble sum."""
-    out = np.empty(paths.shape[:2])
-
-    def block(rows: slice) -> None:
-        out[rows] = ((shift + paths[rows]) ** 2).sum(axis=2)
-
-    _by_path_blocks(len(paths), block)
-    return out
 
 
 def _require(ok: bool, name: str, key: str, rule: str) -> None:
@@ -719,8 +704,9 @@ def _scn_heat(seed: int, paths: int, params: dict) -> ScenarioResult:
                   "modewise closed sum at every grid time")
     res.artifacts["heat_convolution.csv"] = _csv_text(
         "t,mean_norm2,se,isometry_target", [ens.times, mean, se, target])
-    # The additive mild solution is S(t) x0 plus the convolution.
-    mean, se = noise.mean_se(_squared_norms(conv, sem))
+    # The additive mild solution is S(t) x0 plus the convolution: its norm
+    # is the convolution's distance from -S(t) x0.
+    mean, se = noise.mean_se(_squared_norms(conv, -sem))
     res.artifacts["heat_solution.csv"] = _csv_text("t,mean_norm2,se",
                                                    [ens.times, mean, se])
 

@@ -8,21 +8,24 @@ so the semigroup acts by modewise exponential decay.  Solutions of
 are computed in mild form on path ensembles by one forward
 exponential-Euler pass, with the coefficients evaluated at left endpoints:
 the mild map on the grid is strictly causal, so that pass is its fixed
-point.  The pass, like every scan here, runs one block of paths at a time
-on the path-block threads of :mod:`mvmlab.measures`: the drift and noise
-maps are asked about one block's states per step, and the noise term of a
-step contracts one cell of the block's rows, so the scan holds no array of
-the whole ensemble but its result.  Picard iteration reaches the same
-point, in an exponentially weighted path norm (weight ``exp(-beta t)``)
-whose strength is chosen from the two contraction factors of the drift and
-noise parts.  The noise coefficient is always one map F(t, u, X); additive
-noise is the map that ignores X.  The weak (tested) form of the equation
-is available as a pathwise residual against every eigenmode, which vanishes
-at first order in the step.  Solutions, stochastic convolutions and
-residuals are plain ``(paths, n_times, G)`` arrays, the form of the
-integrals of :mod:`mvmlab.integrate`.  The module holds no equation
-instance: one is a semigroup (:func:`heat_semigroup`), coefficients and a
-driver of :mod:`mvmlab.noise`, put together where it is used.
+point.  Picard iteration reaches the same point, in an exponentially
+weighted path norm (weight ``exp(-beta t)``) whose strength is chosen from
+the two contraction factors of the drift and noise parts.  The noise
+coefficient is always one map F(t, u, X); additive noise is the map that
+ignores X.  The weak (tested) form of the equation is available as a
+pathwise residual against every eigenmode, which vanishes at first order in
+the step.  The pass, the convolution, each Picard iterate and the weak
+residual (the scan of the zero-rate semigroup) are one time scan,
+:meth:`DiagonalSemigroup.scan`, which runs one block of paths at a time on
+the path-block threads of :mod:`mvmlab.measures`: the drift and noise maps
+are asked about one block's states per step, and the noise term of a step
+contracts one cell of the block's rows, so the scan holds no array of the
+whole ensemble but its result.  The weighted path distances are reduced
+block by block too.  Solutions, stochastic convolutions and residuals are
+plain ``(paths, n_times, G)`` arrays, the form of the integrals of
+:mod:`mvmlab.integrate`.  The module holds no equation instance: one is a
+semigroup (:func:`heat_semigroup`), coefficients and a driver of
+:mod:`mvmlab.noise`, put together where it is used.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .integrate import (GridIntegrand, _check_fit, _check_grid,
                         _contract_rows, _density_roots, _hs_squares)
-from .measures import DiscreteMeasure, _by_path_blocks, _running_sum
+from .measures import DiscreteMeasure, _by_path_blocks, _squared_norms
 from .noise import IntensityFamily, MVMPathEnsemble
 
 __all__ = [
@@ -230,12 +233,18 @@ def v_beta_distance(a: np.ndarray, b: np.ndarray, times: np.ndarray,
                     beta: float) -> float:
     """Exponentially weighted path distance, left-endpoint quadrature.
 
-    ``sqrt(mean over paths of sum_i exp(-beta t_i) ||a_i - b_i||^2 dt_i)``.
+    ``sqrt(mean over paths of sum_i exp(-beta t_i) ||a_i - b_i||^2 dt_i)``
+    for path results `a` and `b` of one shape (paths, n_times, G) on the
+    grid `times`.  The per-path distances are reduced one path block at a
+    time (:func:`~mvmlab.measures._squared_norms`).
     """
     times = np.asarray(times, dtype=np.float64)
-    dt = np.diff(times)
-    w = np.exp(-beta * times[:-1]) * dt
-    diff = ((a - b)[:, :-1] ** 2).sum(axis=2)
+    if a.shape != b.shape or a.ndim != 3 or times.shape != a.shape[1:2]:
+        raise ValueError(f"path results of shapes {a.shape} and {b.shape} "
+                         f"on {len(times)} times: need one shape (paths, "
+                         f"n_times, G) on n_times times")
+    w = np.exp(-beta * times[:-1]) * np.diff(times)
+    diff = _squared_norms(a[:, :-1], b[:, :-1])
     return float(np.sqrt((diff * w).sum(axis=1).mean()))
 
 
@@ -328,13 +337,20 @@ def weak_residual(x: np.ndarray, sg: DiagonalSemigroup,
     Along mode k the defect is
     ``X^k_t - X^k_0 + l_k int X^k_s ds - int B^k ds - noise term``
     with left-endpoint quadrature; for mild solutions on the grid it
-    vanishes at first order in the step size.
+    vanishes at first order in the step size.  The sums over cells are the
+    scan of the zero-rate semigroup (:meth:`DiagonalSemigroup.scan`) whose
+    step is ``l X_m dt_m`` less the contribution of cell m at X_m, so the
+    drift and noise maps are asked once per path block and step.
     """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (ens.paths, len(ens.times), sg.dim):
+        raise ValueError(f"solution of shape {x.shape} does not match the "
+                         f"ensemble and the mode count: it needs "
+                         f"({ens.paths}, {len(ens.times)}, {sg.dim})")
     dt = np.diff(ens.times)
-    inner = [sg.rates * x[:, i] * dt[i]
-             - _contribution(sg, coeffs, ens, slice(None), i, x[:, i])
-             for i in range(len(dt))]
-    residuals = _running_sum(np.stack(inner, axis=1))
+    residuals = DiagonalSemigroup(np.zeros(sg.dim)).scan(
+        ens.times, lambda rows, m, r: sg.rates * x[rows, m] * dt[m]
+        - _contribution(sg, coeffs, ens, rows, m, x[rows, m]),
+        np.broadcast_to(0.0, (ens.paths, sg.dim)))
     residuals += x - x[:, [0]]
     return residuals
-

@@ -12,7 +12,7 @@ import pytest
 from mvmlab import measures
 from mvmlab.measures import (_BLOCK, MAX_BRUTE_FORCE_CELLS, DiscreteMeasure,
                              GridMismatchError, GridSpec, _by_path_blocks,
-                             _csv_text, _running_sum,
+                             _csv_text, _running_sum, _squared_norms,
                              brute_force_sup, iter_partitions, make_grid,
                              monotone_sup, sup_measures)
 from mvmlab.noise import (IntensityFamily, default_grid, mean_se, simulate,
@@ -80,6 +80,23 @@ def test_running_sum_is_zero_then_cumulative_sums(shape, axis):
 
 # ---------------------------------------------------------------------------
 # path blocks
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_squared_norms_are_the_whole_ensemble_reduction(workers, monkeypatch):
+    # Over three blocks, the last one short, the blocked per-path squared
+    # distances from another path result, from a state path all paths share
+    # and from zero are the bytes of the whole-ensemble reduction.
+    monkeypatch.setattr(measures, "_WORKERS", workers)
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((2 * _BLOCK + 5, 4, 3))
+    b = rng.standard_normal(a.shape)
+    shared = rng.standard_normal(a.shape[1:])
+    for other in (b, shared):
+        got = _squared_norms(a, other)
+        assert got.shape == a.shape[:2]
+        assert got.tobytes() == ((a - other) ** 2).sum(axis=2).tobytes()
+    assert _squared_norms(a).tobytes() == (a ** 2).sum(axis=2).tobytes()
 
 
 def test_path_blocks_are_each_taken_once_under_contention(monkeypatch):

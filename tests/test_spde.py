@@ -229,12 +229,43 @@ def test_convolution_holds_no_actions_of_the_whole_ensemble(monkeypatch):
     assert peak <= 1.25 * out.nbytes
 
 
+def test_residual_and_picard_hold_no_second_ensemble_temporaries(monkeypatch):
+    # The heat instance on 16 modes, 64 steps and 4,096 paths, with drift
+    # gain 1: on one thread the weak residual's traced peak stays near its
+    # result plus one difference of the solution, not near a stack of cell
+    # terms and their running sums, and the Picard solve's near its two
+    # iterates, not near their whole-ensemble difference and its square.
+    monkeypatch.setattr(measures, "_WORKERS", 1)
+    spec, f = _heat_instance(2, 16, 4)
+    ens = simulate(spec, default_grid(spec, 1.0, 64), 4_096, 9)
+    sg = heat_semigroup(16)
+    coeffs = linear_drift_coefficients(1.0, f[None])
+    x0 = 1.0 / np.arange(1, 17)
+    x = mild_solution(sg, coeffs, ens, x0)
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    residuals, peak = traced(lambda: weak_residual(x, sg, coeffs, ens))
+    assert residuals.shape == (4_096, 65, 16)
+    assert peak <= 2.25 * residuals.nbytes
+    sol, peak = traced(lambda: picard_solve(sg, coeffs, ens, x0))
+    assert sol.values.shape == (4_096, 65, 16)
+    assert peak <= 2.75 * sol.values.nbytes
+
+
 def test_scans_do_not_depend_on_the_thread_count(heat, monkeypatch):
     # 2,500 paths are three blocks, the last one short: scanned by the
     # default threads, by one and by three, the convolutions of a shared, a
     # per-path and a table field, the forward pass under a per-path
-    # state-dependent noise map and the Picard solve are the same bytes,
-    # and the table field's convolution is the bytes of its dense copy's.
+    # state-dependent noise map, the Picard solve, the weak residual under
+    # that map and a weighted distance are the same bytes, and the table
+    # field's convolution is the bytes of its dense copy's.
     grid = default_grid(heat.noise_spec, 1.0, 8)
     ens = simulate(heat.noise_spec, grid, 2_500, 73)
     rng = np.random.default_rng(74)
@@ -264,10 +295,13 @@ def test_scans_do_not_depend_on_the_thread_count(heat, monkeypatch):
 
     def results():
         sol = picard_solve(sg, coeffs, ens, x0)
+        forward = mild_solution(sg, coeffs, ens, x0)
         return [*(stochastic_convolution(sg, phi, ens)
                   for phi in (shared, per_path, table, dense)),
-                mild_solution(sg, coeffs, ens, x0), sol.values,
-                np.array(sol.picard_trace)]
+                forward, sol.values, np.array(sol.picard_trace),
+                weak_residual(forward, sg, coeffs, ens),
+                np.array(v_beta_distance(forward, sol.values, ens.times,
+                                         sol.beta))]
 
     default = [a.tobytes() for a in results()]
     assert default[2] == default[3]
@@ -294,6 +328,22 @@ def test_v_beta_distance_matches_loop_oracle():
     expect = np.sqrt(total / 5)
     assert v_beta_distance(a, b, times, beta) == pytest.approx(expect,
                                                                rel=1e-12)
+
+
+def test_v_beta_distance_refuses_paths_it_would_broadcast():
+    # One path against five, or a grid of the wrong length, would broadcast
+    # or misalign silently: both are refused by their shapes.
+    rng = np.random.default_rng(17)
+    times = np.linspace(0.0, 1.0, 9)
+    a = rng.standard_normal((5, 9, 3))
+    with pytest.raises(ValueError, match=re.escape("(1, 9, 3) and (5, 9, 3)")):
+        v_beta_distance(a[:1], a, times, 1.0)
+    with pytest.raises(ValueError, match=re.escape("(5, 9, 3) and (5, 9, 2)")):
+        v_beta_distance(a, a[..., :2], times, 1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "(5, 9, 3) and (5, 9, 3) on 8 times")):
+        v_beta_distance(a, a, times[:-1], 1.0)
+    assert v_beta_distance(a, a, times, 1.0) == 0.0
 
 
 def test_default_beta_pins_factors_at_an_eighth():
@@ -558,6 +608,22 @@ def test_an_initial_state_is_one_state_or_one_per_path(heat):
 
 # ---------------------------------------------------------------------------
 # weak residual
+
+
+def test_weak_residual_refuses_a_solution_of_another_shape(heat):
+    # A solution with one path or with five, on a 10-path ensemble, or one
+    # mode short, is refused by its shape, not broadcast or failed inside
+    # numpy.
+    grid = default_grid(heat.noise_spec, 1.0, 16)
+    ens = simulate(heat.noise_spec, grid, 10, 72)
+    sg = heat.semigroup
+    x = mild_solution(sg, heat.coefficients, ens, np.ones(sg.dim))
+    for wrong in (x[:1], x[:5], x[..., :-1]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"solution of shape {wrong.shape}") + ".*"
+                + re.escape("(10, 17, 4)")):
+            weak_residual(wrong, sg, heat.coefficients, ens)
+    assert weak_residual(x, sg, heat.coefficients, ens).shape == x.shape
 
 
 def test_weak_residual_zero_noise_closed_form():
