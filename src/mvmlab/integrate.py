@@ -21,12 +21,16 @@ that of the actions masked by A.  So stopping, window/event restriction and
 localization contract the field once and mask its actions; no masked copy
 of the field is made.
 
-Per-path work runs block by block: the hooks below, the cell contraction and
+Per-path work runs block by block: the hooks below, the cell contraction,
 the cell costs (of the field's rows, one per event pattern for a simple
-integrand) each take the paths or rows in blocks of 1024, on one thread per
-usable core (:func:`mvmlab.measures._by_path_blocks`).  Every block writes
-only its own rows with the arithmetic a single path gets, so results do not
-depend on the thread count.
+integrand) and the pathwise identities each take the paths or rows in
+blocks of 1024, on one thread per usable core
+(:func:`mvmlab.measures._by_path_blocks`).  Stopping, restriction,
+pushforward and localization contract one block's rows of the field at a
+time and build both sides of their identities from those actions, so they
+hold no actions, masked copies or composed field of the whole ensemble.
+Every block writes only its own rows with the arithmetic a single path
+gets, so results do not depend on the thread count.
 
 Adaptedness is structural: every predictable input (simple-integrand
 events, history-dependent operator fields and stopping rules) is a hook,
@@ -227,14 +231,29 @@ class GridIntegrand:
         return cls(grid, values)
 
     def compose(self, op: np.ndarray) -> "GridIntegrand":
-        """Push the field forward by a fixed operator: cellwise op @ value,
-        one GEMM whose product is already in contraction order, same index."""
-        op = np.asarray(op, dtype=np.float64)
-        if op.ndim != 2 or op.shape[1] != self.dim_g:
-            raise ValueError(f"cannot compose {op.shape} with dim_g={self.dim_g}")
-        stack = self.values.swapaxes(-1, -2)
-        return replace(self, values=(stack.reshape(-1, self.dim_g) @ op.T)
-                       .reshape(stack.shape[:-1] + (-1,)).swapaxes(-1, -2))
+        """Push the field forward by a fixed operator: cellwise op @ value
+        (:func:`_composed`), same index."""
+        return replace(self, values=_composed(self.values,
+                                              _operator(op, self.dim_g)))
+
+
+def _operator(op: np.ndarray, dim_g: int) -> np.ndarray:
+    """`op` as a float matrix, checked to act on a field's `dim_g` outputs."""
+    op = np.asarray(op, dtype=np.float64)
+    if op.ndim != 2 or op.shape[1] != dim_g:
+        raise ValueError(f"cannot compose {op.shape} with dim_g={dim_g}")
+    return op
+
+
+def _composed(values: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """``op @ value`` for every operator of the field `values` (rows, cells,
+    atoms, G, H), in contraction order: one small GEMM per row, of its
+    ``(cells * atoms * H, G)`` stack with ``op.T``.  So a row's result does
+    not depend on the rows composed with it, and in a path block the
+    products run on the block's own thread, as the contraction's do."""
+    stack = values.swapaxes(-1, -2)
+    return np.matmul(stack.reshape(len(stack), -1, stack.shape[-1]), op.T
+                     ).reshape(stack.shape[:-1] + (-1,)).swapaxes(-1, -2)
 
 
 def _check_fit(increments: np.ndarray, values: np.ndarray,
@@ -253,13 +272,22 @@ def _check_fit(increments: np.ndarray, values: np.ndarray,
                          f"the path count: it needs 1 row or one per path")
 
 
+def _field_rows(values: np.ndarray, index: np.ndarray | None,
+                rows: slice) -> np.ndarray:
+    """The one accessor of a field's rows: the rows of `values` that the
+    paths `rows` read, row 0 of a one-row field, else row p or ``index[p]``
+    for each path p."""
+    return values if len(values) == 1 else values[
+        rows if index is None else index[rows]]
+
+
 def _contract_rows(increments: np.ndarray, values: np.ndarray,
                    index: np.ndarray | None, rows: slice,
                    out: np.ndarray | None = None) -> np.ndarray:
     """The actions ``(block, [cells,] 1, G)`` of a field that fits (see
     :func:`_check_fit`) on the `increments` ``(block, [cells,] atoms, H)``
-    of the paths `rows`, each path reading its row through the one
-    accessor: row 0 of a one-row field, else row p or ``index[p]``.
+    of the paths `rows`, each path reading its row through
+    :func:`_field_rows`.
 
     One ``np.matmul`` of the ``(..., 1, atoms * H)`` increments with the
     stack ``values.swapaxes(-1, -2).reshape(rows, ..., atoms * H, G)``, a
@@ -270,8 +298,7 @@ def _contract_rows(increments: np.ndarray, values: np.ndarray,
     *lead, a, h = increments.shape
     stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, -1))
     return np.matmul(increments.reshape(*lead, 1, a * h),
-                     stack if len(stack) == 1 else stack[
-                         rows if index is None else index[rows]], out=out)
+                     _field_rows(stack, index, rows), out=out)
 
 
 def _contract(increments: np.ndarray, values: np.ndarray,
@@ -297,6 +324,17 @@ def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
     :func:`_contract`)."""
     _check_grid(phi.grid, ens)
     return _contract(ens.increments, phi.values, phi.index)
+
+
+def _block_actions(phi: GridIntegrand, ens: MVMPathEnsemble
+                   ) -> Callable[[slice], np.ndarray]:
+    """Check on the calling thread that `phi` fits `ens`, then give the
+    cellwise actions (block, cells, G) of `phi` on the paths `rows`, made by
+    :func:`_contract_rows` in the block that asks."""
+    _check_grid(phi.grid, ens)
+    _check_fit(ens.increments, phi.values, phi.index)
+    return lambda rows: _contract_rows(ens.increments[rows], phi.values,
+                                       phi.index, rows)[..., 0, :]
 
 
 def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
@@ -537,9 +575,36 @@ class IdentityReport:
 
 
 def _identity_report(lhs: np.ndarray, rhs: np.ndarray) -> IdentityReport:
-    gap = float(np.abs(lhs - rhs).max(initial=0.0))
-    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    return IdentityReport(lhs, rhs, gap, scale)
+    """The report of the sides `lhs` and `rhs` (paths, n_times, G); the gap
+    and the scale are maxima of per-path maxima, taken block by block."""
+    gaps = np.empty(len(lhs))
+    tops = np.empty(len(lhs))
+
+    def block(rows: slice) -> None:
+        gaps[rows] = np.abs(lhs[rows] - rhs[rows]).max(axis=(1, 2), initial=0.0)
+        tops[rows] = np.abs(rhs[rows]).max(axis=(1, 2), initial=0.0)
+
+    _by_path_blocks(len(lhs), block)
+    return IdentityReport(lhs, rhs, float(gaps.max(initial=0.0)),
+                          max(1.0, float(tops.max(initial=0.0))))
+
+
+def _identity(phi: GridIntegrand, ens: MVMPathEnsemble, dim: int,
+              sides: Callable[[slice, np.ndarray],
+                              tuple[np.ndarray, np.ndarray]]
+              ) -> IdentityReport:
+    """The report of an identity whose sides (paths, n_times, `dim`) are
+    written one path block at a time: ``sides(rows, actions)`` gives their
+    rows `rows` from the block's actions (:func:`_block_actions`)."""
+    actions = _block_actions(phi, ens)
+    lhs = np.empty((ens.paths, len(ens.times), dim))
+    rhs = np.empty_like(lhs)
+
+    def block(rows: slice) -> None:
+        lhs[rows], rhs[rows] = sides(rows, actions(rows))
+
+    _by_path_blocks(ens.paths, block)
+    return _identity_report(lhs, rhs)
 
 
 def _stopped(actions: np.ndarray, stop_index: np.ndarray) -> np.ndarray:
@@ -554,23 +619,32 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
                      ) -> IdentityReport:
     """Both sides of the stopping identity ``I(1_{[0,sigma]} Phi) = I_{. ^ sigma}``.
 
-    The field is contracted once.  The left side integrates the actions of
-    the cells before the stopping time (later cells add exact zeros); the
-    right side clamps the integral of all the actions at the stopping time,
-    so the two sides agree exactly.  A stopping index is a grid index, from
-    0 to n_cells.  `check` turns a nonzero gap into an error (regression
-    guard).
+    The field is contracted once, one path block at a time.  The left side
+    integrates the actions of the cells before the stopping time (later
+    cells add exact zeros); the right side clamps the integral of all the
+    actions at the stopping time, so the two sides agree exactly.  A
+    stopping index is an integer grid index, from 0 to n_cells; an array of
+    another dtype is refused, not truncated.  `check` turns a nonzero gap
+    into an error (regression guard).
     """
-    stop_index = np.asarray(stop_index, dtype=np.int64)
+    stop_index = np.asarray(stop_index)
     if stop_index.shape != (ens.paths,):
         raise ValueError("need one stopping index per path")
+    if stop_index.dtype.kind not in "iu":
+        raise ValueError(f"stopping indices must be integers, not "
+                         f"{stop_index.dtype}")
     if np.any((stop_index < 0) | (stop_index > phi.grid.n_cells)):
         raise ValueError(f"stopping indices must lie in 0..{phi.grid.n_cells}")
-    actions = _cell_actions(phi, ens)
-    lhs = _stopped(actions, stop_index)
-    idx = np.minimum(np.arange(len(ens.times))[None, :], stop_index[:, None])
-    rhs = np.take_along_axis(_running_sum(actions), idx[:, :, None], axis=1)
-    report = _identity_report(lhs, rhs)
+    stop_index = stop_index.astype(np.int64)
+    clock = np.arange(len(ens.times))
+
+    def sides(rows: slice, actions: np.ndarray):
+        stop = stop_index[rows]
+        clamped = np.minimum(clock[None, :], stop[:, None])
+        return (_stopped(actions, stop), np.take_along_axis(
+            _running_sum(actions), clamped[:, :, None], axis=1))
+
+    report = _identity(phi, ens, phi.dim_g, sides)
     if check and report.max_abs_gap > 0.0:
         raise RuntimeError(f"stopped-integral identity violated "
                            f"(gap {report.max_abs_gap:.3e})")
@@ -583,24 +657,29 @@ def restricted_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     """Both sides of the restriction identity: the integral of
     ``1_{(t_s, t_t]} 1_F Phi`` against ``1_F (I_{. ^ t_t} - I_{. ^ t_s})``.
 
-    The field is contracted once; the left side integrates the actions of
-    the cells in the window on the paths in F, the right side takes the
-    increment of the full integral over the window.  The two sums round
-    differently, so the gap is of rounding size, not zero.
+    The field is contracted once, one path block at a time; the left side
+    integrates the actions of the cells in the window on the paths in F,
+    the right side takes the increment of the full integral over the
+    window.  The two sums round differently, so the gap is of rounding
+    size, not zero.
     """
     if not 0 <= s_index <= t_index <= phi.grid.n_cells:
         raise ValueError(f"bad restriction window ({s_index}, {t_index}]")
     on_event = np.asarray(event, dtype=bool)[..., None]
     if on_event.shape not in ((1,), (ens.paths, 1)):
         raise ValueError("event must resolve to one boolean per path")
-    actions = _cell_actions(phi, ens)
+    on_event = np.broadcast_to(on_event, (ens.paths, 1))
     window = np.zeros(phi.grid.n_cells, dtype=bool)
     window[s_index:t_index] = True
-    lhs = _running_sum(np.where((on_event & window)[..., None], actions, 0.0))
-    full = _running_sum(actions)
     clock = np.clip(np.arange(len(ens.times)), s_index, t_index)
-    rhs = (full[:, clock] - full[:, [s_index]]) * on_event[..., None]
-    return _identity_report(lhs, rhs)
+
+    def sides(rows: slice, actions: np.ndarray):
+        on = on_event[rows]
+        full = _running_sum(actions)
+        return (_running_sum(np.where((on & window)[..., None], actions, 0.0)),
+                (full[:, clock] - full[:, [s_index]]) * on[..., None])
+
+    return _identity(phi, ens, phi.dim_g, sides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,39 +699,49 @@ def localize(phi: GridIntegrand, ens: MVMPathEnsemble,
     """Stop when the running integration cost first reaches each threshold.
 
     For threshold n, ``tau_n`` is the first grid time at which the pathwise
-    cumulative cost reaches n (horizon if never).  The field is contracted
-    once and each truncation integrates the actions of the cells before its
-    stopping time.  Returns the truncations' norms and verifies the tower
-    consistency: two truncations agree exactly up to the smaller stopping
-    time on every path.
+    cumulative cost reaches n (horizon if never).  Returns the truncations'
+    norms and verifies the tower consistency: two truncations agree exactly
+    up to the smaller stopping time on every path.  After the cell costs,
+    each path block contracts its rows of the field once and truncates its
+    actions and costs at each stopping time; only its stopping indices,
+    truncated cost sums and largest tower gap outlive it.
     """
-    actions = _cell_actions(phi, ens)
+    actions = _block_actions(phi, ens)
+    n_cells = phi.grid.n_cells
     per_cell = np.broadcast_to(cell_costs(phi, qm, qv).sum(axis=2),
-                               (ens.paths, phi.grid.n_cells))
-    cum = _running_sum(per_cell)
-    stop_indices: dict = {}
-    integrals: dict = {}
-    norms: dict = {}
-    for n in thresholds:
-        reached = cum >= float(n)
-        idx = np.where(reached.any(axis=1), reached.argmax(axis=1),
-                       phi.grid.n_cells)
-        stop_indices[n] = idx
-        integrals[n] = _stopped(actions, idx)
-        before = np.arange(phi.grid.n_cells)[None, :] < idx[:, None]
-        norms[n] = float(np.sqrt((per_cell * before).sum(axis=1).mean()))
-    gap = 0.0
-    ordered = sorted(thresholds)
-    for lo, hi in zip(ordered, ordered[1:]):
-        both = np.minimum(stop_indices[lo], stop_indices[hi])
-        keep = np.arange(len(ens.times))[None, :] <= both[:, None]
-        diff = (integrals[lo] - integrals[hi]) * keep[:, :, None]
-        gap = max(gap, float(np.abs(diff).max(initial=0.0)))
+                               (ens.paths, n_cells))
+    stop_indices = {n: np.empty(ens.paths, dtype=np.int64) for n in thresholds}
+    cost_sums = {n: np.empty(ens.paths) for n in thresholds}
+    gaps = np.zeros(ens.paths)
+    cells = np.arange(n_cells)
+    clock = np.arange(len(ens.times))
+
+    def block(rows: slice) -> None:
+        acts, costs = actions(rows), per_cell[rows]
+        cum = _running_sum(costs)
+        lower = None  # stop indices and truncation of the previous threshold
+        for n in sorted(thresholds):
+            reached = cum >= float(n)
+            stop = np.where(reached.any(axis=1), reached.argmax(axis=1),
+                            n_cells)
+            stop_indices[n][rows] = stop
+            cost_sums[n][rows] = (costs * (cells[None, :] < stop[:, None])
+                                  ).sum(axis=1)
+            truncated = _stopped(acts, stop)
+            if lower is not None:
+                keep = clock[None, :] <= np.minimum(lower[0], stop)[:, None]
+                diff = (lower[1] - truncated) * keep[:, :, None]
+                np.maximum(gaps[rows], np.abs(diff).max(
+                    axis=(1, 2), initial=0.0), out=gaps[rows])
+            lower = stop, truncated
+
+    _by_path_blocks(ens.paths, block)
     return LocalizationReport(
         thresholds=tuple(float(n) for n in thresholds),
         stop_indices=stop_indices,
-        truncated_norms=norms,
-        max_consistency_gap=gap,
+        truncated_norms={n: float(np.sqrt(cost_sums[n].mean()))
+                         for n in thresholds},
+        max_consistency_gap=float(gaps.max(initial=0.0)),
         max_cell_cost=float(per_cell.max(initial=0.0)),
     )
 
@@ -677,8 +766,18 @@ def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
 
 def pushforward_commute(op: np.ndarray, phi: GridIntegrand,
                         ens: MVMPathEnsemble) -> IdentityReport:
-    """Compare integrating ``R o Phi`` with applying R to the integral."""
-    lhs = integrate_grid(phi.compose(op), ens)
-    integral = integrate_grid(phi, ens)
-    rhs = integral.reshape(-1, phi.dim_g) @ np.asarray(op, dtype=np.float64).T
-    return _identity_report(lhs, rhs.reshape(integral.shape[:-1] + (-1,)))
+    """Compare integrating ``R o Phi`` with applying R to the integral,
+    one path block at a time: each block composes only the rows of the
+    field its paths read (:func:`_field_rows`), so no composed field of the
+    whole ensemble is made."""
+    op = _operator(op, phi.dim_g)
+
+    def sides(rows: slice, actions: np.ndarray):
+        pushed = _composed(_field_rows(phi.values, phi.index, rows), op)
+        integral = _running_sum(actions)
+        return (_running_sum(_contract_rows(ens.increments[rows], pushed,
+                                            None, slice(None))[..., 0, :]),
+                (integral.reshape(-1, phi.dim_g) @ op.T).reshape(
+                    integral.shape[:-1] + (-1,)))
+
+    return _identity(phi, ens, len(op), sides)

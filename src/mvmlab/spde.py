@@ -20,9 +20,10 @@ residual (the scan of the zero-rate semigroup) are one time scan,
 the path-block threads of :mod:`mvmlab.measures`: the drift and noise maps
 are asked about one block's states per step, and the noise term of a step
 contracts one cell of the block's rows, so the scan holds no array of the
-whole ensemble but its result.  The weighted path distances are reduced
-block by block too.  Solutions, stochastic convolutions and residuals are
-plain ``(paths, n_times, G)`` arrays, the form of the integrals of
+whole ensemble but its result.  The weighted path distances, the
+finiteness checks of the solves and the residual's final ``X_t - X_0`` are
+taken block by block too.  Solutions, stochastic convolutions and residuals
+are plain ``(paths, n_times, G)`` arrays, the form of the integrals of
 :mod:`mvmlab.integrate`.  The module holds no equation instance: one is a
 semigroup (:func:`heat_semigroup`), coefficients and a driver of
 :mod:`mvmlab.noise`, put together where it is used.
@@ -262,8 +263,19 @@ def default_beta(coeffs: CoefficientSpec, t_max: float) -> float:
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        p, i = np.argwhere(~np.isfinite(x).all(axis=2))[0]
+    """Refuse a path result `x` (paths, n_times, G) with an entry that is
+    not finite, naming the first path that has one and its first such time
+    index.  Finiteness is taken per path, one path block at a time, and
+    only a failing path is searched for its time index."""
+    finite = np.empty(len(x), dtype=bool)
+
+    def block(rows: slice) -> None:
+        finite[rows] = np.isfinite(x[rows]).all(axis=(1, 2))
+
+    _by_path_blocks(len(x), block)
+    if not finite.all():
+        p = int(finite.argmin())
+        i = int(np.isfinite(x[p]).all(axis=1).argmin())
         raise RuntimeError(f"{what} diverged at path {p}, time index {i}")
 
 
@@ -340,7 +352,8 @@ def weak_residual(x: np.ndarray, sg: DiagonalSemigroup,
     vanishes at first order in the step size.  The sums over cells are the
     scan of the zero-rate semigroup (:meth:`DiagonalSemigroup.scan`) whose
     step is ``l X_m dt_m`` less the contribution of cell m at X_m, so the
-    drift and noise maps are asked once per path block and step.
+    drift and noise maps are asked once per path block and step; then
+    ``X_t - X_0`` is added one path block at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (ens.paths, len(ens.times), sg.dim):
@@ -352,5 +365,9 @@ def weak_residual(x: np.ndarray, sg: DiagonalSemigroup,
         ens.times, lambda rows, m, r: sg.rates * x[rows, m] * dt[m]
         - _contribution(sg, coeffs, ens, rows, m, x[rows, m]),
         np.broadcast_to(0.0, (ens.paths, sg.dim)))
-    residuals += x - x[:, [0]]
+
+    def block(rows: slice) -> None:
+        residuals[rows] += x[rows] - x[rows, :1]
+
+    _by_path_blocks(ens.paths, block)
     return residuals

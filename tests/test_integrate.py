@@ -1,6 +1,7 @@
 """Stochastic integrals: routes, identities, norms, stopping, localization."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,8 +322,17 @@ def test_cell_costs_shapes_and_grid_guard(ens, qm_and_qv):
 
 def _thread_count_results(ens, phi, qm, qv, stop):
     stopped = stopped_integral(phi, ens, stop)
+    restricted = restricted_integral(
+        phi, ens, 2, 6, ens.increments[:, :2, 0, 0].sum(axis=1) > 0)
+    local = localize(phi, ens, qm, qv, [0.5, 1.0, 2.0, 4.0])
+    pushed = pushforward_commute(np.random.default_rng(5)
+                                 .standard_normal((2, 3)), phi, ens)
     return [integrate_grid(phi, ens), cell_costs(phi, qm, qv),
-            stopped.lhs, stopped.rhs]
+            stopped.lhs, stopped.rhs, restricted.lhs, restricted.rhs,
+            *local.stop_indices.values(),
+            np.array([*local.truncated_norms.values(),
+                      local.max_consistency_gap, local.max_cell_cost]),
+            pushed.lhs, pushed.rhs]
 
 
 def _table_field(ens, rng):
@@ -347,7 +357,10 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
     # 2,500 paths are three blocks, the last one short: contracted and
     # costed by the default threads, by one and by three, every result is
     # the same bytes, for a shared field, a history-built one and a table
-    # with an index.
+    # with an index.  That holds for the integral, the cell costs and both
+    # sides of the stopping, restriction and pushforward identities, and
+    # for localization's stop indices, truncated norms, tower gap and
+    # largest cell cost, all made one path block at a time.
     qm, qv = qm_and_qv
     ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
     if per_path == "table":
@@ -367,6 +380,45 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
         monkeypatch.setattr(measures, "_WORKERS", workers)
         got = _thread_count_results(ens, phi, qm, qv, stop)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in default]
+
+
+def test_identities_hold_no_whole_ensemble_temporaries(driver, monkeypatch):
+    # A history-built field on 16 cells and 8,192 paths (eight blocks): on
+    # one thread each identity contracts one block's rows of the field at a
+    # time, so its traced peak stays near its two sides, not near the whole
+    # actions, their masked copies and running sums, or a composed field;
+    # localization's stays near its cell costs, not near one truncated
+    # integral of the whole ensemble per threshold.
+    monkeypatch.setattr(measures, "_WORKERS", 1)
+    ens = simulate(driver, default_grid(driver, 1.0, 16), 8_192, 43)
+    family = intensity_family(driver, ens.grid)
+    qv = qv_supremum(family, sphere_sequence(2, 128))
+    qm = qm_density(bilinear_field(family), qv)
+    phi = GridIntegrand.from_history(ens, lambda past, i: np.tanh(
+        past.sum(axis=(1, 2)))[:, None, None, :] * np.ones((1, 2, 3, 1)))
+    stop = grid_stopping_time(ens, lambda past, i: np.abs(
+        past[:, :, :, 0].sum(axis=(1, 2))) > 1.0)
+    event = ens.increments[:, :2, 0, 0].sum(axis=1) > 0
+    op = np.random.default_rng(5).standard_normal((2, 3))
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for call, bound in ((lambda: stopped_integral(phi, ens, stop), 1.4),
+                        (lambda: restricted_integral(phi, ens, 2, 14, event),
+                         1.4),
+                        (lambda: pushforward_commute(op, phi, ens), 1.6)):
+        report, peak = traced(call)
+        assert peak <= bound * (report.lhs.nbytes + report.rhs.nbytes)
+    local, peak = traced(lambda: localize(phi, ens, qm, qv,
+                                          [0.5, 1.0, 2.0, 4.0]))
+    assert len(set(local.stop_indices[1.0].tolist())) > 8
+    assert peak <= 2.25 * cell_costs(phi, qm, qv).nbytes
 
 
 def test_a_table_field_gives_the_bytes_of_its_dense_copy(driver, qm_and_qv):
@@ -631,6 +683,25 @@ def test_stopped_integral_identity_is_exact(ens):
             stopped_integral(phi, ens, off)
 
 
+def test_stopped_integral_refuses_a_non_integer_stopping_index(ens):
+    # A stopping index is an integer: 2.7 is no grid index, and truncating
+    # it to 2 would stop that path a cell early without a word; booleans
+    # are not indices either.  Integers of any width, or a list of them,
+    # give the sides of the int64 indices.
+    rng = np.random.default_rng(11)
+    phi = GridIntegrand(ens.grid, rng.standard_normal((1, 8, 2, 2, 2)))
+    stop = rng.integers(0, 9, size=ens.paths)
+    for bad in (stop + 0.7, stop.astype(float), stop % 2 == 1):
+        with pytest.raises(ValueError, match="stopping indices must be "
+                                             "integers"):
+            stopped_integral(phi, ens, bad)
+    want = stopped_integral(phi, ens, stop)
+    for same in (stop.astype(np.uint8), stop.astype(np.int32), list(stop)):
+        got = stopped_integral(phi, ens, same)
+        assert got.lhs.tobytes() == want.lhs.tobytes()
+        assert got.rhs.tobytes() == want.rhs.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
     # A shared field, its per-path copy and a Fortran-ordered per-path copy
@@ -828,6 +899,18 @@ def test_localization_tower(ens, qm_and_qv):
     # threshold + one cell worth of cost.
     for n in (0.5, 2.0, 8.0):
         assert norms[n] ** 2 <= n + report.max_cell_cost
+
+
+def test_localization_does_not_hide_a_nan_truncation(ens, qm_and_qv):
+    # One entry of a per-path field is NaN: the truncations of that path
+    # disagree by NaN, and the tower gap must say so, not read 0 and pass
+    # the exact check.
+    qm, qv = qm_and_qv
+    values = np.random.default_rng(19).standard_normal((ens.paths, 8, 2, 2, 2))
+    values[5, 6, 0] = np.nan
+    report = localize(GridIntegrand(ens.grid, values), ens, qm, qv,
+                      [0.5, 2.0, 1e9])
+    assert np.isnan(report.max_consistency_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,12 @@ def test_convolution_holds_no_actions_of_the_whole_ensemble(monkeypatch):
 def test_residual_and_picard_hold_no_second_ensemble_temporaries(monkeypatch):
     # The heat instance on 16 modes, 64 steps and 4,096 paths, with drift
     # gain 1: on one thread the weak residual's traced peak stays near its
-    # result plus one difference of the solution, not near a stack of cell
-    # terms and their running sums, and the Picard solve's near its two
-    # iterates, not near their whole-ensemble difference and its square.
+    # result plus one path block's difference of the solution, not near a
+    # stack of cell terms and their running sums or a whole-ensemble
+    # difference; the forward pass's near its result, not near a boolean
+    # array of the whole ensemble for its finiteness check; and the Picard
+    # solve's near its two iterates, not near their whole-ensemble
+    # difference and its square.
     monkeypatch.setattr(measures, "_WORKERS", 1)
     spec, f = _heat_instance(2, 16, 4)
     ens = simulate(spec, default_grid(spec, 1.0, 64), 4_096, 9)
@@ -253,10 +256,38 @@ def test_residual_and_picard_hold_no_second_ensemble_temporaries(monkeypatch):
 
     residuals, peak = traced(lambda: weak_residual(x, sg, coeffs, ens))
     assert residuals.shape == (4_096, 65, 16)
-    assert peak <= 2.25 * residuals.nbytes
+    assert peak <= 1.3 * residuals.nbytes
+    forward, peak = traced(lambda: mild_solution(sg, coeffs, ens, x0))
+    assert forward.tobytes() == x.tobytes()
+    assert peak <= 1.05 * forward.nbytes
     sol, peak = traced(lambda: picard_solve(sg, coeffs, ens, x0))
     assert sol.values.shape == (4_096, 65, 16)
-    assert peak <= 2.75 * sol.values.nbytes
+    assert peak <= 2.4 * sol.values.nbytes
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_diverging_solve_names_its_first_bad_path_and_time():
+    # 2,500 paths are three blocks: one path of the second block starts at
+    # a huge state, whose drift step overflows at time index 1, and one of
+    # the third starts at infinity.  The forward pass names the first path
+    # that is not finite and its first such time index, whichever block it
+    # is in, and so does a Picard iterate.
+    spec, f = _heat_instance(2, 4, 2)
+    ens = simulate(spec, default_grid(spec, 1.0, 8), 2_500, 9)
+    sg = heat_semigroup(4)
+    coeffs = linear_drift_coefficients(10.0, f[None])
+    x0 = np.ones((ens.paths, 4))
+    x0[1_500, 2] = 1e308
+    x0[2_100, 0] = np.inf
+    with pytest.raises(RuntimeError, match=r"^forward pass diverged at "
+                                           r"path 1500, time index 1$"):
+        mild_solution(sg, coeffs, ens, x0)
+    with pytest.raises(RuntimeError, match=r"^forward pass diverged at "
+                                           r"path 2100, time index 0$"):
+        mild_solution(sg, coeffs, ens, np.where(np.isinf(x0), x0, 1.0))
+    with pytest.raises(RuntimeError, match=r"^Picard iterate 1 diverged at "
+                                           r"path 1500, time index 1$"):
+        picard_solve(sg, coeffs, ens, np.where(np.isinf(x0), 1.0, x0))
 
 
 def test_scans_do_not_depend_on_the_thread_count(heat, monkeypatch):
