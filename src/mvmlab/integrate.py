@@ -21,16 +21,18 @@ that of the actions masked by A.  So stopping, window/event restriction and
 localization contract the field once and mask its actions; no masked copy
 of the field is made.
 
-Per-path work runs block by block: the hooks below, the cell contraction,
-the cell costs (of the field's rows, one per event pattern for a simple
+Per-path work runs block by block: the hooks below, both integrals, the
+cell costs (of the field's rows, one per event pattern for a simple
 integrand) and the pathwise identities each take the paths or rows in
 blocks of 1024, on one thread per usable core
-(:func:`mvmlab.measures._by_path_blocks`).  Stopping, restriction,
-pushforward and localization contract one block's rows of the field at a
-time and build both sides of their identities from those actions, so they
-hold no actions, masked copies or composed field of the whole ensemble.
-Every block writes only its own rows with the arithmetic a single path
-gets, so results do not depend on the thread count.
+(:func:`mvmlab.measures._by_path_blocks`).  The grid integral, stopping,
+restriction, pushforward, localization and the Fubini check contract one
+block's rows of the field at a time and build their results from those
+actions, and the radonification route sums one block's increments at a
+time, so none of them holds actions, masked copies, or a composed or mixed
+field of the whole ensemble.  Every block writes only its own rows with
+the arithmetic a single path gets, so results do not depend on the thread
+count.
 
 Adaptedness is structural: every predictable input (simple-integrand
 events, history-dependent operator fields and stopping rules) is a hook,
@@ -120,10 +122,15 @@ def _zeros_contraction_order(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape[:-2] + shape[:-3:-1]).swapaxes(-1, -2)
 
 
-def _row_index(index: np.ndarray | None, rows: int) -> np.ndarray | None:
-    """`index`, checked to be None or to name one of `rows` rows per path."""
-    if index is not None and (index.ndim != 1 or index.dtype.kind not in "iu"
-                              or not np.all((0 <= index) & (index < rows))):
+def _row_index(index: np.ndarray | Sequence[int] | None, rows: int
+               ) -> np.ndarray | None:
+    """`index` as an array, checked to be None or to name one of `rows` rows
+    per path."""
+    if index is None:
+        return None
+    index = np.asarray(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu" \
+            or not np.all((0 <= index) & (index < rows)):
         raise ValueError(f"a row index needs one row of 0..{rows - 1} per path")
     return index
 
@@ -159,7 +166,7 @@ class GridIntegrand:
         if v.shape[1:3] != (self.grid.n_cells, self.grid.n_atoms):
             raise ValueError(f"integrand shape {v.shape} does not match grid")
         object.__setattr__(self, "values", _contraction_order(v))
-        _row_index(self.index, len(v))
+        object.__setattr__(self, "index", _row_index(self.index, len(v)))
 
     @property
     def per_path(self) -> bool:
@@ -301,31 +308,6 @@ def _contract_rows(increments: np.ndarray, values: np.ndarray,
                      _field_rows(stack, index, rows), out=out)
 
 
-def _contract(increments: np.ndarray, values: np.ndarray,
-              index: np.ndarray | None = None) -> np.ndarray:
-    """The one cell contraction: actions ``sum_atoms Phi dM`` (paths,
-    [cells,] G) of `values` ``(rows, [cells,] atoms, G, H)`` (path p reading
-    row 0, p or ``index[p]``) on `increments` ``(paths, [cells,] atoms, H)``,
-    checked on the calling thread (:func:`_check_fit`), then made one path
-    block at a time by :func:`_contract_rows`."""
-    _check_fit(increments, values, index)
-    out = np.empty(increments.shape[:-2] + (1, values.shape[-2]))
-
-    def block(rows: slice) -> None:
-        _contract_rows(increments[rows], values, index, rows, out[rows])
-
-    _by_path_blocks(len(increments), block)
-    return out[..., 0, :]
-
-
-def _cell_actions(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
-    """The cellwise actions ``sum_atoms Phi dM`` of `phi` on `ens` (paths,
-    cells, G), after checking that the two fit together (see
-    :func:`_contract`)."""
-    _check_grid(phi.grid, ens)
-    return _contract(ens.increments, phi.values, phi.index)
-
-
 def _block_actions(phi: GridIntegrand, ens: MVMPathEnsemble
                    ) -> Callable[[slice], np.ndarray]:
     """Check on the calling thread that `phi` fits `ens`, then give the
@@ -340,8 +322,18 @@ def _block_actions(phi: GridIntegrand, ens: MVMPathEnsemble
 def integrate_grid(phi: GridIntegrand, ens: MVMPathEnsemble) -> np.ndarray:
     """Integrate a grid integrand: the paths (paths, n_times, G) of the
     cumulative sums of cellwise actions, the zero-rate case of
-    :meth:`mvmlab.spde.DiagonalSemigroup.scan`."""
-    return _running_sum(_cell_actions(phi, ens))
+    :meth:`mvmlab.spde.DiagonalSemigroup.scan`.  Each path block contracts
+    its rows of the field (:func:`_block_actions`) and writes the running
+    sums of those actions into its rows of the result, so no actions of the
+    whole ensemble are held."""
+    actions = _block_actions(phi, ens)
+    out = np.empty((ens.paths, len(ens.times), phi.dim_g))
+
+    def block(rows: slice) -> None:
+        out[rows] = _running_sum(actions(rows))
+
+    _by_path_blocks(ens.paths, block)
+    return out
 
 
 @dataclass(frozen=True)
@@ -450,21 +442,27 @@ def integrate_simple(phi: SimpleIntegrand, ens: MVMPathEnsemble
 
     Each term contributes ``1_F S(M(t_s .. t, atoms))`` with the increment
     accumulated before S is applied; this is deliberately a different
-    summation route than :func:`integrate_grid`.
+    summation route than :func:`integrate_grid`.  It runs one path block at
+    a time: each block sums its paths' increments of every term and writes
+    only its rows of the result, so no term's increments or sums of the
+    whole ensemble are held.
     """
     _check_grid(phi.grid, ens)
     if phi.paths != ens.paths:
         raise ValueError("integrand was built against a different ensemble size")
-    n_times = len(ens.times)
-    out = np.zeros((ens.paths, n_times, phi.dim_g))
-    for s, t, atoms, matrix, ev in phi.terms:
-        if not atoms:
-            continue
-        seg = ens.increments[:, s:t, atoms].sum(axis=2) @ matrix.T
-        cum = np.cumsum(seg, axis=1)
-        gated = np.where(ev[:, None, None], cum, 0.0)
-        out[:, s + 1:t + 1] += gated
-        out[:, t + 1:] += gated[:, -1][:, None]
+    out = np.zeros((ens.paths, len(ens.times), phi.dim_g))
+
+    def block(rows: slice) -> None:
+        for s, t, atoms, matrix, ev in phi.terms:
+            if not atoms:
+                continue
+            seg = ens.increments[rows, s:t, atoms].sum(axis=2) @ matrix.T
+            cum = np.cumsum(seg, axis=1)
+            gated = np.where(ev[rows, None, None], cum, 0.0)
+            out[rows, s + 1:t + 1] += gated
+            out[rows, t + 1:] += gated[:, -1][:, None]
+
+    _by_path_blocks(ens.paths, block)
     return out
 
 
@@ -752,16 +750,28 @@ def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
 
     The finite parameter space E carries one integrand and one weight per
     element; the identity compares integrating ``sum_e w_e Phi_e`` with
-    ``sum_e w_e I(Phi_e)`` pathwise.
+    ``sum_e w_e I(Phi_e)`` pathwise.  Both sides are written one path block
+    at a time: each block mixes only the rows of the fields its paths read
+    (:func:`_field_rows`) and integrates each member on its own rows, so no
+    mixed field or weighted integral of the whole ensemble is made.
     """
     if len(integrands) != len(weights) or not integrands:
         raise ValueError("need matching, nonempty integrand and weight lists")
-    mixed_values = sum(w * phi.values[... if phi.index is None else phi.index]
-                       for w, phi in zip(weights, integrands))
-    combined = integrate_grid(GridIntegrand(integrands[0].grid, mixed_values), ens)
-    summed = sum(w * integrate_grid(phi, ens)
-                 for w, phi in zip(weights, integrands))
-    return _identity_report(combined, summed)
+    members = [(w, phi, _block_actions(phi, ens))
+               for w, phi in zip(weights, integrands)]
+    lhs = np.empty((ens.paths, len(ens.times), integrands[0].dim_g))
+    rhs = np.empty_like(lhs)
+
+    def block(rows: slice) -> None:
+        mixed = sum(w * _field_rows(phi.values, phi.index, rows)
+                    for w, phi, _ in members)
+        lhs[rows] = _running_sum(_contract_rows(
+            ens.increments[rows], mixed, None, slice(None))[..., 0, :])
+        rhs[rows] = sum(w * _running_sum(actions(rows))
+                        for w, _, actions in members)
+
+    _by_path_blocks(ens.paths, block)
+    return _identity_report(lhs, rhs)
 
 
 def pushforward_commute(op: np.ndarray, phi: GridIntegrand,

@@ -156,9 +156,10 @@ def _by_path_blocks(paths: int, work: Callable[[slice], None]) -> None:
     not even through a helper: a nested call that submits to the pool can
     wait on pooled threads that wait on it.  So a helper that a block calls
     is a per-block kernel with its checks split off, as
-    ``integrate._contract_rows`` and ``integrate._check_fit`` are for
-    ``integrate._contract``.  Then the result does not depend on the thread
-    count.  Caller code may run in a block too: the hooks of
+    ``integrate._contract_rows`` is, whose fit ``integrate._check_fit``
+    checks on the calling thread (``integrate._block_actions``).  Then the
+    result does not depend on the thread count.  Caller code may run in a
+    block too: the hooks of
     :mod:`mvmlab.integrate` and the drift and noise maps that the time scan
     of :mod:`mvmlab.spde` steps through, which must be pure functions of the
     past or the states of the block's paths and answer for those paths only.

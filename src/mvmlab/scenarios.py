@@ -455,23 +455,22 @@ def _scn_haar(seed: int, paths: int, params: dict) -> ScenarioResult:
 
 
 def _isometry_pairs(seed: int):
-    """Five (driver, integrand) combinations used by the isometry scenario;
-    the two simple integrands come as built, for both integration routes."""
+    """Five (driver, integrand) combinations used by the isometry scenario,
+    grouped by driver as ``(driver, grid, [(name, build), ...])``; the two
+    simple integrands come as built, for both integration routes."""
     rng = np.random.default_rng(seed)
-    pairs = []
+    drivers = []
 
     wn = noise.white_noise((("a", 0.5), ("b", 1.0), ("c", 2.0)))
     wn_grid = noise.default_grid(wn, 1.0, 20)
     s1 = np.array([[1.0], [-0.5], [2.0]])
-    pairs.append(("white_noise/constant", wn, wn_grid,
-                  lambda ens: integrate.GridIntegrand.constant(wn_grid, s1)))
+    drivers.append((wn, wn_grid, [(
+        "white_noise/constant",
+        lambda ens: integrate.GridIntegrand.constant(wn_grid, s1))]))
 
     dl = _levy_menu(rng, 4)
     dl_grid = noise.default_grid(dl, 1.0, 20)
     s2 = rng.standard_normal((3, 4))
-    pairs.append(("discrete_levy/constant", dl, dl_grid,
-                  lambda ens: integrate.GridIntegrand.constant(dl_grid, s2)))
-
     s3 = rng.standard_normal((3, 4))
     s4 = rng.standard_normal((3, 4))
 
@@ -486,8 +485,10 @@ def _isometry_pairs(seed: int):
         ]
         return integrate.SimpleIntegrand.build(ens, terms)
 
-    pairs.append(("discrete_levy/simple_multi_term", dl, dl_grid,
-                  build_simple_dl))
+    drivers.append((dl, dl_grid, [
+        ("discrete_levy/constant",
+         lambda ens: integrate.GridIntegrand.constant(dl_grid, s2)),
+        ("discrete_levy/simple_multi_term", build_simple_dl)]))
 
     hv = noise.h_valued_levy(_random_psd(rng, 3),
                              ((rng.standard_normal(3), 2.0),
@@ -495,9 +496,6 @@ def _isometry_pairs(seed: int):
     hv_grid = noise.default_grid(hv, 1.0, 20)
     s5 = rng.standard_normal((2, 3))
     profile = np.stack([(1.0 + t) * s5 for t in hv_grid.time_points[:-1]])
-    pairs.append(("hvalued_levy/time_profile", hv, hv_grid,
-                  lambda ens: integrate.GridIntegrand.from_time_profile(
-                      hv_grid, profile)))
 
     def build_simple_hv(ens):
         terms = [
@@ -507,47 +505,66 @@ def _isometry_pairs(seed: int):
         ]
         return integrate.SimpleIntegrand.build(ens, terms)
 
-    pairs.append(("hvalued_levy/simple_event", hv, hv_grid, build_simple_hv))
-    return pairs
+    drivers.append((hv, hv_grid, [
+        ("hvalued_levy/time_profile",
+         lambda ens: integrate.GridIntegrand.from_time_profile(
+             hv_grid, profile)),
+        ("hvalued_levy/simple_event", build_simple_hv)]))
+    return drivers
+
+
+def _isometry_driver(res: ScenarioResult, spec, grid, pairs, seed: int,
+                     paths: int) -> list:
+    """Check the pairs of one driver of the isometry scenario on one ensemble
+    and variation of it, and return their rows of the pairs CSV.  The
+    ensemble lives only while this runs, so it is gone before the next
+    driver's is drawn."""
+    ens = noise.simulate(spec, grid, paths, seed)
+    _, _, qv, qm = _variation(spec, grid)
+    return [_isometry_pair(res, name, build, ens, qm, qv)
+            for name, build in pairs]
+
+
+def _isometry_pair(res: ScenarioResult, name: str, build, ens, qm, qv
+                   ) -> tuple:
+    """Check one (driver, integrand) pair on the driver's ensemble `ens` and
+    return its row of the pairs CSV; its integrals live only while this
+    runs, and of its cell costs only the per-path sum is kept."""
+    simple = phi = build(ens)
+    if isinstance(simple, integrate.SimpleIntegrand):
+        phi = integrate.simple_to_grid(simple)
+    integral = integrate.integrate_grid(phi, ens)
+    per_path_cost = np.broadcast_to(
+        integrate.cell_costs(phi, qm, qv).sum(axis=(1, 2)), (ens.paths,))
+    term = integral[:, -1]
+    terminal_sq = (term ** 2).sum(axis=1)
+    z_iso = res.add_max_z(
+        f"isometry_z[{name}]", *noise.mean_se(terminal_sq - per_path_cost),
+        0.0, "paired difference of ||I_T||^2 and the cell cost")
+    z_mean = res.add_max_z(f"zero_mean_z[{name}]", *noise.mean_se(term), 0.0)
+    if simple is not phi:
+        # The radonification route, term by term, against the grid route.
+        res.add_upper(f"simple_route_gap_over_scale[{name}]",
+                      _gap_over_scale(integrate._identity_report(
+                          integrate.integrate_simple(simple, ens),
+                          integral)), 1e-10,
+                      "rounding_identity", "integrate_simple against "
+                      "integrate_grid of simple_to_grid")
+    if "ito_isometry_profile.csv" not in res.artifacts:
+        # The first pair, on white noise: its profile in time.
+        mean, se = noise.mean_se(_squared_norms(integral))
+        res.artifacts["ito_isometry_profile.csv"] = _csv_text(
+            "t,mean_norm2,se,isometry_target", [
+                ens.times, mean, se, integrate.lambda2_profile(phi, qm, qv)])
+    return (name, float(terminal_sq.mean()), float(per_path_cost.mean()),
+            z_iso, z_mean)
 
 
 def _scn_ito_isometry(seed: int, paths: int, params: dict) -> ScenarioResult:
     res = ScenarioResult()
-    rows, drawn = [], None
-    for name, spec, grid, build in _isometry_pairs(params["pair_seed"]):
-        if spec is not drawn:
-            # One ensemble and one variation per driver, its pairs in a row.
-            drawn, ens = spec, noise.simulate(spec, grid, paths, seed)
-            _, _, qv, qm = _variation(spec, grid)
-        simple = phi = build(ens)
-        if isinstance(simple, integrate.SimpleIntegrand):
-            phi = integrate.simple_to_grid(simple)
-        integral = integrate.integrate_grid(phi, ens)
-        costs = integrate.cell_costs(phi, qm, qv)
-        per_path_cost = np.broadcast_to(costs.sum(axis=(1, 2)), (paths,))
-        term = integral[:, -1]
-        terminal_sq = (term ** 2).sum(axis=1)
-        z_iso = res.add_max_z(
-            f"isometry_z[{name}]", *noise.mean_se(terminal_sq - per_path_cost),
-            0.0, "paired difference of ||I_T||^2 and the cell cost")
-        z_mean = res.add_max_z(f"zero_mean_z[{name}]", *noise.mean_se(term),
-                               0.0)
-        if simple is not phi:
-            # The radonification route, term by term, against the grid route.
-            res.add_upper(f"simple_route_gap_over_scale[{name}]",
-                          _gap_over_scale(integrate._identity_report(
-                              integrate.integrate_simple(simple, ens),
-                              integral)), 1e-10,
-                          "rounding_identity", "integrate_simple against "
-                          "integrate_grid of simple_to_grid")
-        if not rows:  # the first pair, on white noise: its profile in time
-            mean, se = noise.mean_se(_squared_norms(integral))
-            res.artifacts["ito_isometry_profile.csv"] = _csv_text(
-                "t,mean_norm2,se,isometry_target", [
-                    ens.times, mean, se,
-                    integrate.lambda2_profile(phi, qm, qv)])
-        rows.append((name, float(terminal_sq.mean()),
-                     float(per_path_cost.mean()), z_iso, z_mean))
+    rows = []
+    for spec, grid, pairs in _isometry_pairs(params["pair_seed"]):
+        rows += _isometry_driver(res, spec, grid, pairs, seed, paths)
     names, *values = zip(*rows)
     res.artifacts["ito_isometry_pairs.csv"] = _csv_text(
         "pair,mc_second_moment,lambda2_sq,z_isometry,max_z_mean",

@@ -19,7 +19,8 @@ from mvmlab.integrate import (AdaptednessError, GridIntegrand,
                               integrate_grid, integrate_simple,
                               lambda2_profile, localize,
                               pushforward_commute, restricted_integral,
-                              simple_to_grid, stopped_integral, _contract)
+                              simple_to_grid, stopped_integral, _check_fit,
+                              _contract_rows)
 from mvmlab.spde import DiagonalSemigroup, stochastic_convolution
 
 
@@ -327,28 +328,38 @@ def _thread_count_results(ens, phi, qm, qv, stop):
     local = localize(phi, ens, qm, qv, [0.5, 1.0, 2.0, 4.0])
     pushed = pushforward_commute(np.random.default_rng(5)
                                  .standard_normal((2, 3)), phi, ens)
+    mixed = fubini_check([phi, GridIntegrand(ens.grid, np.random.default_rng(
+        7).standard_normal((1, 8, 2, 3, 2)))], [0.3, 0.7], ens)
     return [integrate_grid(phi, ens), cell_costs(phi, qm, qv),
             stopped.lhs, stopped.rhs, restricted.lhs, restricted.rhs,
             *local.stop_indices.values(),
             np.array([*local.truncated_norms.values(),
                       local.max_consistency_gap, local.max_cell_cost]),
-            pushed.lhs, pushed.rhs]
+            pushed.lhs, pushed.rhs, mixed.lhs, mixed.rhs]
 
 
-def _table_field(ens, rng):
-    """simple_to_grid's table of a simple integrand whose events split the
-    paths into three patterns: a table field with an index."""
+def _split_simple(ens, rng):
+    """A simple integrand whose event hooks split the paths into three
+    patterns, its terms switching at a cell in the middle of the grid."""
     def up(past):
         return past[:, :, 0, 0].sum(axis=1) > 0
 
-    return simple_to_grid(SimpleIntegrand.build(ens, [
-        SimpleTerm(0, 3, (0, 1), rng.standard_normal((3, 2))),
-        SimpleTerm(3, 8, (0,), rng.standard_normal((3, 2)), event=up),
-        SimpleTerm(3, 8, (0,), rng.standard_normal((3, 2)),
+    mid = ens.grid.n_cells * 3 // 8
+    return SimpleIntegrand.build(ens, [
+        SimpleTerm(0, mid, (0, 1), rng.standard_normal((3, 2))),
+        SimpleTerm(mid, ens.grid.n_cells, (0,), rng.standard_normal((3, 2)),
+                   event=up),
+        SimpleTerm(mid, ens.grid.n_cells, (0,), rng.standard_normal((3, 2)),
                    event=lambda past: ~up(past)),
-        SimpleTerm(3, 8, (1,), rng.standard_normal((3, 2)),
+        SimpleTerm(mid, ens.grid.n_cells, (1,), rng.standard_normal((3, 2)),
                    event=lambda past: up(past) & (past[:, :, 1, 1].sum(
-                       axis=1) > 0))]))
+                       axis=1) > 0))])
+
+
+def _table_field(ens, rng):
+    """simple_to_grid's table of :func:`_split_simple`: a table field with
+    an index."""
+    return simple_to_grid(_split_simple(ens, rng))
 
 
 @pytest.mark.parametrize("per_path", [False, True, "table"])
@@ -358,8 +369,8 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
     # costed by the default threads, by one and by three, every result is
     # the same bytes, for a shared field, a history-built one and a table
     # with an index.  That holds for the integral, the cell costs and both
-    # sides of the stopping, restriction and pushforward identities, and
-    # for localization's stop indices, truncated norms, tower gap and
+    # sides of the stopping, restriction, pushforward and Fubini identities,
+    # and for localization's stop indices, truncated norms, tower gap and
     # largest cell cost, all made one path block at a time.
     qm, qv = qm_and_qv
     ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
@@ -382,6 +393,16 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
         assert [a.tobytes() for a in got] == [a.tobytes() for a in default]
 
 
+def _traced(call):
+    """``call()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_identities_hold_no_whole_ensemble_temporaries(driver, monkeypatch):
     # A history-built field on 16 cells and 8,192 paths (eight blocks): on
     # one thread each identity contracts one block's rows of the field at a
@@ -400,25 +421,56 @@ def test_identities_hold_no_whole_ensemble_temporaries(driver, monkeypatch):
         past[:, :, :, 0].sum(axis=(1, 2))) > 1.0)
     event = ens.increments[:, :2, 0, 0].sum(axis=1) > 0
     op = np.random.default_rng(5).standard_normal((2, 3))
-
-    def traced(call):
-        tracemalloc.start()
-        try:
-            out = call()
-            return out, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     for call, bound in ((lambda: stopped_integral(phi, ens, stop), 1.4),
                         (lambda: restricted_integral(phi, ens, 2, 14, event),
                          1.4),
                         (lambda: pushforward_commute(op, phi, ens), 1.6)):
-        report, peak = traced(call)
+        report, peak = _traced(call)
         assert peak <= bound * (report.lhs.nbytes + report.rhs.nbytes)
-    local, peak = traced(lambda: localize(phi, ens, qm, qv,
+    local, peak = _traced(lambda: localize(phi, ens, qm, qv,
                                           [0.5, 1.0, 2.0, 4.0]))
     assert len(set(local.stop_indices[1.0].tolist())) > 8
     assert peak <= 2.25 * cell_costs(phi, qm, qv).nbytes
+
+
+def test_the_simple_route_does_not_depend_on_the_thread_count(
+        driver, monkeypatch):
+    # 2,500 paths are three blocks, the last one short: summed term by term
+    # by the default threads, by one and by three, the radonification route
+    # gives the same bytes, with event hooks that split the paths.
+    ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
+    simple = _split_simple(ens, np.random.default_rng(3))
+    assert 0 < simple.terms[1][4].sum() < ens.paths
+    default = integrate_simple(simple, ens)
+    for workers in (1, 3):
+        monkeypatch.setattr(measures, "_WORKERS", workers)
+        assert integrate_simple(simple, ens).tobytes() == default.tobytes()
+
+
+def test_integrals_hold_no_whole_ensemble_temporaries(driver, monkeypatch):
+    # 8,192 paths (eight blocks) on 16 cells, one thread: the grid route
+    # holds one block's actions and running sums at a time (a table field
+    # also one block's gather of its rows), the radonification route one
+    # block's increments and sums of a term, and the Fubini check one
+    # block's mixed rows and integrals, so each traced peak stays near the
+    # result, not near the actions, a term's sums or a mixed field of every
+    # path.
+    monkeypatch.setattr(measures, "_WORKERS", 1)
+    ens = simulate(driver, default_grid(driver, 1.0, 16), 8_192, 43)
+    rng = np.random.default_rng(3)
+    simple = _split_simple(ens, rng)
+    shared = GridIntegrand(ens.grid, rng.standard_normal((1, 16, 2, 3, 2)))
+    history = GridIntegrand.from_history(ens, lambda past, i: np.tanh(
+        past.sum(axis=(1, 2)))[:, None, None, :] * np.ones((1, 2, 3, 1)))
+    table = simple_to_grid(simple)
+    for phi, bound in ((shared, 1.3), (history, 1.3), (table, 1.65)):
+        integral, peak = _traced(lambda: integrate_grid(phi, ens))
+        assert peak <= bound * integral.nbytes
+    integral, peak = _traced(lambda: integrate_simple(simple, ens))
+    assert peak <= 1.4 * integral.nbytes
+    report, peak = _traced(lambda: fubini_check([shared, table], [0.3, 0.7],
+                                                ens))
+    assert peak <= 1.7 * (report.lhs.nbytes + report.rhs.nbytes)
 
 
 def test_a_table_field_gives_the_bytes_of_its_dense_copy(driver, qm_and_qv):
@@ -455,24 +507,33 @@ def test_a_table_field_gives_the_bytes_of_its_dense_copy(driver, qm_and_qv):
 def test_a_row_index_names_one_table_row_per_path(ens):
     # A table field's index is one integer per path, each naming a row of
     # the table: the field refuses a 2-d index or a row off the table, and
-    # the contraction refuses those and an index that misses paths.
+    # the contraction's fit check refuses those and an index that misses
+    # paths.  A list is read as the array it spells.
     table = np.random.default_rng(31).standard_normal((2, 8, 2, 3, 2))
     index = np.arange(ens.paths) % 2
     for bad in (index[:, None], index + 1, index - 1, index.astype(float),
-                index.astype(bool)):
+                index.astype(bool), (index + 1).tolist()):
         with pytest.raises(ValueError, match="one row of 0..1 per path"):
             GridIntegrand(ens.grid, table, bad)
         with pytest.raises(ValueError, match="one row of 0..1 per path"):
-            _contract(ens.increments, table, bad)
+            _check_fit(ens.increments, table, bad)
+    listed = GridIntegrand(ens.grid, table, index.tolist())
+    assert isinstance(listed.index, np.ndarray)
+    assert np.array_equal(listed.index, index)
+    assert integrate_grid(listed, ens).tobytes() == integrate_grid(
+        GridIntegrand(ens.grid, table, index), ens).tobytes()
     short = GridIntegrand(ens.grid, table, index[:-1])
     with pytest.raises(ValueError, match="path count"):
         integrate_grid(short, ens)
     with pytest.raises(ValueError, match="path count"):
-        _contract(ens.increments, table, index[:-1])
+        _check_fit(ens.increments, table, index[:-1])
     # One cell's actions, as a step of the convolution's scan contracts
     # them: path p reads row index[p], as from the dense copy of the rows.
-    assert _contract(ens.increments[:, 3], table[:, 3], index).tobytes() \
-        == _contract(ens.increments[:, 3], table[index, 3]).tobytes()
+    everyone = slice(None)
+    assert _contract_rows(ens.increments[:, 3], table[:, 3], index,
+                          everyone).tobytes() \
+        == _contract_rows(ens.increments[:, 3], table[index, 3], None,
+                          everyone).tobytes()
 
 
 def test_a_block_error_reaches_the_caller(driver, qm_and_qv, monkeypatch):
