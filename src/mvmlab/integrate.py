@@ -30,25 +30,30 @@ restriction, pushforward, localization and the Fubini check contract one
 block's rows of the field at a time and build their results from those
 actions, and the radonification route sums one block's increments at a
 time, so none of them holds actions, masked copies, or a composed or mixed
-field of the whole ensemble.  Every block writes only its own rows with
-the arithmetic a single path gets, so results do not depend on the thread
-count.
+field of the whole ensemble.  Stopping, restriction, pushforward and the
+Fubini check differ only in how a block makes its rows of the two sides:
+one writer (:func:`_identity`) runs the blocks, and one reducer
+(:func:`_identity_report`) takes the gap and the scale.  Every block writes
+only its own rows with the arithmetic a single path gets, so results do not
+depend on the thread count.
 
 Adaptedness is structural: every predictable input (simple-integrand
 events, history-dependent operator fields and stopping rules) is a hook,
 never a precomputed array, and a hook receives only a read-only view of
 the increments of cells strictly before the current time, so referencing
 the future or editing the ensemble is impossible by construction and any
-out-of-range access is surfaced as an error.  Predictability and stopping
-are defined path by path, so a hook is asked about one block of paths at a
-time: it gets the past of those paths (their count is ``past.shape[0]``),
-answers for them only, and is called once per block and cell.  It must be
-a pure function of its arguments, since it may run on a pooled thread.
+out-of-range access is surfaced as an error; every hook is asked through
+one helper (:func:`_hook_answer`), which makes that view.  Predictability
+and stopping are defined path by path, so a hook is asked about one block
+of paths at a time: it gets the past of those paths (their count is
+``past.shape[0]``), answers for them only, and is called once per block
+and cell.  It must be a pure function of its arguments, since it may run
+on a pooled thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,22 +98,20 @@ def _check_grid(grid: GridSpec, ens: MVMPathEnsemble) -> None:
         raise GridMismatchError("integrand and ensemble live on different grids")
 
 
-def _past(ens: MVMPathEnsemble, rows: slice, i: int) -> np.ndarray:
-    """Read-only view of the increments of cells ``< i`` on the paths `rows`,
-    handed to hooks."""
+def _hook_answer(what: str, hook: Callable, ens: MVMPathEnsemble, rows: slice,
+                 i: int, dtype: type, *args) -> np.ndarray:
+    """The one call of a hook: ``hook(past, *args)`` as an array of `dtype`,
+    `past` the read-only view of the increments of cells ``< i`` on the
+    paths `rows`.  An IndexError, a hook reaching outside the past it was
+    given, is raised as an AdaptednessError naming `what`."""
     past = ens.increments[rows, :i]
     past.flags.writeable = False
-    return past
-
-
-def _ask(what: str, hook: Callable, *args):
-    """``hook(*args)``; an IndexError, a hook reaching outside the past it
-    was given, is raised as an AdaptednessError naming `what`."""
     try:
-        return hook(*args)
+        answer = hook(past, *args)
     except IndexError as exc:
         raise AdaptednessError(
             f"{what} reached outside the past ({exc})") from exc
+    return np.asarray(answer, dtype=dtype)
 
 
 def _contraction_order(v: np.ndarray) -> np.ndarray:
@@ -211,8 +214,8 @@ class GridIntegrand:
         grid = ens.grid
 
         def ask(rows: slice, i: int) -> np.ndarray:
-            return np.asarray(_ask(f"history hook for cell {i}", hook,
-                                   _past(ens, rows, i), i), dtype=np.float64)
+            return _hook_answer(f"history hook for cell {i}", hook, ens, rows,
+                                i, np.float64, i)
 
         def misshapen(i: int, vals: np.ndarray) -> ValueError:
             return ValueError(f"history hook for cell {i} returned shape "
@@ -236,20 +239,6 @@ class GridIntegrand:
 
         _by_path_blocks(ens.paths, block)
         return cls(grid, values)
-
-    def compose(self, op: np.ndarray) -> "GridIntegrand":
-        """Push the field forward by a fixed operator: cellwise op @ value
-        (:func:`_composed`), same index."""
-        return replace(self, values=_composed(self.values,
-                                              _operator(op, self.dim_g)))
-
-
-def _operator(op: np.ndarray, dim_g: int) -> np.ndarray:
-    """`op` as a float matrix, checked to act on a field's `dim_g` outputs."""
-    op = np.asarray(op, dtype=np.float64)
-    if op.ndim != 2 or op.shape[1] != dim_g:
-        raise ValueError(f"cannot compose {op.shape} with dim_g={dim_g}")
-    return op
 
 
 def _composed(values: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -289,8 +278,7 @@ def _field_rows(values: np.ndarray, index: np.ndarray | None,
 
 
 def _contract_rows(increments: np.ndarray, values: np.ndarray,
-                   index: np.ndarray | None, rows: slice,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   index: np.ndarray | None, rows: slice) -> np.ndarray:
     """The actions ``(block, [cells,] 1, G)`` of a field that fits (see
     :func:`_check_fit`) on the `increments` ``(block, [cells,] atoms, H)``
     of the paths `rows`, each path reading its row through
@@ -301,11 +289,11 @@ def _contract_rows(increments: np.ndarray, values: np.ndarray,
     view for a field in contraction order (see :class:`GridIntegrand`).  So
     every (path, cell) product is the same vector-matrix call on the same
     C-ordered matrix, for all cells at once or one at a time, whatever the
-    block.  It runs in the block that asks, on `out` when given."""
+    block.  It runs in the block that asks."""
     *lead, a, h = increments.shape
     stack = values.swapaxes(-1, -2).reshape(values.shape[:-3] + (a * h, -1))
     return np.matmul(increments.reshape(*lead, 1, a * h),
-                     _field_rows(stack, index, rows), out=out)
+                     _field_rows(stack, index, rows))
 
 
 def _block_actions(phi: GridIntegrand, ens: MVMPathEnsemble
@@ -401,9 +389,9 @@ class SimpleIntegrand:
 
         def block(rows: slice) -> None:
             for ev, s, hook in asked:
-                got = np.asarray(_ask(
+                got = _hook_answer(
                     f"event hook for interval starting at cell {s}", hook,
-                    _past(ens, rows, s)), dtype=bool)
+                    ens, rows, s, bool)
                 if got.shape != ev[rows].shape:
                     raise ValueError(
                         "event must resolve to one boolean per path")
@@ -440,12 +428,13 @@ def integrate_simple(phi: SimpleIntegrand, ens: MVMPathEnsemble
     """Integrate a simple integrand by the radonification formula, into paths
     (paths, n_times, G).
 
-    Each term contributes ``1_F S(M(t_s .. t, atoms))`` with the increment
-    accumulated before S is applied; this is deliberately a different
-    summation route than :func:`integrate_grid`.  It runs one path block at
-    a time: each block sums its paths' increments of every term and writes
-    only its rows of the result, so no term's increments or sums of the
-    whole ensemble are held.
+    Each term contributes ``1_F S(M(t_s .. t, atoms))``: S is applied to
+    each cell's increment summed over the term's mark set, and those
+    products are accumulated over the cells; this is deliberately a
+    different summation route than :func:`integrate_grid`.  It runs one
+    path block at a time: each block sums its paths' increments of every
+    term and writes only its rows of the result, so no term's increments or
+    sums of the whole ensemble are held.
     """
     _check_grid(phi.grid, ens)
     if phi.paths != ens.paths:
@@ -547,8 +536,8 @@ def grid_stopping_time(ens: MVMPathEnsemble,
         stop_rows = stop[rows]
         open_mask = np.ones(stop_rows.shape, dtype=bool)
         for i in range(n + 1):
-            fired = np.asarray(_ask(f"stopping rule at index {i}", hook,
-                                    _past(ens, rows, i), i), dtype=bool)
+            fired = _hook_answer(f"stopping rule at index {i}", hook, ens,
+                                 rows, i, bool, i)
             if fired.shape not in ((), stop_rows.shape):
                 raise ValueError(f"stopping rule at index {i} must resolve to "
                                  f"one boolean per path, got {fired.shape}")
@@ -587,19 +576,17 @@ def _identity_report(lhs: np.ndarray, rhs: np.ndarray) -> IdentityReport:
                           max(1.0, float(tops.max(initial=0.0))))
 
 
-def _identity(phi: GridIntegrand, ens: MVMPathEnsemble, dim: int,
-              sides: Callable[[slice, np.ndarray],
-                              tuple[np.ndarray, np.ndarray]]
+def _identity(ens: MVMPathEnsemble, dim: int,
+              sides: Callable[[slice], tuple[np.ndarray, np.ndarray]]
               ) -> IdentityReport:
     """The report of an identity whose sides (paths, n_times, `dim`) are
-    written one path block at a time: ``sides(rows, actions)`` gives their
-    rows `rows` from the block's actions (:func:`_block_actions`)."""
-    actions = _block_actions(phi, ens)
+    written one path block at a time: ``sides(rows)`` gives their rows
+    `rows`, made in the block that asks."""
     lhs = np.empty((ens.paths, len(ens.times), dim))
     rhs = np.empty_like(lhs)
 
     def block(rows: slice) -> None:
-        lhs[rows], rhs[rows] = sides(rows, actions(rows))
+        lhs[rows], rhs[rows] = sides(rows)
 
     _by_path_blocks(ens.paths, block)
     return _identity_report(lhs, rhs)
@@ -622,8 +609,8 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     cells add exact zeros); the right side clamps the integral of all the
     actions at the stopping time, so the two sides agree exactly.  A
     stopping index is an integer grid index, from 0 to n_cells; an array of
-    another dtype is refused, not truncated.  `check` turns a nonzero gap
-    into an error (regression guard).
+    another dtype is refused, not truncated.  `check` turns a gap that is
+    not zero, a NaN gap included, into an error (regression guard).
     """
     stop_index = np.asarray(stop_index)
     if stop_index.shape != (ens.paths,):
@@ -636,14 +623,16 @@ def stopped_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     stop_index = stop_index.astype(np.int64)
     clock = np.arange(len(ens.times))
 
-    def sides(rows: slice, actions: np.ndarray):
-        stop = stop_index[rows]
-        clamped = np.minimum(clock[None, :], stop[:, None])
-        return (_stopped(actions, stop), np.take_along_axis(
-            _running_sum(actions), clamped[:, :, None], axis=1))
+    actions = _block_actions(phi, ens)
 
-    report = _identity(phi, ens, phi.dim_g, sides)
-    if check and report.max_abs_gap > 0.0:
+    def sides(rows: slice):
+        acts, stop = actions(rows), stop_index[rows]
+        clamped = np.minimum(clock[None, :], stop[:, None])
+        return (_stopped(acts, stop), np.take_along_axis(
+            _running_sum(acts), clamped[:, :, None], axis=1))
+
+    report = _identity(ens, phi.dim_g, sides)
+    if check and not report.max_abs_gap <= 0.0:
         raise RuntimeError(f"stopped-integral identity violated "
                            f"(gap {report.max_abs_gap:.3e})")
     return report
@@ -671,13 +660,15 @@ def restricted_integral(phi: GridIntegrand, ens: MVMPathEnsemble,
     window[s_index:t_index] = True
     clock = np.clip(np.arange(len(ens.times)), s_index, t_index)
 
-    def sides(rows: slice, actions: np.ndarray):
-        on = on_event[rows]
-        full = _running_sum(actions)
-        return (_running_sum(np.where((on & window)[..., None], actions, 0.0)),
+    actions = _block_actions(phi, ens)
+
+    def sides(rows: slice):
+        acts, on = actions(rows), on_event[rows]
+        full = _running_sum(acts)
+        return (_running_sum(np.where((on & window)[..., None], acts, 0.0)),
                 (full[:, clock] - full[:, [s_index]]) * on[..., None])
 
-    return _identity(phi, ens, phi.dim_g, sides)
+    return _identity(ens, phi.dim_g, sides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -759,19 +750,16 @@ def fubini_check(integrands: Sequence[GridIntegrand], weights: Sequence[float],
         raise ValueError("need matching, nonempty integrand and weight lists")
     members = [(w, phi, _block_actions(phi, ens))
                for w, phi in zip(weights, integrands)]
-    lhs = np.empty((ens.paths, len(ens.times), integrands[0].dim_g))
-    rhs = np.empty_like(lhs)
 
-    def block(rows: slice) -> None:
+    def sides(rows: slice):
         mixed = sum(w * _field_rows(phi.values, phi.index, rows)
                     for w, phi, _ in members)
-        lhs[rows] = _running_sum(_contract_rows(
-            ens.increments[rows], mixed, None, slice(None))[..., 0, :])
-        rhs[rows] = sum(w * _running_sum(actions(rows))
-                        for w, _, actions in members)
+        return (_running_sum(_contract_rows(
+            ens.increments[rows], mixed, None, slice(None))[..., 0, :]),
+                sum(w * _running_sum(actions(rows))
+                    for w, _, actions in members))
 
-    _by_path_blocks(ens.paths, block)
-    return _identity_report(lhs, rhs)
+    return _identity(ens, integrands[0].dim_g, sides)
 
 
 def pushforward_commute(op: np.ndarray, phi: GridIntegrand,
@@ -780,14 +768,17 @@ def pushforward_commute(op: np.ndarray, phi: GridIntegrand,
     one path block at a time: each block composes only the rows of the
     field its paths read (:func:`_field_rows`), so no composed field of the
     whole ensemble is made."""
-    op = _operator(op, phi.dim_g)
+    op = np.asarray(op, dtype=np.float64)
+    if op.ndim != 2 or op.shape[1] != phi.dim_g:
+        raise ValueError(f"cannot compose {op.shape} with dim_g={phi.dim_g}")
+    actions = _block_actions(phi, ens)
 
-    def sides(rows: slice, actions: np.ndarray):
+    def sides(rows: slice):
         pushed = _composed(_field_rows(phi.values, phi.index, rows), op)
-        integral = _running_sum(actions)
+        integral = _running_sum(actions(rows))
         return (_running_sum(_contract_rows(ens.increments[rows], pushed,
                                             None, slice(None))[..., 0, :]),
                 (integral.reshape(-1, phi.dim_g) @ op.T).reshape(
                     integral.shape[:-1] + (-1,)))
 
-    return _identity(phi, ens, len(op), sides)
+    return _identity(ens, len(op), sides)

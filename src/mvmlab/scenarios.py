@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -640,8 +641,9 @@ def _scn_stopped(seed: int, paths: int, params: dict) -> ScenarioResult:
     # The first firing, found without the early exit or the open-path
     # bookkeeping: the rule at every index of the first path block.
     rows = slice(0, _BLOCK)
-    fired = np.stack([stop_rule(integrate._past(ens, rows, i), i)
-                      for i in range(grid.n_cells + 1)], axis=1)
+    fired = np.stack([integrate._hook_answer(
+        f"stopping rule at index {i}", stop_rule, ens, rows, i, bool, i)
+        for i in range(grid.n_cells + 1)], axis=1)
     first = np.where(fired.any(axis=1), fired.argmax(axis=1), grid.n_cells)
     res.add_upper("stopping_index_gap",
                   float(np.abs(first - sigma[rows]).max()), 0.0,
@@ -919,10 +921,11 @@ _PARAM_KINDS = {int: "an integer", float: "a number", str: "a string",
 def _checked(name: str, key: str, default, value):
     """`value` if it has the JSON type of `default`: an integer default takes
     an integer, a float default any number (stored as a float), a string
-    default a string; a bool is none of these.  A list default takes a list
-    whose every element fits the default's first element; where that element
-    is itself a list (a ``rates`` pair), each element must be a list of its
-    length, checked entry by entry."""
+    default a string; a bool is none of these, and a number must be finite
+    (JSON readers take ``NaN`` and ``Infinity``).  A list default takes a
+    list whose every element fits the default's first element; where that
+    element is itself a list (a ``rates`` pair), each element must be a list
+    of its length, checked entry by entry."""
     kind = type(default)
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if kind is float else kind):
@@ -930,6 +933,8 @@ def _checked(name: str, key: str, default, value):
             f"parameter {key!r} of scenario {name!r} must be "
             f"{_PARAM_KINDS[kind]}, got {value!r}")
     if kind is float:
+        _require(abs(value) <= sys.float_info.max, name, key,
+                 f"must be a finite number, got {value!r}")
         return float(value)
     if kind is not list:
         return value

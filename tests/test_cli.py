@@ -86,6 +86,23 @@ PATHS_RANGE = "'paths' of scenario 'fubini' must be at least 2"
                  "params": {"thresholds": [True]}}),
      "'thresholds[0]' of scenario 'stopped_integral' must be a number, "
      "got True"),
+    # JSON readers take NaN and Infinity; a parameter refuses them, in a
+    # list too, before the scenario runs.
+    (json.dumps({"scenario": "stopped_integral",
+                 "params": {"thresholds": [1.0, float("nan")]}}),
+     "'thresholds[1]' of scenario 'stopped_integral' must be a finite "
+     "number, got nan"),
+    (json.dumps({"scenario": "picard_contraction",
+                 "params": {"drift_gain": float("nan")}}),
+     "'drift_gain' of scenario 'picard_contraction' must be a finite "
+     "number, got nan"),
+    (json.dumps({"scenario": "white_noise_qv",
+                 "params": {"t_max": float("inf")}}),
+     "'t_max' of scenario 'white_noise_qv' must be a finite number, got inf"),
+    (json.dumps({"scenario": "white_noise_qv",
+                 "params": {"rates": [["a", 1.0], ["b", -float("inf")]]}}),
+     "'rates[1][1]' of scenario 'white_noise_qv' must be a finite number, "
+     "got -inf"),
     (json.dumps({"scenario": "white_noise_qv",
                  "params": {"rates": [["a", "x"]]}}),
      "'rates[0][1]' of scenario 'white_noise_qv' must be a number, got 'x'"),

@@ -20,7 +20,7 @@ from mvmlab.integrate import (AdaptednessError, GridIntegrand,
                               lambda2_profile, localize,
                               pushforward_commute, restricted_integral,
                               simple_to_grid, stopped_integral, _check_fit,
-                              _contract_rows)
+                              _composed, _contract_rows)
 from mvmlab.spde import DiagonalSemigroup, stochastic_convolution
 
 
@@ -330,12 +330,13 @@ def _thread_count_results(ens, phi, qm, qv, stop):
                                  .standard_normal((2, 3)), phi, ens)
     mixed = fubini_check([phi, GridIntegrand(ens.grid, np.random.default_rng(
         7).standard_normal((1, 8, 2, 3, 2)))], [0.3, 0.7], ens)
+    reports = (stopped, restricted, pushed, mixed)
     return [integrate_grid(phi, ens), cell_costs(phi, qm, qv),
-            stopped.lhs, stopped.rhs, restricted.lhs, restricted.rhs,
+            *(side for r in reports for side in (r.lhs, r.rhs)),
+            np.array([(r.max_abs_gap, r.scale) for r in reports]),
             *local.stop_indices.values(),
             np.array([*local.truncated_norms.values(),
-                      local.max_consistency_gap, local.max_cell_cost]),
-            pushed.lhs, pushed.rhs, mixed.lhs, mixed.rhs]
+                      local.max_consistency_gap, local.max_cell_cost])]
 
 
 def _split_simple(ens, rng):
@@ -368,10 +369,11 @@ def test_integrals_do_not_depend_on_the_thread_count(driver, qm_and_qv,
     # 2,500 paths are three blocks, the last one short: contracted and
     # costed by the default threads, by one and by three, every result is
     # the same bytes, for a shared field, a history-built one and a table
-    # with an index.  That holds for the integral, the cell costs and both
-    # sides of the stopping, restriction, pushforward and Fubini identities,
-    # and for localization's stop indices, truncated norms, tower gap and
-    # largest cell cost, all made one path block at a time.
+    # with an index.  That holds for the integral, the cell costs, both
+    # sides, the largest gap and the scale of the stopping, restriction,
+    # pushforward and Fubini identities, and for localization's stop
+    # indices, truncated norms, tower gap and largest cell cost, all made
+    # one path block at a time.
     qm, qv = qm_and_qv
     ens = simulate(driver, default_grid(driver, 1.0, 8), 2_500, 37)
     if per_path == "table":
@@ -486,7 +488,6 @@ def test_a_table_field_gives_the_bytes_of_its_dense_copy(driver, qm_and_qv):
     stop = rng.integers(0, 9, size=ens.paths)
     event = rng.random(ens.paths) < 0.5
     op = rng.standard_normal((4, 3))
-    assert table.compose(op).index is table.index
 
     def results(phi):
         stopped = stopped_integral(phi, ens, stop)
@@ -763,6 +764,20 @@ def test_stopped_integral_refuses_a_non_integer_stopping_index(ens):
         assert got.rhs.tobytes() == want.rhs.tobytes()
 
 
+def test_stopped_integral_check_does_not_pass_a_nan_gap(ens):
+    # One NaN entry of a per-path field, in a cell before that path stops:
+    # both sides are NaN from there on, so the gap is NaN, and the check
+    # must refuse it rather than read ``nan > 0`` as no violation.
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((ens.paths, 8, 2, 2, 2))
+    values[5, 0, 0] = np.nan
+    phi = GridIntegrand(ens.grid, values)
+    stop = np.full(ens.paths, 8)
+    assert np.isnan(stopped_integral(phi, ens, stop, check=False).max_abs_gap)
+    with pytest.raises(RuntimeError, match="identity violated"):
+        stopped_integral(phi, ens, stop)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_stopped_integral_does_not_depend_on_the_integrand_layout(dim):
     # A shared field, its per-path copy and a Fortran-ordered per-path copy
@@ -825,7 +840,7 @@ def test_per_path_results_do_not_depend_on_the_integrand_layout(dim):
         phi = GridIntegrand(ens.grid, values)
         return (integrate_grid(phi, ens),
                 cell_costs(phi, qm, qv),
-                phi.compose(op).values,
+                _composed(phi.values, op),
                 stopped_integral(phi, ens, stop).lhs,
                 restricted_integral(phi, ens, 2, 6, event).lhs)
 
@@ -907,8 +922,12 @@ def test_integrands_are_stored_in_contraction_order(ens):
     simple = simple_to_grid(SimpleIntegrand.build(ens, [
         SimpleTerm(1, 5, (0, 1), rng.standard_normal((3, 2)),
                    event=lambda past: past[:, 0, 0, 0] > 0)]))
-    for result in (history, simple, phi.compose(rng.standard_normal((4, 3)))):
+    for result in (history, simple):
         assert result.per_path and in_contraction_order(result)
+    # The pushforward composes rows into the contraction's order too.
+    composed = _composed(phi.values, rng.standard_normal((4, 3)))
+    assert composed.shape[:-2] == phi.values.shape[:-2]
+    assert composed.swapaxes(-1, -2).flags.c_contiguous
 
 
 def test_restriction_matches_increment_of_the_integral(ens):
@@ -1011,8 +1030,9 @@ def test_pushforward_commutes(ens):
     op = rng.standard_normal((4, 3))
     report = pushforward_commute(op, phi, ens)
     assert report.max_abs_gap <= 1e-10 * report.scale
-    with pytest.raises(ValueError, match="compose"):
-        phi.compose(rng.standard_normal((4, 5)))
+    for bad in (rng.standard_normal((4, 5)), rng.standard_normal(3)):
+        with pytest.raises(ValueError, match="cannot compose"):
+            pushforward_commute(bad, phi, ens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Package surface: each module's ``__all__`` names what it defines and
 what the package itself uses, every source file uses what it imports, one
-function computes standard errors, one takes the grid's running sums and one
-takes eigen-decompositions."""
+function computes standard errors, one takes the grid's running sums, one
+takes eigen-decompositions, one builds identity reports and one hands hooks
+their past."""
 
 import ast
 import importlib
@@ -39,22 +40,27 @@ def test_every_import_is_used(path):
     assert not imported - used, f"{path.name} imports unused {imported - used}"
 
 
-def method_calls(attr, allowed_in):
-    """(file, line, allowed) of every ``.<attr>(`` call in src/mvmlab, where
-    allowed means inside a function named in `allowed_in` as (file, name)."""
-    calls = []
+def found(match, allowed_in):
+    """(file, line, allowed) of every AST node in src/mvmlab that `match`
+    accepts, where allowed means inside a function named in `allowed_in` as
+    (file, name)."""
+    nodes = []
     for path in sorted(ROOT.glob("src/mvmlab/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = {id(node) for fn in ast.walk(tree)
                    if isinstance(fn, ast.FunctionDef)
                    and (path.name, fn.name) in allowed_in
                    for node in ast.walk(fn)}
-        calls += [(path.name, node.lineno, id(node) in allowed)
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == attr]
-    return calls
+        nodes += [(path.name, node.lineno, id(node) in allowed)
+                  for node in ast.walk(tree) if match(node)]
+    return nodes
+
+
+def method_calls(attr, allowed_in):
+    """:func:`found` for every ``.<attr>(`` call."""
+    return found(lambda node: isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == attr, allowed_in)
 
 
 def test_standard_errors_come_only_from_mean_se():
@@ -86,6 +92,24 @@ def test_eigen_decompositions_come_only_from_clipped_eigh():
         stray = [(name, line) for name, line, ok in calls if not ok]
         assert not stray, f".{attr}( outside {owner} at {stray}"
         assert len(calls) == 1, calls
+
+
+def test_identity_reports_and_read_only_pasts_have_one_maker_each():
+    # One reducer builds every IdentityReport (integrate._identity_report),
+    # and one helper hands a hook its read-only past (integrate._hook_answer,
+    # the only place that sets ``flags.writeable = False``).
+    reports = found(lambda node: isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "IdentityReport",
+                    {("integrate.py", "_identity_report")})
+    frozen = found(lambda node: isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Attribute) and target.attr == "writeable"
+        for target in node.targets), {("integrate.py", "_hook_answer")})
+    for what, nodes in (("IdentityReport(", reports),
+                        ("flags.writeable =", frozen)):
+        stray = [(name, line) for name, line, ok in nodes if not ok]
+        assert not stray, f"{what} outside its one maker at {stray}"
+        assert len(nodes) == 1, nodes
 
 
 # Public names that package code need not reference, each with its reason.

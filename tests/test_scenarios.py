@@ -1,6 +1,7 @@
 """The Monte Carlo gate rule of :meth:`ScenarioResult.add_max_z`, and
 scenario checks that must fail on a broken run."""
 
+import dataclasses
 import math
 import re
 
@@ -148,6 +149,33 @@ def test_run_scenario_refuses_a_seed_or_path_count_before_running(
         overrides, rule):
     with pytest.raises(ScenarioInputError, match=re.escape(rule)):
         run_scenario("fubini", **overrides)
+
+
+@pytest.mark.parametrize("name, params, rule", [
+    ("stopped_integral", {"thresholds": [1.0, float("nan")]},
+     "'thresholds[1]' of scenario 'stopped_integral' must be a finite "
+     "number, got nan"),
+    ("picard_contraction", {"drift_gain": float("nan")},
+     "'drift_gain' of scenario 'picard_contraction' must be a finite "
+     "number, got nan"),
+    ("white_noise_qv", {"t_max": float("inf")},
+     "'t_max' of scenario 'white_noise_qv' must be a finite number, got inf"),
+    ("fubini", {"tol": 10 ** 400},
+     "'tol' of scenario 'fubini' must be a finite number"),
+])
+def test_run_scenario_refuses_a_non_finite_number_before_running(
+        name, params, rule, monkeypatch):
+    # A NaN threshold would pass every check of its run, and a NaN drift
+    # gain or an infinite horizon would fail inside it: each is refused
+    # before the scenario function is called.
+    item = SCENARIOS[name]
+
+    def never(*args):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(item, fn=never))
+    with pytest.raises(ScenarioInputError, match=re.escape(rule)):
+        run_scenario(name, params=params)
 
 
 # Every scenario at a small size: (paths, params).  A scenario missing here
